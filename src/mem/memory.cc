@@ -8,19 +8,39 @@
 namespace shift
 {
 
+Memory::Memory()
+{
+    map(regionBase(kTagRegion), 1ULL << kImplementedBits);
+    map(regionBase(kOsRegion), 1ULL << kImplementedBits);
+}
+
 void
 Memory::map(uint64_t base, uint64_t len)
 {
     if (len == 0)
         return;
-    uint64_t first = base >> kPageShift;
-    uint64_t last = (base + len - 1) >> kPageShift;
-    for (uint64_t p = first; p <= last; ++p) {
-        auto &slot = pages_[p];
-        if (!slot)
-            slot = std::make_shared<Page>();
+    Reservation range{base >> kPageShift,
+                      ((base + len - 1) >> kPageShift) + 1};
+    // Absorb every reservation the new range overlaps or abuts: the
+    // first candidate is the first one ending at or after its start.
+    auto it = std::lower_bound(
+        reserved_.begin(), reserved_.end(), range.first,
+        [](const Reservation &r, uint64_t key) { return r.end < key; });
+    auto last = it;
+    for (; last != reserved_.end() && last->first <= range.end; ++last) {
+        range.first = std::min(range.first, last->first);
+        range.end = std::max(range.end, last->end);
     }
-    tlbFlush();
+    reserved_.insert(reserved_.erase(it, last), range);
+}
+
+bool
+Memory::reserved(uint64_t key) const
+{
+    auto it = std::upper_bound(
+        reserved_.begin(), reserved_.end(), key,
+        [](uint64_t k, const Reservation &r) { return k < r.end; });
+    return it != reserved_.end() && it->first <= key;
 }
 
 void
@@ -38,6 +58,7 @@ Memory::snapshot() const
     tlbFlush();
     Snapshot snap;
     snap.pages_ = pages_;
+    snap.reserved_ = reserved_;
     snap.summary_ = summary_;
     return snap;
 }
@@ -46,18 +67,13 @@ void
 Memory::restore(const Snapshot &snap)
 {
     pages_ = snap.pages_;
+    reserved_ = snap.reserved_;
     summary_ = snap.summary_;
     tlbFlush();
 }
 
-bool
-Memory::isMapped(uint64_t addr) const
-{
-    return pages_.count(addr >> kPageShift) != 0;
-}
-
 Memory::Page *
-Memory::pageFor(uint64_t addr, bool allocate, bool forWrite)
+Memory::pageFor(uint64_t addr, bool forWrite)
 {
     uint64_t key = addr >> kPageShift;
     if (Page *cached = forWrite ? tlbLookupWritable(key) : tlbLookup(key))
@@ -78,7 +94,9 @@ Memory::pageFor(uint64_t addr, bool allocate, bool forWrite)
         tlbInsert(key, slot.get(), slot.use_count() == 1);
         return slot.get();
     }
-    if (allocate || demandMapped(addr)) {
+    if (reserved(key)) {
+        // First touch of a reserved page: a private zero page, never a
+        // COW copy (no snapshot can share a page that did not exist).
         auto page = std::make_shared<Page>();
         Page *raw = page.get();
         pages_[key] = std::move(page);
@@ -108,7 +126,7 @@ Memory::probe(uint64_t addr, unsigned size) const
         return MemFault::Unimplemented;
     for (uint64_t a = addr & ~(kPageSize - 1); a < addr + size;
          a += kPageSize) {
-        if (!pageForConst(a) && !demandMapped(a))
+        if (!pageForConst(a) && !reserved(a >> kPageShift))
             return MemFault::Unmapped;
     }
     return MemFault::None;
@@ -124,7 +142,7 @@ Memory::readSlow(uint64_t addr, unsigned size, uint64_t &value)
         // map lookup (which refills the cache) covers all bytes.
         if (!isImplemented(addr) || !isImplemented(addr + size - 1))
             return MemFault::Unimplemented;
-        Page *page = pageFor(addr, false);
+        Page *page = pageFor(addr);
         if (!page)
             return MemFault::Unmapped;
         const uint8_t *bytes = page->data.data() + off;
@@ -142,7 +160,7 @@ Memory::readSlow(uint64_t addr, unsigned size, uint64_t &value)
         return fault;
     uint64_t v = 0;
     for (unsigned i = 0; i < size; ++i) {
-        Page *page = pageFor(addr + i, false);
+        Page *page = pageFor(addr + i);
         SHIFT_ASSERT(page);
         uint64_t byteOff = (addr + i) & (kPageSize - 1);
         v |= static_cast<uint64_t>(page->data[byteOff]) << (8 * i);
@@ -159,7 +177,7 @@ Memory::writeSlow(uint64_t addr, unsigned size, uint64_t value)
     if (off + size <= kPageSize) {
         if (!isImplemented(addr) || !isImplemented(addr + size - 1))
             return MemFault::Unimplemented;
-        Page *page = pageFor(addr, false, true);
+        Page *page = pageFor(addr, true);
         if (!page)
             return MemFault::Unmapped;
         uint8_t *bytes = page->data.data() + off;
@@ -172,7 +190,7 @@ Memory::writeSlow(uint64_t addr, unsigned size, uint64_t value)
     if (fault != MemFault::None)
         return fault;
     for (unsigned i = 0; i < size; ++i) {
-        Page *page = pageFor(addr + i, false, true);
+        Page *page = pageFor(addr + i, true);
         SHIFT_ASSERT(page);
         uint64_t byteOff = (addr + i) & (kPageSize - 1);
         page->data[byteOff] = static_cast<uint8_t>(value >> (8 * i));
@@ -186,7 +204,7 @@ Memory::writeSpillSlow(uint64_t addr, uint64_t value, bool nat)
     MemFault fault = write(addr, 8, value);
     if (fault != MemFault::None)
         return fault;
-    Page *page = pageFor(addr, false, true);
+    Page *page = pageFor(addr, true);
     uint64_t word = (addr & (kPageSize - 1)) >> 3;
     uint64_t &bits = page->nat[word >> 6];
     uint64_t mask = 1ULL << (word & 63);
@@ -261,7 +279,7 @@ Memory::readBytes(uint64_t addr, void *out, uint64_t len)
             return MemFault::Unimplemented;
         uint64_t off = addr & (kPageSize - 1);
         uint64_t chunk = std::min(len, kPageSize - off);
-        Page *page = pageFor(addr, false);
+        Page *page = pageFor(addr);
         if (!page)
             return MemFault::Unmapped;
         std::memcpy(dst, page->data.data() + off, chunk);
@@ -291,7 +309,7 @@ Memory::writeBytes(uint64_t addr, const void *src, uint64_t len)
         } else {
             if (!isImplemented(addr))
                 return MemFault::Unimplemented;
-            Page *page = pageFor(addr, false, true);
+            Page *page = pageFor(addr, true);
             if (!page)
                 return MemFault::Unmapped;
             std::memcpy(page->data.data() + off, bytes, chunk);
@@ -313,7 +331,7 @@ Memory::readCString(uint64_t addr, std::string &out, uint64_t maxLen)
             return MemFault::Unimplemented;
         uint64_t off = addr & (kPageSize - 1);
         uint64_t chunk = std::min(remaining, kPageSize - off);
-        Page *page = pageFor(addr, false);
+        Page *page = pageFor(addr);
         if (!page)
             return MemFault::Unmapped;
         const uint8_t *p = page->data.data() + off;

@@ -2,27 +2,34 @@
  * @file
  * Sparse paged simulated memory with a spill/fill NaT sidecar.
  *
- * Data is stored in demand-allocated 4 KiB pages. Each page carries one
- * NaT bit per 8-byte word, written only by st8.spill and read only by
- * ld8.fill: this folds the compiler's UNAT-window bookkeeping into the
- * memory model (see DESIGN.md section 5.2). Ordinary loads and stores
- * never touch the sidecar, so taint for normal data flows exclusively
+ * Data is stored in 4 KiB pages. Each page carries one NaT bit per
+ * 8-byte word, written only by st8.spill and read only by ld8.fill:
+ * this folds the compiler's UNAT-window bookkeeping into the memory
+ * model (see DESIGN.md section 5.2). Ordinary loads and stores never
+ * touch the sidecar, so taint for normal data flows exclusively
  * through SHIFT's software-managed bitmap, exactly as in the paper.
  *
- * Regions 0 (tag space) and 4 (OS scratch) are demand-mapped: a touch
- * allocates a zero page. All other regions must be mapped explicitly
- * (by the loader / sbrk / stack setup); access to unmapped addresses
- * faults, which is what lets a speculative load manufacture a NaT.
+ * The address space is a short list of reserved page ranges. A
+ * reserved page is demand-zero: it is materialized as a zero page on
+ * its first touch, read or write. Regions 0 (tag space) and 4 (OS
+ * scratch) are reserved whole at construction; everything else is
+ * reserved by map() (the loader, sbrk and stack setup). Access outside
+ * every reservation faults, which is what lets a speculative load
+ * manufacture a NaT. Reserving costs O(ranges), never O(bytes), so an
+ * untouched stack or heap costs nothing to lay out, snapshot or fork.
  *
  * Pages are reference-counted and copy-on-write. snapshot() captures
- * the current address space by sharing every page; restore() adopts a
- * snapshot's pages wholesale. A write to a page that is shared with a
- * snapshot (or with a sibling Memory restored from the same snapshot)
- * copies that one page first, so forking a runnable clone from a
- * post-load snapshot costs O(pages actually dirtied), not O(address
- * space). Shared pages are only ever read concurrently; each clone
- * dirties private copies, which is what makes fleets of machines
- * forked from one snapshot safe to run on concurrent threads.
+ * the current address space by sharing every materialized page and
+ * copying the reservation list; restore() adopts both wholesale. A
+ * write to a page that is shared with a snapshot (or with a sibling
+ * Memory restored from the same snapshot) copies that one page first,
+ * so forking a runnable clone from a post-load snapshot costs O(pages
+ * actually touched), not O(address space). A reserved page the
+ * snapshot never materialized is first-touched privately by each
+ * clone: a fresh zero page, not a copy. Shared pages are only ever
+ * read concurrently; each clone dirties private copies, which is what
+ * makes fleets of machines forked from one snapshot safe to run on
+ * concurrent threads.
  */
 
 #ifndef SHIFT_MEM_MEMORY_HH
@@ -48,7 +55,7 @@ namespace shift
 enum class MemFault : uint8_t
 {
     None,          ///< success
-    Unmapped,      ///< no page at this address
+    Unmapped,      ///< address outside every reservation
     Unimplemented, ///< address has unimplemented bits set
 };
 
@@ -59,7 +66,8 @@ class Memory
     static constexpr unsigned kPageShift = 12;
     static constexpr uint64_t kPageSize = 1ULL << kPageShift;
 
-    Memory() = default;
+    /** An address space with only regions 0 and 4 reserved. */
+    Memory();
 
     // Pages are shared with snapshots by design, but two Memory objects
     // must never share pages through an accidental copy: aliasing would
@@ -69,17 +77,17 @@ class Memory
     Memory &operator=(const Memory &) = delete;
 
     /**
-     * Map [base, base+len): allocates zeroed pages. Invalidates the
-     * page-translation cache.
+     * Reserve [base, base+len), rounded out to whole pages. Allocates
+     * nothing: each page becomes a zero page on its first touch. A
+     * range that overlaps or abuts an existing reservation merges with
+     * it, so growing a range in steps (the sbrk pattern) keeps one
+     * entry.
      */
     void map(uint64_t base, uint64_t len);
 
-    /** True when the byte at addr is backed by a page. */
-    bool isMapped(uint64_t addr) const;
-
     /**
      * Check whether an access of `size` bytes at addr would succeed,
-     * without allocating demand pages.
+     * without materializing reserved pages.
      */
     MemFault probe(uint64_t addr, unsigned size) const;
 
@@ -115,8 +123,8 @@ class Memory
     write(uint64_t addr, unsigned size, uint64_t value)
     {
         // Taint-summary maintenance rides the store path, ahead of the
-        // fast/slow split so every route (TLB hit, COW fault, demand
-        // map, host-side TaintMap::setBit) is covered. Marking before
+        // fast/slow split so every route (TLB hit, COW fault, first
+        // touch, host-side TaintMap::setBit) is covered. Marking before
         // the fault checks can over-mark on a write that then faults;
         // the summary is conservative by contract, so that only costs
         // a deopt, never soundness.
@@ -184,27 +192,27 @@ class Memory
     MemFault readCString(uint64_t addr, std::string &out,
                          uint64_t maxLen = 1 << 20);
 
-    /** Number of pages currently allocated. */
+    /** Pages materialized so far (reserved pages count once touched). */
     size_t pageCount() const { return pages_.size(); }
 
     /**
      * Order-independent digest of the address space: data bytes and
      * the NaT sidecar of every non-zero page, keyed by page address.
-     * Two memories whose mapped contents are byte-identical hash
-     * equal even if their page maps were populated in different
-     * orders or one demand-allocated zero pages the other never
-     * touched. `region` restricts the digest to one region (e.g. the
-     * tag space for taint-bitmap comparison); -1 hashes everything.
+     * Two memories whose contents are byte-identical hash equal even
+     * if their page maps were populated in different orders or one
+     * materialized zero pages the other never touched. `region`
+     * restricts the digest to one region (e.g. the tag space for
+     * taint-bitmap comparison); -1 hashes everything.
      * Walks every page: for end-of-run differential checks, not hot
      * paths.
      */
     uint64_t contentHash(int region = -1) const;
 
     /**
-     * Visit every mapped page whose base address falls in `region`:
-     * fn(baseAddr, data) with `data` the page's 4 KiB byte array.
-     * Unspecified order. For bulk bootstrap copies (e.g. the async
-     * taint tier shadowing the tag space), not hot paths.
+     * Visit every materialized page whose base address falls in
+     * `region`: fn(baseAddr, data) with `data` the page's 4 KiB byte
+     * array. Unspecified order. For bulk bootstrap copies (e.g. the
+     * async taint tier shadowing the tag space), not hot paths.
      */
     template <typename Fn>
     void
@@ -239,23 +247,35 @@ class Memory
         std::array<uint64_t, kPageSize / 8 / 64> nat{};
     };
 
+    /** A reserved page-key range [first, end). */
+    struct Reservation
+    {
+        uint64_t first;
+        uint64_t end;
+    };
+
   public:
     /**
-     * An immutable capture of the whole address space: every page
-     * shared by reference, data and NaT sidecar alike. Cheap to take
-     * (one map copy, no page copies) and to restore from; a snapshot
-     * keeps its pages alive and read-only-shared for as long as it
-     * exists.
+     * An immutable capture of the whole address space: every
+     * materialized page shared by reference, data and NaT sidecar
+     * alike, plus the reservation list by value. Cheap to take (one
+     * map copy of the touched pages, no page copies) and to restore
+     * from; a snapshot keeps its pages alive and read-only-shared for
+     * as long as it exists.
      */
     class Snapshot
     {
       public:
-        /** Pages captured (also the O() cost of taking it: map only). */
+        /**
+         * Materialized pages captured (also the O() cost of taking
+         * it). Reserved pages nobody touched are not counted.
+         */
         size_t pageCount() const { return pages_.size(); }
 
       private:
         friend class Memory;
         std::unordered_map<uint64_t, std::shared_ptr<Page>> pages_;
+        std::vector<Reservation> reserved_;
         /**
          * Taint summary at capture time, by value. restore() adopts a
          * private copy, so clones forked from one snapshot share no
@@ -270,8 +290,8 @@ class Memory
 
     /**
      * Replace the address space with a snapshot's pages (shared; this
-     * Memory copies a page the first time it writes to it). Existing
-     * pages are dropped.
+     * Memory copies a page the first time it writes to it) and
+     * reservations. Existing pages are dropped.
      */
     void restore(const Snapshot &snap);
 
@@ -328,12 +348,16 @@ class Memory
 
   private:
     /**
-     * Fetch the page backing addr, honouring demand-map regions. With
-     * `forWrite`, a page shared with a snapshot is first replaced by a
-     * private copy (the write-fault-time COW).
+     * Fetch the page backing addr, materializing a zero page on the
+     * first touch of a reserved one. With `forWrite`, a page shared
+     * with a snapshot is first replaced by a private copy (the
+     * write-fault-time COW).
      */
-    Page *pageFor(uint64_t addr, bool allocate, bool forWrite = false);
+    Page *pageFor(uint64_t addr, bool forWrite = false);
     const Page *pageForConst(uint64_t addr) const;
+
+    /** True when the page with this key lies in a reservation. */
+    bool reserved(uint64_t key) const;
 
     /** Out-of-line general read/write paths behind the inline pair. */
     MemFault readSlow(uint64_t addr, unsigned size, uint64_t &value);
@@ -392,13 +416,6 @@ class Memory
         }
     }
 
-    static bool
-    demandMapped(uint64_t addr)
-    {
-        unsigned region = regionOf(addr);
-        return region == kTagRegion || region == kOsRegion;
-    }
-
     // ----- page-translation cache ---------------------------------------
     //
     // A small direct-mapped (pageKey -> Page*) cache consulted before
@@ -408,10 +425,11 @@ class Memory
     // interleaves one bitmap access with nearly every data access, and
     // sharing the indexed entries would make them thrash. A page
     // replaced by COW stays alive through the snapshot that shares it,
-    // so cached pointers cannot dangle; the cache is flushed on map(),
-    // snapshot() and restore() so no entry outlives an address-space
-    // or sharing change. Negative results are never cached (a miss may
-    // be a demand-map allocation the next access performs).
+    // so cached pointers cannot dangle; the cache is flushed on
+    // snapshot() and restore() so no entry outlives a sharing change.
+    // map() needs no flush: it only reserves, and the cache holds
+    // materialized pages only. Negative results are never cached (a
+    // miss may be a first touch the next access materializes).
     //
     // Each entry carries a `writable` bit: the write fast paths honour
     // it so a snapshot-shared page can be read through the cache but
@@ -490,6 +508,8 @@ class Memory
     void tlbFlush() const;
 
     std::unordered_map<uint64_t, std::shared_ptr<Page>> pages_;
+    /** Sorted, disjoint and never abutting (map() coalesces). */
+    std::vector<Reservation> reserved_;
     uint64_t cowCopies_ = 0;
     std::function<void(uint64_t)> cowHook_;
     TaintSummary summary_;

@@ -9,9 +9,10 @@
  * a prototype machine, and freezes a MachineSnapshot of the pre-run
  * state (COW-shared pages, registers and NaT bits, the shared decode
  * result). instantiate() then forks an isolated, runnable
- * SessionClone in O(pages-map) time — clones share all unmodified
- * pages and copy only what they dirty, so they are safe to run
- * concurrently on separate threads (see docs/FLEET.md).
+ * SessionClone in time linear in the pages the prototype touched —
+ * clones share all unmodified pages, copy only the shared ones they
+ * dirty and first-touch untouched reservations privately, so they are
+ * safe to run concurrently on separate threads (see docs/FLEET.md).
  *
  *   SessionTemplate tmpl({appSource}, options);
  *   tmpl.os().addFile("/www/index.html", "hello");   // provision, then
@@ -128,7 +129,12 @@ class SessionTemplate
     const SessionOptions &options() const { return options_; }
     bool frozen() const { return frozen_.load(std::memory_order_acquire); }
 
-    /** Pages in the frozen snapshot (0 before freeze). */
+    /**
+     * Materialized pages in the frozen snapshot (0 before freeze):
+     * the pages layout and provisioning actually touched. Reserved
+     * but untouched pages (the stack, zero-initialized globals) are
+     * not counted; clones first-touch those privately.
+     */
     size_t snapshotPages() const;
 
   private:

@@ -24,9 +24,7 @@ namespace shift
 namespace
 {
 
-/** Stack region layout. */
-constexpr uint64_t kStackBase = regionBase(kStackRegion) + 0x10000;
-constexpr uint64_t kStackSize = 4ULL << 20;
+/** Heap layout (the stack's is in machine.hh). */
 constexpr uint64_t kHeapGap = 1ULL << 20;
 constexpr uint64_t kHeapMax = 1ULL << 32;
 // Cold-block demotion (kFpColdDeopts) and the call-depth limit
@@ -134,6 +132,9 @@ void
 Machine::layout()
 {
     // Globals: shared deterministic layout (see computeGlobalLayout).
+    // map() only reserves: the pages initialized below are the only
+    // ones this layout materializes, and the stack costs nothing until
+    // the program touches it.
     GlobalLayout layout = computeGlobalLayout(*program_);
     globalAddr_ = layout.addr;
     mem_.map(kGlobalBase, std::max<uint64_t>(layout.end - kGlobalBase, 16));

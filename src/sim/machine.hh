@@ -74,6 +74,13 @@ constexpr uint32_t kFpColdDeopts = 8;
  */
 constexpr size_t kMaxCallDepth = 1 << 16;
 
+/**
+ * Stack reservation: [kStackBase, kStackBase + kStackSize). A frame
+ * that grows below kStackBase faults as an illegal address.
+ */
+constexpr uint64_t kStackBase = regionBase(kStackRegion) + 0x10000;
+constexpr uint64_t kStackSize = 4ULL << 20;
+
 /** Architectural feature switches (paper section 6.3 enhancements). */
 struct CpuFeatures
 {
@@ -130,7 +137,8 @@ struct RunResult
  * whole address space (COW-shared pages, including the region-0 taint
  * bitmap and NaT sidecars), every architectural register with its NaT
  * bit, the layout tables, and a reference to the already-decoded
- * program. Taking one is O(pages) map work; constructing a Machine
+ * program. Taking one is O(materialized pages) map work, however
+ * large the reserved stack and heap; constructing a Machine
  * from one skips layout and decode entirely, so a fleet can fork many
  * runnable clones from a single compile. See docs/FLEET.md.
  */

@@ -44,7 +44,12 @@ struct FleetJobResult
     int id = 0;
     RunResult result;
     std::vector<std::string> responses;
-    uint64_t cowPages = 0;  ///< pages this clone dirtied (COW copies)
+    /**
+     * Snapshot pages this clone copied on write. Pages it first
+     * touched in untouched reservations (stack, heap, tag space) are
+     * fresh zero pages, not copies, and are not counted.
+     */
+    uint64_t cowPages = 0;
     double forkSeconds = 0; ///< host time to instantiate the clone
     double runSeconds = 0;  ///< host time to simulate the job
     /**

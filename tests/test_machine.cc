@@ -573,6 +573,36 @@ TEST(MachineCalls, IndirectCallThroughDescriptor)
     EXPECT_EQ(r.exitCode, 55);
 }
 
+TEST(MachineCalls, RecursionOffTheStackFaultsJustBelowStackBase)
+{
+    // main pushes a frame, touches its lowest word and recurses. The
+    // frame is large enough that the 4 MiB stack runs out long before
+    // the call-depth limit, so the fault marks the reservation's
+    // bottom edge: every frame at or above kStackBase must succeed and
+    // the first store below it must fault.
+    constexpr uint64_t kFrame = 96;
+    static_assert(kStackSize / kFrame < kMaxCallDepth);
+    Program program = makeProgram({
+        makeAluImm(Opcode::Add, reg::sp, reg::sp, -int64_t(kFrame)),
+        makeSt(reg::sp, reg::zero, 8),
+        makeCall("main"),
+    });
+    Machine machine(program);
+    uint64_t sp = machine.gprVal(reg::sp);
+    ASSERT_GT(sp, kStackBase);
+    ASSERT_LE(sp, kStackBase + kStackSize);
+    uint64_t expected = sp;
+    while (expected >= kStackBase)
+        expected -= kFrame;
+    RunResult r = machine.run(1000000);
+    ASSERT_FALSE(r.exited);
+    EXPECT_EQ(r.fault.kind, FaultKind::IllegalAddress);
+    EXPECT_EQ(r.fault.context, FaultContext::StoreAddress);
+    EXPECT_EQ(r.fault.addr, expected);
+    EXPECT_LT(r.fault.addr, kStackBase);
+    EXPECT_GE(r.fault.addr, kStackBase - kFrame);
+}
+
 TEST(MachineCalls, IndirectCallToGarbageFaults)
 {
     std::vector<Instr> code;

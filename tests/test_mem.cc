@@ -90,6 +90,134 @@ TEST(Memory, TagAndOsRegionsAreDemandMapped)
     EXPECT_EQ(out, 0u); // demand pages are zeroed
     EXPECT_EQ(mem.write(regionBase(kOsRegion) + 0x10, 8, 7),
               MemFault::None);
+    // Both regions are reserved whole: their last implemented word is
+    // addressable, the first unimplemented byte is not.
+    uint64_t top = regionBase(kOsRegion) + (1ULL << kImplementedBits);
+    EXPECT_EQ(mem.read(top - 8, 8, out), MemFault::None);
+    EXPECT_EQ(mem.read(top, 1, out), MemFault::Unimplemented);
+    EXPECT_EQ(mem.pageCount(), 3u);
+}
+
+// ---------------------------------------------------------------------
+// Reservations: map() reserves, the first touch materializes a page.
+// ---------------------------------------------------------------------
+
+TEST(MemoryReservation, UntouchedPageReadsZeroAndProbesClean)
+{
+    Memory mem;
+    mem.map(kBase, 4 * Memory::kPageSize);
+    EXPECT_EQ(mem.pageCount(), 0u);
+    EXPECT_EQ(mem.probe(kBase + 2 * Memory::kPageSize + 8, 8),
+              MemFault::None);
+    EXPECT_EQ(mem.pageCount(), 0u); // probing materializes nothing
+    uint64_t out = 0xff;
+    ASSERT_EQ(mem.read(kBase + 2 * Memory::kPageSize + 8, 8, out),
+              MemFault::None);
+    EXPECT_EQ(out, 0u);
+    bool nat = true;
+    ASSERT_EQ(mem.readFill(kBase + 8, out, nat), MemFault::None);
+    EXPECT_EQ(out, 0u);
+    EXPECT_FALSE(nat);
+}
+
+TEST(MemoryReservation, PageCountGrowsOnlyOnTouch)
+{
+    Memory mem;
+    mem.map(kBase, 1 << 20); // 256 pages
+    EXPECT_EQ(mem.pageCount(), 0u);
+    ASSERT_EQ(mem.write(kBase + 5 * Memory::kPageSize, 4, 1),
+              MemFault::None);
+    EXPECT_EQ(mem.pageCount(), 1u);
+    uint64_t out = 0;
+    ASSERT_EQ(mem.read(kBase + 9 * Memory::kPageSize, 1, out),
+              MemFault::None);
+    EXPECT_EQ(mem.pageCount(), 2u);
+    // Touching a materialized page again, or re-reserving the range,
+    // adds nothing.
+    mem.write(kBase + 5 * Memory::kPageSize + 64, 8, 2);
+    mem.map(kBase, 1 << 20);
+    EXPECT_EQ(mem.pageCount(), 2u);
+    mem.read(kBase + 5 * Memory::kPageSize, 4, out);
+    EXPECT_EQ(out, 1u);
+}
+
+TEST(MemoryReservation, OneBytePastEitherEndFaults)
+{
+    Memory mem;
+    // An unaligned range rounds out to whole pages.
+    mem.map(kBase + 100, 3 * Memory::kPageSize - 200);
+    uint64_t lo = kBase;
+    uint64_t hi = kBase + 3 * Memory::kPageSize; // one past the end
+    uint64_t out = 0;
+    EXPECT_EQ(mem.read(lo, 1, out), MemFault::None);
+    EXPECT_EQ(mem.write(hi - 1, 1, 7), MemFault::None);
+    EXPECT_EQ(mem.read(lo - 1, 1, out), MemFault::Unmapped);
+    EXPECT_EQ(mem.write(lo - 1, 1, 7), MemFault::Unmapped);
+    EXPECT_EQ(mem.read(hi, 1, out), MemFault::Unmapped);
+    EXPECT_EQ(mem.write(hi, 1, 7), MemFault::Unmapped);
+    EXPECT_EQ(mem.probe(lo - 1, 1), MemFault::Unmapped);
+    EXPECT_EQ(mem.probe(hi, 1), MemFault::Unmapped);
+    EXPECT_EQ(mem.writeSpill(hi, 1, true), MemFault::Unmapped);
+    EXPECT_EQ(mem.pageCount(), 2u);
+}
+
+TEST(MemoryReservation, EdgeCrossingAccessFaultsWithoutSideEffect)
+{
+    Memory mem;
+    mem.map(kBase, Memory::kPageSize);
+    uint64_t out = 0;
+    // Upper edge: the in-range half would materialize a page if the
+    // access were not probed whole first.
+    uint64_t upper = kBase + Memory::kPageSize - 4;
+    EXPECT_EQ(mem.write(upper, 8, ~0ULL), MemFault::Unmapped);
+    EXPECT_EQ(mem.read(upper, 8, out), MemFault::Unmapped);
+    EXPECT_EQ(mem.probe(upper, 8), MemFault::Unmapped);
+    // Lower edge, same rule.
+    EXPECT_EQ(mem.write(kBase - 4, 8, ~0ULL), MemFault::Unmapped);
+    EXPECT_EQ(mem.read(kBase - 4, 8, out), MemFault::Unmapped);
+    EXPECT_EQ(mem.pageCount(), 0u);
+    ASSERT_EQ(mem.read(kBase, 4, out), MemFault::None);
+    EXPECT_EQ(out, 0u);
+    ASSERT_EQ(mem.read(upper, 4, out), MemFault::None);
+    EXPECT_EQ(out, 0u);
+}
+
+TEST(MemoryReservation, BackToBackMapsActAsOneRange)
+{
+    Memory mem;
+    // The sbrk pattern: each call reserves from the previous break,
+    // mostly mid-page, sometimes exactly on a page boundary.
+    uint64_t brk = kBase;
+    for (uint64_t step : {16ULL, 4080ULL, 40ULL, 8192ULL, 24ULL}) {
+        mem.map(brk, step);
+        brk += step;
+    }
+    EXPECT_EQ(mem.pageCount(), 0u);
+    // Accesses straddling every junction page boundary succeed, as
+    // does the last byte of the last page; one past it does not.
+    for (uint64_t join = kBase + Memory::kPageSize; join < brk;
+         join += Memory::kPageSize) {
+        uint64_t page = join >> Memory::kPageShift;
+        ASSERT_EQ(mem.write(join - 4, 8, page), MemFault::None) << page;
+        uint64_t out = 0;
+        ASSERT_EQ(mem.read(join - 4, 8, out), MemFault::None);
+        EXPECT_EQ(out, page);
+    }
+    uint64_t end = (brk + Memory::kPageSize - 1) & ~(Memory::kPageSize - 1);
+    EXPECT_EQ(mem.write(end - 1, 1, 1), MemFault::None);
+    EXPECT_EQ(mem.write(end, 1, 1), MemFault::Unmapped);
+
+    // Reserving a range that bridges two separate ones merges all
+    // three: the gap between them becomes addressable.
+    Memory gapped;
+    gapped.map(kBase, Memory::kPageSize);
+    gapped.map(kBase + 4 * Memory::kPageSize, Memory::kPageSize);
+    uint64_t gap = kBase + 2 * Memory::kPageSize;
+    EXPECT_EQ(gapped.write(gap, 8, 1), MemFault::Unmapped);
+    gapped.map(kBase + Memory::kPageSize, 3 * Memory::kPageSize);
+    EXPECT_EQ(gapped.write(gap, 8, 1), MemFault::None);
+    EXPECT_EQ(gapped.write(kBase + 5 * Memory::kPageSize - 4, 8, 1),
+              MemFault::Unmapped);
 }
 
 TEST(Memory, SpillSidecarRoundTrip)
@@ -173,13 +301,13 @@ TEST(Memory, TranslationCacheTagEntryInterleavesWithData)
     EXPECT_EQ(tag, 99u);
 }
 
-TEST(Memory, TranslationCacheInvalidatedByMap)
+TEST(Memory, TranslationCacheSurvivesMap)
 {
     Memory mem;
     mem.map(kBase, Memory::kPageSize);
     ASSERT_EQ(mem.write(kBase, 8, 0x1111), MemFault::None); // cache fill
     // Growing the address space must not disturb cached translations'
-    // correctness, before or after the new mapping.
+    // correctness, before or after the new reservation.
     mem.map(kBase + 8 * Memory::kPageSize, Memory::kPageSize);
     uint64_t out = 0;
     ASSERT_EQ(mem.read(kBase, 8, out), MemFault::None);
@@ -398,6 +526,68 @@ TEST(MemorySnapshot, SpillSidecarIsCaptured)
     clone.readFill(kBase, v, nat);
     EXPECT_EQ(v, 0x42u);
     EXPECT_TRUE(nat);
+}
+
+TEST(MemorySnapshot, SnapshotCarriesReservations)
+{
+    Memory mem;
+    mem.map(kBase, 4 * Memory::kPageSize);
+    ASSERT_EQ(mem.write(kBase, 8, 0x5a), MemFault::None);
+    Memory::Snapshot snap = mem.snapshot();
+    // Only the touched page is captured; the three untouched reserved
+    // pages contribute nothing.
+    EXPECT_EQ(snap.pageCount(), 1u);
+    // Reserving after the snapshot does not leak into it.
+    mem.map(kBase + 16 * Memory::kPageSize, Memory::kPageSize);
+
+    Memory clone;
+    clone.map(kBase + 32 * Memory::kPageSize, Memory::kPageSize);
+    clone.restore(snap); // replaces the clone's own reservations
+    EXPECT_EQ(clone.pageCount(), 1u);
+    uint64_t out = 0xff;
+    ASSERT_EQ(clone.read(kBase + 3 * Memory::kPageSize, 8, out),
+              MemFault::None);
+    EXPECT_EQ(out, 0u);
+    ASSERT_EQ(clone.read(kBase, 8, out), MemFault::None);
+    EXPECT_EQ(out, 0x5au);
+    EXPECT_EQ(clone.read(kBase + 4 * Memory::kPageSize, 1, out),
+              MemFault::Unmapped);
+    EXPECT_EQ(clone.read(kBase + 16 * Memory::kPageSize, 1, out),
+              MemFault::Unmapped);
+    EXPECT_EQ(clone.read(kBase + 32 * Memory::kPageSize, 1, out),
+              MemFault::Unmapped);
+    // The default reservations (tag and OS regions) travel too.
+    EXPECT_EQ(clone.write(regionBase(kTagRegion) + 0x40, 1, 1),
+              MemFault::None);
+    EXPECT_EQ(clone.cowCopies(), 0u);
+}
+
+TEST(MemorySnapshot, ClonesFirstTouchReservedPagePrivately)
+{
+    Memory mem;
+    mem.map(kBase, Memory::kPageSize);
+    Memory::Snapshot snap = mem.snapshot();
+    EXPECT_EQ(snap.pageCount(), 0u);
+
+    Memory a;
+    Memory b;
+    a.restore(snap);
+    b.restore(snap);
+    ASSERT_EQ(a.write(kBase + 8, 8, 0xa), MemFault::None);
+    ASSERT_EQ(b.write(kBase + 8, 8, 0xb), MemFault::None);
+    uint64_t out = 0;
+    a.read(kBase + 8, 8, out);
+    EXPECT_EQ(out, 0xau);
+    b.read(kBase + 8, 8, out);
+    EXPECT_EQ(out, 0xbu);
+    // Each got a fresh zero page, not a copy of a shared one.
+    EXPECT_EQ(a.pageCount(), 1u);
+    EXPECT_EQ(b.pageCount(), 1u);
+    EXPECT_EQ(a.cowCopies(), 0u);
+    EXPECT_EQ(b.cowCopies(), 0u);
+    // The origin never saw either write.
+    ASSERT_EQ(mem.read(kBase + 8, 8, out), MemFault::None);
+    EXPECT_EQ(out, 0u);
 }
 
 TEST(MemorySnapshot, SnapshotOfRestoredCloneChains)
