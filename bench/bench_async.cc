@@ -3,38 +3,30 @@
  * Decoupled async taint tier payoff (see docs/ASYNC-TAINT.md): host
  * time to run the taint-dense SPEC rows with the best synchronous
  * configuration (the PR 4 fused engine plus the taint-clean fast
- * path) against the trace-ring tier, where the engine executes the
- * uninstrumented stream and a consumer thread replays propagation.
+ * path) against the async tier, where the engine executes the
+ * uninstrumented stream and replays taint propagation beside it.
  *
  * The fast path is bounded by a workload's taint share — bzip2 sits
  * at ~0.57 and vpr ~0.53 in BENCH_fastpath.json — so those rows are
  * exactly where decoupling should pay: the engine sheds the inline
- * tag work entirely and the cost moves to a second host thread. The
- * comparable quantity is host seconds inside Machine::run() for the
- * same workload; every row verifies the security observables (exit
- * status, alert count) are identical both ways.
- *
- * The lag is not hidden: each row reports the ring-stall count and
- * the p50/p99 fence lag (events outstanding when the engine had to
- * synchronize), and a dedicated section replays all eight attack
- * scenarios under the tier and reports the p50/p99/max lag-bounded
- * detection latency in host nanoseconds — the time between the
- * consumer flagging the violation and the engine observing it at the
- * next policy-check fence.
+ * tag work and replays only the taint-relevant micro-ops the
+ * maybe-taint filter keeps. The comparable quantity is host seconds
+ * inside Machine::run() for the same workload; every row verifies
+ * the security observables (exit status, alert count) are identical
+ * both ways.
  *
  * `--smoke` runs only the bzip2 and vpr rows and exits non-zero when
  * fewer than two of them clear 1.2x the synchronous engine — the
- * perf-smoke-async CI tripwire.
+ * perf-smoke-async CI tripwire. Every run also exits non-zero when
+ * an attack scenario goes undetected under the tier.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
-#include "support/stats.hh"
 #include "workloads/attacks.hh"
 #include "workloads/spec.hh"
 
@@ -54,12 +46,6 @@ struct Measurement
     // Async-only counters (zero on the synchronous side).
     uint64_t events = 0;
     uint64_t fences = 0;
-    uint64_t ringStalls = 0;
-    uint64_t fenceLagP50 = 0; ///< events outstanding at a fence
-    uint64_t fenceLagP99 = 0;
-    uint64_t ringDepthMax = 0;
-    bool inlineConsumer = false; ///< resolved placement (Auto folds
-                                 ///< to inline on single-hart hosts)
 
     double mips() const
     {
@@ -71,7 +57,7 @@ struct Row
 {
     std::string name;
     Measurement sync;  ///< PR 4 engine: fused + taint-clean fast path
-    Measurement async; ///< trace-ring tier, uninstrumented stream
+    Measurement async; ///< async tier, uninstrumented stream
 
     /** Host-time speedup running the identical workload. */
     double speedup() const
@@ -105,16 +91,6 @@ timeSpec(const SpecKernel &kernel, const SpecRunConfig &config)
             m.seconds = run.runSeconds;
             m.events = result.stats.get("dift.events");
             m.fences = result.stats.get("dift.fences");
-            m.inlineConsumer =
-                result.stats.gauge("dift.consumer.inline") != 0;
-            if (const Histogram *lag =
-                    result.stats.histogram("dift.fence.lag.events")) {
-                m.fenceLagP50 = lag->quantile(0.50);
-                m.fenceLagP99 = lag->quantile(0.99);
-            }
-            if (const Histogram *depth =
-                    result.stats.histogram("dift.ring.depth"))
-                m.ringDepthMax = depth->max();
             continue;
         }
         if (result.instructions != m.instructions ||
@@ -126,11 +102,6 @@ timeSpec(const SpecKernel &kernel, const SpecRunConfig &config)
         }
         if (run.runSeconds < m.seconds)
             m.seconds = run.runSeconds;
-        // Stall counts vary with host scheduling; keep the worst
-        // repeat so the report never understates backpressure.
-        uint64_t stalls = result.stats.get("dift.ring.stalls");
-        if (stalls > m.ringStalls)
-            m.ringStalls = stalls;
     }
     return m;
 }
@@ -169,8 +140,8 @@ measureKernel(const std::string &shortName)
     config.fastPath = true;
     row.sync = timeSpec(kernel, config);
 
-    // Async side: the fast path hands the taint tier to the consumer
-    // thread wholesale (the two are mutually exclusive by design).
+    // Async side: the fast path and the async tier both replace the
+    // inline taint tier, so they are mutually exclusive by design.
     config.fastPath = false;
     config.async.enabled = true;
     row.async = timeSpec(kernel, config);
@@ -179,45 +150,28 @@ measureKernel(const std::string &shortName)
     return row;
 }
 
-/**
- * Lag-bounded detection latency: replay every attack scenario under
- * the tier and collect the host nanoseconds between the consumer
- * flagging the violation and the engine observing it at its next
- * policy fence (`dift.lag.detect.ns`, one sample per condemned run).
- */
-Histogram
-measureDetectionLatency(int rounds)
+/** Every attack scenario must still be detected under the tier. */
+void
+checkAttacksDetected()
 {
-    Histogram latency;
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    // Force the threaded consumer: with the inline placement (the
-    // Auto resolution on single-hart hosts) detection is immediate
-    // and the "latency" would only time the fence bookkeeping.
-    async.consumer = dift::AsyncConsumer::Thread;
-    for (int round = 0; round < rounds; ++round) {
-        for (const AttackScenario &scenario : attackScenarios()) {
-            AttackRun run = runAttackScenario(
-                scenario, true, Granularity::Byte,
-                ExecEngine::Predecoded, {}, false, async);
-            if (!run.detected) {
-                std::fprintf(stderr,
-                             "bench_async: attack %s NOT DETECTED "
-                             "under the async tier\n",
-                             scenario.name.c_str());
-                std::exit(1);
-            }
-            const Histogram *h =
-                run.result.stats.histogram("dift.lag.detect.ns");
-            if (h)
-                latency.merge(*h);
+    for (const AttackScenario &scenario : attackScenarios()) {
+        AttackRun run = runAttackScenario(scenario, true, Granularity::Byte,
+                                          ExecEngine::Predecoded, {}, false,
+                                          async);
+        if (!run.detected) {
+            std::fprintf(stderr,
+                         "bench_async: attack %s NOT DETECTED "
+                         "under the async tier\n",
+                         scenario.name.c_str());
+            std::exit(1);
         }
     }
-    return latency;
 }
 
 void
-writeJson(const std::vector<Row> &rows, const Histogram &latency)
+writeJson(const std::vector<Row> &rows)
 {
     FILE *f = std::fopen("BENCH_async.json", "w");
     if (!f) {
@@ -234,33 +188,15 @@ writeJson(const std::vector<Row> &rows, const Histogram &latency)
             "\"mips_sync\": %.2f, \"mips_async\": %.2f, "
             "\"host_speedup\": %.3f, "
             "\"instrs_sync\": %llu, \"instrs_async\": %llu, "
-            "\"events\": %llu, \"fences\": %llu, "
-            "\"ring_stalls\": %llu, "
-            "\"fence_lag_p50_events\": %llu, "
-            "\"fence_lag_p99_events\": %llu, "
-            "\"ring_depth_max\": %llu, "
-            "\"consumer\": \"%s\"}%s\n",
+            "\"events\": %llu, \"fences\": %llu}%s\n",
             r.name.c_str(), r.sync.mips(), r.async.mips(), r.speedup(),
             (unsigned long long)r.sync.instructions,
             (unsigned long long)r.async.instructions,
             (unsigned long long)r.async.events,
             (unsigned long long)r.async.fences,
-            (unsigned long long)r.async.ringStalls,
-            (unsigned long long)r.async.fenceLagP50,
-            (unsigned long long)r.async.fenceLagP99,
-            (unsigned long long)r.async.ringDepthMax,
-            r.async.inlineConsumer ? "inline" : "thread",
             i + 1 < rows.size() ? "," : "");
     }
-    std::fprintf(f,
-                 "  ],\n  \"detect_latency\": {"
-                 "\"consumer\": \"thread\", "
-                 "\"samples\": %llu, \"p50_ns\": %llu, "
-                 "\"p99_ns\": %llu, \"max_ns\": %llu}\n}\n",
-                 (unsigned long long)latency.count(),
-                 (unsigned long long)latency.quantile(0.50),
-                 (unsigned long long)latency.quantile(0.99),
-                 (unsigned long long)latency.max());
+    std::fprintf(f, "  ]\n}\n");
     std::fclose(f);
     std::printf("wrote BENCH_async.json\n");
 }
@@ -277,11 +213,10 @@ main(int argc, char **argv)
     }
 
     std::printf("\n=== Decoupled async taint tier: host time, "
-                "sync fast-path engine vs trace-ring consumer ===\n");
-    std::printf("%-12s %11s %11s %9s %8s %10s %10s\n", "workload",
-                "MIPS sync", "MIPS async", "speedup", "stalls",
-                "lag p50", "lag p99");
-    benchutil::rule(76);
+                "sync fast-path engine vs async tier ===\n");
+    std::printf("%-12s %11s %11s %9s %10s %7s\n", "workload",
+                "MIPS sync", "MIPS async", "speedup", "events", "fences");
+    benchutil::rule(66);
 
     // The floor rows are the taint-dense kernels where the fast path
     // is bounded by taint share; the full run covers every kernel so
@@ -298,38 +233,21 @@ main(int argc, char **argv)
         rows.push_back(measureKernel(name));
 
     for (const Row &r : rows) {
-        std::printf("%-12s %11.1f %11.1f %8.2fx %8llu %10llu %10llu\n",
+        std::printf("%-12s %11.1f %11.1f %8.2fx %10llu %7llu\n",
                     r.name.c_str(), r.sync.mips(), r.async.mips(),
-                    r.speedup(),
-                    (unsigned long long)r.async.ringStalls,
-                    (unsigned long long)r.async.fenceLagP50,
-                    (unsigned long long)r.async.fenceLagP99);
+                    r.speedup(), (unsigned long long)r.async.events,
+                    (unsigned long long)r.async.fences);
         registerMetricRow("async/" + r.name,
                           {{"mips_sync", r.sync.mips()},
                            {"mips_async", r.async.mips()},
-                           {"host_speedup_X", r.speedup()},
-                           {"ring_stalls", double(r.async.ringStalls)},
-                           {"fence_lag_p99_events",
-                            double(r.async.fenceLagP99)}});
+                           {"host_speedup_X", r.speedup()}});
     }
-    benchutil::rule(76);
-    std::printf("(verdicts verified identical on every row; lag "
-                "columns are fence-lag percentiles in events)\n\n");
+    benchutil::rule(66);
+    std::printf("(verdicts verified identical on every row)\n\n");
 
-    Histogram latency = measureDetectionLatency(smoke ? 2 : 5);
-    std::printf("lag-bounded detection latency over %llu condemned "
-                "runs (8 attacks x %d rounds):\n"
-                "  p50 %llu ns   p99 %llu ns   max %llu ns\n\n",
-                (unsigned long long)latency.count(), smoke ? 2 : 5,
-                (unsigned long long)latency.quantile(0.50),
-                (unsigned long long)latency.quantile(0.99),
-                (unsigned long long)latency.max());
-    registerMetricRow("async/detect_latency",
-                      {{"p50_ns", double(latency.quantile(0.50))},
-                       {"p99_ns", double(latency.quantile(0.99))},
-                       {"max_ns", double(latency.max())}});
+    checkAttacksDetected();
 
-    writeJson(rows, latency);
+    writeJson(rows);
 
     if (smoke) {
         int cleared = 0;

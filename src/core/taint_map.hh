@@ -56,9 +56,7 @@ class TaintMap
      * the tag byte address, the bit index within that byte, and the
      * value written. The async taint tier installs one so host-side
      * taint sources (input hooks, wrap functions) reach its shadow as
-     * well as simulated memory. Callers must only write through the
-     * map while the consumer is quiesced (machine construction or a
-     * fence).
+     * well as simulated memory.
      */
     void
     setMirror(std::function<void(uint64_t, unsigned, bool)> mirror)

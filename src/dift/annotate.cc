@@ -80,7 +80,7 @@ annotateForAsync(Program &program, const AnnotateOptions &opt)
               case Opcode::Cmp:
                 if (cmpAlert) {
                     // Operand order mirrors emitCmpTaintTrap: r2
-                    // first, then r3 — the consumer reports the first
+                    // first, then r3 — the replay reports the first
                     // tainted operand, like the predicated trap.
                     out.push_back(makeCmpMarker(instr.r2));
                     ++stats.cmpMarkers;

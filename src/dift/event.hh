@@ -1,19 +1,10 @@
 /**
  * @file
- * The asynchronous taint tier's trace-event format.
+ * The asynchronous taint tier's per-event flag bits.
  *
- * The decoupled DIFT model (docs/ASYNC-TAINT.md; Wahab et al.'s ARM
- * coprocessor ecosystem and PAGURUS in PAPERS.md are the modern
- * descendants) splits each machine in two: the execution engine runs
- * the *uninstrumented* program and streams a compact, fixed-width
- * event per taint-relevant micro-op into a bounded SPSC ring; a
- * consumer thread replays taint propagation against a private shadow
- * of the tag bitmap. Verdicts are exchanged only at policy fences.
- *
- * Events are 24 bytes, fixed width, no heap: three per cache line.
- * The fields mirror what the PR 1 predecode pass already resolved
- * statically (register numbers, access size, original-stream pc), so
- * producing one is a handful of stores.
+ * The engine passes these to the tier's replay entry points
+ * (dift/tier.hh) alongside the register numbers, access size and
+ * original-stream pc the predecode pass already resolved statically.
  */
 
 #ifndef SHIFT_DIFT_EVENT_HH
@@ -24,16 +15,6 @@
 namespace shift::dift
 {
 
-/** Event kinds (field `kind`). */
-enum class EvKind : uint8_t
-{
-    RegWrite,    ///< ALU result: taint(a) = taint(b) | taint(c)
-    Load,        ///< a = dst reg, b = addr reg; addr/size/flags set
-    Store,       ///< a = src reg, b = addr reg; addr/size/flags set
-    BranchCheck, ///< a = source reg moved into a branch register
-};
-
-// Flag bits (field `flags`), kind-specific.
 // Load:
 constexpr uint8_t kEvChecked = 1; ///< bitmap-checked (instrumented) access
 constexpr uint8_t kEvRelaxed = 2; ///< pointer-taint relaxation applies
@@ -41,25 +22,6 @@ constexpr uint8_t kEvFill = 4;    ///< ld8.fill (NaT sidecar traffic)
 // Store reuses kEvChecked ("tracked": the bitmap RMW applies) and
 // kEvRelaxed (store-address relaxation), plus:
 constexpr uint8_t kEvSpill = 4; ///< st8.spill (NaT sidecar traffic)
-// RegWrite:
-constexpr uint8_t kEvZeroIdiom = 1; ///< xor r,r / sub r,r: result clean
-
-/** One fixed-width trace event. */
-struct Event
-{
-    uint64_t addr = 0; ///< effective address (Load/Store)
-    int32_t pc = 0;    ///< original-stream index, for fault reporting
-    int16_t func = -1; ///< function index, for fault reporting
-    uint8_t kind = 0;  ///< an EvKind
-    uint8_t flags = 0; ///< kind-specific bits above
-    uint8_t a = 0;     ///< kind-specific register (see EvKind)
-    uint8_t b = 0;     ///< kind-specific register
-    uint8_t c = 0;     ///< RegWrite: second source register (0 = r0)
-    uint8_t size = 0;  ///< access size in bytes (Load/Store)
-    uint8_t pad[2] = {0, 0};
-};
-
-static_assert(sizeof(Event) == 24, "events must stay fixed-width");
 
 } // namespace shift::dift
 

@@ -1,64 +1,18 @@
 #include "tier.hh"
 
-#include <chrono>
-
 #include "support/logging.hh"
 
 namespace shift::dift
 {
 
-namespace
+AsyncTaintTier::AsyncTaintTier(Memory &memory, Granularity granularity)
+    : mem_(&memory), gran_(granularity)
 {
-
-uint64_t
-nanosSince(std::chrono::steady_clock::time_point t0)
-{
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-}
-
-} // namespace
-
-std::string
-validateAsyncOptions(const AsyncTaintOptions &options)
-{
-    uint32_t ring = options.ringEvents;
-    if (ring < (1u << 10) || ring > (1u << 24))
-        return "async-taint ring size must be in [1024, 16777216]";
-    if ((ring & (ring - 1)) != 0)
-        return "async-taint ring size must be a power of two";
-    if (options.publishBatch == 0 || options.publishBatch > ring / 2)
-        return "async-taint publish batch must be in [1, ring/2]";
-    return "";
-}
-
-AsyncTaintTier::AsyncTaintTier(Memory &memory, Granularity granularity,
-                               const AsyncTaintOptions &options)
-    : mem_(&memory), gran_(granularity),
-      publishBatch_(options.publishBatch), ring_(options.ringEvents)
-{
-    std::string problem = validateAsyncOptions(options);
-    if (!problem.empty())
-        SHIFT_FATAL("%s", problem.c_str());
-    // On a single-hart host a consumer thread can only serialize with
-    // the engine, so Auto folds the replay into push() instead.
-    inlineMode_ =
-        options.consumer == AsyncConsumer::Inline ||
-        (options.consumer == AsyncConsumer::Auto &&
-         std::thread::hardware_concurrency() <= 1);
-}
-
-AsyncTaintTier::~AsyncTaintTier()
-{
-    shutdown();
 }
 
 void
 AsyncTaintTier::start()
 {
-    SHIFT_ASSERT(!running_);
     // Bootstrap the shadow from any taint already in the bitmap
     // (pre-run TaintMap writes, tag pages inherited from a template
     // snapshot). Clean bytes stay demand-absent.
@@ -68,113 +22,31 @@ AsyncTaintTier::start()
                           for (size_t i = 0; i < 4096; ++i)
                               page.bytes[i] = data[i];
                       });
-    stop_.store(false, std::memory_order_release);
-    if (!inlineMode_)
-        consumer_ = std::thread([this] { consumerLoop(); });
-    running_ = true;
 }
 
-// ----- consumer ---------------------------------------------------------
-
-void
-AsyncTaintTier::consumerLoop()
-{
-    auto handler = [this](const Event &ev) { process(ev); };
-    // Profiled runs time each non-empty consume batch: the tier's
-    // off-engine replay cost (prof.aux.async-consumer.nanos). Idle
-    // spinning is deliberately excluded — it is capacity, not work.
-    auto drain = [&]() -> uint64_t {
-        if (!profiled_)
-            return ring_.consume(handler);
-        auto t0 = std::chrono::steady_clock::now();
-        uint64_t n = ring_.consume(handler);
-        if (n)
-            consumerActiveNs_ += nanosSince(t0);
-        return n;
-    };
-    unsigned idle = 0;
-    for (;;) {
-        if (drain()) {
-            idle = 0;
-            continue;
-        }
-        if (stop_.load(std::memory_order_acquire)) {
-            // One last drain for events published with the stop flag.
-            if (drain() == 0)
-                return;
-            continue;
-        }
-        if (++idle > 64)
-            std::this_thread::yield();
-    }
-}
-
-void
+bool
 AsyncTaintTier::violate(ViolationKind kind, uint64_t addr, int32_t pc,
                         int16_t func, const char *detail)
 {
-    violation_.kind = kind;
-    violation_.addr = addr;
-    violation_.pc = pc;
-    violation_.func = func;
-    violation_.seq = seq_;
-    violation_.detail = detail;
-    violationAt_ = std::chrono::steady_clock::now();
-    violated_.store(true, std::memory_order_release);
+    // First violation wins: it is the one the synchronous engine
+    // would have stopped at.
+    if (!violated_) {
+        violation_.kind = kind;
+        violation_.addr = addr;
+        violation_.pc = pc;
+        violation_.func = func;
+        violation_.detail = detail;
+        violated_ = true;
+    }
+    return true;
 }
-
-// ----- fences (engine thread) -------------------------------------------
 
 const Violation *
 AsyncTaintTier::fence()
 {
-    SHIFT_ASSERT(running_);
-    if (inlineMode_) {
-        // Every event was replayed inside push(): the shadow is
-        // always caught up, only the bitmap materialization remains.
-        ++fences_;
-        fenceLagHist_.record(0);
-        materializeDirty();
-        return pendingViolation();
-    }
-    sincePublish_ = 0;
-    ring_.publish();
     ++fences_;
-    uint64_t target = ring_.pushed();
-    uint64_t consumed = ring_.consumed();
-    fenceLagHist_.record(target - consumed);
-    if (consumed < target) {
-        uint64_t lag = target - consumed;
-        auto t0 = std::chrono::steady_clock::now();
-        uint64_t spins = 0;
-        while (ring_.consumed() < target) {
-            ++spins;
-            if ((spins & 0x3f) == 0)
-                std::this_thread::yield();
-        }
-        fenceWaitSpins_ += spins;
-        uint64_t ns = nanosSince(t0);
-        fenceWaitNs_ += ns;
-        if (obs_)
-            obs_->emitCold(obs::Ev::FenceWait, 0, -1, 0, lag, ns);
-    }
     materializeDirty();
     return pendingViolation();
-}
-
-const Violation *
-AsyncTaintTier::pendingViolation() const
-{
-    if (!violated_.load(std::memory_order_acquire))
-        return nullptr;
-    if (!detectLatencyValid_) {
-        // First observation on the engine side: the lag-bounded
-        // detection latency this run actually paid.
-        auto *self = const_cast<AsyncTaintTier *>(this);
-        self->detectLatencyNs_ = nanosSince(violationAt_);
-        self->detectLatencyValid_ = true;
-    }
-    return &violation_;
 }
 
 void
@@ -192,9 +64,9 @@ void
 AsyncTaintTier::mirrorTagWrite(uint64_t tagAddr, unsigned bitIndex,
                                bool value)
 {
-    // TaintMap already wrote simulated memory itself (engine thread,
-    // consumer quiesced); mirror the byte so later consumer window
-    // reads agree. Not marked dirty: memory is already current.
+    // TaintMap already wrote simulated memory itself; mirror the byte
+    // so later window reads agree. Not marked dirty: memory is
+    // already current.
     rmwShadowByte(tagAddr, uint8_t(1u << bitIndex), value, false);
 }
 
@@ -226,43 +98,14 @@ AsyncTaintTier::materializeDirty()
     }
 }
 
-const Violation *
-AsyncTaintTier::shutdown()
-{
-    if (!running_)
-        return violated_.load(std::memory_order_acquire)
-                   ? pendingViolation()
-                   : nullptr;
-    const Violation *v = fence();
-    stop_.store(true, std::memory_order_release);
-    if (!inlineMode_)
-        consumer_.join();
-    running_ = false;
-    return v;
-}
-
 void
 AsyncTaintTier::statInto(StatSet &stats) const
 {
-    stats.add("dift.events", eventsPushed());
-    stats.setGauge("dift.consumer.inline", inlineMode_ ? 1 : 0);
+    stats.add("dift.events", events_);
     stats.add("dift.fences", fences_);
-    stats.add("dift.fence.waitSpins", fenceWaitSpins_);
-    stats.add("dift.fence.waitNs", fenceWaitNs_);
-    stats.add("dift.ring.stalls", stalls_);
-    stats.add("dift.ring.stallSpins", stallSpins_);
     stats.add("dift.materialized.words", materializedWords_);
-    stats.setGauge("dift.ring.capacity", ring_.capacity());
-    if (violated_.load(std::memory_order_acquire))
+    if (violated_)
         stats.add("dift.violations");
-    if (detectLatencyValid_)
-        stats.record("dift.lag.detect.ns", detectLatencyNs_);
-    stats.mergeHistogram("dift.ring.depth", depthHist_);
-    stats.mergeHistogram("dift.fence.lag.events", fenceLagHist_);
-    // Only valid after shutdown() joined the consumer (the machine
-    // folds stats after the run, so the contract holds in practice).
-    if (profiled_ && consumerActiveNs_)
-        stats.add("prof.aux.async-consumer.nanos", consumerActiveNs_);
 }
 
 } // namespace shift::dift

@@ -1,82 +1,59 @@
 /**
  * @file
- * The asynchronous taint tier: a per-machine DIFT coprocessor model.
+ * The asynchronous taint tier: decoupled taint propagation, replayed
+ * inline.
  *
- * One AsyncTaintTier pairs one execution engine (the producer) with
- * one taint-propagation thread (the consumer) over a bounded SPSC
- * event ring — the trace-based decoupling of Wahab et al.'s DIFT
- * coprocessors and PAGURUS, grafted onto SHIFT's NaT/bitmap
- * semantics. The engine runs the *uninstrumented* program and emits
- * one Event per taint-relevant micro-op; the consumer replays the
- * instrumenter's exact propagation rules against a private shadow of
- * the tag bitmap plus a 64-bit register-taint mask.
+ * The tier splits SHIFT's tracking off the execution stream, in the
+ * spirit of Wahab et al.'s DIFT coprocessors and PAGURUS, grafted onto
+ * SHIFT's NaT/bitmap semantics. The engine runs the *uninstrumented*
+ * program and, at each taint-relevant micro-op, calls one of the
+ * per-kind replay entry points below. Each replays the instrumenter's
+ * exact propagation rules against a private shadow of the tag bitmap
+ * plus a 64-bit register-taint mask. Every call is one "event"
+ * (dift.events).
  *
- * Verdict equivalence rests on the fence protocol:
+ * Verdict equivalence rests on two rules:
  *
- *  - The producer publishes its event sequence number and, at every
- *    policy-relevant boundary (builtin call, syscall, divide-by-zero
- *    taint query, end of run), blocks until the consumer's consumed
- *    sequence catches up ("epoch/lag fence"). While quiesced, the
- *    engine may read the consumer's shadow (argNat for H policies),
- *    write it (taint-source mirroring, retval clears), and
- *    materialize dirty shadow tag words into simulated memory so
- *    TaintMap readers (H1-H5 checks) see exactly what the
- *    synchronous engine's bitmap would hold.
- *  - The consumer records the *first* policy violation it replays
- *    (L1/L2/L3 and the plain-store StoreValue fault), then keeps
- *    draining in discard mode so the producer can never deadlock.
- *    The engine observes the flag at the next publish or fence and
- *    raises the identical NaT-consumption fault the synchronous
- *    engine would have raised at that instruction — same context,
- *    same detail string, same function — before any further
- *    policy-visible effect can happen.
+ *  - At every policy-relevant boundary (builtin call, syscall,
+ *    divide-by-zero taint query, end of run) the engine fences:
+ *    dirty shadow tag words are materialized into simulated memory so
+ *    TaintMap readers (H1-H5 checks) see exactly what the synchronous
+ *    engine's bitmap would hold. Between fences the engine may read
+ *    the shadow (argNat for H policies) and write it (taint-source
+ *    mirroring, retval clears).
+ *  - The tier records the *first* policy violation it replays
+ *    (L1/L2/L3 and the plain-store StoreValue fault). The entry point
+ *    that replays it returns true, and the engine raises the
+ *    identical NaT-consumption fault the synchronous engine would
+ *    have raised at that instruction — same context, same detail
+ *    string, same function.
  *
- * Detection is therefore *lag-bounded*: a violation surfaces at the
- * next publish/fence rather than in the violating cycle. The tier
- * accounts for that honestly — ring-depth and fence-lag histograms
- * and the host-time delivery latency of each detection land in the
- * run's dift.* stats. See docs/ASYNC-TAINT.md.
- *
- * Threading contract: every public method except the consumer's
- * internals is producer-thread-only. Shadow reads/writes by the
- * engine are only legal while the consumer is quiesced at a fence
- * (enforced by the ring's acquire/release edges; TSan-verified).
+ * See docs/ASYNC-TAINT.md. Not thread-safe: one tier belongs to one
+ * machine and is driven from that machine's thread.
  */
 
 #ifndef SHIFT_DIFT_TIER_HH
 #define SHIFT_DIFT_TIER_HH
 
-#include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <thread>
 #include <unordered_map>
 
 #include "dift/event.hh"
-#include "dift/spsc_ring.hh"
 #include "mem/address_space.hh"
 #include "mem/memory.hh"
-#include "obs/trace.hh"
 #include "support/stats.hh"
 
 namespace shift::dift
 {
 
 /**
- * Where the consumer runs. `Thread` is the coprocessor model proper:
- * a dedicated replay thread behind the ring. `Inline` folds the same
- * replay into the producer's push() call — no ring traffic, no
- * fences-with-lag, immediate detection — which is the only
- * configuration that can pay off on a single-hart host, where a
- * consumer thread merely serializes with the engine. `Auto` picks
- * Inline when std::thread::hardware_concurrency() <= 1.
+ * Where the replay runs. Inline, in the engine's thread, is the only
+ * placement: a threaded consumer behind an event ring lost to it on
+ * every measured workload (docs/ASYNC-TAINT.md, "Negative result").
  */
 enum class AsyncConsumer : uint8_t
 {
-    Auto,
-    Thread,
     Inline,
 };
 
@@ -84,18 +61,12 @@ enum class AsyncConsumer : uint8_t
 struct AsyncTaintOptions
 {
     bool enabled = false;
-    /** Event ring capacity; must be a power of two in [2^10, 2^24]. */
-    uint32_t ringEvents = 1u << 16;
-    /** Events between sequence-number publishes (the lag quantum). */
-    uint32_t publishBatch = 32;
-    /** Consumer placement; see AsyncConsumer. */
-    AsyncConsumer consumer = AsyncConsumer::Auto;
+    /** Read by nothing: kept so existing callers that name the
+     * placement still compile. */
+    AsyncConsumer consumer = AsyncConsumer::Inline;
 };
 
-/** Empty when valid, else a one-line problem description. */
-std::string validateAsyncOptions(const AsyncTaintOptions &options);
-
-/** Which policy family the consumer saw violated. */
+/** Which policy family the replay saw violated. */
 enum class ViolationKind : uint8_t
 {
     LoadAddress,  ///< L1: tainted pointer dereferenced
@@ -104,14 +75,13 @@ enum class ViolationKind : uint8_t
     ControlFlow,  ///< L3: tainted value into a branch register
 };
 
-/** The consumer's verdict, frozen at the first violating event. */
+/** The tier's verdict, frozen at the first violating event. */
 struct Violation
 {
     ViolationKind kind = ViolationKind::LoadAddress;
     uint64_t addr = 0;      ///< faulting address, sync-identical
     int32_t pc = 0;         ///< original-stream index
     int16_t func = -1;      ///< function index
-    uint64_t seq = 0;       ///< event sequence number
     const char *detail = ""; ///< sync engine's exact fault detail
 };
 
@@ -121,88 +91,62 @@ class AsyncTaintTier
     /**
      * `memory` is the machine's memory; the tier bootstraps its
      * shadow from the tag region at start() and materializes dirty
-     * shadow words back at every fence. Producer-thread only.
+     * shadow words back at every fence.
      */
-    AsyncTaintTier(Memory &memory, Granularity granularity,
-                   const AsyncTaintOptions &options);
-    ~AsyncTaintTier();
+    AsyncTaintTier(Memory &memory, Granularity granularity);
 
     AsyncTaintTier(const AsyncTaintTier &) = delete;
     AsyncTaintTier &operator=(const AsyncTaintTier &) = delete;
 
-    /** Observer for ring-stall / fence-wait events (may be null). */
-    void setObserver(obs::TraceBuffer *obs) { obs_ = obs; }
-
-    /**
-     * Profiled runs measure the threaded consumer's active replay
-     * time, exported as `prof.aux.async-consumer.nanos`: off-engine
-     * host work that overlaps the engine wall clock, reported beside
-     * (never inside) the engine's exhaustive prof.tier.* sum. The
-     * inline consumer needs no aux counter — its replay runs inside
-     * the engine's async-publish carve. Set before start().
-     */
-    void setProfiled(bool profiled) { profiled_ = profiled; }
-
-    /** Bootstrap the shadow and launch the consumer thread. */
+    /** Bootstrap the shadow from the tag bitmap. */
     void start();
 
-    /** True between start() and shutdown(). */
-    bool running() const { return running_; }
+    // ----- replay entry points (engine hot path) ------------------------
+    //
+    // One call per taint-relevant micro-op, in program order. The
+    // bool-returning ones report whether the call raised a violation.
 
-    // ----- engine hot path ----------------------------------------------
+    /** ALU destination write; violations can never arise here. */
+    void inlineRegWrite(uint8_t a, uint8_t b, uint8_t c, bool zeroIdiom);
+
+    /** Load into `a` through address register `b`. */
+    bool inlineLoad(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
+                    uint8_t size, int32_t pc, int16_t func);
+
+    /** Store of `a` through address register `b`. */
+    bool inlineStore(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
+                     uint8_t size, int32_t pc, int16_t func);
 
     /**
-     * Append one event. Returns true when the consumer has flagged a
-     * violation (checked once per publish batch): the engine must
-     * fence and apply it.
+     * Register `a` moved into a branch register; `ea` is its value
+     * (the sync fault reports it as the faulting address).
      */
-    bool
-    push(const Event &ev)
-    {
-        if (inlineMode_) {
-            // Inline consumer: replay right here, no ring traffic.
-            // Detection is immediate rather than lag-bounded.
-            ++inlineEvents_;
-            process(ev);
-            return violated_.load(std::memory_order_relaxed);
-        }
-        uint64_t spins = ring_.push(ev);
-        if (spins) {
-            stallSpins_ += spins;
-            ++stalls_;
-            if (obs_)
-                obs_->emitCold(obs::Ev::RingStall, 0, ev.func, ev.pc,
-                               ring_.capacity(), spins);
-        }
-        if (++sincePublish_ >= publishBatch_) {
-            sincePublish_ = 0;
-            ring_.publish();
-            depthHist_.record(ring_.depth());
-            return violated_.load(std::memory_order_relaxed);
-        }
-        return false;
-    }
+    bool inlineBranchCheck(uint8_t a, uint64_t ea, int32_t pc,
+                           int16_t func);
 
-    // ----- fences (engine thread) ---------------------------------------
+    // ----- fences -------------------------------------------------------
 
     /**
-     * Publish and block until the consumer has replayed every pushed
-     * event, then materialize dirty shadow tag words into memory.
-     * Returns the pending violation, or nullptr. While quiesced the
-     * shadow accessors below are valid.
+     * Materialize dirty shadow tag words into memory. Returns the
+     * pending violation, or nullptr. The engine fences at policy
+     * boundaries and once at the end of the run.
      */
     const Violation *fence();
 
-    /** The violation recorded so far, without fencing (post-fence). */
-    const Violation *pendingViolation() const;
+    /** The violation recorded so far, or nullptr. */
+    const Violation *
+    pendingViolation() const
+    {
+        return violated_ ? &violation_ : nullptr;
+    }
 
-    // ----- shadow access, only valid while quiesced at a fence ----------
+    // ----- shadow access ------------------------------------------------
 
     /** Register taint (the NaT bit the sync engine would carry). */
     bool
     regTaint(int r) const
     {
-        return r > 0 && r < 64 && ((regTaintView() >> r) & 1);
+        return r > 0 && r < 64 && ((regTaint_ >> r) & 1);
     }
 
     /** Force a register's taint (retval clears after builtins). */
@@ -215,61 +159,8 @@ class AsyncTaintTier
      */
     void mirrorTagWrite(uint64_t tagAddr, unsigned bitIndex, bool value);
 
-    // ----- teardown -----------------------------------------------------
-
-    /**
-     * Final fence + consumer join. Idempotent. After shutdown the
-     * shadow remains readable (regTaint / pendingViolation).
-     */
-    const Violation *shutdown();
-
-    /** Fold dift.* counters and histograms into `stats`. */
+    /** Fold dift.* counters into `stats`. */
     void statInto(StatSet &stats) const;
-
-    uint64_t
-    eventsPushed() const
-    {
-        return inlineMode_ ? inlineEvents_ : ring_.pushed();
-    }
-
-    /** True when the consumer replays inline in the engine thread. */
-    bool inlineConsumer() const { return inlineMode_; }
-
-    // ----- fused inline replay (inline mode, engine thread only) --------
-    //
-    // The per-kind entry points below skip Event construction and
-    // kind dispatch entirely; they share the replay bodies with
-    // process(), so the state transitions are identical to what the
-    // threaded consumer would apply. Only legal in inline mode.
-
-    /** ALU destination write; violations can never arise here. */
-    void
-    inlineRegWrite(uint8_t a, uint8_t b, uint8_t c, bool zeroIdiom)
-    {
-        ++inlineEvents_;
-        ++seq_;
-        replayRegWrite(a, b, c, zeroIdiom);
-    }
-
-    /** Load replay; true when a violation was raised. */
-    bool
-    inlineLoad(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
-               uint8_t size, int32_t pc, int16_t func)
-    {
-        ++inlineEvents_;
-        ++seq_;
-        return replayLoad(a, b, flags, ea, size, pc, func);
-    }
-
-    /** Store replay; true when a violation was raised. */
-    bool
-    inlineStore(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
-                uint8_t size, int32_t pc, int16_t func)
-    {
-        ++inlineEvents_;
-        ++seq_;
-        return replayStore(a, b, flags, ea, size, pc, func);
-    }
 
   private:
     struct ShadowPage
@@ -281,51 +172,27 @@ class AsyncTaintTier
     ShadowPage &shadowPage(uint64_t tagAddr);
     ShadowPage *findPage(uint64_t key);
     ShadowPage &ensurePage(uint64_t key);
-    uint64_t regTaintView() const { return regTaint_; }
-    void consumerLoop();
-    void process(const Event &ev);
     bool regBit(uint8_t r) const;
     void setRegBit(uint8_t r, bool t);
-    void replayRegWrite(uint8_t a, uint8_t b, uint8_t c, bool zeroIdiom);
-    bool replayLoad(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
-                    uint8_t size, int32_t pc, int16_t func);
-    bool replayStore(uint8_t a, uint8_t b, uint8_t flags, uint64_t ea,
-                     uint8_t size, int32_t pc, int16_t func);
-    bool replayBranchCheck(uint8_t a, uint64_t ea, int32_t pc,
-                           int16_t func);
     bool tagWindowTainted(uint64_t ea, unsigned size);
     void writeTagBits(uint64_t ea, unsigned size, bool tainted);
     void rmwShadowByte(uint64_t tagAddr, uint8_t mask, bool set,
                        bool markDirty);
-    void violate(ViolationKind kind, uint64_t addr, int32_t pc,
+    bool violate(ViolationKind kind, uint64_t addr, int32_t pc,
                  int16_t func, const char *detail);
     void materializeDirty();
 
     Memory *mem_;
     Granularity gran_;
-    uint32_t publishBatch_;
-    uint32_t sincePublish_ = 0;
-    obs::TraceBuffer *obs_ = nullptr;
+    bool violated_ = false;
 
-    SpscRing<Event> ring_;
-    std::thread consumer_;
-    bool inlineMode_ = false;
-    uint64_t inlineEvents_ = 0;
-    bool profiled_ = false;
-    /** Consumer-thread active replay ns; read after the join. */
-    uint64_t consumerActiveNs_ = 0;
-    bool running_ = false;
-    std::atomic<bool> stop_{false};
-    std::atomic<bool> violated_{false};
-
-    // Consumer-owned shadow; engine access only at fence quiesce.
     uint64_t regTaint_ = 0;
     std::unordered_map<uint64_t, std::unique_ptr<ShadowPage>> tagPages_;
     /**
      * Direct-mapped shadow-page cache in front of tagPages_: tag
      * traffic folds 8:1 (or 64:1), so a handful of pages absorb
      * nearly every event and the per-event hash lookup is the
-     * consumer's single largest cost. Entries may cache absence
+     * replay's single largest cost. Entries may cache absence
      * (page == nullptr); that stays coherent because page creation
      * goes through ensurePage(), which refreshes the same slot.
      */
@@ -337,33 +204,21 @@ class AsyncTaintTier
     };
     PageCacheEntry pageCache_[kPageCacheWays];
     std::unordered_map<uint64_t, uint8_t> spillTaint_;
-    uint64_t seq_ = 0; ///< consumer event sequence
     Violation violation_;
-    std::chrono::steady_clock::time_point violationAt_;
 
-    // Engine-side statistics.
-    uint64_t stallSpins_ = 0;
-    uint64_t stalls_ = 0;
+    uint64_t events_ = 0;
     uint64_t fences_ = 0;
-    uint64_t fenceWaitSpins_ = 0;
-    uint64_t fenceWaitNs_ = 0;
-    uint64_t detectLatencyNs_ = 0;
-    bool detectLatencyValid_ = false;
     uint64_t materializedWords_ = 0;
-    Histogram depthHist_;
-    Histogram fenceLagHist_;
 };
 
-// ----- inline replay core -----------------------------------------------
+// ----- replay core ------------------------------------------------------
 //
-// The consumer's per-event replay lives in the header so the inline
-// consumer mode — where push() calls process() directly from the
-// engine's dispatch loop — compiles to one straight-line path with no
-// cross-TU call per event. The threaded consumer loop uses the same
-// definitions.
+// The per-event replay lives in the header so each call from the
+// engine's dispatch loop compiles to one straight-line path with no
+// cross-TU call per event.
 
 /// The synchronous engine's exact NaT-consumption fault details
-/// (sim/machine.cc). The consumer reproduces them verbatim so async
+/// (sim/machine.cc). The replay reproduces them verbatim so async
 /// verdicts are string-identical to synchronous ones.
 inline constexpr const char *kDetailLoadNat =
     "load through a NaT (tainted) address";
@@ -496,17 +351,19 @@ AsyncTaintTier::setRegBit(uint8_t r, bool t)
 }
 
 inline void
-AsyncTaintTier::replayRegWrite(uint8_t a, uint8_t b, uint8_t c,
+AsyncTaintTier::inlineRegWrite(uint8_t a, uint8_t b, uint8_t c,
                                bool zeroIdiom)
 {
+    ++events_;
     setRegBit(a, !zeroIdiom && (regBit(b) || regBit(c)));
 }
 
 inline bool
-AsyncTaintTier::replayLoad(uint8_t a, uint8_t b, uint8_t flags,
+AsyncTaintTier::inlineLoad(uint8_t a, uint8_t b, uint8_t flags,
                            uint64_t ea, uint8_t size, int32_t pc,
                            int16_t func)
 {
+    ++events_;
     bool addrTainted = regBit(b);
     if (flags & kEvRelaxed) {
         // Pointer-taint relaxation: the access proceeds and the
@@ -516,10 +373,9 @@ AsyncTaintTier::replayLoad(uint8_t a, uint8_t b, uint8_t flags,
         // L1. A checked load trips on its *tag* load (whose address
         // is the folded tag byte address); an unchecked or fill load
         // trips on the access itself.
-        violate(ViolationKind::LoadAddress,
-                (flags & kEvChecked) ? tagByteAddr(ea, gran_) : ea, pc,
-                func, kDetailLoadNat);
-        return true;
+        return violate(ViolationKind::LoadAddress,
+                       (flags & kEvChecked) ? tagByteAddr(ea, gran_) : ea,
+                       pc, func, kDetailLoadNat);
     } else if (flags & kEvChecked) {
         setRegBit(a, tagWindowTainted(ea, size));
     } else if (flags & kEvFill) {
@@ -532,19 +388,20 @@ AsyncTaintTier::replayLoad(uint8_t a, uint8_t b, uint8_t flags,
 }
 
 inline bool
-AsyncTaintTier::replayStore(uint8_t a, uint8_t b, uint8_t flags,
+AsyncTaintTier::inlineStore(uint8_t a, uint8_t b, uint8_t flags,
                             uint64_t ea, uint8_t size, int32_t pc,
                             int16_t func)
 {
+    ++events_;
     bool srcTainted = regBit(a);
     bool addrTainted = regBit(b);
     if (flags & kEvChecked) {
         // Tracked store: bitmap RMW. A tainted, unrelaxed address
         // trips L2 on the RMW's tag load, sync-identically.
         if (addrTainted && !(flags & kEvRelaxed)) [[unlikely]] {
-            violate(ViolationKind::StoreAddress, tagByteAddr(ea, gran_),
-                    pc, func, kDetailLoadNat);
-            return true;
+            return violate(ViolationKind::StoreAddress,
+                           tagByteAddr(ea, gran_), pc, func,
+                           kDetailLoadNat);
         }
         writeTagBits(ea, size, srcTainted);
         return false;
@@ -552,9 +409,8 @@ AsyncTaintTier::replayStore(uint8_t a, uint8_t b, uint8_t flags,
     if (flags & kEvSpill) {
         // st8.spill: taint rides the NaT sidecar, shadowed here.
         if (addrTainted) [[unlikely]] {
-            violate(ViolationKind::StoreAddress, ea, pc, func,
-                    kDetailStoreNat);
-            return true;
+            return violate(ViolationKind::StoreAddress, ea, pc, func,
+                           kDetailStoreNat);
         }
         if (srcTainted)
             spillTaint_[ea] = 1;
@@ -566,54 +422,26 @@ AsyncTaintTier::replayStore(uint8_t a, uint8_t b, uint8_t flags,
     // uninstrumented-store semantics), but the hardware checks still
     // apply.
     if (addrTainted) [[unlikely]] {
-        violate(ViolationKind::StoreAddress, ea, pc, func,
-                kDetailStoreNat);
-        return true;
+        return violate(ViolationKind::StoreAddress, ea, pc, func,
+                       kDetailStoreNat);
     }
     if (srcTainted) [[unlikely]] {
-        violate(ViolationKind::StoreValue, ea, pc, func,
-                kDetailStoreValue);
-        return true;
+        return violate(ViolationKind::StoreValue, ea, pc, func,
+                       kDetailStoreValue);
     }
     return false;
 }
 
 inline bool
-AsyncTaintTier::replayBranchCheck(uint8_t a, uint64_t ea, int32_t pc,
+AsyncTaintTier::inlineBranchCheck(uint8_t a, uint64_t ea, int32_t pc,
                                   int16_t func)
 {
+    ++events_;
     if (regBit(a)) [[unlikely]] {
-        violate(ViolationKind::ControlFlow, ea, pc, func,
-                kDetailBranchNat);
-        return true;
+        return violate(ViolationKind::ControlFlow, ea, pc, func,
+                       kDetailBranchNat);
     }
     return false;
-}
-
-inline void
-AsyncTaintTier::process(const Event &ev)
-{
-    ++seq_;
-    if (violated_.load(std::memory_order_relaxed)) [[unlikely]]
-        return; // discard mode: drain so the producer can finish
-
-    switch (static_cast<EvKind>(ev.kind)) {
-      case EvKind::RegWrite:
-        replayRegWrite(ev.a, ev.b, ev.c,
-                       (ev.flags & kEvZeroIdiom) != 0);
-        break;
-      case EvKind::Load:
-        replayLoad(ev.a, ev.b, ev.flags, ev.addr, ev.size, ev.pc,
-                   ev.func);
-        break;
-      case EvKind::Store:
-        replayStore(ev.a, ev.b, ev.flags, ev.addr, ev.size, ev.pc,
-                    ev.func);
-        break;
-      case EvKind::BranchCheck:
-        replayBranchCheck(ev.a, ev.addr, ev.pc, ev.func);
-        break;
-    }
 }
 
 } // namespace shift::dift

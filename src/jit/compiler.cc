@@ -133,7 +133,7 @@ bool
 isExitOp(const DecodedInstr &dp, const CompileEnv &env)
 {
     // Under the decoupled taint tier (docs/ASYNC-TAINT.md) some ops
-    // always emit a consumer event or diverge from the synchronous
+    // always replay an event or diverge from the synchronous
     // semantics the bodies below encode, independent of register
     // state: annotated (tracked/relaxed) and fill loads, tracked
     // stores and spills, the div-by-zero fence path, and anything
@@ -187,7 +187,7 @@ isExitOp(const DecodedInstr &dp, const CompileEnv &env)
  * Async-tier guard set: the registers whose maybe-taint (NaT) bits
  * must all be clear for the synchronous lowering of this op to
  * coincide with the async interpreter's — a set bit means the
- * interpreter would emit (or a filter would keep) a consumer event,
+ * interpreter would replay (or a filter would keep) an event,
  * so compiled code bails to it instead. Exactly the complement of
  * the event filter's provably-dropped cases: ALU writes guard both
  * sources and the overwritten destination, plain loads/stores their
@@ -1194,7 +1194,7 @@ class FunctionCompiler
         if (dp.op == Opcode::Cmp && !env_.async) {
             // A NaT operand clears both predicates. Under the async
             // tier maybe bits are not architectural NaTs and the
-            // predicates compute normally (the consumer replays the
+            // predicates compute normally (the tier replays the
             // instrumenter's compare-alert markers instead).
             e_.movzxByteMem(RCX, R14, gprNat(dp.r2));
             if (!dp.useImm) {

@@ -179,7 +179,7 @@ struct CompileEnv
      * annotations); every op whose event filter could fire takes a
      * guarded bail to the interpreter — before the stall charge, so
      * the interpreter replays the op's whole front end — which then
-     * emits the event stream exactly as an uncompiled run would.
+     * replays its event exactly as an uncompiled run would.
      */
     bool async = false;
 

@@ -1008,7 +1008,7 @@ JitOps::builtin(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     chg(c, dp->statIdx, m.cycleModel_.call);
     spill(c, pcw);
     // Built-ins are policy-check points: fence the async tier so
-    // their TaintMap and argNat reads see the caught-up shadow.
+    // their TaintMap reads see the materialized bitmap.
     if (m.asyncTier_) {
         uint64_t ft0 = m.prof_ ? obs::Profiler::nowNanos() : 0;
         const dift::Violation *v = m.asyncTier_->fence();

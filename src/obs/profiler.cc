@@ -20,7 +20,6 @@ tierName(Tier tier)
       case Tier::JitSlow: return "jit-slow";
       case Tier::JitFast: return "jit-fast";
       case Tier::AsyncPublish: return "async-publish";
-      case Tier::AsyncConsumer: return "async-consumer";
       case Tier::Compile: return "compile";
       case Tier::Builtin: return "builtin";
       case Tier::Host: return "host";
@@ -151,7 +150,7 @@ struct ProfileView
         uint64_t nanos = 0;
     };
     std::vector<SiteRow> sites;
-    /** off-engine-thread work ("async-consumer", "compile"). */
+    /** off-engine-thread work ("compile"). */
     std::vector<std::pair<std::string, uint64_t>> aux;
 };
 

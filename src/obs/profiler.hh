@@ -4,7 +4,7 @@
  *
  * One guest instruction can retire through any of five regimes —
  * instrumented interpreter, taint-clean fast path, JIT slow/fast
- * compiled streams, the async replay consumer — plus builtins, host
+ * compiled streams, the async tier's replay — plus builtins, host
  * syscalls and the compile pipeline. The counters plane (stats.hh)
  * says *what* happened; this module says *where the host time went*,
  * tagged {tier, function, superblock pc}, so regressions like the
@@ -24,7 +24,7 @@
  *  - enter(): a tier boundary (JIT entry/exit, builtin bracket). The
  *    elapsed interval is attributed to the context being *left*.
  *  - carveSince(): an exact sub-interval measured by the caller
- *    (async event publication, sync compile). The measured span is
+ *    (async-tier replay, sync compile). The measured span is
  *    attributed to the carved tier and the stamp advances past it, so
  *    nothing is counted twice.
  *
@@ -32,10 +32,10 @@
  * exactly one bucket, sum(prof.tier.*) == prof.total.nanos by
  * construction — the property the bench asserts to 1%.
  *
- * Off-thread work (the threaded async consumer, the background
- * compile worker) is measured by those components themselves and
- * exported as prof.aux.* counters; it overlaps the engine wall clock
- * and is reported separately, never folded into the engine total.
+ * Off-thread work (the background compile worker) is measured by
+ * that component itself and exported as prof.aux.* counters; it
+ * overlaps the engine wall clock and is reported separately, never
+ * folded into the engine total.
  *
  * Cost contract: mirrors the PR 5 observer plane. The profiler is a
  * separate runDecoded template instantiation (kProf); the production
@@ -68,8 +68,7 @@ enum class Tier : uint8_t
     InterpFast,    ///< taint-clean fast-path stream
     JitSlow,       ///< compiled instrumented stream
     JitFast,       ///< compiled fast stream
-    AsyncPublish,  ///< source-side event construction/filter/publish
-    AsyncConsumer, ///< replay consumer (inline placement)
+    AsyncPublish,  ///< async-tier event filter and inline replay
     Compile,       ///< synchronous JIT compilation on the engine thread
     Builtin,       ///< linked built-in handlers
     Host,          ///< syscalls, run setup/teardown, everything else

@@ -32,8 +32,6 @@ evName(Ev kind)
       case Ev::PolicyKill: return "policy.kill";
       case Ev::TaintSource: return "taint.source";
       case Ev::TaintStore: return "taint.store";
-      case Ev::RingStall: return "dift.ring.stall";
-      case Ev::FenceWait: return "dift.fence.wait";
       case Ev::JitCompile: return "jit.compile";
       case Ev::JitEvict: return "jit.evict";
       case Ev::kCount: break;
@@ -400,12 +398,6 @@ summarize(const TraceEvent &e, const FuncNameFn &funcName)
         break;
       case Ev::TaintStore:
         ss << " addr=0x" << std::hex << e.a << std::dec;
-        break;
-      case Ev::RingStall:
-        ss << " capacity=" << e.a << " spins=" << e.b;
-        break;
-      case Ev::FenceWait:
-        ss << " lag=" << e.a << " waitNs=" << e.b;
         break;
       case Ev::JitCompile:
         ss << " bytes=" << e.a << " compileNs=" << e.b;

@@ -68,8 +68,6 @@ enum class Ev : uint16_t
     PolicyKill,   ///< aux = packed policy id; pc = failing check's pc
     TaintSource,  ///< aux = input channel; a = address, b = length
     TaintStore,   ///< tainted tag store; a = tag address
-    RingStall,    ///< async-tier ring full; a = capacity, b = spins
-    FenceWait,    ///< async-tier fence blocked; a = lag, b = wait ns
     JitCompile,   ///< unit sealed; pc = leader pc, a = bytes, b = ns
     JitEvict,     ///< flush-when-full; a = bytes flushed, b = live after
     kCount,

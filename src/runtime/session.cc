@@ -39,9 +39,6 @@ buildProgram(const std::vector<std::string> &sources,
     // Async-tier option screening happens here so Session and
     // SessionTemplate reject bad combinations identically.
     if (options.async.enabled) {
-        std::string problem = dift::validateAsyncOptions(options.async);
-        if (!problem.empty())
-            SHIFT_FATAL("async taint: %s", problem.c_str());
         if (options.mode != TrackingMode::Shift)
             SHIFT_FATAL("async taint requires TrackingMode::Shift");
         if (options.engine != ExecEngine::Predecoded)
@@ -71,7 +68,7 @@ buildProgram(const std::vector<std::string> &sources,
             // Async tier: no inline instrumentation at all. The
             // program is only annotated (load/store/compare scoping
             // recorded in Instr::p1, compare markers inserted) and the
-            // consumer thread replays the instrumenter's semantics.
+            // tier replays the instrumenter's semantics.
             dift::AnnotateOptions ann;
             ann.instrumentLoads = options.instr.instrumentLoads;
             ann.instrumentStores = options.instr.instrumentStores;
@@ -207,8 +204,7 @@ Session::build(const std::vector<std::string> &sources)
     }
     if (options_.async.enabled) {
         asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), options_.policy.granularity,
-            options_.async);
+            machine_->memory(), options_.policy.granularity);
         machine_->setAsyncTier(asyncTier_.get());
     }
     machine_->setFastPathEnabled(options_.fastPath);
@@ -233,8 +229,7 @@ Session::build(const std::vector<std::string> &sources)
                                             options_.policy.granularity);
         if (asyncTier_) {
             // Host-side taint writes (input hooks, wrap functions)
-            // must reach the consumer's shadow too; they only happen
-            // while it is quiesced (builtin/syscall fences).
+            // must reach the tier's shadow too.
             taint_->setMirror([tier = asyncTier_.get()](
                                   uint64_t tagAddr, unsigned bitIdx,
                                   bool value) {

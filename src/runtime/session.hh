@@ -100,11 +100,12 @@ struct SessionOptions
     minic::SpeculateOptions speculateOptions;
 
     /**
-     * Decouple taint propagation onto the async tier: the engine
-     * streams events into a bounded ring and a consumer thread replays
-     * them against a shadow bitmap, synchronizing only at policy-check
-     * points (see docs/ASYNC-TAINT.md). Shift mode + predecoded engine
-     * only; mutually exclusive with fastPath and speculate.
+     * Decouple taint propagation onto the async tier: the engine runs
+     * the uninstrumented program and replays each taint-relevant
+     * micro-op against a shadow bitmap, materializing it only at
+     * policy-check points (see docs/ASYNC-TAINT.md). Shift mode +
+     * predecoded engine only; mutually exclusive with fastPath and
+     * speculate.
      */
     dift::AsyncTaintOptions async;
 };

@@ -80,12 +80,10 @@ SessionClone::SessionClone(const SessionTemplate &tmpl, int cloneId)
                                          tmpl.options_.features,
                                          tmpl.options_.engine);
     if (tmpl.options_.async.enabled) {
-        // One ring + consumer thread per clone: each clone's event
-        // stream is private, so a fleet runs N decoupled pairs whose
-        // dift.* stats merge in the fleet report.
+        // One tier per clone: each clone's shadow is private, and the
+        // clones' dift.* stats merge in the fleet report.
         asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), tmpl.options_.policy.granularity,
-            tmpl.options_.async);
+            machine_->memory(), tmpl.options_.policy.granularity);
         machine_->setAsyncTier(asyncTier_.get());
     }
     machine_->setFastPathEnabled(tmpl.options_.fastPath);

@@ -80,7 +80,7 @@ class SessionClone
      * folds into the clone's RunResult stats, so fleet aggregation is
      * the ordinary associative StatSet merge. */
     std::unique_ptr<obs::Profiler> profiler_;
-    /** Per-clone ring + consumer thread (null unless options.async). */
+    /** Per-clone async taint tier (null unless options.async). */
     std::unique_ptr<dift::AsyncTaintTier> asyncTier_;
     std::unique_ptr<TaintMap> taint_;
     std::unique_ptr<PolicyEngine> policy_;

@@ -214,9 +214,9 @@ Machine::setRetval(uint64_t val, bool nat)
 {
     setGpr(reg::rv, val, nat);
     // Under the async tier the caller (a builtin or syscall handler)
-    // runs at a fence, so the consumer's shadow is quiesced: mirror
-    // the retval's taint there, exactly as the NaT write above would
-    // have carried it in the synchronous engine.
+    // runs at a fence: mirror the retval's taint into the tier's
+    // shadow, exactly as the NaT write above would have carried it in
+    // the synchronous engine.
     if (asyncTier_)
         asyncTier_->setRegTaint(reg::rv, nat);
 }
@@ -226,8 +226,8 @@ Machine::argNat(int i) const
 {
     // Under the async tier the engine's NaT bits are conservative
     // "maybe tainted" summaries (see runDecoded's aluDone), so only
-    // the consumer's shadow — quiesced at the builtin fence — is the
-    // exact taint the synchronous engine's NaT bit would carry.
+    // the tier's shadow is the exact taint the synchronous engine's
+    // NaT bit would carry.
     if (asyncTier_)
         return asyncTier_->regTaint(reg::arg0 + i);
     return gpr_[reg::arg0 + i].nat;
@@ -454,18 +454,8 @@ Machine::natConsumptionFault(FaultContext ctx, const std::string &detail)
 void
 Machine::applyAsyncViolation(const dift::Violation &v)
 {
-    if (asyncViolationApplied_)
-        return;
-    asyncViolationApplied_ = true;
-    // The violating instruction precedes, in program order, anything
-    // the lag-bounded engine did afterwards — including stopping for
-    // its own reasons (exit, a later fault, the step limit). The
-    // synchronous engine would have faulted there first, so its
-    // verdict replaces whatever this run reached. Alerts that fired
-    // at earlier fences are kept: they precede the violation.
-    exited_ = false;
-    exitCode_ = 0;
-    fault_ = Fault{};
+    // Fault at the violating micro-op's function and pc, exactly
+    // where the synchronous engine would have.
     curFunc_ = v.func;
     archPcOverride_ = v.pc;
     FaultContext ctx = FaultContext::None;
@@ -1213,50 +1203,26 @@ Machine::runDecoded(uint64_t maxSteps)
                           : gpr_[dp->r3].val;
     };
     auto src2n = [&] { return dp->useImm ? false : gpr_[dp->r3].nat; };
-    // Async-tier event emission (docs/ASYNC-TAINT.md): one
-    // fixed-width event per taint-relevant micro-op, pushed before the
-    // op's own side effects so the consumer replays in program order.
-    // A true return means the consumer has flagged a violation
-    // (sampled once per publish batch): the call site must sync(),
-    // asyncStop() and SHIFT_STOPPED().
-    [[maybe_unused]] auto pushEv =
-        [&](dift::EvKind kind, uint8_t a, uint8_t b, uint8_t c,
-            uint8_t flags, uint64_t addr, uint8_t size) {
-            [[maybe_unused]] uint64_t pt0 = profT0();
-            dift::Event ev;
-            ev.addr = addr;
-            ev.pc = dp->origIndex;
-            ev.func = static_cast<int16_t>(curFunc_);
-            ev.kind = static_cast<uint8_t>(kind);
-            ev.flags = flags;
-            ev.a = a;
-            ev.b = b;
-            ev.c = c;
-            ev.size = size;
-            bool viol = asyncTier_->push(ev);
-            profCarve(obs::Tier::AsyncPublish, pt0);
-            return viol;
-        };
-    // Raise the consumer's pending violation (call after sync()).
+    // Async-tier replay (docs/ASYNC-TAINT.md): one call into the tier
+    // per taint-relevant micro-op, made before the op's own side
+    // effects so the tier replays in program order. Each call's host
+    // time is carved into the async-publish tier.
+    [[maybe_unused]] auto replayRegWrite = [&](uint8_t a, uint8_t b,
+                                               uint8_t c, bool zero) {
+        [[maybe_unused]] uint64_t pt0 = profT0();
+        asyncTier_->inlineRegWrite(a, b, c, zero);
+        profCarve(obs::Tier::AsyncPublish, pt0);
+    };
+    // Raise the tier's pending violation (call after sync()).
     [[maybe_unused]] auto asyncStop = [&] {
         applyAsyncViolation(*asyncTier_->pendingViolation());
     };
-    // With the inline consumer the shadow is synchronously caught up
-    // after every push, so load destinations can read back their
-    // exact taint instead of a conservative maybe — which keeps the
-    // maybe bits equal to the consumer's taint and lets the event
-    // filter drop every clean downstream RegWrite.
-    [[maybe_unused]] bool asyncInline = false;
-    if constexpr (kAsync)
-        asyncInline = asyncTier_->inlineConsumer();
-    // Policy fence: publish, block until the consumer has replayed
-    // everything, materialize the shadow bitmap into memory so
+    // Policy fence: materialize the shadow bitmap into memory so
     // TaintMap readers (H1-H5 checks inside builtins and syscalls)
     // see what the synchronous engine's bitmap would hold. True when
-    // a violation surfaced — the engine must stop. Call after sync().
+    // a violation is pending — the engine must stop. Call after
+    // sync().
     [[maybe_unused]] auto asyncFence = [&]() -> bool {
-        // Fence waits are source-side async overhead too: the engine
-        // is stalled publishing/waiting, not interpreting.
         [[maybe_unused]] uint64_t pt0 = profT0();
         const dift::Violation *v = asyncTier_->fence();
         profCarve(obs::Tier::AsyncPublish, pt0);
@@ -1268,35 +1234,21 @@ Machine::runDecoded(uint64_t maxSteps)
     };
     // Common ALU tail: write the destination, charge, advance. Under
     // the async tier the otherwise-dormant NaT bit is repurposed as a
-    // conservative "maybe tainted" summary of the consumer's register
-    // taint (taint(r) implies maybe(r), docs/ASYNC-TAINT.md): the
-    // RegWrite event is emitted only when it could set consumer taint
-    // (a maybe source) or clear it (a maybe destination) — anything
-    // else is provably a consumer no-op. Violation sampling is
-    // skipped here (no fault can depend on an ALU op); the flag is
-    // caught at the next load/store/branch-move or fence.
+    // "maybe tainted" summary of the tier's register taint (taint(r)
+    // implies maybe(r), docs/ASYNC-TAINT.md): the RegWrite is replayed
+    // only when it could set tier taint (a maybe source) or clear it
+    // (a maybe destination) — anything else is provably a no-op. No
+    // fault can depend on an ALU op, so there is no violation to check.
     auto aluDone = [&](uint64_t result, bool nat, uint64_t cost) {
         if constexpr (kAsync) {
             bool zero = dp->p1 & dift::kAnnZeroIdiom;
             bool maybe = !zero && nat;
             if (maybe || gpr_[dp->r1].nat) {
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    asyncTier_->inlineRegWrite(
-                        static_cast<uint8_t>(dp->r1),
-                        static_cast<uint8_t>(dp->r2),
-                        dp->useImm ? uint8_t{0}
-                                   : static_cast<uint8_t>(dp->r3),
-                        zero);
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else
-                    pushEv(dift::EvKind::RegWrite,
-                           static_cast<uint8_t>(dp->r1),
-                           static_cast<uint8_t>(dp->r2),
-                           dp->useImm ? uint8_t{0}
-                                      : static_cast<uint8_t>(dp->r3),
-                           zero ? dift::kEvZeroIdiom : uint8_t{0}, 0,
-                           0);
+                replayRegWrite(static_cast<uint8_t>(dp->r1),
+                               static_cast<uint8_t>(dp->r2),
+                               dp->useImm ? uint8_t{0}
+                                          : static_cast<uint8_t>(dp->r3),
+                               zero);
             }
             setGpr(dp->r1, result, maybe);
             charge(cost);
@@ -1704,9 +1656,9 @@ nullified:
             bool taintedDivisor = nat;
             if constexpr (kAsync) {
                 // The maybe bit prunes the fence: a clean maybe means
-                // the consumer's taint is certainly clean too, so the
-                // fault fires without quiescing. Otherwise ask the
-                // consumer's shadow whether an operand is really
+                // the tier's taint is certainly clean too, so the
+                // fault fires without fencing. Otherwise ask the
+                // tier's shadow whether an operand is really
                 // tainted — the sync engine's NaT divisor suppresses
                 // the fault (result 0, taint propagates via aluDone).
                 if (nat) {
@@ -1826,7 +1778,7 @@ nullified:
             // the async tier the NaT bit is a maybe-taint summary,
             // not an architectural NaT, so predicates compute
             // normally (tainted compares are the instrumenter's
-            // compare-alert markers, replayed by the consumer).
+            // compare-alert markers, replayed by the tier).
             setPred(dp->p1, false);
             setPred(dp->p2, false);
         } else {
@@ -1869,14 +1821,13 @@ nullified:
         const Gpr &addrReg = gpr_[dp->r2];
         uint64_t addr = addrReg.val;
         if constexpr (kAsync) {
-            // Emitted before the access: a violation replayed from
-            // this event (tainted pointer) overrides whatever the
-            // engine-side access does next, exactly where the sync
+            // Replayed before the access: a violation (tainted
+            // pointer) stops the engine exactly where the sync
             // engine's NaT check would have fired. A plain load —
             // untracked, unrelaxed, not a fill — with a clean-maybe
             // address and a clean-maybe destination is provably a
-            // consumer no-op (no taint to clear, no L1 possible) and
-            // is filtered out.
+            // replay no-op (no taint to clear, no L1 possible) and is
+            // filtered out.
             uint8_t fl = 0;
             if (dp->p1 & dift::kAnnChecked)
                 fl |= dift::kEvChecked;
@@ -1885,21 +1836,12 @@ nullified:
             if (dp->fill)
                 fl |= dift::kEvFill;
             if (fl != 0 || addrReg.nat || gpr_[dp->r1].nat) {
-                bool viol;
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    viol = asyncTier_->inlineLoad(
-                        static_cast<uint8_t>(dp->r1),
-                        static_cast<uint8_t>(dp->r2), fl, addr,
-                        dp->size, dp->origIndex,
-                        static_cast<int16_t>(curFunc_));
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else {
-                    viol = pushEv(dift::EvKind::Load,
-                                  static_cast<uint8_t>(dp->r1),
-                                  static_cast<uint8_t>(dp->r2), 0, fl,
-                                  addr, dp->size);
-                }
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->inlineLoad(
+                    static_cast<uint8_t>(dp->r1),
+                    static_cast<uint8_t>(dp->r2), fl, addr, dp->size,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
                 if (viol) {
                     sync();
                     asyncStop();
@@ -1918,7 +1860,7 @@ nullified:
             }
         } else if (!kAsync && addrReg.nat) {
             // Maybe bits never fault: under the async tier the
-            // consumer replays this check from the Load event.
+            // replay above made this check.
             sync();
             // statIdx % kNumOrigClass is the OrigClass (the flat
             // index is prov * kNumOrigClass + cls).
@@ -1943,20 +1885,14 @@ nullified:
             SHIFT_STOPPED();
         }
         if constexpr (kAsync) {
-            // Maybe-out for the destination. Inline consumer: the
-            // replay already ran inside push(), so the exact taint is
-            // one shadow read away. Threaded consumer: a tracked
-            // (checked or relaxed) load may pull taint out of memory
-            // the engine can't see, so conservatively maybe. Either
-            // way a fill keeps the spill-time maybe bit readFill
-            // recovered from the NaT sidecar, and a plain load never
-            // propagates memory taint under the instrumenter's rules.
-            if (!dp->fill) {
-                nat = asyncInline
-                          ? asyncTier_->regTaint(dp->r1)
-                          : (dp->p1 & (dift::kAnnChecked |
-                                       dift::kAnnRelaxed)) != 0;
-            }
+            // Maybe-out for the destination: the replay already ran,
+            // so the exact taint is one shadow read away. Keeping the
+            // maybe bits equal to the tier's taint lets the filters
+            // drop every clean downstream RegWrite. A fill keeps the
+            // spill-time maybe bit readFill recovered from the NaT
+            // sidecar.
+            if (!dp->fill)
+                nat = asyncTier_->regTaint(dp->r1);
         }
         setGpr(dp->r1, value, nat);
         ++loadCount_;
@@ -1974,11 +1910,12 @@ nullified:
         const Gpr &srcReg = gpr_[dp->r2];
         uint64_t addr = addrReg.val;
         if constexpr (kAsync) {
-            // Tracked stores and spills always emit (their bitmap RMW
-            // / spill-shadow update clears stale taint even when the
-            // source is clean); a plain store with clean-maybe source
-            // and address is provably a consumer no-op (no shadow
-            // write, no L2/StoreValue possible) and is filtered out.
+            // Tracked stores and spills always replay (their bitmap
+            // RMW / spill-shadow update clears stale taint even when
+            // the source is clean); a plain store with clean-maybe
+            // source and address is provably a replay no-op (no
+            // shadow write, no L2/StoreValue possible) and is
+            // filtered out.
             uint8_t fl = 0;
             if (dp->p1 & dift::kAnnChecked)
                 fl |= dift::kEvChecked;
@@ -1988,21 +1925,12 @@ nullified:
                 fl |= dift::kEvSpill;
             if ((fl & (dift::kEvChecked | dift::kEvSpill)) != 0 ||
                 srcReg.nat || addrReg.nat) {
-                bool viol;
-                if (asyncInline) {
-                    [[maybe_unused]] uint64_t pt0 = profT0();
-                    viol = asyncTier_->inlineStore(
-                        static_cast<uint8_t>(dp->r2),
-                        static_cast<uint8_t>(dp->r1), fl, addr,
-                        dp->size, dp->origIndex,
-                        static_cast<int16_t>(curFunc_));
-                    profCarve(obs::Tier::AsyncPublish, pt0);
-                } else {
-                    viol = pushEv(dift::EvKind::Store,
-                                  static_cast<uint8_t>(dp->r2),
-                                  static_cast<uint8_t>(dp->r1), 0, fl,
-                                  addr, dp->size);
-                }
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->inlineStore(
+                    static_cast<uint8_t>(dp->r2),
+                    static_cast<uint8_t>(dp->r1), fl, addr, dp->size,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
                 if (viol) {
                     sync();
                     asyncStop();
@@ -2103,7 +2031,7 @@ nullified:
             if constexpr (kAsync) {
                 // Built-ins are policy-check points (H1-H5, taint
                 // sources, alert syscalls): fence so their TaintMap
-                // and argNat reads see the caught-up shadow.
+                // reads see the materialized bitmap.
                 if (asyncFence())
                     SHIFT_STOPPED();
             }
@@ -2161,19 +2089,22 @@ nullified:
     SHIFT_OP(MovToBr)
         if constexpr (kAsync) {
             // Both real branch-register moves and the annotation
-            // pass's compare-alert markers land here: the consumer
-            // raises the L3 verdict when the source is tainted. The
-            // event carries the register's VALUE (the sync fault
-            // reports it as the faulting address). A clean-maybe
-            // source can't be consumer-tainted, so the check event is
-            // filtered out.
-            if (gpr_[dp->r2].nat &&
-                pushEv(dift::EvKind::BranchCheck,
-                       static_cast<uint8_t>(dp->r2), 0, 0, 0,
-                       gpr_[dp->r2].val, 0)) {
-                sync();
-                asyncStop();
-                SHIFT_STOPPED();
+            // pass's compare-alert markers land here: the replay
+            // raises the L3 verdict when the source is tainted. It is
+            // passed the register's VALUE (the sync fault reports it
+            // as the faulting address). A clean-maybe source can't be
+            // tier-tainted, so the check is filtered out.
+            if (gpr_[dp->r2].nat) {
+                [[maybe_unused]] uint64_t pt0 = profT0();
+                bool viol = asyncTier_->inlineBranchCheck(
+                    static_cast<uint8_t>(dp->r2), gpr_[dp->r2].val,
+                    dp->origIndex, static_cast<int16_t>(curFunc_));
+                profCarve(obs::Tier::AsyncPublish, pt0);
+                if (viol) {
+                    sync();
+                    asyncStop();
+                    SHIFT_STOPPED();
+                }
             }
         }
         if (!kAsync && gpr_[dp->r2].nat) {
@@ -2192,11 +2123,10 @@ nullified:
         if constexpr (kAsync) {
             // Branch registers never hold taint (a tainted move into
             // one is an L3 kill), so the destination comes out clean:
-            // a RegWrite sourced from r0, emitted only when there is
+            // a RegWrite sourced from r0, replayed only when there is
             // maybe-taint on the destination to clear.
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0, 0, 0, 0);
+                replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, false);
         }
         setGpr(dp->r1, br_[dp->br], false);
         charge(cycleModel_.alu);
@@ -2218,8 +2148,7 @@ nullified:
     SHIFT_OP(MovFromUnat)
         if constexpr (kAsync) {
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0, 0, 0, 0);
+                replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, false);
         }
         setGpr(dp->r1, unat_, false);
         charge(cycleModel_.alu);
@@ -2246,14 +2175,12 @@ nullified:
             SHIFT_STOPPED();
         }
         if constexpr (kAsync) {
-            // Keep the maybe-bit superset sound: clear the consumer's
+            // Keep the maybe-bit superset sound: clear the tier's
             // taint along with the engine's bit (a zero-idiom
             // RegWrite), otherwise later filtered events could assume
-            // a clean register the consumer still sees tainted.
+            // a clean register the tier still sees tainted.
             if (gpr_[dp->r1].nat)
-                pushEv(dift::EvKind::RegWrite,
-                       static_cast<uint8_t>(dp->r1), 0, 0,
-                       dift::kEvZeroIdiom, 0, 0);
+                replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, true);
         }
         gpr_[dp->r1].nat = false;
         charge(cycleModel_.alu);
@@ -2910,15 +2837,17 @@ doneRun:
 #undef SHIFT_STOPPED
 }
 
-// Production runs the <false, false, false> instantiation: every
-// flight-recorder emit site above vanishes under `if constexpr`, so a
-// disabled recorder costs one pointer test per run() call
-// (perf-smoke-obs enforces this). <true, false, false> adds the
-// emit-site branches without per-instruction hot-pc counting;
-// <true, true, false> is the full tracing loop used when an observer
-// is attached. The kAsync instantiations are the decoupled-taint
-// engines (docs/ASYNC-TAINT.md): event emission compiles in, and the
-// synchronous loops carry zero async instructions.
+// The template parameters are <kObs, kHotPc, kAsync, kProf>.
+// Production runs <false, false, false, false>: every flight-recorder
+// emit site above vanishes under `if constexpr`, so a disabled
+// recorder costs one pointer test per run() call (perf-smoke-obs
+// enforces this). <true, false, false, false> adds the emit-site
+// branches without per-instruction hot-pc counting;
+// <true, true, false, false> is the full tracing loop used when an
+// observer is attached. The kAsync instantiations are the
+// decoupled-taint engines (docs/ASYNC-TAINT.md): the replay calls
+// compile in, and the synchronous loops carry zero async
+// instructions.
 template void Machine::runDecoded<false, false, false, false>(uint64_t);
 template void Machine::runDecoded<true, false, false, false>(uint64_t);
 template void Machine::runDecoded<true, true, false, false>(uint64_t);
@@ -2989,8 +2918,6 @@ Machine::run(uint64_t maxSteps)
             // lifecycle around the run. Per-PC hot-spot attribution
             // is not wired through the async instantiations (the
             // table stays zero and emits nothing).
-            asyncTier_->setObserver(obs_);
-            asyncTier_->setProfiled(prof_ != nullptr);
             asyncTier_->start();
             if (obs_ || obsForce_) {
                 if (prof_)
@@ -3003,13 +2930,9 @@ Machine::run(uint64_t maxSteps)
                 else
                     runDecoded<false, false, true, false>(maxSteps);
             }
-            // Final fence: any violation the consumer replays out of
-            // the remaining events precedes, in program order, the
-            // point where the engine stopped — the synchronous
-            // engine's verdict.
-            const dift::Violation *v = asyncTier_->shutdown();
-            if (v)
-                applyAsyncViolation(*v);
+            // End-of-run fence. Every violation stopped the engine
+            // where it was replayed, so none is left to apply.
+            asyncTier_->fence();
         } else if (obs_ && !hotPc_.empty() && !prof_) {
             runDecoded<true, true, false, false>(maxSteps);
         } else if (obs_ || obsForce_) {

@@ -265,9 +265,8 @@ class Machine
     uint64_t arg(int i) const { return gpr_[reg::arg0 + i].val; }
     /**
      * Argument-register taint: the NaT bit, or — under the async
-     * taint tier, where the engine's NaT machinery is dormant — the
-     * consumer's shadow register taint (callers run at a fence, so
-     * the shadow is quiesced and exact).
+     * taint tier, where the engine's NaT bits are only maybe-taint
+     * summaries — the tier's exact shadow register taint.
      */
     bool argNat(int i) const;
     void setRetval(uint64_t val, bool nat = false);
@@ -393,13 +392,13 @@ class Machine
 
     /**
      * Attach the decoupled taint tier: run() selects the async
-     * interpreter instantiation, which emits trace events instead of
-     * executing inline instrumentation, fences at policy boundaries,
-     * and applies the consumer's verdicts. The machine must run an
+     * interpreter instantiation, which calls the tier's replay entry
+     * points instead of executing inline instrumentation, fences at
+     * policy boundaries, and applies the tier's verdicts. The machine must run an
      * async-annotated program (dift::annotateForAsync) — never an
      * instrumented one. The tier must outlive the machine's run().
-     * Predecoded engine only. The machine starts and shuts the tier
-     * down around the run.
+     * Predecoded engine only. The machine starts the tier before the
+     * run and fences it at the end.
      */
     void setAsyncTier(dift::AsyncTaintTier *tier) { asyncTier_ = tier; }
     dift::AsyncTaintTier *asyncTier() const { return asyncTier_; }
@@ -450,10 +449,9 @@ class Machine
     void runDecoded(uint64_t maxSteps);
 
     /**
-     * Raise the consumer's recorded violation as the synchronous
-     * engine's NaT-consumption fault: same context, detail, address,
-     * function and architectural pc. Clears any engine verdict the
-     * (lag-bounded) run produced after the violating instruction.
+     * Raise the tier's recorded violation as the synchronous engine's
+     * NaT-consumption fault: same context, detail, address, function
+     * and architectural pc.
      */
     void applyAsyncViolation(const dift::Violation &v);
 
@@ -606,7 +604,6 @@ class Machine
     bool obsForce_ = false;
     obs::Profiler *prof_ = nullptr;
     dift::AsyncTaintTier *asyncTier_ = nullptr;
-    bool asyncViolationApplied_ = false;
     std::vector<uint32_t> hotPc_;
     std::vector<uint32_t> hotPcBase_;
     std::vector<obs::TraceEvent> provenance_;

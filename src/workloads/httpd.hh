@@ -102,7 +102,7 @@ struct HttpdFleetConfig
     ExecEngine engine = ExecEngine::Predecoded;
     OptimizerOptions optimize;     ///< post-instrumentation optimizer
     bool fastPath = false;         ///< taint-clean fast tier (FAST-PATH.md)
-    dift::AsyncTaintOptions async; ///< per-clone rings (ASYNC-TAINT.md)
+    dift::AsyncTaintOptions async; ///< per-clone tiers (ASYNC-TAINT.md)
     bool profile = false;          ///< per-clone tier-attribution tables
     uint64_t fileSize = 4 * 1024;
     int jobs = 8;            ///< clones forked (one per job)

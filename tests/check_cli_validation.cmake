@@ -36,7 +36,7 @@ function(expect_usage_error regex bin)
     endif()
 endfunction()
 
-# --- shiftd: worker/clone counts, intervals, ring sizes ---------------
+# --- shiftd: worker/clone counts, intervals, budgets -----------------
 expect_usage_error("jobs and --requests must be positive"
     ${SHIFTD} --jobs 0)
 expect_usage_error("jobs and --requests must be positive"
@@ -51,22 +51,15 @@ expect_usage_error("metrics-interval must not be negative"
     ${SHIFTD} --metrics-interval -1)
 expect_usage_error("max-steps must be positive"
     ${SHIFTD} --max-steps 0)
-expect_usage_error("power of two"
-    ${SHIFTD} --async-taint=5000)
-expect_usage_error("ring size"
-    ${SHIFTD} --async-taint=1000)
-expect_usage_error("ring size"
-    ${SHIFTD} --async-taint=0)
-expect_usage_error("expected an integer"
-    ${SHIFTD} --async-taint=big)
-expect_usage_error("async-batch must be positive"
-    ${SHIFTD} --async-batch 0)
-expect_usage_error("publish batch"
-    ${SHIFTD} --async-taint --async-batch 999999999)
-expect_usage_error("expected thread, inline, or auto"
-    ${SHIFTD} --async-consumer sidecar)
-expect_usage_error("missing value after --async-consumer"
-    ${SHIFTD} --async-consumer)
+# The async tier's ring-size, publish-batch and consumer-placement
+# options are gone: old spellings must fail loudly, not silently run a
+# different configuration.
+expect_usage_error("unknown option"
+    ${SHIFTD} --async-taint=65536)
+expect_usage_error("unknown option"
+    ${SHIFTD} --async-batch 8)
+expect_usage_error("unknown option"
+    ${SHIFTD} --async-consumer inline)
 expect_usage_error("promotion threshold"
     ${SHIFTD} --jit=0)
 expect_usage_error("promotion threshold"
@@ -91,14 +84,14 @@ expect_usage_error("expected an integer"
     ${SHIFTC} --itrace xyz prog.mc)
 expect_usage_error("itrace must not be negative"
     ${SHIFTC} --itrace -1 prog.mc)
-expect_usage_error("power of two"
-    ${SHIFTC} --async-taint=12345 prog.mc)
-expect_usage_error("async-batch must be positive"
-    ${SHIFTC} --async-batch -1 prog.mc)
+expect_usage_error("unknown option"
+    ${SHIFTC} --async-taint=65536 prog.mc)
+expect_usage_error("unknown option"
+    ${SHIFTC} --async-batch 8 prog.mc)
+expect_usage_error("unknown option"
+    ${SHIFTC} --async-consumer inline prog.mc)
 expect_usage_error("unknown option"
     ${SHIFTC} --async prog.mc)
-expect_usage_error("expected thread, inline, or auto"
-    ${SHIFTC} --async-consumer coprocessor prog.mc)
 expect_usage_error("promotion threshold"
     ${SHIFTC} --jit=0 prog.mc)
 expect_usage_error("promotion threshold"

@@ -80,17 +80,9 @@ captureRun(Session &session)
     return run;
 }
 
-/**
- * All counters except the tier's own (absent on the off-arm). With
- * `dropHostTiming` the async tier's wall-clock-dependent counters
- * (fence/ring spin and nanosecond totals, detection-lag samples) are
- * dropped too: they vary between two identical runs under the
- * threaded consumer, so a differential can only compare the
- * deterministic remainder (dift.events, dift.fences,
- * dift.violations and every engine counter stay compared).
- */
+/** All counters except the tier's own (absent on the off-arm). */
 inline std::map<std::string, uint64_t>
-comparableCounters(const StatSet &stats, bool dropHostTiming = false)
+comparableCounters(const StatSet &stats)
 {
     std::map<std::string, uint64_t> out;
     stats.forEach([&](const std::string &name, uint64_t value) {
@@ -101,11 +93,6 @@ comparableCounters(const StatSet &stats, bool dropHostTiming = false)
         // wall-clock-dependent besides.
         if (name.rfind("prof.", 0) == 0)
             return;
-        if (dropHostTiming &&
-            (name.rfind("dift.fence.wait", 0) == 0 ||
-             name.rfind("dift.ring.stall", 0) == 0 ||
-             name.rfind("dift.lag.", 0) == 0))
-            return;
         out[name] = value;
     });
     return out;
@@ -113,7 +100,7 @@ comparableCounters(const StatSet &stats, bool dropHostTiming = false)
 
 inline void
 expectIdentical(const DiffRun &off, const DiffRun &on,
-                const std::string &what, bool dropHostTiming = false)
+                const std::string &what)
 {
     EXPECT_EQ(off.result.exited, on.result.exited) << what;
     EXPECT_EQ(off.result.exitCode, on.result.exitCode) << what;
@@ -137,9 +124,9 @@ expectIdentical(const DiffRun &off, const DiffRun &on,
     // splits, cache hits, stalls, fast-path enters/deopts/cold-bails
     // and their causes — must agree exactly.
     std::map<std::string, uint64_t> offC =
-        comparableCounters(off.result.stats, dropHostTiming);
+        comparableCounters(off.result.stats);
     std::map<std::string, uint64_t> onC =
-        comparableCounters(on.result.stats, dropHostTiming);
+        comparableCounters(on.result.stats);
     for (const auto &[name, value] : offC)
         EXPECT_EQ(onC[name], value) << what << ": counter " << name;
     for (const auto &[name, value] : onC)

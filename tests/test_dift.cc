@@ -1,21 +1,13 @@
 /**
  * @file
- * Async taint tier tests: the SPSC trace ring (wrap-around, lossless
- * backpressure, TSan-verified producer/consumer edges), the option
- * validator, the annotation pass, the consumer's replay semantics,
- * and end-to-end Session runs with the tier enabled.
+ * Async taint tier tests: the annotation pass, the tier's replay
+ * semantics driven through its per-kind entry points, and end-to-end
+ * Session runs with the tier enabled.
  */
-
-#include <cstring>
-#include <numeric>
-#include <thread>
-#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "dift/annotate.hh"
-#include "dift/event.hh"
-#include "dift/spsc_ring.hh"
 #include "dift/tier.hh"
 #include "lang/compiler.hh"
 #include "support/bitops.hh"
@@ -27,135 +19,6 @@ namespace
 {
 
 using testutil::shiftOptions;
-
-// ---------------------------------------------------------------- ring
-
-TEST(SpscRing, CapacityRoundsUpToPowerOfTwo)
-{
-    EXPECT_EQ(dift::SpscRing<int>(1).capacity(), 64u);
-    EXPECT_EQ(dift::SpscRing<int>(64).capacity(), 64u);
-    EXPECT_EQ(dift::SpscRing<int>(65).capacity(), 128u);
-    EXPECT_EQ(dift::SpscRing<int>(100).capacity(), 128u);
-    EXPECT_EQ(dift::SpscRing<int>(1 << 16).capacity(), 1u << 16);
-}
-
-TEST(SpscRing, WrapAroundAtCapacityBoundary)
-{
-    // Fill / drain repeatedly so the indices cross the capacity
-    // boundary many times; every value must come out exactly once, in
-    // order, even though the storage wraps.
-    dift::SpscRing<uint64_t> ring(64);
-    uint64_t next = 0, expect = 0;
-    for (int round = 0; round < 13; ++round) {
-        // 61 is coprime with 64: each round straddles the boundary at
-        // a different offset.
-        for (int i = 0; i < 61; ++i)
-            EXPECT_EQ(ring.push(next++), 0u);
-        ring.publish();
-        uint64_t n = ring.consume([&](const uint64_t &v) {
-            EXPECT_EQ(v, expect);
-            ++expect;
-        });
-        EXPECT_EQ(n, 61u);
-    }
-    EXPECT_EQ(expect, next);
-    EXPECT_EQ(ring.pushed(), next);
-    EXPECT_EQ(ring.consumed(), next);
-}
-
-TEST(SpscRing, BlockedProducerLosesNothing)
-{
-    // A ring much smaller than the stream forces continuous
-    // wrap-around and producer backpressure. With a deliberately slow
-    // consumer the producer must block (spin counts observable) and
-    // still deliver every event exactly once.
-    constexpr uint64_t kEvents = 1'500'000;
-    dift::SpscRing<uint64_t> ring(256);
-    uint64_t stallSpins = 0;
-
-    std::thread consumer([&] {
-        uint64_t expect = 0;
-        while (expect < kEvents) {
-            ring.consume([&](const uint64_t &v) {
-                ASSERT_EQ(v, expect);
-                ++expect;
-            });
-        }
-    });
-
-    for (uint64_t i = 0; i < kEvents; ++i)
-        stallSpins += ring.push(i);
-    ring.publish();
-    consumer.join();
-
-    EXPECT_EQ(ring.pushed(), kEvents);
-    EXPECT_EQ(ring.consumed(), kEvents);
-    // 1.5M events through a 256-slot ring cannot avoid backpressure
-    // entirely, but don't assert on scheduling luck — just that the
-    // accounting is consistent.
-    EXPECT_EQ(ring.depth(), 0u);
-    (void)stallSpins;
-}
-
-TEST(SpscRing, BackpressureSpinsAreCounted)
-{
-    // Deterministic stall: fill the ring with no consumer running,
-    // then start one. The first over-capacity push must block and
-    // report a nonzero spin count.
-    dift::SpscRing<uint64_t> ring(64);
-    for (uint64_t i = 0; i < 64; ++i)
-        EXPECT_EQ(ring.push(i), 0u);
-
-    std::thread consumer([&] {
-        // Give the producer time to hit the full ring.
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        uint64_t seen = 0;
-        while (seen < 65)
-            seen += ring.consume([](const uint64_t &) {});
-    });
-    uint64_t spins = ring.push(64);
-    ring.publish();
-    consumer.join();
-    EXPECT_GT(spins, 0u);
-    EXPECT_EQ(ring.consumed(), 65u);
-}
-
-TEST(DiftEvent, IsExactly24Bytes)
-{
-    EXPECT_EQ(sizeof(dift::Event), 24u);
-}
-
-// ----------------------------------------------------------- validation
-
-TEST(AsyncOptions, ValidatorAcceptsDefaults)
-{
-    dift::AsyncTaintOptions opt;
-    EXPECT_EQ(dift::validateAsyncOptions(opt), "");
-}
-
-TEST(AsyncOptions, ValidatorRejectsBadRingSizes)
-{
-    dift::AsyncTaintOptions opt;
-    opt.ringEvents = 1000; // not a power of two
-    EXPECT_NE(dift::validateAsyncOptions(opt), "");
-    opt.ringEvents = 1u << 9; // below 2^10
-    EXPECT_NE(dift::validateAsyncOptions(opt), "");
-    opt.ringEvents = 0;
-    EXPECT_NE(dift::validateAsyncOptions(opt), "");
-    opt.ringEvents = 1u << 24; // top of the range is legal
-    EXPECT_EQ(dift::validateAsyncOptions(opt), "");
-}
-
-TEST(AsyncOptions, ValidatorRejectsBadPublishBatch)
-{
-    dift::AsyncTaintOptions opt;
-    opt.publishBatch = 0;
-    EXPECT_NE(dift::validateAsyncOptions(opt), "");
-    opt.publishBatch = opt.ringEvents; // > ring/2
-    EXPECT_NE(dift::validateAsyncOptions(opt), "");
-    opt.publishBatch = opt.ringEvents / 2;
-    EXPECT_EQ(dift::validateAsyncOptions(opt), "");
-}
 
 // ----------------------------------------------------------- annotation
 
@@ -212,116 +75,111 @@ TEST(Annotate, ScopedRelaxAndCmpMarkers)
 
 // ------------------------------------------------------- tier (direct)
 
-// Tier-direct tests pin the consumer placement: Thread keeps the
-// ring/fence protocol under test even on single-hart hosts (where
-// Auto resolves to the inline consumer), and the Inline variants
-// cover the fused same-thread replay.
-dift::AsyncTaintOptions
-tierOptions(dift::AsyncConsumer consumer)
-{
-    dift::AsyncTaintOptions opt;
-    opt.consumer = consumer;
-    return opt;
-}
-
 class TierTest : public ::testing::Test
 {
   protected:
     static constexpr uint64_t kAddr = regionBase(kDataRegion) + 0x2000;
+    /** The pc and function every replay call below reports. */
+    static constexpr int32_t kPc = 7;
+    static constexpr int16_t kFunc = 3;
 
-    dift::Event
-    ev(dift::EvKind kind, uint8_t a, uint8_t b, uint8_t flags,
-       uint64_t addr, uint8_t size)
+    bool
+    load(uint8_t dst, uint8_t addrReg, uint8_t flags, uint64_t addr,
+         uint8_t size)
     {
-        dift::Event e{};
-        e.addr = addr;
-        e.pc = 7;
-        e.func = 3;
-        e.kind = static_cast<uint8_t>(kind);
-        e.flags = flags;
-        e.a = a;
-        e.b = b;
-        e.size = size;
-        return e;
+        return tier.inlineLoad(dst, addrReg, flags, addr, size, kPc,
+                               kFunc);
+    }
+
+    bool
+    store(uint8_t src, uint8_t addrReg, uint8_t flags, uint64_t addr,
+          uint8_t size)
+    {
+        return tier.inlineStore(src, addrReg, flags, addr, size, kPc,
+                                kFunc);
+    }
+
+    /** Taint one byte via the mirror hook (what a TaintMap write does). */
+    void
+    taintByte(uint64_t addr)
+    {
+        tier.mirrorTagWrite(tagByteAddr(addr, Granularity::Byte),
+                            tagBitIndex(addr, Granularity::Byte), true);
+    }
+
+    bool
+    tagBitInMemory(uint64_t addr)
+    {
+        uint64_t byte = 0;
+        EXPECT_EQ(mem.read(tagByteAddr(addr, Granularity::Byte), 1, byte),
+                  MemFault::None);
+        return bit(byte, tagBitIndex(addr, Granularity::Byte));
     }
 
     Memory mem;
+    dift::AsyncTaintTier tier{mem, Granularity::Byte};
 };
 
 TEST_F(TierTest, LoadPropagatesBitmapTaintToRegister)
 {
-    dift::AsyncTaintTier tier(mem, Granularity::Byte,
-                              tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
-    // Taint kAddr via the mirror hook (what a TaintMap write does).
-    tier.mirrorTagWrite(tagByteAddr(kAddr, Granularity::Byte),
-                        tagBitIndex(kAddr, Granularity::Byte), true);
-    tier.push(ev(dift::EvKind::Load, /*dst=*/5, /*addrReg=*/6,
-                 dift::kEvChecked, kAddr, 1));
-    EXPECT_EQ(tier.fence(), nullptr);
+    taintByte(kAddr);
+    EXPECT_FALSE(load(/*dst=*/5, /*addrReg=*/6, dift::kEvChecked, kAddr, 1));
+    // The replay ran inside the call: no fence needed to read it.
     EXPECT_TRUE(tier.regTaint(5));
     EXPECT_FALSE(tier.regTaint(6));
 
     // Register taint flows through ALU ops and stores back to memory.
-    tier.push(ev(dift::EvKind::RegWrite, /*dst=*/7, /*src=*/5, 0, 0, 0));
-    tier.push(ev(dift::EvKind::Store, /*src=*/7, /*addrReg=*/6,
-                 dift::kEvChecked, kAddr + 8, 1));
-    EXPECT_EQ(tier.fence(), nullptr);
+    tier.inlineRegWrite(/*dst=*/7, /*src=*/5, 0, /*zeroIdiom=*/false);
+    EXPECT_FALSE(store(/*src=*/7, /*addrReg=*/6, dift::kEvChecked,
+                       kAddr + 8, 1));
     EXPECT_TRUE(tier.regTaint(7));
-    // The fence materialized the dirty tag word into memory.
-    uint64_t byte = 0;
-    ASSERT_EQ(mem.read(tagByteAddr(kAddr + 8, Granularity::Byte), 1, byte),
-              MemFault::None);
-    EXPECT_TRUE(bit(byte, tagBitIndex(kAddr + 8, Granularity::Byte)));
-    EXPECT_EQ(tier.shutdown(), nullptr);
+    // The shadow reaches simulated memory only at a fence.
+    EXPECT_FALSE(tagBitInMemory(kAddr + 8));
+    EXPECT_EQ(tier.fence(), nullptr);
+    EXPECT_TRUE(tagBitInMemory(kAddr + 8));
 }
 
 TEST_F(TierTest, ZeroIdiomPurifies)
 {
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
     tier.setRegTaint(9, true);
     EXPECT_TRUE(tier.regTaint(9));
-    dift::Event e = ev(dift::EvKind::RegWrite, 9, 9, dift::kEvZeroIdiom,
-                       0, 0);
-    e.c = 9;
-    tier.push(e);
-    EXPECT_EQ(tier.fence(), nullptr);
+    tier.inlineRegWrite(9, 9, 9, /*zeroIdiom=*/true);
     EXPECT_FALSE(tier.regTaint(9));
-    EXPECT_EQ(tier.shutdown(), nullptr);
+    EXPECT_EQ(tier.fence(), nullptr);
 }
 
 TEST_F(TierTest, TaintedLoadAddressViolates)
 {
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
     tier.setRegTaint(6, true);
-    tier.push(ev(dift::EvKind::Load, 5, 6, dift::kEvChecked, kAddr, 1));
-    const dift::Violation *v = tier.fence();
+    // A violation surfaces on the very call that replays it.
+    EXPECT_TRUE(load(5, 6, dift::kEvChecked, kAddr, 1));
+    const dift::Violation *v = tier.pendingViolation();
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->kind, dift::ViolationKind::LoadAddress);
-    EXPECT_EQ(v->pc, 7);
-    EXPECT_EQ(v->func, 3);
+    // A checked load trips on its tag load.
+    EXPECT_EQ(v->addr, tagByteAddr(kAddr, Granularity::Byte));
+    EXPECT_EQ(v->pc, kPc);
+    EXPECT_EQ(v->func, kFunc);
     EXPECT_STREQ(v->detail, "load through a NaT (tainted) address");
-    // First violation wins; later events are discarded.
+    // First violation wins.
     tier.setRegTaint(8, true);
-    tier.push(
-        ev(dift::EvKind::BranchCheck, 8, 0, 0, /*branch target*/ 0x40, 0));
-    const dift::Violation *again = tier.shutdown();
+    EXPECT_TRUE(tier.inlineBranchCheck(8, /*branch target*/ 0x40, kPc,
+                                       kFunc));
+    const dift::Violation *again = tier.fence();
     ASSERT_NE(again, nullptr);
     EXPECT_EQ(again->kind, dift::ViolationKind::LoadAddress);
 }
 
 TEST_F(TierTest, BranchCheckViolates)
 {
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
+    EXPECT_FALSE(tier.inlineBranchCheck(8, 0x1234, kPc, kFunc));
     tier.setRegTaint(8, true);
-    tier.push(ev(dift::EvKind::BranchCheck, 8, 0, 0, 0x1234, 0));
-    const dift::Violation *v = tier.shutdown();
+    EXPECT_TRUE(tier.inlineBranchCheck(8, 0x1234, kPc, kFunc));
+    const dift::Violation *v = tier.fence();
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->kind, dift::ViolationKind::ControlFlow);
     EXPECT_EQ(v->addr, 0x1234u);
@@ -331,81 +189,41 @@ TEST_F(TierTest, BranchCheckViolates)
 
 TEST_F(TierTest, SpillFillCarriesTaintOutOfBand)
 {
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
     tier.setRegTaint(4, true);
     // st8.spill of a tainted register then ld8.fill restores the
     // taint without touching the tag bitmap (UNAT semantics).
-    tier.push(ev(dift::EvKind::Store, 4, 12, dift::kEvSpill, kAddr, 8));
-    tier.push(ev(dift::EvKind::RegWrite, 4, 0, 0, 0, 0)); // clobber r4
-    tier.push(ev(dift::EvKind::Load, 4, 12, dift::kEvFill, kAddr, 8));
+    EXPECT_FALSE(store(4, 12, dift::kEvSpill, kAddr, 8));
+    tier.inlineRegWrite(4, 0, 0, false); // clobber r4
+    EXPECT_FALSE(tier.regTaint(4));
+    EXPECT_FALSE(load(4, 12, dift::kEvFill, kAddr, 8));
     EXPECT_EQ(tier.fence(), nullptr);
     EXPECT_TRUE(tier.regTaint(4));
     // The bitmap itself stays clean: spills are out-of-band.
-    uint64_t tagByte = 0;
-    ASSERT_EQ(mem.read(tagByteAddr(kAddr, Granularity::Byte), 1, tagByte),
-              MemFault::None);
-    EXPECT_FALSE(bit(tagByte, tagBitIndex(kAddr, Granularity::Byte)));
-    EXPECT_EQ(tier.shutdown(), nullptr);
+    EXPECT_FALSE(tagBitInMemory(kAddr));
 }
 
-TEST_F(TierTest, StatsExposeRingAndFenceCounters)
+TEST_F(TierTest, StatsCountEventsAndFences)
 {
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
     tier.start();
     for (int i = 0; i < 100; ++i)
-        tier.push(ev(dift::EvKind::RegWrite, 1, 0, 0, 0, 0));
+        tier.inlineRegWrite(1, 0, 0, false);
     tier.fence();
-    tier.shutdown();
+    tier.fence();
     StatSet stats;
     tier.statInto(stats);
     EXPECT_EQ(stats.get("dift.events"), 100u);
-    EXPECT_GE(stats.get("dift.fences"), 1u);
-    EXPECT_EQ(stats.gauge("dift.ring.capacity"),
-              int64_t(dift::AsyncTaintOptions{}.ringEvents));
+    EXPECT_EQ(stats.get("dift.fences"), 2u);
+    EXPECT_EQ(stats.get("dift.violations"), 0u);
 }
 
-TEST_F(TierTest, InlineConsumerReplaysWithoutThread)
+TEST_F(TierTest, ReplayChainReportsStoreValueVerdict)
 {
-    // Inline placement: push() replays synchronously in the calling
-    // thread, fences never wait, and the verdict machinery behaves
-    // exactly as in the threaded mode.
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Inline));
+    // Load, ALU and store replays chained the way the engine calls
+    // them; the final plain store of a tainted register is a
+    // StoreValue verdict with the call's pc/func threaded through.
     tier.start();
-    EXPECT_TRUE(tier.inlineConsumer());
-    tier.mirrorTagWrite(tagByteAddr(kAddr, Granularity::Byte),
-                        tagBitIndex(kAddr, Granularity::Byte), true);
-    EXPECT_FALSE(tier.push(
-        ev(dift::EvKind::Load, 5, 6, dift::kEvChecked, kAddr, 1)));
-    // No fence needed: the shadow is already caught up.
-    EXPECT_TRUE(tier.regTaint(5));
-    // A violation surfaces on the very push that replays it.
-    tier.setRegTaint(6, true);
-    EXPECT_TRUE(tier.push(
-        ev(dift::EvKind::Load, 5, 6, dift::kEvChecked, kAddr, 1)));
-    const dift::Violation *v = tier.shutdown();
-    ASSERT_NE(v, nullptr);
-    EXPECT_EQ(v->kind, dift::ViolationKind::LoadAddress);
-    EXPECT_STREQ(v->detail, "load through a NaT (tainted) address");
-
-    StatSet stats;
-    tier.statInto(stats);
-    EXPECT_EQ(stats.get("dift.events"), 2u);
-    EXPECT_EQ(stats.gauge("dift.consumer.inline"), 1);
-}
-
-TEST_F(TierTest, FusedInlineEntryPointsMatchEventReplay)
-{
-    // The fused per-kind entry points must apply the same state
-    // transitions as pushing the equivalent Event.
-    dift::AsyncTaintTier tier(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Inline));
-    tier.start();
-    tier.mirrorTagWrite(tagByteAddr(kAddr, Granularity::Byte),
-                        tagBitIndex(kAddr, Granularity::Byte), true);
+    taintByte(kAddr);
     EXPECT_FALSE(tier.inlineLoad(5, 6, dift::kEvChecked, kAddr, 1, 7, 3));
     EXPECT_TRUE(tier.regTaint(5));
     tier.inlineRegWrite(7, 5, 0, /*zeroIdiom=*/false);
@@ -414,30 +232,15 @@ TEST_F(TierTest, FusedInlineEntryPointsMatchEventReplay)
     EXPECT_FALSE(tier.regTaint(7));
     EXPECT_FALSE(
         tier.inlineStore(5, 6, dift::kEvChecked, kAddr + 8, 1, 8, 3));
-    // Plain store of the tainted register: StoreValue verdict with the
-    // event's pc/func threaded through.
     EXPECT_TRUE(tier.inlineStore(5, 6, 0, kAddr + 16, 1, 9, 3));
-    const dift::Violation *v = tier.shutdown();
+    const dift::Violation *v = tier.fence();
     ASSERT_NE(v, nullptr);
     EXPECT_EQ(v->kind, dift::ViolationKind::StoreValue);
     EXPECT_EQ(v->pc, 9);
     EXPECT_EQ(v->func, 3);
-    EXPECT_EQ(tier.eventsPushed(), 5u);
-}
-
-TEST(AsyncConsumerPlacement, ForcedModesAndAutoResolution)
-{
-    Memory mem;
-    dift::AsyncTaintTier threaded(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Thread));
-    EXPECT_FALSE(threaded.inlineConsumer());
-    dift::AsyncTaintTier inlined(
-        mem, Granularity::Byte, tierOptions(dift::AsyncConsumer::Inline));
-    EXPECT_TRUE(inlined.inlineConsumer());
-    dift::AsyncTaintTier automatic(mem, Granularity::Byte,
-                                   tierOptions(dift::AsyncConsumer::Auto));
-    EXPECT_EQ(automatic.inlineConsumer(),
-              std::thread::hardware_concurrency() <= 1);
+    StatSet stats;
+    tier.statInto(stats);
+    EXPECT_EQ(stats.get("dift.events"), 5u);
 }
 
 // ------------------------------------------------------ end-to-end runs
@@ -524,6 +327,23 @@ TEST_P(AsyncGranularityTest, TaintFlowsBackToMemory)
         EXPECT_EXIT_CODE(r, 11);
 }
 
+TEST_P(AsyncGranularityTest, TaintedFunctionPointerIsL3)
+{
+    // The branch-check replay at the mov-to-branch-register site.
+    RunResult r = runAsyncWithFile(
+        "int good() { return 1; }"
+        "int main() {"
+        "  char buf[16];"
+        "  int fd = open(\"input.txt\", 0);"
+        "  read(fd, buf, 8);"
+        "  long fp = &good;"
+        "  fp = fp + buf[0] - buf[0];"
+        "  return fp();"
+        "}",
+        "A", asyncOptions(GetParam()));
+    EXPECT_POLICY_KILL(r, "L3");
+}
+
 TEST(AsyncSession, TaintedPointerDereferenceIsL1)
 {
     RunResult r = runAsyncWithFile(
@@ -537,7 +357,6 @@ TEST(AsyncSession, TaintedPointerDereferenceIsL1)
         "\x02", asyncOptions());
     EXPECT_POLICY_KILL(r, "L1");
     EXPECT_GT(r.stats.get("dift.violations"), 0u);
-    ASSERT_NE(r.stats.histogram("dift.lag.detect.ns"), nullptr);
 }
 
 TEST(AsyncSession, CleanRunHasNoViolations)
@@ -546,57 +365,6 @@ TEST(AsyncSession, CleanRunHasNoViolations)
     RunResult r = session.run();
     EXPECT_EXIT_CODE(r, 42);
     EXPECT_EQ(r.stats.get("dift.violations"), 0u);
-}
-
-TEST(AsyncSession, InlineAndThreadedConsumersAgree)
-{
-    // Same program, both consumer placements: identical exit code and
-    // event count (the engine-side filter decisions do not depend on
-    // where the consumer runs, only load maybe-outs do — and those
-    // converge on this taint path).
-    const char *source =
-        "int main() {"
-        "  char buf[8];"
-        "  int fd = open(\"input.txt\", 0);"
-        "  read(fd, buf, 8);"
-        "  int x = buf[0] + 1;"
-        "  return __arg_tainted(x);"
-        "}";
-    SessionOptions threaded = asyncOptions();
-    threaded.async.consumer = dift::AsyncConsumer::Thread;
-    RunResult rt = runAsyncWithFile(source, "A", std::move(threaded));
-    SessionOptions inlined = asyncOptions();
-    inlined.async.consumer = dift::AsyncConsumer::Inline;
-    RunResult ri = runAsyncWithFile(source, "A", std::move(inlined));
-    EXPECT_EXIT_CODE(rt, 1);
-    EXPECT_EXIT_CODE(ri, 1);
-    EXPECT_EQ(rt.stats.gauge("dift.consumer.inline"), 0);
-    EXPECT_EQ(ri.stats.gauge("dift.consumer.inline"), 1);
-    EXPECT_GT(ri.stats.get("dift.events"), 0u);
-}
-
-TEST(AsyncSession, TinyRingSurvivesBackpressure)
-{
-    // A 1K ring against a compute loop forces ring wrap-around and
-    // (usually) producer stalls inside a real run. Thread placement is
-    // pinned: the ring protocol must stay covered on single-hart
-    // hosts too, where Auto would pick the inline consumer.
-    SessionOptions options = asyncOptions();
-    options.async.ringEvents = 1u << 10;
-    options.async.publishBatch = 8;
-    options.async.consumer = dift::AsyncConsumer::Thread;
-    RunResult r = runAsyncWithFile(
-        "int main() {"
-        "  char buf[8];"
-        "  int fd = open(\"input.txt\", 0);"
-        "  read(fd, buf, 8);"
-        "  int acc = buf[0];"
-        "  for (int i = 0; i < 20000; i = i + 1) acc = acc + i;"
-        "  return __arg_tainted(acc);"
-        "}",
-        "Z", std::move(options));
-    EXPECT_EXIT_CODE(r, 1);
-    EXPECT_GT(r.stats.get("dift.events"), 20000u);
 }
 
 } // namespace

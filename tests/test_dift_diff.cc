@@ -90,9 +90,9 @@ expectSameVerdict(const DiffRun &sync, const DiffRun &async,
             << what;
     }
     EXPECT_EQ(sync.responses, async.responses) << what;
-    // The bitmap is only deterministic while the run is clean: after a
-    // violation the async consumer stops replaying (first-wins) while
-    // the sync engine's partial instrumentation effects stand.
+    // The bitmaps are only compared on clean runs: a condemned run's
+    // tag state is unspecified, since the sync engine may stop partway
+    // through the violating instruction's instrumentation.
     if (sync.result.ok() && async.result.ok()) {
         EXPECT_EQ(sync.tagHash, async.tagHash)
             << what << ": taint bitmap";
@@ -163,39 +163,24 @@ TEST(AsyncDiffHttpd, ResponsesAndBitmapIdentical)
 
 // ------------------------------------------------------------- attacks
 
-// Both consumer placements must agree with the sync engine: the
-// inline fold (the Auto resolution on this host) and the threaded
-// ring consumer share replay bodies, but only a run through each
-// proves the verdicts can't diverge.
-using AttackDiffParam = std::tuple<Granularity, dift::AsyncConsumer>;
-
-class AsyncDiffAttackTest
-    : public ::testing::TestWithParam<AttackDiffParam>
+class AsyncDiffAttackTest : public ::testing::TestWithParam<Granularity>
 {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Granularities, AsyncDiffAttackTest,
-    ::testing::Combine(::testing::Values(Granularity::Byte,
-                                         Granularity::Word),
-                       ::testing::Values(dift::AsyncConsumer::Thread,
-                                         dift::AsyncConsumer::Inline)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) == Granularity::Byte
-                               ? "byte"
-                               : "word";
-        name += std::get<1>(info.param) == dift::AsyncConsumer::Thread
-                    ? "Thread"
-                    : "Inline";
-        return name;
-    });
+INSTANTIATE_TEST_SUITE_P(Granularities, AsyncDiffAttackTest,
+                         ::testing::Values(Granularity::Byte,
+                                           Granularity::Word),
+                         [](const auto &info) {
+                             return info.param == Granularity::Byte
+                                        ? "byte"
+                                        : "word";
+                         });
 
 TEST_P(AsyncDiffAttackTest, AllScenariosSameVerdicts)
 {
-    const Granularity granularity = std::get<0>(GetParam());
+    const Granularity granularity = GetParam();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    async.consumer = std::get<1>(GetParam());
     int detected = 0;
     for (const auto &scenario : attackScenarios()) {
         workloads::AttackRun exploitSync = runAttackScenario(

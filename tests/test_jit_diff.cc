@@ -170,16 +170,13 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
 // ---------------------------------------------------------------------
 // Differential: the decoupled async taint tier under the JIT. The
 // compiled code must bail at exactly the ops whose events the
-// interpreter would emit, so the consumer sees an identical event
-// stream (dift.events is compared) and the simulation retires the
-// same instructions and cycles. Wall-clock-dependent counters (fence
-// and ring spin totals) are excluded — they differ between two
-// identical runs under the threaded consumer.
+// interpreter would replay, so the tier sees an identical event
+// sequence (dift.events is compared) and the simulation retires the
+// same instructions and cycles.
 // ---------------------------------------------------------------------
 
 class JitAsyncDiffSpecTest
-    : public ::testing::TestWithParam<
-          std::tuple<Granularity, dift::AsyncConsumer, JitTier>>
+    : public ::testing::TestWithParam<std::tuple<Granularity, JitTier>>
 {
 };
 
@@ -187,17 +184,12 @@ INSTANTIATE_TEST_SUITE_P(
     Modes, JitAsyncDiffSpecTest,
     ::testing::Combine(::testing::Values(Granularity::Byte,
                                          Granularity::Word),
-                       ::testing::Values(dift::AsyncConsumer::Thread,
-                                         dift::AsyncConsumer::Inline),
                        ::testing::ValuesIn(kJitTiers)),
     [](const auto &info) {
         std::string name = std::get<0>(info.param) == Granularity::Byte
                                ? "byte"
                                : "word";
-        name += std::get<1>(info.param) == dift::AsyncConsumer::Thread
-                    ? "Thread"
-                    : "Inline";
-        return name + tierName(std::get<2>(info.param));
+        return name + tierName(std::get<1>(info.param));
     });
 
 TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
@@ -205,9 +197,8 @@ TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
     SKIP_WITHOUT_JIT();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    async.consumer = std::get<1>(GetParam());
     const Granularity granularity = std::get<0>(GetParam());
-    const JitTier tier = std::get<2>(GetParam());
+    const JitTier tier = std::get<1>(GetParam());
     for (const SpecKernel &kernel : specKernels()) {
         DiffRun off = runKernel(kernel, granularity, false, false, async);
         DiffRun on =
@@ -215,40 +206,20 @@ TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
         std::string what = std::string(kernel.name) + "+async+" +
                            tierName(tier);
         EXPECT_TRUE(off.result.exited) << what;
-        expectIdentical(off, on, what, /*dropHostTiming=*/true);
+        expectIdentical(off, on, what);
         if (!tier.background)
             EXPECT_GT(on.jitEntered, 0u) << what;
     }
 }
 
-// Attack verdicts under async + JIT. The inline consumer replays
-// synchronously inside every push, so detection points are
-// deterministic and the exploit/benign runs must match the jit-off
-// arm exactly; the threaded consumer's kill point depends on when
-// the engine samples the violation flag, so only the verdict and
-// policy are asserted there.
-class JitAsyncDiffAttackTest
-    : public ::testing::TestWithParam<dift::AsyncConsumer>
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Consumers, JitAsyncDiffAttackTest,
-                         ::testing::Values(dift::AsyncConsumer::Thread,
-                                           dift::AsyncConsumer::Inline),
-                         [](const auto &info) {
-                             return info.param ==
-                                            dift::AsyncConsumer::Thread
-                                        ? "Thread"
-                                        : "Inline";
-                         });
-
-TEST_P(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
+// Attack verdicts under async + JIT. The tier replays inside the
+// engine, so detection points are deterministic and the exploit and
+// benign runs must match the jit-off arm exactly.
+TEST(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
 {
     SKIP_WITHOUT_JIT();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    async.consumer = GetParam();
-    const bool deterministic = GetParam() == dift::AsyncConsumer::Inline;
     for (const auto &scenario : attackScenarios()) {
         AttackRun exploitOff = runAttackScenario(
             scenario, true, Granularity::Byte, ExecEngine::Predecoded,
@@ -263,14 +234,11 @@ TEST_P(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
         EXPECT_EQ(exploitOn.result.alerts.back().policy,
                   scenario.expectedPolicy)
             << scenario.name;
-        if (deterministic) {
-            EXPECT_EQ(exploitOff.result.instructions,
-                      exploitOn.result.instructions)
-                << scenario.name;
-            EXPECT_EQ(exploitOff.result.cycles,
-                      exploitOn.result.cycles)
-                << scenario.name;
-        }
+        EXPECT_EQ(exploitOff.result.instructions,
+                  exploitOn.result.instructions)
+            << scenario.name;
+        EXPECT_EQ(exploitOff.result.cycles, exploitOn.result.cycles)
+            << scenario.name;
 
         AttackRun benignOff = runAttackScenario(
             scenario, false, Granularity::Byte, ExecEngine::Predecoded,

@@ -57,14 +57,8 @@ usage()
         "  --trace FILE             record a flight-recorder trace "
         "(Chrome JSON, Perfetto-loadable)\n"
         "  --max-steps N            execution budget\n"
-        "  --async-taint[=RING]     decoupled taint tier: stream "
-        "events to a consumer thread (power-of-two RING size, "
-        "default 65536)\n"
-        "  --async-batch N          events per sequence publish "
-        "(default 32)\n"
-        "  --async-consumer MODE    consumer placement: thread, "
-        "inline, or auto (default auto: inline on single-hart "
-        "hosts)\n"
+        "  --async-taint            decoupled taint tier: run the "
+        "uninstrumented program and replay taint beside it\n"
         "  --jit[=THRESHOLD]        compile hot superblocks to host "
         "code after THRESHOLD executions (default 32; no-op on "
         "non-x86-64 hosts)\n"
@@ -203,36 +197,8 @@ main(int argc, char **argv)
                 if (n <= 0)
                     SHIFT_FATAL("--max-steps must be positive");
                 options.maxSteps = static_cast<uint64_t>(n);
-            } else if (arg == "--async-taint" ||
-                       arg.rfind("--async-taint=", 0) == 0) {
+            } else if (arg == "--async-taint") {
                 options.async.enabled = true;
-                if (arg.size() > 13) {
-                    long long ring =
-                        parseInteger("--async-taint", arg.substr(14));
-                    if (ring <= 0 || ring > (1 << 24))
-                        SHIFT_FATAL("--async-taint: ring size %lld out "
-                                    "of range", ring);
-                    options.async.ringEvents =
-                        static_cast<uint32_t>(ring);
-                }
-            } else if (arg == "--async-batch") {
-                long long batch = parseInteger(arg, next());
-                if (batch <= 0)
-                    SHIFT_FATAL("--async-batch must be positive");
-                options.async.publishBatch =
-                    static_cast<uint32_t>(batch);
-            } else if (arg == "--async-consumer") {
-                std::string mode = next();
-                if (mode == "thread")
-                    options.async.consumer = dift::AsyncConsumer::Thread;
-                else if (mode == "inline")
-                    options.async.consumer = dift::AsyncConsumer::Inline;
-                else if (mode == "auto")
-                    options.async.consumer = dift::AsyncConsumer::Auto;
-                else
-                    SHIFT_FATAL("--async-consumer: expected thread, "
-                                "inline, or auto, got '%s'",
-                                mode.c_str());
             } else if (arg == "--jit" || arg.rfind("--jit=", 0) == 0) {
                 options.jit = true;
                 if (arg.size() > 5) {
@@ -280,12 +246,6 @@ main(int argc, char **argv)
             } else {
                 SHIFT_FATAL("more than one program given");
             }
-        }
-        if (options.async.enabled) {
-            std::string problem =
-                dift::validateAsyncOptions(options.async);
-            if (!problem.empty())
-                SHIFT_FATAL("--async-taint: %s", problem.c_str());
         }
         if (sourcePath.empty()) {
             usage();

@@ -55,13 +55,8 @@ usage()
         "  --requests N             connections per clone (default 4)\n"
         "  --workers N              worker threads (default 4)\n"
         "  --max-steps N            execution budget per clone\n"
-        "  --async-taint[=RING]     decoupled taint tier, one event "
-        "ring + consumer thread per clone (power-of-two RING size, "
-        "default 65536)\n"
-        "  --async-batch N          events per sequence publish "
-        "(default 32)\n"
-        "  --async-consumer MODE    consumer placement: thread, "
-        "inline, or auto (default auto: inline on single-hart hosts)\n"
+        "  --async-taint            decoupled taint tier: run the "
+        "uninstrumented program and replay taint beside it\n"
         "  --jit[=THRESHOLD]        compile hot superblocks to host "
         "code after THRESHOLD executions per clone (default 32; "
         "no-op on non-x86-64 hosts)\n"
@@ -219,36 +214,8 @@ main(int argc, char **argv)
                 if (n <= 0)
                     SHIFT_FATAL("--max-steps must be positive");
                 options.maxSteps = static_cast<uint64_t>(n);
-            } else if (arg == "--async-taint" ||
-                       arg.rfind("--async-taint=", 0) == 0) {
+            } else if (arg == "--async-taint") {
                 options.async.enabled = true;
-                if (arg.size() > 13) {
-                    long long ring =
-                        parseInteger("--async-taint", arg.substr(14));
-                    if (ring <= 0 || ring > (1 << 24))
-                        SHIFT_FATAL("--async-taint: ring size %lld out "
-                                    "of range", ring);
-                    options.async.ringEvents =
-                        static_cast<uint32_t>(ring);
-                }
-            } else if (arg == "--async-batch") {
-                long long batch = parseInteger(arg, next());
-                if (batch <= 0)
-                    SHIFT_FATAL("--async-batch must be positive");
-                options.async.publishBatch =
-                    static_cast<uint32_t>(batch);
-            } else if (arg == "--async-consumer") {
-                std::string mode = next();
-                if (mode == "thread")
-                    options.async.consumer = dift::AsyncConsumer::Thread;
-                else if (mode == "inline")
-                    options.async.consumer = dift::AsyncConsumer::Inline;
-                else if (mode == "auto")
-                    options.async.consumer = dift::AsyncConsumer::Auto;
-                else
-                    SHIFT_FATAL("--async-consumer: expected thread, "
-                                "inline, or auto, got '%s'",
-                                mode.c_str());
             } else if (arg == "--jit" || arg.rfind("--jit=", 0) == 0) {
                 options.jit = true;
                 if (arg.size() > 5) {
@@ -310,12 +277,6 @@ main(int argc, char **argv)
         }
         if (jobs <= 0 || requestsPerJob <= 0)
             SHIFT_FATAL("--jobs and --requests must be positive");
-        if (options.async.enabled) {
-            std::string problem =
-                dift::validateAsyncOptions(options.async);
-            if (!problem.empty())
-                SHIFT_FATAL("--async-taint: %s", problem.c_str());
-        }
 
         // Enable the flight recorder before the template build so the
         // compile/instrument/freeze phases land in the trace too.
