@@ -226,6 +226,8 @@ struct Instr
 
     Provenance prov = Provenance::Original;
     OrigClass origClass = OrigClass::None;
+
+    bool operator==(const Instr &) const = default;
 };
 
 /** True for opcodes that read memory. */

@@ -35,6 +35,8 @@ struct Function
 
     /** Allocate a fresh label id. */
     int newLabel() { return nextLabel++; }
+
+    bool operator==(const Function &) const = default;
 };
 
 /** A global variable definition. */
@@ -45,6 +47,8 @@ struct GlobalDef
     std::vector<uint8_t> init;     ///< initial bytes (zero-padded)
     std::string initSymbol;        ///< when set, the linker writes that
                                    ///< symbol's address into init
+
+    bool operator==(const GlobalDef &) const = default;
 };
 
 /** A whole program. */

@@ -79,8 +79,9 @@ class EscapeScanner
 class Generator
 {
   public:
-    Generator(const TranslationUnit &unit, TypePool &pool)
-        : unit_(unit), pool_(pool)
+    Generator(const TranslationUnit &unit, TypePool &pool,
+              const Signatures &imported)
+        : unit_(unit), pool_(pool), imported_(imported)
     {}
 
     GenOutput
@@ -89,6 +90,7 @@ class Generator
         declareGlobals();
         for (const FuncDecl &fn : unit_.functions)
             genFunction(fn);
+        out_.signatures = std::move(funcTypes_);
         return std::move(out_);
     }
 
@@ -116,10 +118,21 @@ class Generator
             out_.program.globals.push_back(std::move(def));
         }
         for (const FuncDecl &fn : unit_.functions) {
-            if (funcDecls_.count(fn.name))
+            if (funcType(fn.name))
                 error(fn.line, "duplicate function '" + fn.name + "'");
-            funcDecls_[fn.name] = &fn;
+            funcTypes_[fn.name] = fn.retType;
         }
+    }
+
+    /** Return type of function `name`; null when no function has it. */
+    const Type *
+    funcType(const std::string &name) const
+    {
+        auto it = funcTypes_.find(name);
+        if (it != funcTypes_.end())
+            return it->second;
+        it = imported_.find(name);
+        return it != imported_.end() ? it->second : nullptr;
     }
 
     void
@@ -664,7 +677,7 @@ class Generator
             emit(moviSym(addr, e->name));
             return loadFrom(addr, git->second);
         }
-        if (funcDecls_.count(e->name)) {
+        if (funcType(e->name)) {
             int v = newVreg();
             emit(moviSym(v, e->name));
             return {v, pool_.longType()};
@@ -681,7 +694,7 @@ class Generator
         }
         if (e->op == "&") {
             if (e->a->kind == ExprKind::Ident &&
-                funcDecls_.count(e->a->name) &&
+                funcType(e->a->name) &&
                 !findLocal(e->a->name) &&
                 !globalTypes_.count(e->a->name)) {
                 int v = newVreg();
@@ -938,7 +951,8 @@ class Generator
 
         // Callee resolution: a local/global variable of that name is an
         // indirect call through a function pointer; otherwise a direct
-        // call (user function or runtime built-in).
+        // call (user function, imported library function or runtime
+        // built-in).
         bool indirect = false;
         Val target{};
         if (LocalVar *var = findLocal(e->name)) {
@@ -952,7 +966,7 @@ class Generator
                 target = {var->vreg, var->type};
             }
         } else if (globalTypes_.count(e->name) &&
-                   !funcDecls_.count(e->name)) {
+                   !funcType(e->name)) {
             indirect = true;
             int addr = newVreg();
             emit(moviSym(addr, e->name));
@@ -975,9 +989,8 @@ class Generator
             call.br = 6;
             emit(call);
         } else {
-            auto it = funcDecls_.find(e->name);
-            if (it != funcDecls_.end())
-                retType = it->second->retType;
+            if (const Type *declared = funcType(e->name))
+                retType = declared;
             emit(makeCall(e->name));
         }
 
@@ -988,18 +1001,20 @@ class Generator
 
     const TranslationUnit &unit_;
     TypePool &pool_;
+    const Signatures &imported_;
     GenOutput out_;
     std::map<std::string, const Type *> globalTypes_;
-    std::map<std::string, const FuncDecl *> funcDecls_;
+    Signatures funcTypes_;      ///< the unit's own functions
     std::map<std::string, std::string> strings_;
 };
 
 } // namespace
 
 GenOutput
-generate(const TranslationUnit &unit, TypePool &pool)
+generate(const TranslationUnit &unit, TypePool &pool,
+         const Signatures &imported)
 {
-    Generator gen(unit, pool);
+    Generator gen(unit, pool, imported);
     return gen.run();
 }
 

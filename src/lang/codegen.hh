@@ -42,13 +42,18 @@ struct GenOutput
 {
     Program program;            ///< functions with vregs; globals
     std::map<std::string, FuncGenInfo> info;
+    Signatures signatures;      ///< every function the unit defines
 };
 
 /**
  * Generate code for a parsed unit. `unit` is consumed (expression
- * trees are read only). Throws FatalError on semantic errors.
+ * trees are read only). `imported` declares functions defined outside
+ * the unit (a prebuilt library): the unit may call them and take
+ * their address, and may not define them again. Throws FatalError on
+ * semantic errors.
  */
-GenOutput generate(const TranslationUnit &unit, TypePool &pool);
+GenOutput generate(const TranslationUnit &unit, TypePool &pool,
+                   const Signatures &imported = {});
 
 } // namespace shift::minic
 

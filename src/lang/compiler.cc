@@ -44,9 +44,17 @@ linkProgram(Program &program)
     }
 }
 
-Program
-compileProgram(const std::vector<std::string> &sources,
-               const CompileOptions &options)
+namespace
+{
+
+/**
+ * The front half every compile shares: parse the concatenated
+ * modules, generate code against `imported` and allocate registers.
+ * The result is not linked.
+ */
+GenOutput
+compileUnit(const std::vector<std::string> &sources, TypePool &pool,
+            const Signatures &imported)
 {
     std::string merged;
     for (const std::string &src : sources) {
@@ -54,21 +62,77 @@ compileProgram(const std::vector<std::string> &sources,
         merged += "\n";
     }
 
-    TypePool pool;
     TranslationUnit unit = parse(merged, pool);
-    GenOutput gen = generate(unit, pool);
+    GenOutput gen = generate(unit, pool, imported);
 
     for (Function &fn : gen.program.functions) {
         auto it = gen.info.find(fn.name);
         SHIFT_ASSERT(it != gen.info.end());
         allocateRegisters(fn, it->second);
     }
+    return gen;
+}
 
-    if (options.requireMain && !gen.program.findFunction("main"))
+} // namespace
+
+Library
+compileLibrary(const std::string &source)
+{
+    Library library;
+    library.types = std::make_unique<TypePool>();
+    GenOutput gen = compileUnit({source}, *library.types, {});
+
+    // The properties that make "library functions first, then link"
+    // equal to compiling the concatenated source (see Library).
+    // Declared globals and interned string literals both land in
+    // program.globals.
+    if (!gen.program.globals.empty()) {
+        const std::string &name = gen.program.globals.front().name;
+        if (name.rfind("__str_", 0) == 0)
+            SHIFT_FATAL("library interns a string literal: it would "
+                        "renumber the program's __str_N globals");
+        SHIFT_FATAL("library defines global '%s': it would move the "
+                    "program's globals", name.c_str());
+    }
+    for (const Function &fn : gen.program.functions) {
+        for (const Instr &instr : fn.code) {
+            if (!instr.callee.empty() &&
+                !gen.signatures.count(instr.callee)) {
+                SHIFT_FATAL("library function '%s' calls '%s', which "
+                            "the library does not define",
+                            fn.name.c_str(), instr.callee.c_str());
+            }
+        }
+    }
+
+    library.functions = std::move(gen.program.functions);
+    library.signatures = std::move(gen.signatures);
+    return library;
+}
+
+Program
+compileProgram(const std::vector<std::string> &sources,
+               const Library &library, const CompileOptions &options)
+{
+    TypePool pool;
+    GenOutput gen = compileUnit(sources, pool, library.signatures);
+    Program &program = gen.program;
+    program.functions.insert(program.functions.begin(),
+                             library.functions.begin(),
+                             library.functions.end());
+
+    if (options.requireMain && !program.findFunction("main"))
         SHIFT_FATAL("program has no 'main' function");
 
-    linkProgram(gen.program);
-    return gen.program;
+    linkProgram(program);
+    return std::move(program);
+}
+
+Program
+compileProgram(const std::vector<std::string> &sources,
+               const CompileOptions &options)
+{
+    return compileProgram(sources, Library{}, options);
 }
 
 Program

@@ -6,10 +6,12 @@
 #ifndef SHIFT_LANG_COMPILER_HH
 #define SHIFT_LANG_COMPILER_HH
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "isa/program.hh"
+#include "lang/type.hh"
 
 namespace shift::minic
 {
@@ -18,6 +20,28 @@ namespace shift::minic
 struct CompileOptions
 {
     bool requireMain = true;
+};
+
+/**
+ * A compiled, unlinked library module: register-allocated functions in
+ * source order plus the signature of each, which is what calling code
+ * needs. Immutable once built; one instance can serve any number of
+ * concurrent compiles.
+ *
+ * Linking a library puts its functions first, ahead of the program's
+ * own, so function indices and descriptor addresses are those of
+ * compiling the library's source concatenated in front of the
+ * program's. The rest of the program equals that compile only because
+ * compileLibrary() checks that the library defines no globals (so
+ * global layout is unchanged), interns no string literals (so
+ * `__str_N` numbering is unchanged) and calls only its own functions
+ * (so its code cannot depend on a return type the program declares).
+ */
+struct Library
+{
+    std::vector<Function> functions;
+    Signatures signatures;
+    std::unique_ptr<TypePool> types; ///< owns the signatures' types
 };
 
 /**
@@ -33,6 +57,23 @@ Program compileProgram(const std::vector<std::string> &sources,
 /** Convenience overload for a single module. */
 Program compileProgram(const std::string &source,
                        const CompileOptions &options = {});
+
+/**
+ * Compile `sources` against a prebuilt library and link the two: the
+ * result equals compileProgram() on the library's source followed by
+ * `sources`, but only `sources` are parsed, generated and allocated.
+ * Error line numbers count from the first line of `sources`.
+ */
+Program compileProgram(const std::vector<std::string> &sources,
+                       const Library &library,
+                       const CompileOptions &options = {});
+
+/**
+ * Parse, generate and register-allocate a library module without
+ * linking it. Throws FatalError on compile errors and when the source
+ * breaks one of the properties Library documents.
+ */
+Library compileLibrary(const std::string &source);
 
 /**
  * Resolve symbolic movl operands (globals, function descriptors) and

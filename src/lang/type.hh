@@ -20,6 +20,7 @@
 #define SHIFT_LANG_TYPE_HH
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -82,6 +83,9 @@ class TypePool
     Type void_, char_, int_, long_;
     std::vector<std::unique_ptr<Type>> derived_;
 };
+
+/** Return type of each function, by name: what calling code needs. */
+using Signatures = std::map<std::string, const Type *>;
 
 } // namespace shift::minic
 

@@ -5,9 +5,9 @@ namespace shift
 
 const char *const kMiniCStdlib = R"MINIC(
 // ---------------------------------------------------------------------
-// MiniC standard library ("libc"). Compiled and instrumented with the
-// application, so taint propagates through these routines via the
-// ordinary SHIFT load/store instrumentation.
+// MiniC standard library ("libc"). Compiled once per process and
+// instrumented with each application, so taint propagates through
+// these routines via the ordinary SHIFT load/store instrumentation.
 // ---------------------------------------------------------------------
 
 long strlen(char *s) {
@@ -130,5 +130,16 @@ long itoa(long v, char *buf) {
     return i;
 }
 )MINIC";
+
+const minic::Library &
+prebuiltStdlib()
+{
+    // A function-local static: the first caller compiles, concurrent
+    // first callers wait for it, and a compile that throws is retried
+    // by the next caller.
+    static const minic::Library library =
+        minic::compileLibrary(kMiniCStdlib);
+    return library;
+}
 
 } // namespace shift

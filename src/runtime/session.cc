@@ -17,14 +17,13 @@ buildProgram(const std::vector<std::string> &sources,
              SessionOptions &options, InstrumentStats &instrStats,
              minic::SpeculateStats &speculateStats, OptStats &optStats)
 {
-    // 1. Compile (application + MiniC libc in one link).
-    std::vector<std::string> modules;
-    if (options.includeStdlib)
-        modules.push_back(kMiniCStdlib);
-    modules.insert(modules.end(), sources.begin(), sources.end());
+    // 1. Compile the application and link it against the MiniC libc,
+    // which is compiled once per process (prebuiltStdlib()).
     Program program = [&] {
         obs::ScopedPhase span(obs::Phase::Compile);
-        return minic::compileProgram(modules);
+        if (!options.includeStdlib)
+            return minic::compileProgram(sources);
+        return minic::compileProgram(sources, prebuiltStdlib());
     }();
 
     // Optional compiler optimization: control speculation. Runs

@@ -2,12 +2,12 @@
  * @file
  * Session: the top-level SHIFT API.
  *
- * A Session compiles MiniC sources (with the MiniC libc), applies the
- * selected tracking mode (none / SHIFT / software-DIFT baseline),
- * builds a machine with the simulated OS and runtime, wires taint
- * sources and the security monitor per the policy configuration, and
- * runs the program. This is the interface examples, tests and every
- * benchmark harness use.
+ * A Session compiles MiniC sources and links them against the MiniC
+ * libc (compiled once per process), applies the selected tracking mode
+ * (none / SHIFT / software-DIFT baseline), builds a machine with the
+ * simulated OS and runtime, wires taint sources and the security
+ * monitor per the policy configuration, and runs the program. This is
+ * the interface examples, tests and every benchmark harness use.
  *
  *   PolicyConfig policy = PolicyConfig::fromText(
  *       "[sources]\nnetwork = taint\n[policies]\nH1 = on\n");
@@ -57,6 +57,16 @@ struct SessionOptions
     InstrumentOptions instr;         ///< granularity is taken from policy
     OptimizerOptions optimize;       ///< post-instrumentation optimizer
     BaselineOptions baseline;        ///< for SoftwareDift mode
+
+    /**
+     * Link the program against the MiniC libc. The libc is compiled
+     * once per process (prebuiltStdlib()) and its functions are put
+     * ahead of the program's own, exactly as if its source had been
+     * prepended; it is instrumented, optimized and decoded with each
+     * program. Compile errors report line numbers in the program's
+     * own sources either way. When false, libc calls are unknown
+     * functions at run time.
+     */
     bool includeStdlib = true;
     uint64_t maxSteps = 2'000'000'000ULL;
 

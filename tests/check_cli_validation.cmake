@@ -107,6 +107,14 @@ expect_usage_error("expected a file path"
 expect_usage_error("expected a file path"
     ${SHIFTC} --jitdump= prog.mc)
 
+# --- compile errors ----------------------------------------------------
+# The MiniC libc is linked, not pasted in front of the program, so a
+# compile error is reported at its line in the user's own file.
+set(bad_source ${CMAKE_CURRENT_BINARY_DIR}/cli_validation_line2.mc)
+file(WRITE ${bad_source} "int main() {\n    return 1 1;\n}\n")
+expect_usage_error("line 2:"
+    ${SHIFTC} ${bad_source})
+
 if(failures GREATER 0)
     message(FATAL_ERROR "${failures} CLI validation case(s) failed")
 endif()

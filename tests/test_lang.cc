@@ -422,5 +422,76 @@ TEST(Compile, StaticCodeHasOnlyPhysicalRegisters)
               42);
 }
 
+TEST(Library, LinkingEqualsConcatenation)
+{
+    // A library with a function-pointer reference to itself and a
+    // char* return type the caller compares (unsigned) against a
+    // char*: linking the prebuilt module must reproduce the
+    // concatenated compile exactly.
+    const std::string lib = "long twice(long x) { return 2 * x; }\n"
+                            "char *skip(char *p) { return p + 1; }\n"
+                            "long apply(long x) {\n"
+                            "    long f = &twice;\n"
+                            "    return f(x);\n"
+                            "}\n";
+    const std::string app = "char s[4];\n"
+                            "int main() {\n"
+                            "    return (int)twice(3) + (skip(s) > s)"
+                            " + (int)apply(5);\n"
+                            "}\n";
+    minic::Library library = minic::compileLibrary(lib);
+    Program linked = minic::compileProgram(std::vector<std::string>{app},
+                                           library);
+    Program whole = minic::compileProgram(
+        std::vector<std::string>{lib, app});
+    EXPECT_TRUE(linked.functions == whole.functions);
+    EXPECT_TRUE(linked.globals == whole.globals);
+
+    Machine machine(linked);
+    EXPECT_EQ(machine.run(1'000'000).exitCode, 17);
+
+    // Error lines count from the program's own first line, and the
+    // library's names stay taken.
+    auto failure = [&](const std::string &src) -> std::string {
+        try {
+            minic::compileProgram(std::vector<std::string>{src}, library);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(failure("int main() {\n  return 1 1;\n}\n")
+                  .find("line 2:"),
+              std::string::npos);
+    EXPECT_NE(failure("int main() { return 0; }\nlong twice(long x)"
+                      " { return x; }\n")
+                  .find("line 2: duplicate function 'twice'"),
+              std::string::npos);
+}
+
+TEST(Library, RejectsWhatWouldChangeTheProgram)
+{
+    auto failure = [](const std::string &src) -> std::string {
+        try {
+            minic::compileLibrary(src);
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "";
+    };
+    EXPECT_NE(failure("long g; long f() { return g; }")
+                  .find("defines global 'g'"),
+              std::string::npos);
+    EXPECT_NE(failure("char *f() { return \"x\"; }")
+                  .find("string literal"),
+              std::string::npos);
+    EXPECT_NE(failure("long f() { return helper(); }")
+                  .find("calls 'helper'"),
+              std::string::npos);
+    EXPECT_NE(failure("long f() { return print_num(1); }")
+                  .find("calls 'print_num'"),
+              std::string::npos);
+}
+
 } // namespace
 } // namespace shift

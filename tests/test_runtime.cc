@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "session_helpers.hh"
+#include "support/logging.hh"
 
 namespace shift
 {
@@ -211,6 +212,24 @@ TEST(RuntimeSession, PolicyConfigFlowsThrough)
     Session session("int main() { return 0; }", options);
     EXPECT_EQ(session.taint().granularity(), Granularity::Word);
     EXPECT_EQ(session.options().instr.granularity, Granularity::Word);
+}
+
+TEST(RuntimeSession, CompileErrorsCountLinesInTheUsersSource)
+{
+    // The libc is linked, not pasted in front of the program, so an
+    // error on line 3 of the source is reported at line 3.
+    const char *src = "int main() {\n"
+                      "    int x = 1;\n"
+                      "    return x x;\n"
+                      "}\n";
+    try {
+        Session session(src, shiftOptions());
+        FAIL() << "a program with a syntax error compiled";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("line 3:"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(RuntimeSession, StdlibCanBeExcluded)
