@@ -3,18 +3,11 @@
  * The executable code cache: hotness counting, promotion, and the
  * lifecycle of compiled buffers (see docs/JIT.md).
  *
- * Three orthogonal policies live here:
- *  - Granularity: whole-function units (the default) or lazy
- *    per-dual-version-superblock units, where each block compiles on
- *    its first entry after the function crosses the threshold and
- *    blocks stitch to each other through per-pc publication slots.
- *  - Scheduling: Sync compiles on the executing thread at the
- *    threshold crossing; Background hands requests to the cache's
- *    compile thread over a bounded queue and execution keeps
- *    interpreting until the install's release-store publishes the
- *    body (atomic pointer patch — there is no intermediate state).
- *  - Eviction: flush-when-full against the code-byte budget, shared
- *    by both granularities.
+ * One policy: a function compiles whole, on the executing thread, at
+ * the lookup that crosses the promotion threshold; the release store
+ * that publishes the body is the only install step, so a concurrent
+ * lookup sees either nothing or the finished body. Eviction is
+ * flush-when-full against the code-byte budget.
  */
 
 #include "jit/jit.hh"
@@ -40,7 +33,6 @@ available()
 }
 
 const CompiledFunction CodeCache::kUncompilable;
-CodeCache::LazyFunction CodeCache::kLazyDead;
 
 namespace
 {
@@ -67,57 +59,31 @@ CompiledFunction::~CompiledFunction()
 
 CodeCache::CodeCache(std::shared_ptr<const DecodedProgram> program,
                      CompileEnv env, uint32_t threshold,
-                     size_t maxBytes, CompileMode mode,
-                     bool lazyBlocks)
+                     size_t maxBytes)
     : program_(std::move(program)),
       env_(env),
       threshold_(threshold ? threshold : kDefaultThreshold),
       maxBytes_(maxBytes ? maxBytes : kDefaultMaxBytes),
-      mode_(mode),
-      lazy_(lazyBlocks),
       hot_(program_->functions.size()),
-      fns_(program_->functions.size()),
-      lazyFns_(program_->functions.size())
+      fns_(program_->functions.size())
 {
     SHIFT_ASSERT(program_, "code cache needs a program");
-    if (lazy_) {
-        entryThunk_ = compileEntryThunk();
-        if (!entryThunk_)
-            lazy_ = false; // backend unavailable: nothing compiles
-    }
-    if (mode_ == CompileMode::Background && available())
-        worker_ = std::thread([this] { workerLoop(); });
-}
-
-CodeCache::~CodeCache()
-{
-    if (worker_.joinable()) {
-        {
-            std::lock_guard<std::mutex> lock(queueMutex_);
-            stop_ = true;
-        }
-        queueCv_.notify_all();
-        worker_.join();
-    }
 }
 
 /**
  * Flush-when-full: unpublish everything and restart hotness, so only
  * what is still hot comes back. Concurrent executors keep running the
  * old buffers safely — owned_ retains them until the cache dies — and
- * their next lookup falls back to interpreting until the unit
- * re-publishes. Uncompilable/dead sentinels survive the flush (they
- * hold no bytes and a retry would fail the same way), and so do lazy
- * queued marks (their request is already in flight). A single unit
- * larger than the whole budget still publishes: the bound can't be
- * met, not honored by thrashing. Lazy slot arrays are never freed or
- * moved — their addresses are baked into emitted edge stubs — so a
- * flush only nulls the published values inside them.
+ * their next lookup falls back to interpreting until the function
+ * re-publishes. The uncompilable sentinel survives the flush (it
+ * holds no bytes and a retry would fail the same way). A single
+ * function larger than the whole budget still publishes: the bound
+ * can't be met, not honored by thrashing.
  */
 void
 CodeCache::flushIfNeededLocked(size_t incoming, Credit *credit)
 {
-    size_t live = liveBytes_.load(std::memory_order_relaxed);
+    size_t live = liveBytes_;
     if (live == 0 || live + incoming <= maxBytes_)
         return;
     for (auto &slot : fns_) {
@@ -126,24 +92,9 @@ CodeCache::flushIfNeededLocked(size_t incoming, Credit *credit)
         if (cur && cur != &kUncompilable)
             slot.store(nullptr, std::memory_order_release);
     }
-    auto clearSlots = [](std::vector<std::atomic<const void *>> &v) {
-        for (auto &s : v) {
-            const void *cur = s.load(std::memory_order_acquire);
-            if (reinterpret_cast<uintptr_t>(cur) > kLazySlotQueued)
-                s.store(nullptr, std::memory_order_release);
-        }
-    };
-    for (auto &lfSlot : lazyFns_) {
-        LazyFunction *lf = lfSlot.load(std::memory_order_acquire);
-        if (!lf || lf == &kLazyDead)
-            continue;
-        clearSlots(lf->slow);
-        clearSlots(lf->fast);
-    }
     for (auto &hcnt : hot_)
         hcnt.store(0, std::memory_order_relaxed);
-    liveBytes_.store(0, std::memory_order_relaxed);
-    evictions_.fetch_add(1, std::memory_order_relaxed);
+    liveBytes_ = 0;
     credit->evictions += 1;
     obs::note(obs::Ev::JitEvict, 0, -1, 0, live, 0);
 }
@@ -152,32 +103,22 @@ CodeCache::flushIfNeededLocked(size_t incoming, Credit *credit)
  * Seal-side observability, under compileMutex_ after a successful
  * publish: latency samples, the JitCompile flight-recorder event, and
  * perf-map / jitdump symbols so host `perf report` attributes samples
- * inside this unit by guest `<function>@<pc>` (docs/OBSERVABILITY.md).
+ * inside this function by guest `<function>@<pc>`
+ * (docs/OBSERVABILITY.md).
  */
 void
-CodeCache::noteSealedLocked(int func, bool inFast, int64_t pc,
-                            const CompiledFunction *f, size_t codeBytes,
-                            const void *codeAddr, uint64_t compileNs,
-                            uint64_t sealNs)
+CodeCache::noteSealedLocked(int func, const CompiledFunction *f,
+                            uint64_t compileNs, uint64_t sealNs)
 {
     compileNanos_.record(compileNs);
     sealNanos_.record(sealNs);
-    obs::note(obs::Ev::JitCompile, uint16_t(inFast), func,
-              pc >= 0 ? uint64_t(pc) : 0, codeBytes, compileNs);
-    if (!obs::PerfJitSink::active() || !codeAddr || codeBytes == 0)
+    obs::note(obs::Ev::JitCompile, 0, func, 0, f->size, compileNs);
+    if (!obs::PerfJitSink::active() || f->size == 0)
         return;
     const std::string &fn = program_->functions[size_t(func)].src->name;
-    if (pc >= 0) {
-        // Lazy unit: one superblock, entry at offset 0.
-        std::string sym = fn + "@" + std::to_string(pc);
-        if (inFast)
-            sym += ".fast";
-        obs::PerfJitSink::add(sym, codeAddr, codeBytes);
-        return;
-    }
-    // Whole-function unit: both streams share one buffer; per-block
-    // extents come from the entry-offset tables (sorted offsets, each
-    // block runs to the next entry or the buffer end).
+    // Both streams share one buffer; per-block extents come from the
+    // entry-offset tables (sorted offsets, each block runs to the next
+    // entry or the buffer end).
     struct Block
     {
         int32_t off;
@@ -192,7 +133,7 @@ CodeCache::noteSealedLocked(int func, bool inFast, int64_t pc,
         if (f->fastEntry[i] >= 0)
             blocks.push_back({f->fastEntry[i], uint32_t(i), true});
     if (blocks.empty()) {
-        obs::PerfJitSink::add(fn + "@0", codeAddr, codeBytes);
+        obs::PerfJitSink::add(fn + "@0", f->buf, f->size);
         return;
     }
     std::sort(blocks.begin(), blocks.end(),
@@ -200,11 +141,11 @@ CodeCache::noteSealedLocked(int func, bool inFast, int64_t pc,
     // The entry thunk (and any shared prologue) before the first
     // block entry gets its own symbol.
     if (blocks.front().off > 0)
-        obs::PerfJitSink::add(fn + "@thunk", codeAddr,
+        obs::PerfJitSink::add(fn + "@thunk", f->buf,
                               size_t(blocks.front().off));
     for (size_t i = 0; i < blocks.size(); ++i) {
         size_t end = i + 1 < blocks.size() ? size_t(blocks[i + 1].off)
-                                           : codeBytes;
+                                           : f->size;
         if (end <= size_t(blocks[i].off))
             continue;
         std::string sym = fn + "@" + std::to_string(blocks[i].pc);
@@ -212,7 +153,7 @@ CodeCache::noteSealedLocked(int func, bool inFast, int64_t pc,
             sym += ".fast";
         obs::PerfJitSink::add(
             sym,
-            static_cast<const uint8_t *>(codeAddr) + blocks[i].off,
+            static_cast<const uint8_t *>(f->buf) + blocks[i].off,
             end - size_t(blocks[i].off));
     }
 }
@@ -220,24 +161,15 @@ CodeCache::noteSealedLocked(int func, bool inFast, int64_t pc,
 void
 CodeCache::drainStatsInto(StatSet &stats)
 {
-    {
-        std::lock_guard<std::mutex> lock(compileMutex_);
-        if (queueWaitNanos_.count()) {
-            stats.mergeHistogram("jit.queueWait.nanos", queueWaitNanos_);
-            queueWaitNanos_ = Histogram();
-        }
-        if (compileNanos_.count()) {
-            stats.mergeHistogram("jit.compile.nanos", compileNanos_);
-            compileNanos_ = Histogram();
-        }
-        if (sealNanos_.count()) {
-            stats.mergeHistogram("jit.seal.nanos", sealNanos_);
-            sealNanos_ = Histogram();
-        }
+    std::lock_guard<std::mutex> lock(compileMutex_);
+    if (compileNanos_.count()) {
+        stats.mergeHistogram("jit.compile.nanos", compileNanos_);
+        compileNanos_ = Histogram();
     }
-    uint64_t bg = bgCompileNanos_.exchange(0, std::memory_order_relaxed);
-    if (bg)
-        stats.add("prof.aux.compile.nanos", bg);
+    if (sealNanos_.count()) {
+        stats.mergeHistogram("jit.seal.nanos", sealNanos_);
+        sealNanos_ = Histogram();
+    }
 }
 
 const CompiledFunction *
@@ -245,10 +177,6 @@ CodeCache::publishFunctionLocked(
     int func, std::unique_ptr<CompiledFunction> compiled,
     Credit *credit)
 {
-    const CompiledFunction *cur =
-        fns_[size_t(func)].load(std::memory_order_acquire);
-    if (cur) // a racer published first; drop ours
-        return cur == &kUncompilable ? nullptr : cur;
     if (!compiled) {
         fns_[size_t(func)].store(&kUncompilable,
                                  std::memory_order_release);
@@ -257,39 +185,11 @@ CodeCache::publishFunctionLocked(
     flushIfNeededLocked(compiled->size, credit);
     const CompiledFunction *f = compiled.get();
     owned_.push_back(std::move(compiled));
-    compiledFunctions_.fetch_add(1, std::memory_order_relaxed);
-    compiledBlocks_.fetch_add(f->blocks, std::memory_order_relaxed);
-    liveBytes_.fetch_add(f->size, std::memory_order_relaxed);
+    liveBytes_ += f->size;
     credit->blocks += f->blocks;
     credit->codeBytes += f->size;
     fns_[size_t(func)].store(f, std::memory_order_release);
     return f;
-}
-
-const void *
-CodeCache::publishBlockLocked(
-    std::vector<std::atomic<const void *>> &slots, size_t pc,
-    std::unique_ptr<CompiledFunction> compiled, Credit *credit)
-{
-    const void *cur = slots[pc].load(std::memory_order_acquire);
-    if (reinterpret_cast<uintptr_t>(cur) > kLazySlotQueued)
-        return cur; // a racer published first; drop ours
-    if (reinterpret_cast<uintptr_t>(cur) == kLazySlotDead)
-        return nullptr;
-    if (!compiled) {
-        slots[pc].store(reinterpret_cast<const void *>(kLazySlotDead),
-                        std::memory_order_release);
-        return nullptr;
-    }
-    flushIfNeededLocked(compiled->size, credit);
-    const CompiledFunction *f = compiled.get();
-    owned_.push_back(std::move(compiled));
-    compiledBlocks_.fetch_add(1, std::memory_order_relaxed);
-    liveBytes_.fetch_add(f->size, std::memory_order_relaxed);
-    credit->blocks += 1;
-    credit->codeBytes += f->size;
-    slots[pc].store(f->buf, std::memory_order_release);
-    return f->buf;
 }
 
 const CompiledFunction *
@@ -306,13 +206,9 @@ CodeCache::hot(int func, Credit *credit)
         hot_[func].fetch_add(1, std::memory_order_relaxed) + 1;
     if (h != threshold_)
         return nullptr;
-    // Background: hand the crossing to the compile thread and keep
-    // interpreting. The crossing fires exactly once, so a full (or
-    // stopped) queue must not drop it — fall back to compiling here.
-    if (mode_ == CompileMode::Background &&
-        enqueue({func, 0, 0, 1, nowNs()}))
-        return nullptr;
     std::lock_guard<std::mutex> lock(compileMutex_);
+    // A flush while this caller waited for the lock restarts hotness,
+    // so another caller may have crossed again and published first.
     if (const CompiledFunction *raced =
             fns_[size_t(func)].load(std::memory_order_acquire))
         return raced == &kUncompilable ? nullptr : raced;
@@ -325,278 +221,25 @@ CodeCache::hot(int func, Credit *credit)
     uint64_t t2 = nowNs();
     credit->compileNanos += t2 - t0;
     if (pub)
-        noteSealedLocked(func, false, -1, pub, pub->size, pub->buf,
-                         t1 - t0, t2 - t1);
+        noteSealedLocked(func, pub, t1 - t0, t2 - t1);
     return pub;
-}
-
-/**
- * Lazy-tier promotion: get (or create, at the per-function threshold
- * crossing) the function's slot arrays. kLazyDead = the function's
- * control flow failed leader analysis and will never compile.
- */
-CodeCache::LazyFunction *
-CodeCache::lazyFunctionFor(int func, Credit *credit)
-{
-    (void)credit;
-    LazyFunction *lf = lazyFns_[size_t(func)].load(
-        std::memory_order_acquire);
-    if (lf)
-        return lf;
-    uint32_t h =
-        hot_[func].fetch_add(1, std::memory_order_relaxed) + 1;
-    if (h != threshold_)
-        return nullptr;
-    std::lock_guard<std::mutex> lock(compileMutex_);
-    lf = lazyFns_[size_t(func)].load(std::memory_order_acquire);
-    if (lf)
-        return lf;
-    const DecodedFunction &df = program_->functions[func];
-    auto fresh = std::make_unique<LazyFunction>();
-    if (!computeLeaders(df, env_, fresh->slowLead, fresh->fastLead)) {
-        lazyFns_[size_t(func)].store(&kLazyDead,
-                                     std::memory_order_release);
-        return &kLazyDead;
-    }
-    fresh->slow =
-        std::vector<std::atomic<const void *>>(df.code.size());
-    fresh->fast =
-        std::vector<std::atomic<const void *>>(df.fast.size());
-    if (mode_ == CompileMode::Background) {
-        fresh->slowHeat =
-            std::vector<std::atomic<uint8_t>>(df.code.size());
-        fresh->fastHeat =
-            std::vector<std::atomic<uint8_t>>(df.fast.size());
-    }
-    lf = fresh.get();
-    lazyOwned_.push_back(std::move(fresh));
-    compiledFunctions_.fetch_add(1, std::memory_order_relaxed);
-    lazyFns_[size_t(func)].store(lf, std::memory_order_release);
-    return lf;
 }
 
 CodeCache::Entry
 CodeCache::entryAt(int func, bool inFast, uint64_t pc, Credit *credit)
 {
-    if (mode_ == CompileMode::Background)
-        drainPending(credit);
-    if (!lazy_) {
-        const CompiledFunction *jf = hot(func, credit);
-        if (!jf)
-            return {};
-        const void *code = jf->entryFor(inFast, pc);
-        if (!code)
-            return {};
-        return {jf->thunk, code};
-    }
-    LazyFunction *lf = lazyFunctionFor(func, credit);
-    if (!lf || lf == &kLazyDead)
-        return {};
-    auto &slots = inFast ? lf->fast : lf->slow;
-    const auto &lead = inFast ? lf->fastLead : lf->slowLead;
-    if (pc >= slots.size() || !lead[pc])
-        return {};
-    const void *cur = slots[pc].load(std::memory_order_acquire);
-    if (reinterpret_cast<uintptr_t>(cur) > kLazySlotQueued)
-        return {entryThunk_->thunk, cur};
-    if (reinterpret_cast<uintptr_t>(cur) == kLazySlotDead)
-        return {};
-    if (mode_ == CompileMode::Background) {
-        // Block-level heat gate: don't hand the worker blocks that
-        // are entered only once or twice — on a short run the compile
-        // time would never pay back. Saturating relaxed counter.
-        auto &heat = inFast ? lf->fastHeat : lf->slowHeat;
-        uint8_t h = heat[pc].load(std::memory_order_relaxed);
-        if (h < kLazyBlockHeat) {
-            heat[pc].store(uint8_t(h + 1), std::memory_order_relaxed);
-            if (h + 1 < kLazyBlockHeat)
-                return {};
-        }
-        const void *expected = nullptr;
-        if (slots[pc].compare_exchange_strong(
-                expected,
-                reinterpret_cast<const void *>(kLazySlotQueued),
-                std::memory_order_acq_rel)) {
-            if (enqueue({func, int32_t(pc), inFast ? uint8_t(1)
-                                                   : uint8_t(0),
-                         0, nowNs()}))
-                return {};
-            // Queue overflow: the mark is set and nobody will serve
-            // it — compile synchronously below.
-        } else {
-            // Raced: someone else queued it, or it just published.
-            cur = slots[pc].load(std::memory_order_acquire);
-            if (reinterpret_cast<uintptr_t>(cur) > kLazySlotQueued)
-                return {entryThunk_->thunk, cur};
-            return {};
-        }
-    }
-    std::lock_guard<std::mutex> lock(compileMutex_);
-    uint64_t t0 = nowNs();
-    std::unique_ptr<CompiledFunction> compiled =
-        compileBlock(program_->functions[func], env_, func, inFast,
-                     pc, lf->slow.data(), lf->fast.data(),
-                     lf->slowLead, lf->fastLead, &arena_);
-    uint64_t t1 = nowNs();
-    size_t unitBytes = compiled ? compiled->size : 0;
-    const void *ourBuf = compiled ? compiled->buf : nullptr;
-    const void *code =
-        publishBlockLocked(slots, pc, std::move(compiled), credit);
-    uint64_t t2 = nowNs();
-    credit->compileNanos += t2 - t0;
-    if (!code)
-        return {};
-    if (code == ourBuf) // not a racer's earlier install
-        noteSealedLocked(func, inFast, int64_t(pc), nullptr, unitBytes,
-                         code, t1 - t0, t2 - t1);
-    return {entryThunk_->thunk, code};
+    const CompiledFunction *jf = hot(func, credit);
+    return jf ? Entry{jf, jf->entryFor(inFast, pc)} : Entry{};
 }
 
 CodeCache::Entry
 CodeCache::peekAt(int func, bool inFast, uint64_t pc) const
 {
-    if (!lazy_) {
-        const CompiledFunction *jf = peek(func);
-        if (!jf)
-            return {};
-        const void *code = jf->entryFor(inFast, pc);
-        if (!code)
-            return {};
-        return {jf->thunk, code};
-    }
-    const LazyFunction *lf = lazyFns_[size_t(func)].load(
-        std::memory_order_acquire);
-    if (!lf || lf == &kLazyDead)
+    const CompiledFunction *jf =
+        fns_[size_t(func)].load(std::memory_order_acquire);
+    if (!jf || jf == &kUncompilable)
         return {};
-    const auto &slots = inFast ? lf->fast : lf->slow;
-    if (pc >= slots.size())
-        return {};
-    const void *cur = slots[pc].load(std::memory_order_acquire);
-    if (reinterpret_cast<uintptr_t>(cur) <= kLazySlotQueued)
-        return {};
-    return {entryThunk_->thunk, cur};
-}
-
-bool
-CodeCache::enqueue(const CompileReq &req)
-{
-    if (!worker_.joinable())
-        return false; // backend unavailable: no thread to serve it
-    {
-        std::lock_guard<std::mutex> lock(queueMutex_);
-        if (stop_ || queue_.size() >= kMaxQueue)
-            return false;
-        queue_.push_back(req);
-        auto depth = uint64_t(queue_.size());
-        if (depth > queueHighWater_.load(std::memory_order_relaxed))
-            queueHighWater_.store(depth, std::memory_order_relaxed);
-    }
-    queueCv_.notify_one();
-    return true;
-}
-
-void
-CodeCache::drainPending(Credit *credit)
-{
-    // Loads first: this runs on every block-entry lookup in
-    // background mode, and almost all of them find nothing parked.
-    // Three relaxed loads of (usually cached, zero) counters are far
-    // cheaper than three unconditional atomic exchanges.
-    if (pendingBlocks_.load(std::memory_order_relaxed) == 0 &&
-        pendingBytes_.load(std::memory_order_relaxed) == 0 &&
-        pendingEvictions_.load(std::memory_order_relaxed) == 0)
-        return;
-    credit->blocks +=
-        pendingBlocks_.exchange(0, std::memory_order_relaxed);
-    credit->codeBytes +=
-        pendingBytes_.exchange(0, std::memory_order_relaxed);
-    credit->evictions +=
-        pendingEvictions_.exchange(0, std::memory_order_relaxed);
-}
-
-/**
- * The background compile thread: drain requests, compile outside
- * every lock (only publication takes compileMutex_), park the credit
- * in the pending accumulators for the next counting lookup to claim.
- * A lost race against a synchronous compile just discards the loser's
- * buffer inside publish*Locked.
- */
-void
-CodeCache::workerLoop()
-{
-    std::unique_lock<std::mutex> lock(queueMutex_);
-    for (;;) {
-        queueCv_.wait(lock,
-                      [&] { return stop_ || !queue_.empty(); });
-        if (stop_)
-            return;
-        CompileReq req = queue_.front();
-        queue_.pop_front();
-        lock.unlock();
-        Credit credit;
-        uint64_t t0 = nowNs();
-        uint64_t queueWait =
-            req.enqueueNs && t0 > req.enqueueNs ? t0 - req.enqueueNs : 0;
-        if (req.whole) {
-            std::unique_ptr<CompiledFunction> compiled =
-                compileFunction(program_->functions[req.func], env_,
-                                &arena_);
-            uint64_t t1 = nowNs();
-            std::lock_guard<std::mutex> cl(compileMutex_);
-            const CompiledFunction *f = publishFunctionLocked(
-                req.func, std::move(compiled), &credit);
-            uint64_t t2 = nowNs();
-            queueWaitNanos_.record(queueWait);
-            if (f && credit.codeBytes)
-                noteSealedLocked(req.func, false, -1, f, f->size,
-                                 f->buf, t1 - t0, t2 - t1);
-            bgCompileNanos_.fetch_add(t2 - t0,
-                                      std::memory_order_relaxed);
-        } else {
-            LazyFunction *lf = lazyFns_[size_t(req.func)].load(
-                std::memory_order_acquire);
-            if (lf && lf != &kLazyDead) {
-                auto &slots = req.inFast ? lf->fast : lf->slow;
-                const void *cur =
-                    slots[size_t(req.pc)].load(
-                        std::memory_order_acquire);
-                if (reinterpret_cast<uintptr_t>(cur) <=
-                        kLazySlotQueued &&
-                    reinterpret_cast<uintptr_t>(cur) !=
-                        kLazySlotDead) {
-                    auto compiled = compileBlock(
-                        program_->functions[req.func], env_,
-                        req.func, req.inFast != 0, size_t(req.pc),
-                        lf->slow.data(), lf->fast.data(),
-                        lf->slowLead, lf->fastLead, &arena_);
-                    uint64_t t1 = nowNs();
-                    size_t unitBytes = compiled ? compiled->size : 0;
-                    const void *ourBuf =
-                        compiled ? compiled->buf : nullptr;
-                    std::lock_guard<std::mutex> cl(compileMutex_);
-                    const void *code = publishBlockLocked(
-                        slots, size_t(req.pc), std::move(compiled),
-                        &credit);
-                    uint64_t t2 = nowNs();
-                    queueWaitNanos_.record(queueWait);
-                    if (code && code == ourBuf)
-                        noteSealedLocked(req.func, req.inFast != 0,
-                                         int64_t(req.pc), nullptr,
-                                         unitBytes, code, t1 - t0,
-                                         t2 - t1);
-                    bgCompileNanos_.fetch_add(
-                        t2 - t0, std::memory_order_relaxed);
-                }
-            }
-        }
-        pendingBlocks_.fetch_add(credit.blocks,
-                                 std::memory_order_relaxed);
-        pendingBytes_.fetch_add(credit.codeBytes,
-                                std::memory_order_relaxed);
-        pendingEvictions_.fetch_add(credit.evictions,
-                                    std::memory_order_relaxed);
-        lock.lock();
-    }
+    return {jf, jf->entryFor(inFast, pc)};
 }
 
 } // namespace shift::jit

@@ -50,13 +50,10 @@
 #define SHIFT_JIT_JIT_HH
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "sim/cycle_model.hh"
@@ -192,13 +189,13 @@ struct CompileEnv
  */
 struct CompiledFunction
 {
+    /** The entry thunk at offset 0: sets up the register plan. */
     using Thunk = void (*)(JitCtx *, const void *);
 
     void *buf = nullptr; ///< RX code (null for the sentinel)
     size_t size = 0;
     /** False when `buf` lives in a CodeArena the cache owns. */
     bool ownsBuf = true;
-    Thunk thunk = nullptr;
     /** Dense pc -> byte offset of the block's code; -1 for non-leaders. */
     std::vector<int32_t> slowEntry;
     std::vector<int32_t> fastEntry;
@@ -219,7 +216,7 @@ struct CompiledFunction
 
     void invoke(JitCtx *ctx, const void *entry) const
     {
-        thunk(ctx, entry);
+        reinterpret_cast<Thunk>(buf)(ctx, entry);
     }
 };
 
@@ -227,13 +224,11 @@ struct CompiledFunction
  * Bump allocator for compiled code: dual-mapped memfd chunks, one RW
  * view the compiler writes through and one RX view execution uses.
  * Publishing a body then costs a memcpy instead of an mmap+mprotect
- * syscall pair (and a private page) per compile — the lazy tier
- * compiles hundreds of small blocks per session, and those syscalls
- * dominated its compile cost. W^X still holds: no page is ever
- * mapped writable and executable at once. Chunks live until the
- * arena dies, which matches the cache's own retention (published
- * bodies are kept for the cache's lifetime because in-flight
- * executors may still be inside evicted code).
+ * syscall pair (and a private page) per compile. W^X still holds: no
+ * page is ever mapped writable and executable at once. Chunks live
+ * until the arena dies, which matches the cache's own retention
+ * (published bodies are kept for the cache's lifetime because
+ * in-flight executors may still be inside evicted code).
  */
 class CodeArena
 {
@@ -246,8 +241,8 @@ class CodeArena
     /**
      * Copy `size` emitted bytes in and return the executable address,
      * or null when no dual mapping can be made (the caller then falls
-     * back to a private W^X buffer). Thread-safe: the serving thread
-     * and the background compile thread both seal through here.
+     * back to a private W^X buffer). Not thread-safe: the code cache
+     * places every body under its compile mutex.
      */
     const void *place(const void *bytes, size_t size);
 
@@ -263,7 +258,6 @@ class CodeArena
     bool grow(size_t need);
 
     static constexpr size_t kChunkBytes = 256 * 1024;
-    std::mutex mutex_;
     std::vector<Chunk> chunks_;
 };
 
@@ -279,68 +273,13 @@ compileFunction(const DecodedFunction &df, const CompileEnv &env,
                 CodeArena *arena = nullptr);
 
 /**
- * When compilation runs: Sync compiles on the executing thread at the
- * threshold crossing (the original behavior); Background hands the
- * request to the cache's compile thread and keeps interpreting until
- * the body installs, which takes compile cost (and its jitter) off
- * the serving path entirely.
- */
-enum class CompileMode : uint8_t
-{
-    Sync,
-    Background,
-};
-
-/**
- * Lazy per-block publication slots hold one of: null (cold), these
- * two small sentinels, or a real block-entry address. Emitted edge
- * stubs compare numerically — anything above kLazySlotQueued is code.
- */
-constexpr uintptr_t kLazySlotDead = 1;   ///< block failed to compile
-constexpr uintptr_t kLazySlotQueued = 2; ///< queued for the bg thread
-
-/**
- * Leader marking shared by whole-function emission and the lazy
- * per-block tier: branch/check targets, terminator successors and
- * probe deopt pcs, for both streams. False = malformed control flow
- * (an out-of-range target); such a function is uncompilable.
- */
-bool computeLeaders(const DecodedFunction &df, const CompileEnv &env,
-                    std::vector<uint8_t> &slowLead,
-                    std::vector<uint8_t> &fastLead);
-
-/**
- * Compile ONE dual-version-superblock (the block led by `pc` in the
- * chosen stream) into its own buffer, entry at offset 0. Out-edges
- * probe the function's publication slots inline (their addresses are
- * baked — the slot arrays must never move) and fall back to the
- * blockLink helper, so blocks stitch to each other as they appear
- * without a whole-function compile ever happening.
- */
-std::unique_ptr<CompiledFunction>
-compileBlock(const DecodedFunction &df, const CompileEnv &env,
-             int funcIndex, bool inFast, size_t pc,
-             const std::atomic<const void *> *slowSlots,
-             const std::atomic<const void *> *fastSlots,
-             const std::vector<uint8_t> &slowLead,
-             const std::vector<uint8_t> &fastLead,
-             CodeArena *arena = nullptr);
-
-/**
- * The shared interpreter->compiled entry thunk for the lazy tier:
- * whole-function bodies carry their own thunk at offset 0, but lazy
- * block buffers start at the block head, so the cache compiles this
- * register-plan prologue once and pairs it with every block entry.
- */
-std::unique_ptr<CompiledFunction> compileEntryThunk();
-
-/**
  * The executable code cache: per-function hotness counters, compiled
  * bodies and the promotion policy. One cache is shared read-only by
  * every clone of a SessionTemplate (it travels in MachineSnapshot);
- * lookups are lock-free, compilation is serialized on a mutex and
- * published with release stores, so concurrent fleet workers race
- * safely (at worst one redundant threshold crossing waits briefly).
+ * lookups are lock-free, compilation runs on the thread whose lookup
+ * crosses the threshold, serialized on a mutex and published with
+ * release stores, so concurrent fleet workers race safely (a racer
+ * keeps interpreting until the body is published).
  *
  * The cache is bound to one DecodedProgram instance: baked
  * DecodedInstr addresses alias its streams. Machine::run() checks the
@@ -366,28 +305,21 @@ class CodeCache
 
     CodeCache(std::shared_ptr<const DecodedProgram> program,
               CompileEnv env, uint32_t threshold = 0,
-              size_t maxBytes = 0,
-              CompileMode mode = CompileMode::Sync,
-              bool lazyBlocks = false);
-    ~CodeCache();
+              size_t maxBytes = 0);
 
     const DecodedProgram *program() const { return program_.get(); }
     const CompileEnv &env() const { return env_; }
     uint32_t threshold() const { return threshold_; }
     size_t maxBytes() const { return maxBytes_; }
-    CompileMode mode() const { return mode_; }
-    bool lazyBlocks() const { return lazy_; }
 
     /**
      * A resolved execution entry: `code` is the landing address inside
-     * a compiled body and `thunk` establishes the register plan around
-     * it (the body's own thunk for whole-function units, the cache's
-     * shared entry thunk for lazy blocks). Null code = keep
+     * `fn`'s body, entered through fn->invoke(). Null code = keep
      * interpreting.
      */
     struct Entry
     {
-        CompiledFunction::Thunk thunk = nullptr;
+        const CompiledFunction *fn = nullptr;
         const void *code = nullptr;
         explicit operator bool() const { return code != nullptr; }
     };
@@ -404,11 +336,9 @@ class CodeCache
         uint64_t codeBytes = 0; ///< executable bytes newly published
         uint64_t evictions = 0; ///< flush-when-full events taken
         /**
-         * Host nanoseconds THIS call spent compiling+sealing
-         * synchronously on the caller's thread (0 for background
-         * installs — the worker accounts its own time, drained as
-         * prof.aux.compile). The profiler carves this span out of
-         * the interpreter tier.
+         * Host nanoseconds THIS call spent compiling+sealing on the
+         * caller's thread. The profiler carves this span out of the
+         * interpreter tier.
          */
         uint64_t compileNanos = 0;
     };
@@ -419,190 +349,74 @@ class CodeCache
      * crosses the threshold. Returns null while cold (or when the
      * function failed to compile). When this call performed the
      * compilation, the credit records it for the caller's counters.
-     * In Background mode the crossing enqueues the compile and keeps
-     * returning null until the worker installs the body.
      */
     const CompiledFunction *hot(int func, Credit *credit);
 
     /**
-     * The unified lookup the interpreter hook and the transfer/link
-     * helpers use: count one entry event and resolve (func, stream,
-     * pc) to an executable entry under whichever promotion policy the
-     * cache runs — whole-function or lazy per-block, sync or
-     * background. Also drains compile credit accumulated by the
-     * background thread into `credit`, so fleet-wide jit.* sums stay
-     * exactly-once no matter which thread compiled.
+     * The lookup the interpreter hook and the transfer helpers use:
+     * hot(), then resolve (stream, pc) to its block entry. Out of line
+     * on purpose: the hook is inlined at every dispatch site of every
+     * interpreter instantiation, and inlining this body there measured
+     * slower on perfbench serve.
      */
     Entry entryAt(int func, bool inFast, uint64_t pc, Credit *credit);
 
     /**
      * entryAt without counting or compiling: the already-compiled
-     * fast path for cross-function and block-to-block linking. Null
-     * sends the caller to entryAt, so cold targets still gain heat.
+     * fast path for cross-function linking. Once a target is compiled
+     * its hotness is moot, and skipping hot()'s atomic increment keeps
+     * the call/return linking path free of contended read-modify-
+     * writes. Null (cold or uncompilable) sends the caller to entryAt,
+     * so cold targets still gain heat.
      */
     Entry peekAt(int func, bool inFast, uint64_t pc) const;
 
     /**
-     * High-water mark of the background compile queue's depth (0 in
-     * sync mode): exported as the jit.compileQueueDepth gauge.
-     */
-    uint64_t queueHighWater() const
-    {
-        return queueHighWater_.load(std::memory_order_relaxed);
-    }
-
-    /**
-     * Compile-pipeline internals, drained exactly once: queue-wait /
-     * compile / seal latency histograms (jit.queueWait.nanos,
-     * jit.compile.nanos, jit.seal.nanos) and the background worker's
-     * accumulated compile time (prof.aux.compile.nanos). Draining
-     * moves the samples out, so a fleet of clones sharing this cache
-     * reports each sample exactly once no matter which clone's run()
-     * folds them — the same exactly-once discipline as Credit.
+     * Compile-pipeline internals, drained exactly once: compile and
+     * seal latency histograms (jit.compile.nanos, jit.seal.nanos).
+     * Draining moves the samples out, so a fleet of clones sharing
+     * this cache reports each sample exactly once no matter which
+     * clone's run() folds them — the same exactly-once discipline as
+     * Credit.
      */
     void drainStatsInto(StatSet &stats);
 
-    /**
-     * Lookup without counting: returns the compiled body when one is
-     * published, null otherwise (cold or uncompilable — peek does not
-     * distinguish). The cross-function transfer helper asks this
-     * first: once the target is compiled its hotness is moot, and
-     * skipping hot()'s atomic increment keeps the call/return linking
-     * path free of contended read-modify-writes. A null sends the
-     * caller to hot(), so cold targets still accumulate heat.
-     */
-    const CompiledFunction *
-    peek(int func) const
-    {
-        const CompiledFunction *jf =
-            fns_[size_t(func)].load(std::memory_order_acquire);
-        return jf == &kUncompilable ? nullptr : jf;
-    }
-
-    uint64_t compiledFunctions() const
-    {
-        return compiledFunctions_.load(std::memory_order_relaxed);
-    }
-    uint64_t compiledBlocks() const
-    {
-        return compiledBlocks_.load(std::memory_order_relaxed);
-    }
-    /** Bytes of currently-published (non-evicted) code. */
-    size_t liveBytes() const
-    {
-        return liveBytes_.load(std::memory_order_relaxed);
-    }
-    uint64_t evictions() const
-    {
-        return evictions_.load(std::memory_order_relaxed);
-    }
-
   private:
-    /**
-     * Lazy-tier per-function state: one publication slot per dense pc
-     * of each stream (leaders only ever publish; the rest stay null
-     * forever) plus the leader maps the block-range scan needs. Slot
-     * array addresses are baked into emitted edge stubs, so the
-     * vectors are sized once at creation and never resized.
-     */
-    struct LazyFunction
-    {
-        std::vector<std::atomic<const void *>> slow;
-        std::vector<std::atomic<const void *>> fast;
-        std::vector<uint8_t> slowLead;
-        std::vector<uint8_t> fastLead;
-        /**
-         * Per-block entry heat, background mode only: a block is
-         * claimed for the worker only after kLazyBlockHeat misses, so
-         * blocks entered once or twice never consume compile time.
-         * Relaxed counters — heat is a hint; when and whether a block
-         * compiles never affects simulated results.
-         */
-        std::vector<std::atomic<uint8_t>> slowHeat;
-        std::vector<std::atomic<uint8_t>> fastHeat;
-    };
-
-    struct CompileReq
-    {
-        int func;
-        int32_t pc;
-        uint8_t inFast;
-        uint8_t whole;
-        uint64_t enqueueNs = 0; ///< for the queue-wait histogram
-    };
-
-    static constexpr size_t kMaxQueue = 1024;
-    /** Background-mode lazy claims wait for this many block entries. */
-    static constexpr uint8_t kLazyBlockHeat = 4;
-
     const CompiledFunction *publishFunctionLocked(
         int func, std::unique_ptr<CompiledFunction> compiled,
         Credit *credit);
-    const void *publishBlockLocked(
-        std::vector<std::atomic<const void *>> &slots, size_t pc,
-        std::unique_ptr<CompiledFunction> compiled, Credit *credit);
     /**
      * Seal-side observability (called under compileMutex_ after a
      * successful publish): JitCompile flight-recorder event,
      * compile/seal latency samples, and perf-map/jitdump symbols for
-     * the unit's blocks. `pc` < 0 = whole-function unit.
+     * the function's blocks.
      */
-    void noteSealedLocked(int func, bool inFast, int64_t pc,
-                          const CompiledFunction *f, size_t codeBytes,
-                          const void *codeAddr, uint64_t compileNs,
-                          uint64_t sealNs);
-    LazyFunction *lazyFunctionFor(int func, Credit *credit);
+    void noteSealedLocked(int func, const CompiledFunction *f,
+                          uint64_t compileNs, uint64_t sealNs);
     void flushIfNeededLocked(size_t incoming, Credit *credit);
-    bool enqueue(const CompileReq &req);
-    void drainPending(Credit *credit);
-    void workerLoop();
 
     std::shared_ptr<const DecodedProgram> program_;
     CompileEnv env_;
     uint32_t threshold_;
     size_t maxBytes_;
-    CompileMode mode_;
-    bool lazy_;
 
     std::vector<std::atomic<uint32_t>> hot_;
     std::vector<std::atomic<const CompiledFunction *>> fns_;
-    std::vector<std::atomic<LazyFunction *>> lazyFns_;
-    std::mutex compileMutex_;
-    std::vector<std::unique_ptr<CompiledFunction>> owned_;
-    std::vector<std::unique_ptr<LazyFunction>> lazyOwned_;
-    std::unique_ptr<CompiledFunction> entryThunk_;
-    /** Shared code storage for every compile this cache performs. */
-    CodeArena arena_;
-    std::atomic<uint64_t> compiledFunctions_{0};
-    std::atomic<uint64_t> compiledBlocks_{0};
-    std::atomic<size_t> liveBytes_{0};
-    std::atomic<uint64_t> evictions_{0};
-
-    // Background pipeline: a bounded request queue drained by one
-    // compile thread; credit for its installs parks in the pending
-    // accumulators until the next counting lookup claims it.
-    std::thread worker_;
-    std::mutex queueMutex_;
-    std::condition_variable queueCv_;
-    std::deque<CompileReq> queue_;
-    bool stop_ = false;
-    std::atomic<uint64_t> queueHighWater_{0};
-    std::atomic<uint64_t> pendingBlocks_{0};
-    std::atomic<uint64_t> pendingBytes_{0};
-    std::atomic<uint64_t> pendingEvictions_{0};
-
-    // Compile-pipeline latency samples, guarded by compileMutex_ and
-    // moved out by drainStatsInto (exactly-once across clones).
-    Histogram queueWaitNanos_;
-    Histogram compileNanos_;
-    Histogram sealNanos_;
-    /** Background worker's total compile+seal time (prof.aux). */
-    std::atomic<uint64_t> bgCompileNanos_{0};
-
     /** Published for functions the backend rejected: never retried. */
     static const CompiledFunction kUncompilable;
-    /** Lazy analog: leader analysis failed, no block will compile. */
-    static LazyFunction kLazyDead;
+
+    // Everything below is guarded by compileMutex_.
+    std::mutex compileMutex_;
+    std::vector<std::unique_ptr<CompiledFunction>> owned_;
+    /** Shared code storage for every compile this cache performs. */
+    CodeArena arena_;
+    /** Bytes of currently-published (non-evicted) code. */
+    size_t liveBytes_ = 0;
+
+    // Compile-pipeline latency samples, moved out by drainStatsInto
+    // (exactly-once across clones).
+    Histogram compileNanos_;
+    Histogram sealNanos_;
 };
 
 } // namespace jit

@@ -24,9 +24,8 @@
  *
  * Lifecycle mirrors the flight recorder: a process-global sink,
  * enabled by the tools' --jitdump flag before sessions are built,
- * written under a mutex (the background compile thread seals
- * concurrently with the serving thread), torn down at exit or
- * explicitly. When disabled, the publication paths pay one branch on
+ * written under a mutex (sessions on different threads seal their
+ * own caches concurrently), torn down at exit or explicitly. When disabled, the publication paths pay one branch on
  * a relaxed atomic.
  */
 

@@ -150,8 +150,6 @@ struct ProfileView
         uint64_t nanos = 0;
     };
     std::vector<SiteRow> sites;
-    /** off-engine-thread work ("compile"). */
-    std::vector<std::pair<std::string, uint64_t>> aux;
 };
 
 /** name == prefix + <middle> + suffix; extracts <middle>. */
@@ -181,8 +179,6 @@ buildView(const StatSet &stats)
             v.tiers.emplace_back(mid, value);
         } else if (peel(name, "prof.other.", ".nanos", mid)) {
             v.other.emplace_back(mid, value);
-        } else if (peel(name, "prof.aux.", ".nanos", mid)) {
-            v.aux.emplace_back(mid, value);
         } else if (peel(name, "prof.site.", ".nanos", mid)) {
             // <tier>.<fn>@<pc> — the tier tag never contains '.'.
             size_t dot = mid.find('.');
@@ -216,8 +212,6 @@ renderProfileCollapsed(const StatSet &stats)
            << "\n";
     for (const auto &o : v.other)
         ss << "shift;" << o.first << " " << o.second << "\n";
-    for (const auto &a : v.aux)
-        ss << "shift-aux;" << a.first << " " << a.second << "\n";
     return ss.str();
 }
 
@@ -243,13 +237,6 @@ renderProfileJson(const StatSet &stats, int indent)
            << ", \"share\": " << buf << "}";
     }
     ss << (v.tiers.empty() ? "" : "\n" + pad + "  ") << "],\n";
-    ss << pad << "  \"aux\": [";
-    for (size_t i = 0; i < v.aux.size(); ++i) {
-        ss << (i ? "," : "") << "\n"
-           << pad << "    {\"tier\": \"" << v.aux[i].first
-           << "\", \"nanos\": " << v.aux[i].second << "}";
-    }
-    ss << (v.aux.empty() ? "" : "\n" + pad + "  ") << "],\n";
     ss << pad << "  \"sites\": [";
     for (size_t i = 0; i < v.sites.size(); ++i) {
         ss << (i ? "," : "") << "\n"
@@ -276,13 +263,6 @@ renderProfileSummary(const StatSet &stats)
         char line[128];
         std::snprintf(line, sizeof(line), "%-16s %10.1f ms %6.1f%%\n",
                       t.first.c_str(), double(t.second) / 1e6, share);
-        ss << line;
-    }
-    for (const auto &a : v.aux) {
-        char line[128];
-        std::snprintf(line, sizeof(line),
-                      "%-16s %10.1f ms   (aux thread, overlaps)\n",
-                      a.first.c_str(), double(a.second) / 1e6);
         ss << line;
     }
     size_t top = std::min<size_t>(10, v.sites.size());

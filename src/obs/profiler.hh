@@ -32,11 +32,6 @@
  * exactly one bucket, sum(prof.tier.*) == prof.total.nanos by
  * construction — the property the bench asserts to 1%.
  *
- * Off-thread work (the background compile worker) is measured by
- * that component itself and exported as prof.aux.* counters; it
- * overlaps the engine wall clock and is reported separately, never
- * folded into the engine total.
- *
  * Cost contract: mirrors the PR 5 observer plane. The profiler is a
  * separate runDecoded template instantiation (kProf); the production
  * instantiation is untouched, and a disabled profiler costs nothing

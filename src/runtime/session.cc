@@ -208,8 +208,7 @@ Session::build(const std::vector<std::string> &sources)
     }
     machine_->setFastPathEnabled(options_.fastPath);
     machine_->setJitEnabled(options_.jit, options_.jitThreshold,
-                            options_.jitCacheBytes,
-                            options_.jitBackground, options_.jitLazy);
+                            options_.jitCacheBytes);
     if (options_.profile) {
         profiler_ = std::make_unique<obs::Profiler>();
         machine_->setProfiler(profiler_.get());

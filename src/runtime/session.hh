@@ -91,8 +91,11 @@ struct SessionOptions
     bool jit = false;
     uint32_t jitThreshold = 0;  ///< promotion threshold, 0 = default
     size_t jitCacheBytes = 0;   ///< code-cache byte budget, 0 = default
-    bool jitBackground = false; ///< compile on a worker thread
-    bool jitLazy = false;       ///< per-superblock lazy compilation
+    /** Read by nothing: the JIT has one compile mode (synchronous,
+     * whole-function). Kept so existing callers that set these still
+     * compile. */
+    bool jitBackground = false;
+    bool jitLazy = false;
 
     /**
      * Attach the tier-attribution profiler: the run's StatSet gains

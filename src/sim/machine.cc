@@ -319,8 +319,7 @@ Machine::setTraceHook(TraceFn fn)
 
 void
 Machine::setJitEnabled(bool enabled, uint32_t threshold,
-                       size_t cacheBytes, bool background,
-                       bool lazyBlocks)
+                       size_t cacheBytes)
 {
     jitEnabled_ = false;
     jitActive_ = nullptr;
@@ -334,10 +333,6 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     jitEnabled_ = true;
     jitThreshold_ = threshold;
     jitCacheBytes_ = cacheBytes;
-    jitBackground_ = background;
-    jitLazy_ = lazyBlocks;
-    jit::CompileMode mode = background ? jit::CompileMode::Background
-                                       : jit::CompileMode::Sync;
     // Create the cache eagerly so capture() can hand it to clones
     // before anything runs. run() re-validates the environment (the
     // cycle model or fast-path switch may change in between) and
@@ -348,11 +343,9 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     if (!jitCache_ || jitCache_->program() != decoded_.get() ||
         !(jitCache_->env() == env) ||
         (threshold != 0 && jitCache_->threshold() != threshold) ||
-        (cacheBytes != 0 && jitCache_->maxBytes() != cacheBytes) ||
-        jitCache_->mode() != mode ||
-        jitCache_->lazyBlocks() != lazyBlocks)
-        jitCache_ = std::make_shared<jit::CodeCache>(
-            decoded_, env, threshold, cacheBytes, mode, lazyBlocks);
+        (cacheBytes != 0 && jitCache_->maxBytes() != cacheBytes))
+        jitCache_ = std::make_shared<jit::CodeCache>(decoded_, env,
+                                                     threshold, cacheBytes);
 }
 
 void
@@ -1371,8 +1364,8 @@ Machine::runDecoded(uint64_t maxSteps)
         jitCodeBytes_ += credit.codeBytes;
         jitEvictions_ += credit.evictions;
         if constexpr (kProf) {
-            // entryAt timed any synchronous compile it ran on this
-            // thread; carve that span out of the interpreter tier.
+            // entryAt timed any compile it ran on this thread; carve
+            // that span out of the interpreter tier.
             if (credit.compileNanos)
                 prof_->carveSince(obs::Tier::Compile, curFunc_,
                                   static_cast<uint32_t>(
@@ -1398,7 +1391,7 @@ Machine::runDecoded(uint64_t maxSteps)
                                 : obs::Tier::JitSlow,
                          curFunc_,
                          static_cast<uint32_t>(code[pc].origIndex));
-        en.thunk(&jitCtx_, en.code);
+        en.fn->invoke(&jitCtx_, en.code);
         ++jitEntered_;
         // On a fault the runtime helpers already folded-and-zeroed the
         // accumulators into the members (so the fault handler saw a
@@ -2882,15 +2875,10 @@ Machine::run(uint64_t maxSteps)
         jit::CompileEnv env{cycleModel_, features_.natSetClear,
                             features_.natAwareCompare, fastEnabled_,
                             asyncTier_ != nullptr};
-        jit::CompileMode mode = jitBackground_
-                                    ? jit::CompileMode::Background
-                                    : jit::CompileMode::Sync;
         if (!jitCache_ || jitCache_->program() != decoded_.get() ||
-            !(jitCache_->env() == env) || jitCache_->mode() != mode ||
-            jitCache_->lazyBlocks() != jitLazy_)
+            !(jitCache_->env() == env))
             jitCache_ = std::make_shared<jit::CodeCache>(
-                decoded_, env, jitThreshold_, jitCacheBytes_, mode,
-                jitLazy_);
+                decoded_, env, jitThreshold_, jitCacheBytes_);
         jitCtx_.m = this;
         jitCtx_.cyFlat = &cyclesBy_[0][0];
         jitCtx_.inFlat = &instrsBy_[0][0];
@@ -3032,8 +3020,6 @@ Machine::run(uint64_t maxSteps)
         st.add("jit.evictions", jitEvictions_);
         st.add("jit.linkedBuiltinReturns", jitLinkedBuiltins_);
     }
-    if (jitCache_ && jitCache_->queueHighWater())
-        st.setGauge("jit.compileQueueDepth", jitCache_->queueHighWater());
     if (!hotPc_.empty()) {
         // Per-PC hot spots: top-K flat-table entries, keyed
         // function@pc like the deopt attribution so fleet merges

@@ -326,16 +326,11 @@ class Machine
      * unconditionally. Call after setFastPathEnabled — the compiled
      * code bakes the fast-tier promotion policy in. The cache is
      * created eagerly so capture() can share it with clones.
-     *
-     * `background` moves compilation onto the cache's compile thread
-     * (requests queue at the threshold crossing; execution keeps
-     * interpreting until the body installs). `lazyBlocks` compiles at
-     * dual-version-superblock granularity on first hot entry instead
-     * of whole functions. Both default off (the original behavior).
+     * Compilation is whole-function, on the thread whose entry
+     * crosses the threshold.
      */
     void setJitEnabled(bool enabled, uint32_t threshold = 0,
-                       size_t cacheBytes = 0, bool background = false,
-                       bool lazyBlocks = false);
+                       size_t cacheBytes = 0);
     bool jitEnabled() const { return jitEnabled_; }
 
     /** True when this build/host can generate and run native code. */
@@ -582,8 +577,6 @@ class Machine
     bool jitEnabled_ = false;
     uint32_t jitThreshold_ = 0;
     size_t jitCacheBytes_ = 0; ///< code-cache byte budget (0 = default)
-    bool jitBackground_ = false; ///< compile on the cache's thread
-    bool jitLazy_ = false;       ///< per-superblock compilation units
     std::shared_ptr<jit::CodeCache> jitCache_;
     jit::CodeCache *jitActive_ = nullptr;
     jit::JitCtx jitCtx_;

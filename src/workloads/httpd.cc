@@ -180,8 +180,6 @@ runHttpd(const HttpdConfig &config)
     options.async = config.async;
     options.jit = config.jit;
     options.jitThreshold = config.jitThreshold;
-    options.jitBackground = config.jitBackground;
-    options.jitLazy = config.jitLazy;
     options.policy.taintNetwork = config.taintRequests;
 
     Session session(kHttpdSource, options);

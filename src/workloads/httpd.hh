@@ -38,8 +38,6 @@ struct HttpdConfig
     dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
     bool jit = false;              ///< native tier (JIT.md)
     uint32_t jitThreshold = 0;     ///< promotion threshold, 0 = default
-    bool jitBackground = false;    ///< compile on a worker thread
-    bool jitLazy = false;          ///< per-superblock lazy compilation
     /**
      * Mark request bytes tainted as they arrive (policy.taintNetwork).
      * Off models the paper's figure-6 regime — a trusted/benign client

@@ -989,8 +989,6 @@ runSpecKernel(const SpecKernel &kernel, const SpecRunConfig &config)
     options.async = config.async;
     options.jit = config.jit;
     options.jitThreshold = config.jitThreshold;
-    options.jitBackground = config.jitBackground;
-    options.jitLazy = config.jitLazy;
     options.profile = config.profile;
 
     Session session(kernel.source, options);

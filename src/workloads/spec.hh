@@ -61,8 +61,6 @@ struct SpecRunConfig
     dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
     bool jit = false;         ///< native tier (JIT.md)
     uint32_t jitThreshold = 0; ///< promotion threshold, 0 = default
-    bool jitBackground = false; ///< compile on a worker thread
-    bool jitLazy = false;       ///< per-superblock lazy compilation
     bool profile = false;     ///< tier-attribution profiler (prof.*)
     int scale = 0;            ///< 0 = kernel default
 };

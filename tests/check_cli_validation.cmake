@@ -66,12 +66,14 @@ expect_usage_error("promotion threshold"
     ${SHIFTD} --jit=-7)
 expect_usage_error("expected an integer"
     ${SHIFTD} --jit=warm)
-expect_usage_error("expected sync or bg"
-    ${SHIFTD} --jit-compile=eager)
-expect_usage_error("expected sync or bg"
-    ${SHIFTD} --jit-compile threaded)
-expect_usage_error("missing value after --jit-compile"
-    ${SHIFTD} --jit-compile)
+# So are the JIT's compile-mode options: it compiles whole functions
+# synchronously and nothing else.
+expect_usage_error("unknown option"
+    ${SHIFTD} --jit-compile=bg)
+expect_usage_error("unknown option"
+    ${SHIFTD} --jit-compile sync)
+expect_usage_error("unknown option"
+    ${SHIFTD} --jit-lazy)
 expect_usage_error("expected a file path"
     ${SHIFTD} --profile=)
 expect_usage_error("expected a file path"
@@ -98,10 +100,12 @@ expect_usage_error("promotion threshold"
     ${SHIFTC} --jit=2000000000 prog.mc)
 expect_usage_error("expected an integer"
     ${SHIFTC} --jit=hot prog.mc)
-expect_usage_error("expected sync or bg"
-    ${SHIFTC} --jit-compile=async prog.mc)
-expect_usage_error("missing value after --jit-compile"
-    ${SHIFTC} --jit-compile)
+expect_usage_error("unknown option"
+    ${SHIFTC} --jit-compile=bg prog.mc)
+expect_usage_error("unknown option"
+    ${SHIFTC} --jit-compile sync prog.mc)
+expect_usage_error("unknown option"
+    ${SHIFTC} --jit-lazy prog.mc)
 expect_usage_error("expected a file path"
     ${SHIFTC} --profile= prog.mc)
 expect_usage_error("expected a file path"

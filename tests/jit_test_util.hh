@@ -88,9 +88,9 @@ comparableCounters(const StatSet &stats)
     stats.forEach([&](const std::string &name, uint64_t value) {
         if (name.rfind("jit.", 0) == 0)
             return;
-        // Host-time attribution (profiler tables, background-compile
-        // aux nanos): present only on the arm that compiled, and
-        // wall-clock-dependent besides.
+        // Host-time attribution (profiler tables): the jit-* and
+        // compile tiers appear only on the arm that compiled, and
+        // every figure is wall-clock-dependent besides.
         if (name.rfind("prof.", 0) == 0)
             return;
         out[name] = value;

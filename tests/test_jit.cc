@@ -4,8 +4,8 @@
  * superblocks (src/jit, docs/JIT.md).
  *
  * This binary covers the tier's machinery — promotion, the deopt
- * protocol's edge cases, the code-cache byte budget, stats merge and
- * fleet sharing. The broad workload differentials (SPEC, httpd, the
+ * protocol's edge cases, the code-cache byte budget, repeatable jit.*
+ * counters, stats merge and fleet sharing. The broad workload differentials (SPEC, httpd, the
  * attack suite) live in test_jit_diff.cc; both use the exact-equality
  * harness in jit_test_util.hh.
  *
@@ -22,6 +22,7 @@
 #include "runtime/session_template.hh"
 #include "session_helpers.hh"
 #include "svc/fleet.hh"
+#include "workloads/attacks.hh"
 #include "workloads/httpd.hh"
 
 namespace shift
@@ -34,10 +35,13 @@ using jittest::DiffRun;
 using jittest::expectIdentical;
 using jittest::kCleanSource;
 using jittest::kEager;
+using workloads::AttackScenario;
+using workloads::attackScenarios;
 using workloads::httpdSessionOptions;
 using workloads::kHttpdRequest;
 using workloads::kHttpdSource;
 using workloads::provisionHttpdOs;
+using workloads::runAttackScenario;
 
 // ---------------------------------------------------------------------
 // Smoke: the tier compiles, executes, and changes nothing observable.
@@ -346,83 +350,46 @@ TEST(JitCache, EvictionUnderATinyBudgetStaysCorrect)
 }
 
 // ---------------------------------------------------------------------
-// Background compilation and lazy per-block tiers: same simulation,
-// different compile placement (docs/JIT.md).
+// Repeatability: compilation runs on the thread whose entry crosses
+// the threshold, so the tier's own counters depend on the program
+// alone, never on host timing.
 // ---------------------------------------------------------------------
 
 /**
- * Background mode moves compilation onto a worker thread; the serving
- * thread's simulated run must be bit-identical whether or not the
- * worker manages to install anything before the run ends. The queue
- * high-water gauge surfaces in the stable schema once a request has
- * been enqueued.
+ * Each of the 16 attack programs (8 scenarios x benign/exploit), run
+ * twice at the default promotion threshold with the optimizer, the
+ * fast path and the JIT on, compiles, enters, deopts and bails exactly
+ * alike. jit.codeBytes is left out: movRegImm64 picks its encoding
+ * from the heap addresses baked into the code.
  */
-TEST(JitBackground, CompilesOffThreadAndMatchesInterpreter)
+TEST(JitCounters, RepeatExactlyAcrossRuns)
 {
     SKIP_WITHOUT_JIT();
-    DiffRun runs[2];
-    uint64_t queueDepth = 0;
-    for (bool jitOn : {false, true}) {
-        SessionOptions options = testutil::shiftOptions(Granularity::Byte);
-        options.jit = jitOn;
-        options.jitThreshold = kEager;
-        options.jitBackground = jitOn;
-        Session session(kCleanSource, options);
-        runs[jitOn] = captureRun(session);
-        if (jitOn)
-            queueDepth =
-                runs[jitOn].result.stats.gauge("jit.compileQueueDepth");
+    OptimizerOptions optimize;
+    optimize.enable = true;
+    const char *const counters[] = {"jit.compiled", "jit.entered",
+                                    "jit.deopts", "jit.bailouts"};
+    uint64_t compiled = 0;
+    for (const AttackScenario &scenario : attackScenarios()) {
+        for (bool exploit : {false, true}) {
+            StatSet runs[2];
+            for (StatSet &stats : runs)
+                stats = runAttackScenario(scenario, exploit,
+                                          Granularity::Byte,
+                                          ExecEngine::Predecoded,
+                                          optimize, true, {}, true, 0)
+                            .result.stats;
+            std::string what =
+                scenario.name + (exploit ? "/exploit" : "/benign");
+            for (const char *name : counters)
+                EXPECT_EQ(runs[0].get(name), runs[1].get(name))
+                    << what << ": " << name;
+            compiled += runs[0].get("jit.compiled");
+        }
     }
-    EXPECT_TRUE(runs[0].result.exited);
-    expectIdentical(runs[0], runs[1], "background compile");
-    EXPECT_GE(queueDepth, 1u)
-        << "the hot function must have crossed the threshold and been "
-           "queued for the worker";
-}
-
-/**
- * Lazy mode compiles one dual-version superblock per hot entry rather
- * than whole functions, so a run that only touches part of a function
- * compiles fewer blocks than whole-function mode while simulating
- * identically.
- */
-TEST(JitLazy, PerBlockCompilationMatchesInterpreter)
-{
-    SKIP_WITHOUT_JIT();
-    DiffRun runs[2];
-    uint64_t lazyCompiled = 0;
-    for (bool jitOn : {false, true}) {
-        SessionOptions options = testutil::shiftOptions(Granularity::Byte);
-        options.jit = jitOn;
-        options.jitThreshold = kEager;
-        options.jitLazy = jitOn;
-        Session session(kCleanSource, options);
-        runs[jitOn] = captureRun(session);
-        if (jitOn)
-            lazyCompiled = session.machine().jitCompiled();
-    }
-    EXPECT_TRUE(runs[0].result.exited);
-    expectIdentical(runs[0], runs[1], "lazy per-block");
-    EXPECT_GT(lazyCompiled, 0u) << "hot entry must compile its block";
-    EXPECT_GT(runs[1].jitEntered, 0u);
-}
-
-/** The full matrix point: background worker + lazy block tiers. */
-TEST(JitLazy, BackgroundLazyMatchesInterpreter)
-{
-    SKIP_WITHOUT_JIT();
-    DiffRun runs[2];
-    for (bool jitOn : {false, true}) {
-        SessionOptions options = testutil::shiftOptions(Granularity::Byte);
-        options.jit = jitOn;
-        options.jitThreshold = kEager;
-        options.jitBackground = jitOn;
-        options.jitLazy = jitOn;
-        Session session(kCleanSource, options);
-        runs[jitOn] = captureRun(session);
-    }
-    EXPECT_TRUE(runs[0].result.exited);
-    expectIdentical(runs[0], runs[1], "background+lazy");
+    EXPECT_GT(compiled, 0u)
+        << "the default threshold must promote something across the "
+           "16 programs";
 }
 
 // ---------------------------------------------------------------------
@@ -500,17 +467,17 @@ TEST(JitFleet, TemplateSharesCompiledCodeAcrossClones)
 }
 
 /**
- * Concurrent install/eviction torture, sized for the TSan build: many
- * clones hammer one shared code cache while (a) the background worker
- * installs compiled buffers, (b) lazy block slots are CAS-claimed and
- * published from both the worker and the serving threads, and (c) a
- * budget a fraction of the working set forces flush-when-full
- * evictions under all of it. Any unfenced access to the slot arrays,
- * the publication lists, or the queue is a TSan report; without TSan
- * this still asserts the fleet serves correctly and deterministically
- * through the churn.
+ * Concurrent install/eviction torture, sized for the TSan build: four
+ * workers share one code cache whose budget is a fraction of the hot
+ * working set, so synchronous compiles on every serving thread race
+ * flush-when-full evictions that unpublish bodies other clones are
+ * executing or about to look up. Any unfenced access to the
+ * publication slots, the hotness counters or the retained-buffer list
+ * is a TSan report; without TSan this still asserts the fleet serves
+ * correctly and deterministically through the churn, and that the
+ * churn happened.
  */
-TEST(JitFleet, ConcurrentBackgroundInstallAndEvictionRaces)
+TEST(JitFleet, ConcurrentInstallAndEvictionRaces)
 {
     SKIP_WITHOUT_JIT();
     SessionOptions options = httpdSessionOptions(
@@ -519,8 +486,6 @@ TEST(JitFleet, ConcurrentBackgroundInstallAndEvictionRaces)
     options.fastPath = true;
     options.jit = true;
     options.jitThreshold = kEager;
-    options.jitBackground = true;
-    options.jitLazy = true;
     options.jitCacheBytes = 8192; // a fraction of the hot working set
     SessionTemplate tmpl(std::string(kHttpdSource), std::move(options));
     provisionHttpdOs(tmpl.os(), 512);
@@ -533,6 +498,8 @@ TEST(JitFleet, ConcurrentBackgroundInstallAndEvictionRaces)
 
     EXPECT_TRUE(report.allOk);
     EXPECT_EQ(report.requests, 32u);
+    EXPECT_GT(report.stats.get("jit.evictions"), 0u)
+        << "an 8 KiB budget must evict while the workers compile";
     ASSERT_EQ(report.jobResults.size(), 16u);
     for (const auto &jr : report.jobResults) {
         ASSERT_EQ(jr.responses.size(), 2u);

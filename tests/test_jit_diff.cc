@@ -13,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include <string>
-#include <tuple>
 
 #include "jit_test_util.hh"
 #include "session_helpers.hh"
@@ -43,50 +42,28 @@ using workloads::specKernels;
 // ---------------------------------------------------------------------
 // Differential: SPEC kernels, with and without the fast tier under
 // the compiled code (the dual-version streams both get compiled).
-// Every differential runs across the tier matrix — {sync, background}
-// compilation × {whole-function, lazy per-block} granularity — since
-// all four placements promise the same bit-identical simulation; only
-// where the host compile work happens may differ.
 // ---------------------------------------------------------------------
 
-/** One point of the sync/bg × whole/lazy compile-placement matrix. */
-struct JitTier
-{
-    bool background;
-    bool lazy;
-};
-
-constexpr JitTier kJitTiers[] = {
-    {false, false}, {true, false}, {false, true}, {true, true}};
-
 std::string
-tierName(const JitTier &tier)
+granularityName(Granularity granularity)
 {
-    return std::string(tier.background ? "Bg" : "Sync") +
-           (tier.lazy ? "Lazy" : "Whole");
+    return granularity == Granularity::Byte ? "byte" : "word";
 }
 
-class JitDiffSpecTest
-    : public ::testing::TestWithParam<std::tuple<Granularity, JitTier>>
+class JitDiffSpecTest : public ::testing::TestWithParam<Granularity>
 {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Granularities, JitDiffSpecTest,
-    ::testing::Combine(::testing::Values(Granularity::Byte,
-                                         Granularity::Word),
-                       ::testing::ValuesIn(kJitTiers)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) == Granularity::Byte
-                               ? "byte"
-                               : "word";
-        return name + tierName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Granularities, JitDiffSpecTest,
+                         ::testing::Values(Granularity::Byte,
+                                           Granularity::Word),
+                         [](const auto &info) {
+                             return granularityName(info.param);
+                         });
 
 DiffRun
 runKernel(const SpecKernel &kernel, Granularity granularity,
-          bool fastPath, bool jitOn, dift::AsyncTaintOptions async = {},
-          JitTier tier = {false, false})
+          bool fastPath, bool jitOn, dift::AsyncTaintOptions async = {})
 {
     SessionOptions options;
     options.mode = TrackingMode::Shift;
@@ -98,8 +75,6 @@ runKernel(const SpecKernel &kernel, Granularity granularity,
     options.async = async;
     options.jit = jitOn;
     options.jitThreshold = kEager;
-    options.jitBackground = tier.background;
-    options.jitLazy = tier.lazy;
     Session session(kernel.source, options);
     session.os().addFile("input.dat",
                          kernel.makeInput(kernel.defaultScale));
@@ -109,40 +84,23 @@ runKernel(const SpecKernel &kernel, Granularity granularity,
 TEST_P(JitDiffSpecTest, AllKernelsIdentical)
 {
     SKIP_WITHOUT_JIT();
-    const auto &[granularity, tier] = GetParam();
+    const Granularity granularity = GetParam();
     for (const SpecKernel &kernel : specKernels()) {
         for (bool fastPath : {false, true}) {
             DiffRun off = runKernel(kernel, granularity, fastPath, false);
-            DiffRun on =
-                runKernel(kernel, granularity, fastPath, true, {}, tier);
+            DiffRun on = runKernel(kernel, granularity, fastPath, true);
             std::string what = std::string(kernel.name) +
-                               (fastPath ? "+fastpath" : "") + "+" +
-                               tierName(tier);
+                               (fastPath ? "+fastpath" : "");
             EXPECT_TRUE(off.result.exited) << what;
             expectIdentical(off, on, what);
-            // Background compiles race the (short) kernel run; on a
-            // loaded host nothing may get installed before exit, so
-            // only the synchronous placements guarantee entry.
-            if (!tier.background)
-                EXPECT_GT(on.jitEntered, 0u) << what;
+            EXPECT_GT(on.jitEntered, 0u) << what;
         }
     }
 }
 
-class JitDiffHttpdTest : public ::testing::TestWithParam<JitTier>
-{
-};
-
-INSTANTIATE_TEST_SUITE_P(Tiers, JitDiffHttpdTest,
-                         ::testing::ValuesIn(kJitTiers),
-                         [](const auto &info) {
-                             return tierName(info.param);
-                         });
-
-TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
+TEST(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
 {
     SKIP_WITHOUT_JIT();
-    const JitTier tier = GetParam();
     DiffRun runs[2];
     for (bool jitOn : {false, true}) {
         SessionOptions options = httpdSessionOptions(
@@ -151,8 +109,6 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
         options.fastPath = true;
         options.jit = jitOn;
         options.jitThreshold = kEager;
-        options.jitBackground = jitOn && tier.background;
-        options.jitLazy = jitOn && tier.lazy;
         Session session(kHttpdSource, options);
         provisionHttpdOs(session.os(), 512);
         for (int i = 0; i < 5; ++i)
@@ -161,10 +117,9 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
     }
     EXPECT_TRUE(runs[0].result.exited);
     EXPECT_EQ(runs[0].responses.size(), 5u);
-    expectIdentical(runs[0], runs[1], "httpd+" + tierName(tier));
-    if (!tier.background)
-        EXPECT_GT(runs[1].jitEntered, 0u)
-            << "serving must actually run compiled code";
+    expectIdentical(runs[0], runs[1], "httpd");
+    EXPECT_GT(runs[1].jitEntered, 0u)
+        << "serving must actually run compiled code";
 }
 
 // ---------------------------------------------------------------------
@@ -175,40 +130,30 @@ TEST_P(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
 // same instructions and cycles.
 // ---------------------------------------------------------------------
 
-class JitAsyncDiffSpecTest
-    : public ::testing::TestWithParam<std::tuple<Granularity, JitTier>>
+class JitAsyncDiffSpecTest : public ::testing::TestWithParam<Granularity>
 {
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Modes, JitAsyncDiffSpecTest,
-    ::testing::Combine(::testing::Values(Granularity::Byte,
-                                         Granularity::Word),
-                       ::testing::ValuesIn(kJitTiers)),
-    [](const auto &info) {
-        std::string name = std::get<0>(info.param) == Granularity::Byte
-                               ? "byte"
-                               : "word";
-        return name + tierName(std::get<1>(info.param));
-    });
+INSTANTIATE_TEST_SUITE_P(Modes, JitAsyncDiffSpecTest,
+                         ::testing::Values(Granularity::Byte,
+                                           Granularity::Word),
+                         [](const auto &info) {
+                             return granularityName(info.param);
+                         });
 
 TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
 {
     SKIP_WITHOUT_JIT();
     dift::AsyncTaintOptions async;
     async.enabled = true;
-    const Granularity granularity = std::get<0>(GetParam());
-    const JitTier tier = std::get<1>(GetParam());
+    const Granularity granularity = GetParam();
     for (const SpecKernel &kernel : specKernels()) {
         DiffRun off = runKernel(kernel, granularity, false, false, async);
-        DiffRun on =
-            runKernel(kernel, granularity, false, true, async, tier);
-        std::string what = std::string(kernel.name) + "+async+" +
-                           tierName(tier);
+        DiffRun on = runKernel(kernel, granularity, false, true, async);
+        std::string what = std::string(kernel.name) + "+async";
         EXPECT_TRUE(off.result.exited) << what;
         expectIdentical(off, on, what);
-        if (!tier.background)
-            EXPECT_GT(on.jitEntered, 0u) << what;
+        EXPECT_GT(on.jitEntered, 0u) << what;
     }
 }
 

@@ -62,10 +62,6 @@ usage()
         "  --jit[=THRESHOLD]        compile hot superblocks to host "
         "code after THRESHOLD executions (default 32; no-op on "
         "non-x86-64 hosts)\n"
-        "  --jit-compile MODE       sync (compile on the serving "
-        "thread, default) or bg (worker thread + atomic install)\n"
-        "  --jit-lazy               compile one superblock at a time "
-        "on first hot entry instead of whole functions\n"
         "  --profile[=PATH]         tier-attribution profiler: print a "
         "per-tier host-time summary; with PATH also write the full "
         "report (collapsed stacks when PATH ends in .collapsed or "
@@ -210,19 +206,6 @@ main(int argc, char **argv)
                     options.jitThreshold =
                         static_cast<uint32_t>(threshold);
                 }
-            } else if (arg.rfind("--jit-compile=", 0) == 0 ||
-                       arg == "--jit-compile") {
-                std::string mode =
-                    arg == "--jit-compile" ? next() : arg.substr(14);
-                if (mode == "sync")
-                    options.jitBackground = false;
-                else if (mode == "bg")
-                    options.jitBackground = true;
-                else
-                    SHIFT_FATAL("--jit-compile: expected sync or bg, "
-                                "got '%s'", mode.c_str());
-            } else if (arg == "--jit-lazy") {
-                options.jitLazy = true;
             } else if (arg == "--profile" ||
                        arg.rfind("--profile=", 0) == 0) {
                 options.profile = true;

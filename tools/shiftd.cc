@@ -60,10 +60,6 @@ usage()
         "  --jit[=THRESHOLD]        compile hot superblocks to host "
         "code after THRESHOLD executions per clone (default 32; "
         "no-op on non-x86-64 hosts)\n"
-        "  --jit-compile MODE       sync (compile on the serving "
-        "thread, default) or bg (worker thread + atomic install)\n"
-        "  --jit-lazy               compile one superblock at a time "
-        "on first hot entry instead of whole functions\n"
         "  --profile[=PATH]         tier-attribution profiler: each "
         "clone carries its own table, the report merges them; prints "
         "a per-tier summary, with PATH also writes the full report "
@@ -227,19 +223,6 @@ main(int argc, char **argv)
                     options.jitThreshold =
                         static_cast<uint32_t>(threshold);
                 }
-            } else if (arg.rfind("--jit-compile=", 0) == 0 ||
-                       arg == "--jit-compile") {
-                std::string mode =
-                    arg == "--jit-compile" ? next() : arg.substr(14);
-                if (mode == "sync")
-                    options.jitBackground = false;
-                else if (mode == "bg")
-                    options.jitBackground = true;
-                else
-                    SHIFT_FATAL("--jit-compile: expected sync or bg, "
-                                "got '%s'", mode.c_str());
-            } else if (arg == "--jit-lazy") {
-                options.jitLazy = true;
             } else if (arg == "--profile" ||
                        arg.rfind("--profile=", 0) == 0) {
                 options.profile = true;
@@ -299,8 +282,6 @@ main(int argc, char **argv)
             httpdOptions.async = options.async;
             httpdOptions.jit = options.jit;
             httpdOptions.jitThreshold = options.jitThreshold;
-            httpdOptions.jitBackground = options.jitBackground;
-            httpdOptions.jitLazy = options.jitLazy;
             httpdOptions.profile = options.profile;
             tmpl = std::make_unique<SessionTemplate>(
                 std::string(workloads::kHttpdSource),
