@@ -4,14 +4,16 @@
  * recorder charges the interpreter hot loop, measured on the httpd
  * workload in three configurations:
  *
- *  - baseline: recorder off. run() dispatches the kObs=false template
- *    instantiation, whose emit sites compile out entirely — the
- *    production configuration.
+ *  - baseline: recorder off. run() dispatches the production
+ *    interpreter loop (runDecoded<false, *>), whose observer sites
+ *    compile out entirely — the production configuration.
  *  - dispatch: recorder still off, but Machine::setObsDispatchForced
- *    pins the kObs=true instantiation, so every emit site executes its
- *    null-observer branch. This is the guarded quantity: the whole
- *    off-by-default contract is that these branches are all a
- *    disabled recorder could ever cost, and they must be noise.
+ *    pins the observed loop (runDecoded<true, *>), so every emit site
+ *    executes its null-observer branch (with nothing attached the
+ *    per-dispatch observers cost nothing). This is the guarded
+ *    quantity: the whole off-by-default contract is that these
+ *    branches are all a disabled recorder could ever cost, and they
+ *    must be noise.
  *  - recording: the recorder enabled with the default ring, tracing
  *    for real (reported for scale, not floored — tracing is opt-in).
  *
@@ -70,8 +72,8 @@ int repeats = 7;
 
 enum class ObsConfig
 {
-    Baseline,     ///< recorder off, kObs=false instantiation
-    Dispatch,     ///< recorder off, kObs=true forced (null observer)
+    Baseline,     ///< recorder off, production loop
+    Dispatch,     ///< recorder off, observed loop forced (null observer)
     Recording,    ///< recorder on, default ring
     BaselineJit,  ///< recorder off, compiled tier active
     RecordingJit, ///< recorder on + jit requested (forces interpreter)

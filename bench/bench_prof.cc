@@ -2,13 +2,13 @@
  * @file
  * Tier-attribution profiler cost and payoff (docs/OBSERVABILITY.md):
  *
- *  - Cost: what `options.profile` charges the engine. The disabled
- *    profiler is a separate runDecoded instantiation — the production
- *    path is untouched — so the guarded quantity is the off-arm's
- *    host time against the no-obs baseline (the same configuration;
- *    the gate catches the contract drifting, e.g. profiler checks
- *    leaking into the production instantiation). The enabled cost is
- *    reported alongside for scale.
+ *  - Cost: what `options.profile` charges the engine. An attached
+ *    profiler selects the observed runDecoded loop; with it disabled
+ *    the production loop runs untouched, so the guarded quantity is
+ *    the off-arm's host time against the no-obs baseline (the same
+ *    configuration; the gate catches the contract drifting, e.g.
+ *    profiler checks leaking into the production loop). The enabled
+ *    cost is reported alongside for scale.
  *  - Payoff: per-tier host-time attribution for every SPEC kernel
  *    under the async tier (the regime where PR 9's crafty regression
  *    had to be diagnosed with out-of-tree gprof), a JIT row, and
@@ -147,7 +147,7 @@ enum class ProfConfig
 {
     Baseline, ///< the no-obs production configuration
     Off,      ///< identical options; the disabled-profiler contract arm
-    On,       ///< options.profile: the kProf instantiation, live table
+    On,       ///< options.profile: the observed loop, live table
 };
 
 /** One timed httpd run; folds into `m` (min host time) and returns

@@ -17,7 +17,7 @@
  * monotonic nanoseconds since the stamp:
  *
  *  - sample(): the interpreter's periodic tick (every kSampleEvery
- *    charged micro-ops). The elapsed interval is attributed to the
+ *    dispatched micro-ops). The elapsed interval is attributed to the
  *    *observed* site — classic sampled attribution, so per-site
  *    numbers within the interpreter tiers are estimates, while tier
  *    totals stay exact.
@@ -32,10 +32,10 @@
  * exactly one bucket, sum(prof.tier.*) == prof.total.nanos by
  * construction — the property the bench asserts to 1%.
  *
- * Cost contract: mirrors the PR 5 observer plane. The profiler is a
- * separate runDecoded template instantiation (kProf); the production
- * instantiation is untouched, and a disabled profiler costs nothing
- * (enforced by the perf-smoke-prof tripwire). Tables are per-machine
+ * Cost contract: mirrors the flight recorder. An attached profiler
+ * selects the observed runDecoded loop; the production loop compiles
+ * none of its calls, so a disabled profiler costs nothing (enforced
+ * by the perf-smoke-prof tripwire). Tables are per-machine
  * (per-clone) and fold into StatSet counters under the stable
  * `prof.*` schema (docs/OBSERVABILITY.md), so fleet merge, the
  * Prometheus exporter and --json reports all ride the existing
@@ -82,7 +82,7 @@ const char *tierName(Tier tier);
 class Profiler
 {
   public:
-    /** Charged micro-ops between interpreter sampling ticks. */
+    /** Dispatched micro-ops between interpreter sampling ticks. */
     static constexpr uint32_t kSampleEvery = 2048;
 
     /** Sites tracked before overflow folds into the tier residual. */

@@ -103,8 +103,8 @@ struct SessionOptions
      * interpreter / fast-path / JIT / async-publish / compile /
      * builtin tiers, per {function, pc} site (docs/OBSERVABILITY.md).
      * Composes with every mode including the JIT; disabled it costs
-     * nothing (separate interpreter instantiation, enforced by
-     * perf-smoke-prof).
+     * nothing (the production interpreter loop compiles none of it,
+     * enforced by perf-smoke-prof).
      */
     bool profile = false;
 

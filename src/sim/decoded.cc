@@ -25,15 +25,14 @@ stallUseMask(const Instr &instr)
 
 Fault
 badProgram(const Function &fn, int funcIndex, size_t origIndex,
-           int64_t label)
+           FaultContext context, const std::string &what)
 {
     Fault fault;
     fault.kind = FaultKind::BadProgram;
-    fault.context = FaultContext::ControlFlow;
+    fault.context = context;
     fault.function = funcIndex;
     fault.pc = origIndex;
-    fault.detail = "branch to unresolved label L" + std::to_string(label) +
-                   " in function '" + fn.name + "'";
+    fault.detail = what + " in function '" + fn.name + "'";
     return fault;
 }
 
@@ -1083,6 +1082,17 @@ decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
             const Instr &instr = fn.code[i];
             if (instr.op == Opcode::Label)
                 continue;
+            // Fused and fast-path micro-ops are the decoder's own
+            // output; an architectural program carrying one is
+            // malformed (their handlers trust decode-time invariants).
+            if (static_cast<size_t>(instr.op) >= kFirstFusedOpcode) {
+                error = badProgram(fn, static_cast<int>(f), i,
+                                   FaultContext::None,
+                                   std::string("micro-op ") +
+                                       opcodeName(instr.op) + " at pc " +
+                                       std::to_string(i));
+                return false;
+            }
             DecodedInstr d;
             d.useMask = stallUseMask(instr);
             d.imm = instr.imm;
@@ -1113,7 +1123,9 @@ decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
                     pos = labelPos[static_cast<size_t>(instr.imm)];
                 if (pos < 0) {
                     error = badProgram(fn, static_cast<int>(f), i,
-                                       instr.imm);
+                                       FaultContext::ControlFlow,
+                                       "branch to unresolved label L" +
+                                           std::to_string(instr.imm));
                     return false;
                 }
                 d.target = denseAt[pos];

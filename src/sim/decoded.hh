@@ -37,7 +37,8 @@
  *    trace hooks need the unfused stream; Machine::setTraceHook
  *    re-decodes with `fuse` off.
  *
- * A branch to an unresolved label is a malformed program; the pass
+ * A branch to an unresolved label, or a fused or fast-path micro-op
+ * in the architectural program, is a malformed program; the pass
  * rejects it here, at construction time, with a BadProgram fault that
  * names the offending function (see docs/EXECUTION-ENGINE.md).
  */
@@ -158,9 +159,10 @@ struct DecodedProgram
 
 /**
  * Decode and link `program`. Returns false when the program is
- * malformed (a Br/Chk naming a label no Label pseudo-op defines), with
- * `error` filled in as a BadProgram fault whose detail names the
- * function and label. `fuse` additionally collapses the instrumenter's
+ * malformed (a Br/Chk naming a label no Label pseudo-op defines, or
+ * an opcode at or above kFirstFusedOpcode), with `error` filled in as
+ * a BadProgram fault whose detail names the function and the label or
+ * micro-op. `fuse` additionally collapses the instrumenter's
  * taint idioms into Fused* macro micro-ops (see the file comment);
  * pass false to keep a one-to-one stream, e.g. for per-instruction
  * trace hooks.

@@ -8,16 +8,6 @@
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
-// Direct-threaded dispatch (computed goto) for the predecoded engine
-// where the compiler supports it; define SHIFT_PORTABLE_DISPATCH to
-// force the portable switch loop (both modes share one copy of the
-// handler bodies — see runDecoded).
-#if defined(__GNUC__) && !defined(SHIFT_PORTABLE_DISPATCH)
-#define SHIFT_THREADED_DISPATCH 1
-#else
-#define SHIFT_THREADED_DISPATCH 0
-#endif
-
 namespace shift
 {
 
@@ -362,8 +352,9 @@ Machine::setObserver(obs::TraceBuffer *buffer)
         obs_->emit(obs::Ev::CowCopy, 0, curFunc_, 0, addr);
     });
     // Per-PC hot-spot table: one counter per original instruction,
-    // flat across functions. Bounded by static program size; only the
-    // tracing interpreter instantiation increments it.
+    // flat across functions. Bounded by static program size; the
+    // observed interpreter loop (and the legacy stepper) count into it
+    // whenever it exists.
     if (hotPc_.empty()) {
         hotPcBase_.assign(program_->functions.size(), 0);
         uint32_t base = 0;
@@ -1066,15 +1057,21 @@ Machine::stepLegacy()
       case Opcode::FusedClearNat:
       case Opcode::FusedStUpdByte:
       case Opcode::FusedStUpdWord:
-        // Fused micro-ops exist only in decoded streams; an
-        // architectural program carrying one is malformed.
+      case Opcode::FpEnter:
+      case Opcode::FpChkProbe:
+      case Opcode::FpStProbe:
+      case Opcode::FpClrProbe:
+        // Fused and fast-path micro-ops exist only in decoded
+        // streams; an architectural program carrying one is
+        // malformed (decodeProgram rejects it the same way).
         setFault(FaultKind::BadProgram, FaultContext::None, 0,
-                 "fused micro-op in an architectural program");
+                 std::string("micro-op ") + opcodeName(instr.op) +
+                     " in an architectural program");
         return;
     }
 }
 
-template <bool kObs, bool kHotPc, bool kAsync, bool kProf>
+template <bool kObserved, bool kAsync>
 void
 Machine::runDecoded(uint64_t maxSteps)
 {
@@ -1091,13 +1088,11 @@ Machine::runDecoded(uint64_t maxSteps)
     // must match them bit for bit — the test_engine equivalence suite
     // enforces this.
     //
-    // Dispatch is direct-threaded where the compiler supports computed
-    // goto: SHIFT_NEXT() stamps the fetch/trace/predicate/stall front
-    // end plus its own indirect jump at the end of every handler, so
-    // the host branch predictor can learn per-opcode successor
-    // patterns instead of sharing one switch branch. Elsewhere the
-    // same handler bodies compile into a switch inside a loop. There
-    // is no per-fetch bounds check in either mode: every function's
+    // Dispatch is direct-threaded (computed goto): SHIFT_NEXT() stamps
+    // the fetch/predicate/stall front end plus its own indirect jump at
+    // the end of every handler, so the host branch predictor can learn
+    // per-opcode successor patterns instead of sharing one switch
+    // branch. There is no per-fetch bounds check: every function's
     // stream ends in a sentinel micro-op (see decodeProgram) whose
     // handler raises the fell-off-the-end fault.
     if (stopped_)
@@ -1144,52 +1139,70 @@ Machine::runDecoded(uint64_t maxSteps)
         df = &decoded_->functions[curFunc_];
         code = inFast ? df->fast.data() : df->code.data();
     };
-    // Per-PC hot-spot attribution is its own instantiation axis:
-    // run() selects kHotPc only when setObserver allocated the table,
-    // so the increment needs no null test — and the kHotPc = false
-    // loops (production and the forced-dispatch bench mode) compile
-    // none of this, keeping charge() free of per-instruction
-    // observability work.
-    uint32_t *const hotData = kHotPc ? hotPc_.data() : nullptr;
-    // Tier-attribution profiler (docs/OBSERVABILITY.md): its own
-    // instantiation axis like kObs, so the production loop compiles
-    // none of this. A countdown in charge() takes a sampling tick
-    // every kSampleEvery charged micro-ops, attributing elapsed host
-    // time to the observed {tier, function, pc}; exact sub-intervals
-    // (async publication, sync compiles, builtins, syscalls) are
-    // carved out by the brackets below so tier sums stay exhaustive.
-    [[maybe_unused]] uint32_t profLeft = obs::Profiler::kSampleEvery;
+    // Observers (docs/OBSERVABILITY.md §5): the trace hook, the flight
+    // recorder, its per-PC hot-spot table and the tier-attribution
+    // profiler. The observed loop loads each into a local once, here,
+    // and every use below tests that local; the production loop
+    // compiles none of it. Per-dispatch observation (the trace hook,
+    // the hot-pc row, the profiler's sampling tick) rides the
+    // step-limit test every dispatch already makes: with any of them
+    // attached, the observed loop lowers its limit to zero, so every
+    // dispatch branches to stepLimitHit, which tells an observation
+    // point from the real limit and detours through the `observe:`
+    // tail. With nothing attached (forced dispatch) the limit stays
+    // maxSteps, the front end costs exactly what production's does,
+    // and only the recorder's emit sites add (not-taken) branches.
+    const TraceFn *hook = nullptr;
+    [[maybe_unused]] obs::TraceBuffer *rec = nullptr;
+    obs::Profiler *prof = nullptr;
+    uint32_t *hotData = nullptr;
+    const uint32_t *hotBase = nullptr;
+    uint64_t stepLimit = maxSteps;
+    if constexpr (kObserved) {
+        hook = trace_ ? &trace_ : nullptr;
+        rec = obs_;
+        prof = prof_;
+        if (!hotPc_.empty()) {
+            hotData = hotPc_.data();
+            hotBase = hotPcBase_.data();
+        }
+        if (hook || hotData || prof)
+            stepLimit = 0;
+    }
+    uint32_t profLeft = obs::Profiler::kSampleEvery;
     auto charge = [&](uint64_t cost) {
         cycles += cost;
         ++instrs;
         cyFlat[statIdx] += cost;
         inFlat[statIdx] += 1;
-        if constexpr (kHotPc) {
-            ++hotData[hotPcBase_[curFunc_] +
-                      static_cast<uint32_t>(dp->origIndex)];
-        }
-        if constexpr (kProf) {
-            if (--profLeft == 0) [[unlikely]] {
-                profLeft = obs::Profiler::kSampleEvery;
-                prof_->sample(inFast ? obs::Tier::InterpFast
-                                     : obs::Tier::InterpSlow,
-                              curFunc_,
-                              static_cast<uint32_t>(dp->origIndex));
-            }
-        }
     };
-    // Profiler carve brackets: stamp t0 before a bracketed operation,
-    // carve the exact span after. Compile to nothing when !kProf.
-    [[maybe_unused]] auto profT0 = [] {
-        if constexpr (kProf)
-            return obs::Profiler::nowNanos();
+    // Profiler carve brackets: stamp t0 before a bracketed operation
+    // (async publication, builtin, syscall), carve the exact span
+    // after, so tier sums stay exhaustive. Both do nothing without a
+    // profiler.
+    [[maybe_unused]] auto profT0 = [&] {
+        if constexpr (kObserved)
+            return prof ? obs::Profiler::nowNanos() : uint64_t{0};
         else
             return uint64_t{0};
     };
     [[maybe_unused]] auto profCarve = [&](obs::Tier tier, uint64_t t0) {
-        if constexpr (kProf)
-            prof_->carveSince(tier, curFunc_,
-                              static_cast<uint32_t>(dp->origIndex), t0);
+        if constexpr (kObserved) {
+            if (prof)
+                prof->carveSince(tier, curFunc_,
+                                 static_cast<uint32_t>(dp->origIndex),
+                                 t0);
+        }
+    };
+    // Open the interpreter tier of the stream about to run.
+    auto profEnterInterp = [&] {
+        if constexpr (kObserved) {
+            if (prof)
+                prof->enter(inFast ? obs::Tier::InterpFast
+                                   : obs::Tier::InterpSlow,
+                            curFunc_,
+                            static_cast<uint32_t>(code[pc].origIndex));
+        }
     };
     auto src2v = [&] {
         return dp->useImm ? static_cast<uint64_t>(dp->imm)
@@ -1301,27 +1314,27 @@ Machine::runDecoded(uint64_t maxSteps)
         inFast = false;
         pc = static_cast<uint64_t>(dp->target);
         code = df->code.data();
-        if constexpr (kObs) {
-            if (obs_) [[unlikely]]
-                obs_->emitCold(obs::Ev::FastDeopt,
-                               static_cast<uint16_t>(cause), curFunc_,
-                               code[pc].origIndex);
+        if constexpr (kObserved) {
+            if (rec) [[unlikely]]
+                rec->emitCold(obs::Ev::FastDeopt,
+                              static_cast<uint16_t>(cause), curFunc_,
+                              code[pc].origIndex);
         }
     };
     // Flight-recorder instants for the fast tier's other transitions;
-    // compiled out of the production instantiation entirely.
+    // compiled out of the production loop entirely.
     auto obsFastEnter = [&] {
-        if constexpr (kObs) {
-            if (obs_) [[unlikely]]
-                obs_->emitCold(obs::Ev::FastEnter, 0, curFunc_,
-                               dp->origIndex);
+        if constexpr (kObserved) {
+            if (rec) [[unlikely]]
+                rec->emitCold(obs::Ev::FastEnter, 0, curFunc_,
+                              dp->origIndex);
         }
     };
     auto obsColdBail = [&](uint64_t slowPc) {
-        if constexpr (kObs) {
-            if (obs_) [[unlikely]]
-                obs_->emitCold(obs::Ev::FastColdBail, 0, curFunc_,
-                               df->code[slowPc].origIndex);
+        if constexpr (kObserved) {
+            if (rec) [[unlikely]]
+                rec->emitCold(obs::Ev::FastColdBail, 0, curFunc_,
+                              df->code[slowPc].origIndex);
         }
     };
     // A slow-stream taken branch whose target opens a fast twin
@@ -1363,15 +1376,15 @@ Machine::runDecoded(uint64_t maxSteps)
         jitCompiled_ += credit.blocks;
         jitCodeBytes_ += credit.codeBytes;
         jitEvictions_ += credit.evictions;
-        if constexpr (kProf) {
+        if constexpr (kObserved) {
             // entryAt timed any compile it ran on this thread; carve
             // that span out of the interpreter tier.
-            if (credit.compileNanos)
-                prof_->carveSince(obs::Tier::Compile, curFunc_,
-                                  static_cast<uint32_t>(
-                                      code[pc].origIndex),
-                                  obs::Profiler::nowNanos() -
-                                      credit.compileNanos);
+            if (prof && credit.compileNanos)
+                prof->carveSince(obs::Tier::Compile, curFunc_,
+                                 static_cast<uint32_t>(
+                                     code[pc].origIndex),
+                                 obs::Profiler::nowNanos() -
+                                     credit.compileNanos);
         }
         if (!en)
             return 0;
@@ -1386,11 +1399,13 @@ Machine::runDecoded(uint64_t maxSteps)
         jitCtx_.fpEntered = 0;
         jitCtx_.loadMask = loadMask;
         jitCtx_.stepsLeft = static_cast<int64_t>(budget);
-        if constexpr (kProf)
-            prof_->enter(inFast ? obs::Tier::JitFast
-                                : obs::Tier::JitSlow,
-                         curFunc_,
-                         static_cast<uint32_t>(code[pc].origIndex));
+        if constexpr (kObserved) {
+            if (prof)
+                prof->enter(inFast ? obs::Tier::JitFast
+                                   : obs::Tier::JitSlow,
+                            curFunc_,
+                            static_cast<uint32_t>(code[pc].origIndex));
+        }
         en.fn->invoke(&jitCtx_, en.code);
         ++jitEntered_;
         // On a fault the runtime helpers already folded-and-zeroed the
@@ -1414,50 +1429,39 @@ Machine::runDecoded(uint64_t maxSteps)
         if (stopped_) {
             // Attribute the compiled span; pc may be stale on a stop,
             // so close the context at a neutral site.
-            if constexpr (kProf)
-                prof_->enter(obs::Tier::Host, curFunc_, 0);
+            if constexpr (kObserved) {
+                if (prof)
+                    prof->enter(obs::Tier::Host, curFunc_, 0);
+            }
             return 2;
         }
-        if constexpr (kProf)
-            prof_->enter(inFast ? obs::Tier::InterpFast
-                                : obs::Tier::InterpSlow,
-                         curFunc_,
-                         static_cast<uint32_t>(code[pc].origIndex));
+        profEnterInterp();
         ++jitBailouts_;
         return 1;
     };
-// The JIT never runs under the tracing/hot-pc instantiations (run()
-// refuses to activate it there), so the production check is the only
-// one that compiles in. SHIFT_STOPPED expands per dispatch mode at
-// the use site; no do-while wrapper, because the portable mode's
-// `break` must reach the enclosing switch.
+// Both loops carry the check: jitHook returns at once unless run()
+// activated the JIT, which it never does under a trace hook, a
+// recorder or forced dispatch (a profiler alone keeps compiled code).
 #define SHIFT_JIT_CHECK()                                               \
-    if constexpr (!kObs && !kHotPc) {                                   \
+    do {                                                                \
         if (jitHook() == 2)                                             \
             SHIFT_STOPPED();                                            \
-    }
+    } while (0)
 
     // Attribution starts in the interpreter's tier: begin() opened the
     // context at Host, charging run setup there; everything from here
     // accrues to the stream being executed.
-    if constexpr (kProf)
-        prof_->enter(inFast ? obs::Tier::InterpFast
-                            : obs::Tier::InterpSlow,
-                     curFunc_,
-                     static_cast<uint32_t>(code[pc].origIndex));
+    profEnterInterp();
 
     // Run-start entry: the resume pc is a block leader whenever the
     // previous exit was one (which every JIT bail and most interpreter
     // stops are); otherwise entryFor misses and we interpret.
-    if constexpr (!kObs && !kHotPc) {
-        if (jitHook() == 2) {
-            sync();
-            dispatches_ += steps;
-            return;
-        }
+    if (jitHook() == 2) {
+        sync();
+        dispatches_ += steps;
+        return;
     }
 
-#if SHIFT_THREADED_DISPATCH
     // One entry per Opcode, in declaration order.
     static const void *const kJump[] = {
         &&L_Label, &&L_Nop,
@@ -1481,21 +1485,20 @@ Machine::runDecoded(uint64_t maxSteps)
 
 #define SHIFT_OP(name) L_##name:
 
-// The front end stamped at the end of every handler: count the step,
-// fetch, divert to the trace/nullify tails, charge a load-use stall,
-// and jump through the opcode table. SHIFT_NEXT() checks stopped_
-// first; handler exits that cannot have stopped the machine (no fault,
-// no callback) use SHIFT_NEXT_FAST() and skip that load+branch, and
-// exits that definitely stopped it (setFault / halt) take
-// SHIFT_STOPPED() straight to the sync-and-return tail.
+// The front end stamped at the end of every handler: count the step
+// (diverting to the step-limit/observe tails), fetch, divert to the
+// nullify tail, charge a load-use stall, and jump through the opcode
+// table. SHIFT_NEXT() checks stopped_ first; handler exits that cannot
+// have stopped the machine (no fault, no callback) use
+// SHIFT_NEXT_FAST() and skip that load+branch, and exits that
+// definitely stopped it (setFault / halt) take SHIFT_STOPPED()
+// straight to the sync-and-return tail.
 #define SHIFT_NEXT_FAST()                                               \
     do {                                                                \
-        if (++steps > maxSteps)                                         \
+        if (++steps > stepLimit)                                        \
             goto stepLimitHit;                                          \
         dp = &code[pc];                                                 \
         statIdx = dp->statIdx;                                          \
-        if (trace_)                                                     \
-            goto traced;                                                \
         if (dp->qp != 0 && !pred_[dp->qp])                              \
             goto nullified;                                             \
         if (dp->useMask & loadMask) {                                   \
@@ -1517,23 +1520,40 @@ Machine::runDecoded(uint64_t maxSteps)
     SHIFT_NEXT();
 
     // Out-of-line front-end tails, shared by every SHIFT_NEXT() copy.
-traced:
-    // Trace hooks get the architectural instruction; the micro-op's
-    // origIndex recovers it from the source stream. The end-of-
-    // function sentinel is never traced (the legacy stepper faults
-    // before its trace point in that state). With tracing enabled
-    // every dispatch passes through here, so this stopped_ check is
-    // what catches a hook that stops the machine — matching legacy,
-    // which finishes the hooked instruction and then exits its run
-    // loop before the next trace point.
-    if (stopped_)
-        goto doneRun;
-    if (dp->op != Opcode::Label) {
-        sync();
-        trace_(*this, df->src->code[dp->origIndex]);
-        pc = pc_;
-        dp = &code[pc];
-        statIdx = dp->statIdx;
+observe:
+    // Reached only in the observed loop with an observer attached (see
+    // stepLimit), once per dispatch. The end-of-function sentinel
+    // (Label) is neither traced nor counted.
+    dp = &code[pc];
+    statIdx = dp->statIdx;
+    if (hook) {
+        // Trace hooks get the architectural instruction; the
+        // micro-op's origIndex recovers it from the source stream
+        // (the legacy stepper faults before its trace point at the
+        // sentinel). This stopped_ check is what catches a hook that
+        // stops the machine — matching legacy, which finishes the
+        // hooked instruction and then exits its run loop before the
+        // next trace point.
+        if (stopped_)
+            goto doneRun;
+        if (dp->op != Opcode::Label) {
+            sync();
+            (*hook)(*this, df->src->code[dp->origIndex]);
+            pc = pc_;
+            dp = &code[pc];
+            statIdx = dp->statIdx;
+        }
+    }
+    if (hotData && dp->op != Opcode::Label)
+        ++hotData[hotBase[curFunc_] +
+                  static_cast<uint32_t>(dp->origIndex)];
+    if (prof && --profLeft == 0) {
+        // Attribute the host time since the last tick to the observed
+        // {tier, function, pc}.
+        profLeft = obs::Profiler::kSampleEvery;
+        prof->sample(inFast ? obs::Tier::InterpFast
+                            : obs::Tier::InterpSlow,
+                     curFunc_, static_cast<uint32_t>(dp->origIndex));
     }
     if (dp->qp != 0 && !pred_[dp->qp])
         goto nullified;
@@ -1548,60 +1568,13 @@ traced:
 nullified:
     // Qualifying predicate: a false predicate nullifies the
     // instruction, but it still occupies an issue slot. Checked
-    // dispatch: the traced tail funnels through here and a trace hook
+    // dispatch: the observe tail funnels through here and a trace hook
     // may have stopped the machine.
     charge(cycleModel_.nullified);
     loadMask = 0;
     ++pc;
     SHIFT_NEXT();
 
-#else // !SHIFT_THREADED_DISPATCH: portable switch dispatch
-
-#define SHIFT_OP(name) case Opcode::name:
-#define SHIFT_NEXT() break
-// The while (!stopped_) loop re-checks on every iteration, so the
-// fast/stopped exits collapse to the same break.
-#define SHIFT_NEXT_FAST() break
-#define SHIFT_STOPPED() break
-
-    while (!stopped_) {
-        if (++steps > maxSteps) {
-            sync();
-            setFault(FaultKind::StepLimit, FaultContext::None, 0,
-                     "step limit exceeded");
-            return;
-        }
-        dp = &code[pc];
-        statIdx = dp->statIdx;
-
-        if (trace_ && dp->op != Opcode::Label) {
-            sync();
-            trace_(*this, df->src->code[dp->origIndex]);
-            pc = pc_;
-            dp = &code[pc];
-            statIdx = dp->statIdx;
-        }
-
-        // Qualifying predicate: a false predicate nullifies the
-        // instruction, but it still occupies an issue slot.
-        if (dp->qp != 0 && !pred_[dp->qp]) {
-            charge(cycleModel_.nullified);
-            loadMask = 0;
-            ++pc;
-            continue;
-        }
-
-        // Load-use stall (see stepLegacy): the operand walk is
-        // precomputed into a use mask, so the check is one AND.
-        if (dp->useMask & loadMask) {
-            cycles += cycleModel_.loadUseStall;
-            stallCycles_ += cycleModel_.loadUseStall;
-            cyFlat[statIdx] += cycleModel_.loadUseStall;
-        }
-        loadMask = dp->op == Opcode::Ld ? 1ULL << (dp->r1 & 63) : 0;
-
-        switch (dp->op) {
-#endif
 
     SHIFT_OP(Nop)
         charge(cycleModel_.alu);
@@ -1963,13 +1936,13 @@ nullified:
                      "store to illegal address");
             SHIFT_STOPPED();
         }
-        if constexpr (kObs) {
+        if constexpr (kObserved) {
             // A nonzero write into the tag region spreads taint: the
             // provenance chain wants it.
-            if (obs_ && !dp->spill && srcReg.val != 0 &&
+            if (rec && !dp->spill && srcReg.val != 0 &&
                 regionOf(addr) == kTagRegion) [[unlikely]]
-                obs_->emitCold(obs::Ev::TaintStore, 0, curFunc_,
-                               dp->origIndex, addr);
+                rec->emitCold(obs::Ev::TaintStore, 0, curFunc_,
+                              dp->origIndex, addr);
         }
         ++storeCount_;
         charge(cycleModel_.storeBase);
@@ -2036,10 +2009,12 @@ nullified:
             size_t depthBefore = callStack_.size();
             [[maybe_unused]] uint64_t bt0 = profT0();
             (*fn)(*this);
-            if constexpr (kProf)
-                prof_->carveSince(obs::Tier::Builtin, funcBefore,
-                                  static_cast<uint32_t>(dp->origIndex),
-                                  bt0);
+            if constexpr (kObserved) {
+                if (prof)
+                    prof->carveSince(obs::Tier::Builtin, funcBefore,
+                                     static_cast<uint32_t>(dp->origIndex),
+                                     bt0);
+            }
             if (!stopped_ && pc_ == pcBefore && curFunc_ == funcBefore &&
                 callStack_.size() == depthBefore)
                 ++pc_;
@@ -2554,10 +2529,10 @@ nullified:
                      "store to illegal address");
             SHIFT_STOPPED();
         }
-        if constexpr (kObs) {
-            if (obs_ && t1v != 0) [[unlikely]]
-                obs_->emitCold(obs::Ev::TaintStore, 0, curFunc_,
-                               dp->origIndex + 6, a.val);
+        if constexpr (kObserved) {
+            if (rec && t1v != 0) [[unlikely]]
+                rec->emitCold(obs::Ev::TaintStore, 0, curFunc_,
+                              dp->origIndex + 6, a.val);
         }
         ++storeCount_;
         statIdx = idxMem;
@@ -2806,8 +2781,11 @@ nullified:
         SHIFT_NEXT_FAST();
     }
 
-#if SHIFT_THREADED_DISPATCH
 stepLimitHit:
+    // A plain `if`: production folds it away, and `observe:` stays
+    // referenced in both loops.
+    if (kObserved && steps <= maxSteps)
+        goto observe;
     sync();
     dispatches_ += steps;
     setFault(FaultKind::StepLimit, FaultContext::None, 0,
@@ -2817,12 +2795,6 @@ stepLimitHit:
 doneRun:
     sync();
     dispatches_ += steps;
-#else
-        }
-    }
-    sync();
-    dispatches_ += steps;
-#endif
 #undef SHIFT_JIT_CHECK
 #undef SHIFT_OP
 #undef SHIFT_NEXT
@@ -2830,29 +2802,19 @@ doneRun:
 #undef SHIFT_STOPPED
 }
 
-// The template parameters are <kObs, kHotPc, kAsync, kProf>.
-// Production runs <false, false, false, false>: every flight-recorder
-// emit site above vanishes under `if constexpr`, so a disabled
-// recorder costs one pointer test per run() call (perf-smoke-obs
-// enforces this). <true, false, false, false> adds the emit-site
-// branches without per-instruction hot-pc counting;
-// <true, true, false, false> is the full tracing loop used when an
-// observer is attached. The kAsync instantiations are the
-// decoupled-taint engines (docs/ASYNC-TAINT.md): the replay calls
-// compile in, and the synchronous loops carry zero async
-// instructions.
-template void Machine::runDecoded<false, false, false, false>(uint64_t);
-template void Machine::runDecoded<true, false, false, false>(uint64_t);
-template void Machine::runDecoded<true, true, false, false>(uint64_t);
-template void Machine::runDecoded<false, false, true, false>(uint64_t);
-template void Machine::runDecoded<true, false, true, false>(uint64_t);
-// kProf variants (tier-attribution profiler, docs/OBSERVABILITY.md).
-// No kHotPc+kProf combination: attaching a profiler alongside a full
-// observer forfeits the per-PC hot-spot table (run() documents this).
-template void Machine::runDecoded<false, false, false, true>(uint64_t);
-template void Machine::runDecoded<true, false, false, true>(uint64_t);
-template void Machine::runDecoded<false, false, true, true>(uint64_t);
-template void Machine::runDecoded<true, false, true, true>(uint64_t);
+// The template parameters are <kObserved, kAsync>. Production runs
+// <false, false>: every observer site above compiles out, so no
+// observer costs more than run()'s selection test (perf-smoke-obs and
+// perf-smoke-prof enforce this). <true, *> is the observed loop: trace
+// hook, recorder emit sites, hot-pc counting and profiler sampling,
+// each behind a null test of its loop-entry local. The kAsync
+// instantiations are the decoupled-taint engines
+// (docs/ASYNC-TAINT.md): the replay calls compile in, and the
+// synchronous loops carry zero async instructions.
+template void Machine::runDecoded<false, false>(uint64_t);
+template void Machine::runDecoded<true, false>(uint64_t);
+template void Machine::runDecoded<false, true>(uint64_t);
+template void Machine::runDecoded<true, true>(uint64_t);
 
 RunResult
 Machine::run(uint64_t maxSteps)
@@ -2901,40 +2863,22 @@ Machine::run(uint64_t maxSteps)
     if (prof_)
         prof_->begin();
     if (engine_ == ExecEngine::Predecoded) {
+        bool observed = trace_ || obs_ || prof_ || obsForce_;
         if (asyncTier_) {
             // Decoupled taint tier: the machine owns the tier's
-            // lifecycle around the run. Per-PC hot-spot attribution
-            // is not wired through the async instantiations (the
-            // table stays zero and emits nothing).
+            // lifecycle around the run.
             asyncTier_->start();
-            if (obs_ || obsForce_) {
-                if (prof_)
-                    runDecoded<true, false, true, true>(maxSteps);
-                else
-                    runDecoded<true, false, true, false>(maxSteps);
-            } else {
-                if (prof_)
-                    runDecoded<false, false, true, true>(maxSteps);
-                else
-                    runDecoded<false, false, true, false>(maxSteps);
-            }
+            if (observed)
+                runDecoded<true, true>(maxSteps);
+            else
+                runDecoded<false, true>(maxSteps);
             // End-of-run fence. Every violation stopped the engine
             // where it was replayed, so none is left to apply.
             asyncTier_->fence();
-        } else if (obs_ && !hotPc_.empty() && !prof_) {
-            runDecoded<true, true, false, false>(maxSteps);
-        } else if (obs_ || obsForce_) {
-            // A profiler alongside a full observer forfeits the
-            // per-PC hot-spot table (the instantiation matrix stays
-            // at nine; the profiler's own site table subsumes it).
-            if (prof_)
-                runDecoded<true, false, false, true>(maxSteps);
-            else
-                runDecoded<true, false, false, false>(maxSteps);
-        } else if (prof_) {
-            runDecoded<false, false, false, true>(maxSteps);
+        } else if (observed) {
+            runDecoded<true, false>(maxSteps);
         } else {
-            runDecoded<false, false, false, false>(maxSteps);
+            runDecoded<false, false>(maxSteps);
         }
     } else {
         SHIFT_ASSERT(!asyncTier_,

@@ -230,7 +230,8 @@ class Machine
      * Install an instruction trace hook (debugging aid). On the
      * predecoded engine this re-decodes the program without macro-op
      * fusion (before the run only), so the hook sees every
-     * architectural instruction individually.
+     * architectural instruction individually, and run() takes the
+     * observed interpreter loop with the JIT off.
      */
     void setTraceHook(TraceFn fn);
 
@@ -352,33 +353,34 @@ class Machine
      * Attach a flight-recorder ring: the engine emits structured
      * trace events (fast-tier enter/deopt/cold-bail with pc and
      * cause, tainted tag stores, COW page copies, policy verdicts)
-     * and maintains the per-PC hot-spot table. Null detaches. With no
-     * buffer attached the whole subsystem costs one branch at run()
-     * (the tracing-enabled interpreter loop is a separate template
-     * instantiation), which perf-smoke-obs enforces.
+     * and counts the per-PC hot-spot table (`engine.hotpc.*`, also
+     * under a profiler and the async tier). run() takes the observed
+     * interpreter loop with the JIT off. Null detaches. With no buffer
+     * attached the whole subsystem costs one branch at run(), which
+     * perf-smoke-obs enforces.
      */
     void setObserver(obs::TraceBuffer *buffer);
     obs::TraceBuffer *observer() const { return obs_; }
 
     /**
-     * Bench/test knob: force run() through the tracing-capable
-     * interpreter instantiation even with no buffer attached, so the
-     * cost of its disabled branches is measurable (bench_obs).
+     * Bench/test knob: pin run() to the observed interpreter loop
+     * (JIT off) even with no observer attached, so the cost of its
+     * not-taken observer branches is measurable (bench_obs).
      */
     void setObsDispatchForced(bool forced) { obsForce_ = forced; }
 
     /**
-     * Attach the tier-attribution profiler: run() selects a
-     * profiling interpreter instantiation (separate template axis,
-     * like kObs) that samples host time into {tier, function, pc}
-     * buckets and carves exact sub-intervals for async publication,
-     * JIT compilation, built-ins and system calls. The machine calls
-     * begin()/stop() around the run and folds the tables into the
-     * run's StatSet as `prof.*` (docs/OBSERVABILITY.md). Null
-     * detaches; with none attached the subsystem costs nothing (the
-     * profiling loop is a separate instantiation, enforced by
-     * perf-smoke-prof). Composes with the JIT tier — compiled code
-     * accrues to jit-slow/jit-fast between dispatch hooks.
+     * Attach the tier-attribution profiler: run() takes the observed
+     * interpreter loop, which samples host time into {tier, function,
+     * pc} buckets and carves exact sub-intervals for async
+     * publication, JIT compilation, built-ins and system calls. The
+     * machine calls begin()/stop() around the run and folds the
+     * tables into the run's StatSet as `prof.*`
+     * (docs/OBSERVABILITY.md). Null detaches; with none attached the
+     * subsystem costs nothing (the production loop compiles none of
+     * it, enforced by perf-smoke-prof). Unlike the other observers it
+     * keeps the JIT tier — compiled code accrues to jit-slow/jit-fast
+     * between dispatch hooks.
      */
     void setProfiler(obs::Profiler *prof) { prof_ = prof; }
     obs::Profiler *profiler() const { return prof_; }
@@ -429,18 +431,23 @@ class Machine
 
     /**
      * The predecoded engine's fused interpreter loop: runs until the
-     * machine stops or maxSteps iterations elapse. One switch executes
-     * each operation directly (no per-opcode helper dispatch), with the
-     * pc and the hot counters held in locals that are written back to
-     * the architectural members around every observation point (trace
-     * hooks, built-ins, system calls, faults, alerts).
+     * machine stops or maxSteps iterations elapse. Direct-threaded
+     * handlers execute each operation directly (no per-opcode helper
+     * dispatch), with the pc and the hot counters held in locals that
+     * are written back to the architectural members around every
+     * observation point (trace hooks, built-ins, system calls, faults,
+     * alerts).
      *
-     * kObs selects the tracing-capable instantiation: flight-recorder
-     * emit sites and the per-PC hot-spot counter compile in behind
-     * `if constexpr`, so the production (kObs=false) loop carries
-     * literally zero disabled-tracing instructions.
+     * kObserved selects the observed loop, taken whenever a trace
+     * hook, recorder or profiler is attached or dispatch is forced:
+     * the observers' code compiles in, each behind a null test of a
+     * pointer loaded at loop entry, and the per-dispatch ones (trace
+     * hook, hot-pc count, profiler tick) ride the step-limit test, so
+     * with nothing attached its front end is production's. The
+     * production (kObserved=false) loop reads no observer at all.
+     * kAsync selects the decoupled-taint engine (setAsyncTier).
      */
-    template <bool kObs, bool kHotPc, bool kAsync, bool kProf>
+    template <bool kObserved, bool kAsync>
     void runDecoded(uint64_t maxSteps);
 
     /**
@@ -591,8 +598,8 @@ class Machine
     // Observability state (see setObserver). The hot-spot table is a
     // flat per-original-instruction counter array indexed by
     // hotPcBase_[function] + origIndex; bounded by program size and
-    // only allocated (and only incremented — kObs instantiation) when
-    // a recorder is attached.
+    // only allocated (and so only counted) when a recorder is
+    // attached.
     obs::TraceBuffer *obs_ = nullptr;
     bool obsForce_ = false;
     obs::Profiler *prof_ = nullptr;

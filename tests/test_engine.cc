@@ -242,6 +242,61 @@ TEST(PredecodeContract, UnresolvedLabelFaultsAtRunTimeUnderLegacy)
         << result.fault.detail;
 }
 
+// Fused and fast-path micro-ops are the decoder's output, never its
+// input: their handlers trust decode-time invariants (an FpEnter's
+// block id, a fused idiom's register layout), so an architectural
+// program carrying one is malformed on both engines.
+Program
+programWithMicroOp(Opcode op)
+{
+    // main: [0] <op>  [1] movi r8 = 1  [2] halt
+    Program program;
+    Function fn;
+    fn.name = "main";
+    Instr micro;
+    micro.op = op;
+    fn.code.push_back(micro);
+    Instr movi;
+    movi.op = Opcode::Movi;
+    movi.r1 = 8;
+    movi.useImm = true;
+    movi.imm = 1;
+    fn.code.push_back(movi);
+    Instr halt;
+    halt.op = Opcode::Halt;
+    fn.code.push_back(halt);
+    program.addFunction(std::move(fn));
+    return program;
+}
+
+TEST(PredecodeContract, MicroOpsRejectedOnBothEngines)
+{
+    static_assert(kNumOpcodes - kFirstFusedOpcode == 10,
+                  "six Fused* and four Fp* micro-ops");
+    for (size_t op = kFirstFusedOpcode; op < kNumOpcodes; ++op) {
+        Program program = programWithMicroOp(static_cast<Opcode>(op));
+        for (ExecEngine engine :
+             {ExecEngine::Predecoded, ExecEngine::Legacy}) {
+            SCOPED_TRACE(std::string(opcodeName(static_cast<Opcode>(op))) +
+                         (engine == ExecEngine::Legacy ? " legacy"
+                                                       : " predecoded"));
+            Machine machine(program, {}, engine);
+            RunResult result = machine.run(1000);
+            EXPECT_FALSE(result.exited);
+            EXPECT_EQ(result.fault.kind, FaultKind::BadProgram)
+                << faultKindName(result.fault.kind) << ": "
+                << result.fault.detail;
+            EXPECT_EQ(result.fault.function, 0);
+            EXPECT_EQ(result.fault.pc, 0u);
+            EXPECT_NE(result.fault.detail.find(
+                          opcodeName(static_cast<Opcode>(op))),
+                      std::string::npos)
+                << result.fault.detail;
+            EXPECT_EQ(result.instructions, 0u);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Builtin pc semantics: a builtin that transfers control into a user
 // function (callFunction) must not have the call site's ++pc applied

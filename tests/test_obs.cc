@@ -7,7 +7,9 @@
  * and requires each policy kill to carry a non-empty chain ending at
  * the failing check; the trace-format suite validates the drained
  * JSON with a real parser rather than string probes, since "loads in
- * Perfetto" is the contract.
+ * Perfetto" is the contract. The invisibility suite runs every SPEC
+ * kernel and attack under each observer and requires the production
+ * run's simulation, exactly.
  */
 
 #include <gtest/gtest.h>
@@ -17,9 +19,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
+#include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
+#include "jit_test_util.hh"
 #include "obs/exporter.hh"
 #include "obs/perfmap.hh"
 #include "obs/profiler.hh"
@@ -29,6 +35,7 @@
 #include "support/stats.hh"
 #include "workloads/attacks.hh"
 #include "workloads/httpd.hh"
+#include "workloads/spec.hh"
 
 namespace shift
 {
@@ -488,6 +495,75 @@ TEST(Recorder, StatIntoCountsBuffers)
     EXPECT_EQ(stats.get("obs.dropped"), 0u);
 }
 
+// ----- per-PC hot-spot table --------------------------------------------
+
+/** The run's `engine.hotpc.<function>@<pc>` rows. */
+std::map<std::string, uint64_t>
+hotPcRows(const StatSet &stats)
+{
+    std::map<std::string, uint64_t> rows;
+    stats.forEach([&](const std::string &name, uint64_t value) {
+        if (name.rfind("engine.hotpc.", 0) == 0)
+            rows[name] = value;
+    });
+    return rows;
+}
+
+RunResult
+runTaintyRecorded(const SessionOptions &options)
+{
+    ScopedRecorder recorder;
+    Session session(kTaintyProgram, options);
+    session.os().addFile("/in.txt", std::string(48, 'A'));
+    return session.run();
+}
+
+/** 1-16 function@pc rows whose counts sum to at most the run. */
+void
+expectHotPcTable(const RunResult &result)
+{
+    EXPECT_TRUE(result.exited);
+    std::map<std::string, uint64_t> rows = hotPcRows(result.stats);
+    EXPECT_GE(rows.size(), 1u);
+    EXPECT_LE(rows.size(), 16u);
+    uint64_t sum = 0;
+    for (const auto &[name, count] : rows) {
+        EXPECT_NE(name.find('@'), std::string::npos) << name;
+        EXPECT_GT(count, 0u) << name;
+        sum += count;
+    }
+    EXPECT_LE(sum, result.stats.get("engine.instrs.total"));
+}
+
+TEST(HotPc, RecorderReportsTopSites)
+{
+    expectHotPcTable(runTaintyRecorded(testutil::shiftOptions()));
+}
+
+TEST(HotPc, ComposesWithProfiler)
+{
+    SessionOptions options = testutil::shiftOptions();
+    RunResult recorded = runTaintyRecorded(options);
+    options.profile = true;
+    RunResult profiled = runTaintyRecorded(options);
+    expectHotPcTable(profiled);
+    EXPECT_EQ(hotPcRows(profiled.stats), hotPcRows(recorded.stats));
+}
+
+TEST(HotPc, ComposesWithAsyncTier)
+{
+    // The async tier runs the uninstrumented program, so its rows
+    // name other pcs than the synchronous run's; they must still be
+    // counted, and a profiler next to them must not change them.
+    SessionOptions options = testutil::shiftOptions();
+    options.async.enabled = true;
+    RunResult recorded = runTaintyRecorded(options);
+    expectHotPcTable(recorded);
+    options.profile = true;
+    RunResult profiled = runTaintyRecorded(options);
+    EXPECT_EQ(hotPcRows(profiled.stats), hotPcRows(recorded.stats));
+}
+
 // ----- provenance on the table-2 attacks --------------------------------
 
 TEST(Provenance, EveryAttackKillCarriesAChain)
@@ -512,6 +588,195 @@ TEST(Provenance, EveryAttackKillCarriesAChain)
         std::string text = recorder.rec->renderChain(run.result.provenance);
         EXPECT_NE(text.find("policy.kill"), std::string::npos);
     }
+}
+
+// ----- observers never change the simulation ----------------------------
+//
+// Each workload runs once in production (nothing attached) and then
+// under every observer: the recorder (which also turns the JIT off),
+// the profiler, both, and a no-op trace hook. Every observed run must
+// retire the production run's simulation exactly.
+
+/** A Session configured and provisioned for one workload. */
+struct ObsWorkload
+{
+    std::string name;
+    std::string source;
+    SessionOptions options;
+    std::function<void(Session &)> setup;
+};
+
+std::vector<ObsWorkload>
+obsWorkloads()
+{
+    std::vector<ObsWorkload> out;
+    for (const workloads::SpecKernel &kernel : workloads::specKernels()) {
+        ObsWorkload w;
+        w.name = kernel.name;
+        w.source = kernel.source;
+        w.options.mode = TrackingMode::Shift;
+        w.options.policy.granularity = Granularity::Byte;
+        w.options.policy.taintFile = true;
+        w.options.instr.relaxLoadFunctions = kernel.relaxLoadFunctions;
+        w.options.instr.relaxStoreFunctions = kernel.relaxStoreFunctions;
+        w.setup = [&kernel](Session &s) {
+            s.os().addFile("input.dat", kernel.makeInput(1));
+        };
+        out.push_back(std::move(w));
+    }
+    for (const workloads::AttackScenario &scenario :
+         workloads::attackScenarios()) {
+        for (bool exploit : {false, true}) {
+            ObsWorkload w;
+            w.name = scenario.name + (exploit ? "/exploit" : "/benign");
+            w.source = scenario.source;
+            w.options.mode = TrackingMode::Shift;
+            w.options.policy = scenario.policy;
+            w.options.policy.granularity = Granularity::Byte;
+            w.options.instr.relaxLoadFunctions =
+                scenario.relaxLoadFunctions;
+            w.setup = exploit ? scenario.setupExploit
+                              : scenario.setupBenign;
+            out.push_back(std::move(w));
+        }
+    }
+    return out;
+}
+
+enum class Observer
+{
+    None,
+    Recorder,
+    Profiler,
+    Both,
+    TraceHook,
+};
+
+jittest::DiffRun
+runObserved(const ObsWorkload &w, SessionOptions options,
+            Observer observer)
+{
+    options.profile =
+        observer == Observer::Profiler || observer == Observer::Both;
+    std::optional<ScopedRecorder> recorder;
+    if (observer == Observer::Recorder || observer == Observer::Both)
+        recorder.emplace();
+    Session session(w.source, options);
+    w.setup(session);
+    if (observer == Observer::TraceHook)
+        session.machine().setTraceHook(
+            [](const Machine &, const Instr &) {});
+    return jittest::captureRun(session);
+}
+
+/**
+ * Everything the simulation computes. The observers' own counters
+ * are left out (jit.* too: a recorder or trace hook turns the JIT
+ * off), and so is engine.dispatches for a trace hook, whose unfused
+ * decode dispatches each fused idiom's constituents one by one.
+ */
+void
+expectSameSimulation(const jittest::DiffRun &prod,
+                     const jittest::DiffRun &seen, bool unfused,
+                     const std::string &what)
+{
+    EXPECT_EQ(prod.result.exited, seen.result.exited) << what;
+    EXPECT_EQ(prod.result.exitCode, seen.result.exitCode) << what;
+    EXPECT_EQ(prod.result.fault.kind, seen.result.fault.kind) << what;
+    ASSERT_EQ(prod.result.alerts.size(), seen.result.alerts.size())
+        << what;
+    for (size_t i = 0; i < prod.result.alerts.size(); ++i) {
+        EXPECT_EQ(prod.result.alerts[i].policy, seen.result.alerts[i].policy)
+            << what;
+        EXPECT_EQ(prod.result.alerts[i].pc, seen.result.alerts[i].pc)
+            << what;
+    }
+    EXPECT_EQ(prod.result.instructions, seen.result.instructions) << what;
+    EXPECT_EQ(prod.result.cycles, seen.result.cycles) << what;
+    EXPECT_EQ(prod.tagHash, seen.tagHash) << what << ": taint bitmap";
+    EXPECT_EQ(prod.dataHash, seen.dataHash) << what << ": data memory";
+    EXPECT_EQ(prod.stackHash, seen.stackHash) << what << ": stack memory";
+    EXPECT_EQ(prod.osHash, seen.osHash) << what << ": OS memory";
+
+    auto counters = [unfused](const StatSet &stats) {
+        std::map<std::string, uint64_t> out;
+        stats.forEach([&](const std::string &name, uint64_t value) {
+            for (const char *own :
+                 {"jit.", "prof.", "obs.", "engine.hotpc."}) {
+                if (name.rfind(own, 0) == 0)
+                    return;
+            }
+            if (unfused && name == "engine.dispatches")
+                return;
+            out[name] = value;
+        });
+        return out;
+    };
+    std::map<std::string, uint64_t> prodC = counters(prod.result.stats);
+    std::map<std::string, uint64_t> seenC = counters(seen.result.stats);
+    for (const auto &[name, value] : prodC)
+        EXPECT_EQ(seenC[name], value) << what << ": counter " << name;
+    for (const auto &[name, value] : seenC)
+        EXPECT_EQ(prodC[name], value) << what << ": counter " << name;
+}
+
+/** Production vs every observer for each workload in one shape. */
+void
+expectObserversInvisible(const SessionOptions &shape,
+                         const std::string &shapeName)
+{
+    for (const ObsWorkload &w : obsWorkloads()) {
+        SessionOptions options = w.options;
+        options.optimize.enable = shape.optimize.enable;
+        options.features = shape.features;
+        options.fastPath = shape.fastPath;
+        options.jit = shape.jit;
+        options.jitThreshold = shape.jitThreshold;
+        options.async = shape.async;
+        std::string what = shapeName + " " + w.name;
+
+        jittest::DiffRun prod = runObserved(w, options, Observer::None);
+        const std::pair<Observer, const char *> arms[] = {
+            {Observer::Recorder, "recorder"},
+            {Observer::Profiler, "profiler"},
+            {Observer::Both, "recorder+profiler"},
+        };
+        for (const auto &[observer, arm] : arms) {
+            expectSameSimulation(prod, runObserved(w, options, observer),
+                                 false, what + " " + arm);
+        }
+        // The trace hook's unfused decode builds no fast stream, so
+        // it is compared with a production run without one.
+        if (options.fastPath) {
+            options.fastPath = false;
+            prod = runObserved(w, options, Observer::None);
+        }
+        expectSameSimulation(prod,
+                             runObserved(w, options, Observer::TraceHook),
+                             true, what + " trace hook");
+    }
+}
+
+TEST(ObserversInvisible, FullShape)
+{
+    SessionOptions full;
+    full.optimize.enable = true;
+    full.features.natSetClear = true;
+    full.features.natAwareCompare = true;
+    full.fastPath = true;
+    full.jit = true;
+    full.jitThreshold = jittest::kEager;
+    expectObserversInvisible(full, "full");
+}
+
+TEST(ObserversInvisible, AsyncShape)
+{
+    SessionOptions async;
+    async.optimize.enable = true;
+    async.features.natSetClear = true;
+    async.features.natAwareCompare = true;
+    async.async.enabled = true;
+    expectObserversInvisible(async, "async");
 }
 
 // ----- clone-tagged fatal sink ------------------------------------------
