@@ -52,7 +52,6 @@ class BaselineInstrumenter
     {
         instr.prov = Provenance::Baseline;
         out_.push_back(std::move(instr));
-        ++stats_.added;
     }
 
     /** kT0 = taint bit of register r (0 or 1). */

@@ -63,7 +63,6 @@ class FunctionInstrumenter
         instr.prov = prov;
         instr.origClass = cls;
         out_.push_back(std::move(instr));
-        ++stats_.added;
     }
 
     /**

@@ -40,6 +40,7 @@
 #ifndef SHIFT_CORE_INSTRUMENT_HH
 #define SHIFT_CORE_INSTRUMENT_HH
 
+#include <compare>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -120,6 +121,8 @@ struct InstrumentOptions
      * documented in docs/INSTR-OPT.md.
      */
     bool reuseTagAddr = true;
+
+    auto operator<=>(const InstrumentOptions &) const = default;
 };
 
 /** Static counts from one instrumentation run. */
@@ -132,6 +135,22 @@ struct InstrumentStats
     uint64_t added = 0;        ///< instructions added
     uint64_t originalSize = 0; ///< static instructions before
     uint64_t newSize = 0;      ///< static instructions after
+
+    /** Field-wise sum: every count adds across functions. */
+    InstrumentStats &
+    operator+=(const InstrumentStats &other)
+    {
+        loads += other.loads;
+        stores += other.stores;
+        compares += other.compares;
+        purifies += other.purifies;
+        added += other.added;
+        originalSize += other.originalSize;
+        newSize += other.newSize;
+        return *this;
+    }
+
+    bool operator==(const InstrumentStats &) const = default;
 };
 
 /**

@@ -23,6 +23,7 @@
 #ifndef SHIFT_LANG_SPECULATE_HH
 #define SHIFT_LANG_SPECULATE_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "isa/program.hh"
@@ -35,6 +36,8 @@ struct SpeculateOptions
 {
     /** How many instructions a load may be hoisted over. */
     int maxHoistDistance = 8;
+
+    auto operator<=>(const SpeculateOptions &) const = default;
 };
 
 /** Static results of one pass run. */
@@ -42,6 +45,17 @@ struct SpeculateStats
 {
     uint64_t candidates = 0; ///< loads examined
     uint64_t hoisted = 0;    ///< loads converted to ld.s + chk.s
+
+    /** Field-wise sum: both counts add across functions. */
+    SpeculateStats &
+    operator+=(const SpeculateStats &other)
+    {
+        candidates += other.candidates;
+        hoisted += other.hoisted;
+        return *this;
+    }
+
+    bool operator==(const SpeculateStats &) const = default;
 };
 
 /** Speculate loads in every function of the program, in place. */

@@ -63,6 +63,7 @@
 #ifndef SHIFT_OPT_INSTR_OPT_HH
 #define SHIFT_OPT_INSTR_OPT_HH
 
+#include <compare>
 #include <cstdint>
 
 #include "isa/program.hh"
@@ -82,6 +83,8 @@ struct OptimizerOptions
     bool deadUpdates = true;     ///< (d) overwritten-update removal
     bool cleanRelax = true;      ///< (e) NaT-cleanliness relax removal
     bool narrow = true;          ///< (f) alignment-driven narrowing
+
+    auto operator<=>(const OptimizerOptions &) const = default;
 };
 
 /** Static counts from one optimizer run. */
@@ -99,6 +102,27 @@ struct OptStats
     uint64_t instrsAdded = 0;    ///< static instructions inserted
     uint64_t sizeBefore = 0;     ///< static size going in
     uint64_t sizeAfter = 0;      ///< static size coming out
+
+    /** Field-wise sum: every count adds across functions. */
+    OptStats &
+    operator+=(const OptStats &other)
+    {
+        foldsHoisted += other.foldsHoisted;
+        foldsElided += other.foldsElided;
+        checksElided += other.checksElided;
+        updatesElided += other.updatesElided;
+        relaxElided += other.relaxElided;
+        purifiesElided += other.purifiesElided;
+        checksNarrowed += other.checksNarrowed;
+        updatesNarrowed += other.updatesNarrowed;
+        instrsRemoved += other.instrsRemoved;
+        instrsAdded += other.instrsAdded;
+        sizeBefore += other.sizeBefore;
+        sizeAfter += other.sizeAfter;
+        return *this;
+    }
+
+    bool operator==(const OptStats &) const = default;
 };
 
 /**

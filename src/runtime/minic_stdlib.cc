@@ -1,13 +1,19 @@
 #include "minic_stdlib.hh"
 
+#include <map>
+#include <mutex>
+#include <set>
+
+#include "runtime/session.hh"
+
 namespace shift
 {
 
 const char *const kMiniCStdlib = R"MINIC(
 // ---------------------------------------------------------------------
-// MiniC standard library ("libc"). Compiled once per process and
-// instrumented with each application, so taint propagates through
-// these routines via the ordinary SHIFT load/store instrumentation.
+// MiniC standard library ("libc"). Compiled once per process, then
+// instrumented and optimized once per configuration: taint propagates
+// through these routines via the ordinary SHIFT load/store tracking.
 // ---------------------------------------------------------------------
 
 long strlen(char *s) {
@@ -140,6 +146,102 @@ prebuiltStdlib()
     static const minic::Library library =
         minic::compileLibrary(kMiniCStdlib);
     return library;
+}
+
+namespace
+{
+
+/** What trackedStdlib() keys on; see its comment. */
+struct StdlibKey
+{
+    TrackingMode mode = TrackingMode::None;
+    bool async = false;
+    bool speculate = false;
+    minic::SpeculateOptions speculateOptions;
+    InstrumentOptions instr;
+    OptimizerOptions optimize;
+    BaselineOptions baseline;
+    std::string entry;
+
+    auto operator<=>(const StdlibKey &) const = default;
+};
+
+/** The names in `names` that libc defines. */
+std::set<std::string>
+libcNames(const std::set<std::string> &names)
+{
+    const minic::Signatures &libc = prebuiltStdlib().signatures;
+    std::set<std::string> kept;
+    for (const std::string &name : names) {
+        if (libc.contains(name))
+            kept.insert(name);
+    }
+    return kept;
+}
+
+StdlibKey
+stdlibKey(const SessionOptions &options, const std::string &entry)
+{
+    StdlibKey key;
+    key.mode = options.mode;
+    key.async = options.async.enabled;
+    key.speculate = options.speculate;
+    key.speculateOptions = options.speculateOptions;
+    key.instr = options.instr;
+    key.instr.relaxLoadFunctions = libcNames(key.instr.relaxLoadFunctions);
+    key.instr.relaxStoreFunctions = libcNames(key.instr.relaxStoreFunctions);
+    key.instr.cmpTaintAlertFunctions =
+        libcNames(key.instr.cmpTaintAlertFunctions);
+    key.optimize = options.optimize;
+    key.baseline = options.baseline;
+    if (prebuiltStdlib().signatures.contains(entry))
+        key.entry = entry;
+    return key;
+}
+
+/** The process-wide memo. A node map: entries never move. */
+struct StdlibMemo
+{
+    std::mutex mutex;
+    std::map<StdlibKey, TrackedCode> entries;
+};
+
+StdlibMemo &
+stdlibMemo()
+{
+    static StdlibMemo memo;
+    return memo;
+}
+
+} // namespace
+
+const TrackedCode &
+trackedStdlib(const SessionOptions &options, const std::string &entry,
+              const std::function<TrackedCode()> &track)
+{
+    StdlibKey key = stdlibKey(options, entry);
+    StdlibMemo &memo = stdlibMemo();
+    {
+        std::lock_guard<std::mutex> lock(memo.mutex);
+        auto it = memo.entries.find(key);
+        if (it != memo.entries.end())
+            return it->second;
+    }
+    // Build outside the lock. Concurrent misses on one key each build
+    // the same code and the first to insert wins; a throw inserts
+    // nothing.
+    TrackedCode built = track();
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.entries.try_emplace(std::move(key), std::move(built))
+        .first->second;
+}
+
+size_t
+trackedStdlibEntries()
+{
+    StdlibMemo &memo = stdlibMemo();
+    std::lock_guard<std::mutex> lock(memo.mutex);
+    return memo.entries.size();
 }
 
 } // namespace shift

@@ -1,5 +1,7 @@
 #include "session.hh"
 
+#include <iterator>
+
 #include "dift/annotate.hh"
 #include "lang/compiler.hh"
 #include "obs/trace.hh"
@@ -11,6 +13,89 @@ namespace shift
 
 namespace detail
 {
+
+namespace
+{
+
+/**
+ * The tracking passes on `functions` alone: optional control
+ * speculation, then instrumentation per tracking mode, then the
+ * optimizer. Every pass works one function at a time, so running this
+ * on the libc functions and on the program's own functions separately
+ * gives what running it on the whole program gives. Any option this
+ * reads must also be in trackedStdlib()'s key.
+ */
+TrackedCode
+track(std::vector<Function> functions, const std::string &entry,
+      const SessionOptions &options)
+{
+    Program program;
+    program.functions = std::move(functions);
+    program.entry = entry;
+    TrackedCode out;
+
+    // Control speculation runs before instrumentation, exactly as a
+    // speculating compiler would emit ld.s/chk.s before SHIFT's GCC
+    // phase sees the code.
+    if (options.speculate) {
+        obs::ScopedPhase span(obs::Phase::Speculate);
+        out.speculateStats = minic::speculateLoads(program,
+                                                   options.speculateOptions);
+    }
+
+    switch (options.mode) {
+      case TrackingMode::None:
+        break;
+      case TrackingMode::Shift:
+        if (options.async.enabled) {
+            // Async tier: no inline instrumentation at all. The
+            // program is only annotated (load/store/compare scoping
+            // recorded in Instr::p1, compare markers inserted) and the
+            // tier replays the instrumenter's semantics.
+            dift::AnnotateOptions ann;
+            ann.instrumentLoads = options.instr.instrumentLoads;
+            ann.instrumentStores = options.instr.instrumentStores;
+            ann.instrumentCompares = options.instr.instrumentCompares;
+            ann.relaxLoadAddress = options.instr.relaxLoadAddress;
+            ann.relaxLoadFunctions = options.instr.relaxLoadFunctions;
+            ann.relaxStoreFunctions = options.instr.relaxStoreFunctions;
+            ann.cmpTaintAlert = options.instr.cmpTaintAlert;
+            ann.cmpTaintAlertFunctions =
+                options.instr.cmpTaintAlertFunctions;
+            obs::ScopedPhase span(obs::Phase::Instrument);
+            dift::AnnotateStats astats = annotateForAsync(program, ann);
+            out.instrStats.loads = astats.checkedLoads + astats.relaxedLoads;
+            out.instrStats.stores =
+                astats.trackedStores + astats.relaxedStores;
+            out.instrStats.compares = astats.cmpMarkers;
+            out.instrStats.purifies = astats.zeroIdioms;
+            out.instrStats.added = astats.cmpMarkers;
+            break;
+        }
+        {
+            obs::ScopedPhase span(obs::Phase::Instrument);
+            out.instrStats = instrumentProgram(program, options.instr);
+        }
+        // Post-instrumentation optimizer: deletes redundant taint work
+        // the peephole instrumenter emitted (no-op unless
+        // options.optimize.enable). SHIFT sequences only; the software
+        // baseline keeps its literal instruction stream.
+        {
+            obs::ScopedPhase span(obs::Phase::Optimize);
+            out.optStats = optimizeInstrumentation(program, options.optimize);
+        }
+        break;
+      case TrackingMode::SoftwareDift: {
+        obs::ScopedPhase span(obs::Phase::Instrument);
+        out.instrStats = instrumentSoftwareDift(program, options.baseline);
+        break;
+      }
+    }
+    out.functions = std::move(program.functions);
+    return out;
+}
+
+} // namespace
 
 Program
 buildProgram(const std::vector<std::string> &sources,
@@ -25,15 +110,6 @@ buildProgram(const std::vector<std::string> &sources,
             return minic::compileProgram(sources);
         return minic::compileProgram(sources, prebuiltStdlib());
     }();
-
-    // Optional compiler optimization: control speculation. Runs
-    // before instrumentation, exactly as a speculating compiler would
-    // emit ld.s/chk.s before SHIFT's GCC phase sees the code.
-    if (options.speculate) {
-        obs::ScopedPhase span(obs::Phase::Speculate);
-        speculateStats = minic::speculateLoads(program,
-                                               options.speculateOptions);
-    }
 
     // Async-tier option screening happens here so Session and
     // SessionTemplate reject bad combinations identically.
@@ -53,61 +129,50 @@ buildProgram(const std::vector<std::string> &sources,
         }
     }
 
-    // 2. Instrument per tracking mode. Granularity follows the policy
-    // configuration so instrumented code and native taint summaries
-    // always agree on the bitmap layout.
+    // Granularity follows the policy configuration so instrumented
+    // code and native taint summaries always agree on the bitmap
+    // layout; the ISA switches follow the CPU features.
     switch (options.mode) {
       case TrackingMode::None:
+        // No pass would change the program: it stays as linked.
+        if (!options.speculate)
+            return program;
         break;
-      case TrackingMode::Shift: {
+      case TrackingMode::Shift:
         options.instr.granularity = options.policy.granularity;
         options.instr.natSetClear = options.features.natSetClear;
         options.instr.natAwareCompare = options.features.natAwareCompare;
-        if (options.async.enabled) {
-            // Async tier: no inline instrumentation at all. The
-            // program is only annotated (load/store/compare scoping
-            // recorded in Instr::p1, compare markers inserted) and the
-            // tier replays the instrumenter's semantics.
-            dift::AnnotateOptions ann;
-            ann.instrumentLoads = options.instr.instrumentLoads;
-            ann.instrumentStores = options.instr.instrumentStores;
-            ann.instrumentCompares = options.instr.instrumentCompares;
-            ann.relaxLoadAddress = options.instr.relaxLoadAddress;
-            ann.relaxLoadFunctions = options.instr.relaxLoadFunctions;
-            ann.relaxStoreFunctions = options.instr.relaxStoreFunctions;
-            ann.cmpTaintAlert = options.instr.cmpTaintAlert;
-            ann.cmpTaintAlertFunctions =
-                options.instr.cmpTaintAlertFunctions;
-            obs::ScopedPhase span(obs::Phase::Instrument);
-            dift::AnnotateStats astats = annotateForAsync(program, ann);
-            instrStats.loads = astats.checkedLoads + astats.relaxedLoads;
-            instrStats.stores = astats.trackedStores + astats.relaxedStores;
-            instrStats.compares = astats.cmpMarkers;
-            instrStats.purifies = astats.zeroIdioms;
-            instrStats.added = astats.cmpMarkers;
-            break;
-        }
-        {
-            obs::ScopedPhase span(obs::Phase::Instrument);
-            instrStats = instrumentProgram(program, options.instr);
-        }
-        // 3. Post-instrumentation optimizer: deletes redundant taint
-        // work the peephole instrumenter emitted (no-op unless
-        // options.optimize.enable). SHIFT sequences only; the
-        // software baseline keeps its literal instruction stream.
-        {
-            obs::ScopedPhase span(obs::Phase::Optimize);
-            optStats = optimizeInstrumentation(program, options.optimize);
-        }
         break;
-      }
-      case TrackingMode::SoftwareDift: {
+      case TrackingMode::SoftwareDift:
         options.baseline.granularity = options.policy.granularity;
-        obs::ScopedPhase span(obs::Phase::Instrument);
-        instrStats = instrumentSoftwareDift(program, options.baseline);
         break;
-      }
     }
+
+    // 2. Track the program's own functions, and put the libc in front
+    // of them as tracked once per configuration (trackedStdlib()).
+    size_t libcSize =
+        options.includeStdlib ? prebuiltStdlib().functions.size() : 0;
+    auto ownBegin = program.functions.begin() + static_cast<long>(libcSize);
+    std::vector<Function> ownCode(
+        std::make_move_iterator(ownBegin),
+        std::make_move_iterator(program.functions.end()));
+    program.functions.erase(ownBegin, program.functions.end());
+    TrackedCode own = track(std::move(ownCode), program.entry, options);
+    TrackedCode prefix;
+    if (libcSize > 0) {
+        prefix = trackedStdlib(options, program.entry, [&] {
+            return track(std::move(program.functions), program.entry,
+                         options);
+        });
+    }
+
+    program.functions = std::move(prefix.functions);
+    program.functions.insert(program.functions.end(),
+                             std::make_move_iterator(own.functions.begin()),
+                             std::make_move_iterator(own.functions.end()));
+    instrStats = prefix.instrStats += own.instrStats;
+    speculateStats = prefix.speculateStats += own.speculateStats;
+    optStats = prefix.optStats += own.optStats;
     return program;
 }
 

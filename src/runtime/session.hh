@@ -2,9 +2,10 @@
  * @file
  * Session: the top-level SHIFT API.
  *
- * A Session compiles MiniC sources and links them against the MiniC
+ * A Session compiles MiniC sources and links them behind the MiniC
  * libc (compiled once per process), applies the selected tracking mode
- * (none / SHIFT / software-DIFT baseline), builds a machine with the
+ * (none / SHIFT / software-DIFT baseline) to its own functions and takes
+ * the libc as tracked once per configuration, builds a machine with the
  * simulated OS and runtime, wires taint sources and the security
  * monitor per the policy configuration, and runs the program. This is
  * the interface examples, tests and every benchmark harness use.
@@ -60,12 +61,14 @@ struct SessionOptions
 
     /**
      * Link the program against the MiniC libc. The libc is compiled
-     * once per process (prebuiltStdlib()) and its functions are put
-     * ahead of the program's own, exactly as if its source had been
-     * prepended; it is instrumented, optimized and decoded with each
-     * program. Compile errors report line numbers in the program's
-     * own sources either way. When false, libc calls are unknown
-     * functions at run time.
+     * once per process (prebuiltStdlib()), instrumented and optimized
+     * once per configuration (trackedStdlib()), and its functions are
+     * put ahead of the program's own, exactly as if its source had been
+     * prepended and the whole program tracked. Per program, only the
+     * program's own functions are instrumented and optimized; decode
+     * and the JIT cover libc too. Compile errors report line numbers in
+     * the program's own sources either way. When false, libc calls are
+     * unknown functions at run time.
      */
     bool includeStdlib = true;
     uint64_t maxSteps = 2'000'000'000ULL;
@@ -127,10 +130,12 @@ namespace detail
 {
 
 /**
- * Compile + optional speculation + instrumentation: the build-front
- * half of a Session, shared with SessionTemplate. Mutates `options`
- * (granularity and feature switches propagate into the instrumenter
- * options, exactly as Session::build always did).
+ * Compile + optional speculation + instrumentation + optimizer: the
+ * build-front half of a Session, shared with SessionTemplate. The
+ * passes run on the program's own functions; the libc in front of them
+ * comes tracked from trackedStdlib(), and the stats are the sum of
+ * both. Mutates `options` (granularity and feature switches propagate
+ * into the instrumenter options, exactly as Session::build always did).
  */
 Program buildProgram(const std::vector<std::string> &sources,
                      SessionOptions &options, InstrumentStats &instrStats,
