@@ -1,13 +1,14 @@
 /**
  * @file
- * The executable code cache: hotness counting, promotion, and the
+ * The executable code cache: work counting, promotion, and the
  * lifecycle of compiled buffers (see docs/JIT.md).
  *
  * One policy: a function compiles whole, on the executing thread, at
- * the lookup that crosses the promotion threshold; the release store
- * that publishes the body is the only install step, so a concurrent
- * lookup sees either nothing or the finished body. Eviction is
- * flush-when-full against the code-byte budget.
+ * its first lookup after the interpreter has spent (threshold - 1) x
+ * its size in dispatches on it; the release store that publishes the
+ * body is the only install step, so a concurrent lookup sees either
+ * nothing or the finished body. Eviction is flush-when-full against
+ * the code-byte budget.
  */
 
 #include "jit/jit.hh"
@@ -64,14 +65,18 @@ CodeCache::CodeCache(std::shared_ptr<const DecodedProgram> program,
       env_(env),
       threshold_(threshold ? threshold : kDefaultThreshold),
       maxBytes_(maxBytes ? maxBytes : kDefaultMaxBytes),
-      hot_(program_->functions.size()),
+      work_(program_->functions.size()),
       fns_(program_->functions.size())
 {
     SHIFT_ASSERT(program_, "code cache needs a program");
+    cost_.reserve(program_->functions.size());
+    for (const DecodedFunction &df : program_->functions)
+        cost_.push_back(uint64_t(threshold_ - 1) *
+                        (df.code.size() + df.fast.size()));
 }
 
 /**
- * Flush-when-full: unpublish everything and restart hotness, so only
+ * Flush-when-full: unpublish everything and restart work, so only
  * what is still hot comes back. Concurrent executors keep running the
  * old buffers safely — owned_ retains them until the cache dies — and
  * their next lookup falls back to interpreting until the function
@@ -92,8 +97,8 @@ CodeCache::flushIfNeededLocked(size_t incoming, Credit *credit)
         if (cur && cur != &kUncompilable)
             slot.store(nullptr, std::memory_order_release);
     }
-    for (auto &hcnt : hot_)
-        hcnt.store(0, std::memory_order_relaxed);
+    for (auto &w : work_)
+        w.store(0, std::memory_order_relaxed);
     liveBytes_ = 0;
     credit->evictions += 1;
     obs::note(obs::Ev::JitEvict, 0, -1, 0, live, 0);
@@ -193,25 +198,14 @@ CodeCache::publishFunctionLocked(
 }
 
 const CompiledFunction *
-CodeCache::hot(int func, Credit *credit)
+CodeCache::compile(int func, Credit *credit)
 {
-    const CompiledFunction *f =
-        fns_[func].load(std::memory_order_acquire);
-    if (f)
-        return f == &kUncompilable ? nullptr : f;
-    // Exactly one caller observes the crossing and compiles; racers
-    // keep interpreting until the body is published. The counter
-    // keeps counting past the threshold, which is harmless.
-    uint32_t h =
-        hot_[func].fetch_add(1, std::memory_order_relaxed) + 1;
-    if (h != threshold_)
-        return nullptr;
     std::lock_guard<std::mutex> lock(compileMutex_);
-    // A flush while this caller waited for the lock restarts hotness,
-    // so another caller may have crossed again and published first.
+    // A flush while this caller waited for the lock restarts work, so
+    // another caller may have claimed again and published first.
     if (const CompiledFunction *raced =
             fns_[size_t(func)].load(std::memory_order_acquire))
-        return raced == &kUncompilable ? nullptr : raced;
+        return raced;
     uint64_t t0 = nowNs();
     std::unique_ptr<CompiledFunction> compiled =
         compileFunction(program_->functions[func], env_, &arena_);
@@ -220,16 +214,32 @@ CodeCache::hot(int func, Credit *credit)
         publishFunctionLocked(func, std::move(compiled), credit);
     uint64_t t2 = nowNs();
     credit->compileNanos += t2 - t0;
-    if (pub)
-        noteSealedLocked(func, pub, t1 - t0, t2 - t1);
+    if (!pub)
+        return &kUncompilable;
+    noteSealedLocked(func, pub, t1 - t0, t2 - t1);
     return pub;
 }
 
 CodeCache::Entry
 CodeCache::entryAt(int func, bool inFast, uint64_t pc, Credit *credit)
 {
-    const CompiledFunction *jf = hot(func, credit);
-    return jf ? Entry{jf, jf->entryFor(inFast, pc)} : Entry{};
+    const CompiledFunction *f =
+        fns_[size_t(func)].load(std::memory_order_acquire);
+    if (!f) {
+        // Exactly one caller swaps a paid-up counter to kClaimed and
+        // compiles; racers keep interpreting until the body is
+        // published.
+        std::atomic<uint64_t> &work = work_[size_t(func)];
+        uint64_t w = work.load(std::memory_order_relaxed);
+        if (w < cost_[size_t(func)] || w >= kClaimed ||
+            !work.compare_exchange_strong(w, kClaimed,
+                                          std::memory_order_relaxed))
+            return {};
+        f = compile(func, credit);
+    }
+    if (f == &kUncompilable)
+        return {};
+    return {f, f->entryFor(inFast, pc)};
 }
 
 CodeCache::Entry

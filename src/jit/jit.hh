@@ -7,9 +7,10 @@
  * micro-op; that indirect branch is the dominant host cost once the
  * fused micro-ops (docs/EXECUTION-ENGINE.md) and the taint-clean fast
  * tier (docs/FAST-PATH.md) have shrunk the op count. This tier removes
- * it: when a function's entry counter crosses the promotion threshold,
- * both of its streams (the instrumented `code` stream and its fast
- * twin) are compiled whole into one executable buffer of host code.
+ * it: once the dispatches a function has spent in the interpreter
+ * would have paid for compiling it, both of its streams (the
+ * instrumented `code` stream and its fast twin) are compiled whole
+ * into one executable buffer of host code.
  *
  * Lowering is template-style, per micro-op:
  *  - Plain ALU/compare/branch micro-ops and the FusedTagAddr fold are
@@ -273,13 +274,20 @@ compileFunction(const DecodedFunction &df, const CompileEnv &env,
                 CodeArena *arena = nullptr);
 
 /**
- * The executable code cache: per-function hotness counters, compiled
+ * The executable code cache: per-function work counters, compiled
  * bodies and the promotion policy. One cache is shared read-only by
- * every clone of a SessionTemplate (it travels in MachineSnapshot);
- * lookups are lock-free, compilation runs on the thread whose lookup
- * crosses the threshold, serialized on a mutex and published with
- * release stores, so concurrent fleet workers race safely (a racer
- * keeps interpreting until the body is published).
+ * every clone of a SessionTemplate (it travels in MachineSnapshot), so
+ * a fleet's clones pool their work; lookups are lock-free, compilation
+ * runs on the thread whose lookup first finds the function's work
+ * paid up, serialized on a mutex and published with release stores,
+ * so concurrent fleet workers race safely (a racer keeps interpreting
+ * until the body is published).
+ *
+ * Promotion is ski rental: a function compiles once the dispatches
+ * the interpreter has spent on it reach (threshold - 1) x its size
+ * (the micro-ops of both streams), i.e. once interpreting it has
+ * already cost what compiling it would. Threshold 1 compiles at the
+ * first lookup.
  *
  * The cache is bound to one DecodedProgram instance: baked
  * DecodedInstr addresses alias its streams. Machine::run() checks the
@@ -295,7 +303,7 @@ class CodeCache
     /**
      * Code-byte budget: when publishing a new body would push the
      * cache's live bytes past this, every published body is evicted
-     * first (flush-when-full) and hotness restarts, so a phase change
+     * first (flush-when-full) and work restarts, so a phase change
      * recompiles only what is still hot. Evicted buffers stay owned —
      * fleet clones may be mid-execution in them — and are reclaimed
      * when the cache itself dies, so the bound governs live
@@ -325,10 +333,10 @@ class CodeCache
     };
 
     /**
-     * Per-call promotion credit: what this hot() call itself caused.
-     * The caller folds the deltas into its own jit.* counters, so a
-     * fleet-wide sum counts each compilation (and eviction) exactly
-     * once no matter which clone triggered it.
+     * Per-call promotion credit: what this entryAt() call itself
+     * caused. The caller folds the deltas into its own jit.* counters,
+     * so a fleet-wide sum counts each compilation (and eviction)
+     * exactly once no matter which clone triggered it.
      */
     struct Credit
     {
@@ -344,30 +352,34 @@ class CodeCache
     };
 
     /**
-     * Hot-path lookup: count one block-entry event against `func` and
-     * return its compiled body, compiling it first when the counter
-     * crosses the threshold. Returns null while cold (or when the
-     * function failed to compile). When this call performed the
-     * compilation, the credit records it for the caller's counters.
+     * Credit `dispatches` micro-ops the interpreter ran in `func` to
+     * its work counter. Only interpreted work counts: compiled code
+     * needs no promotion.
      */
-    const CompiledFunction *hot(int func, Credit *credit);
+    void addWork(int func, uint64_t dispatches)
+    {
+        work_[size_t(func)].fetch_add(dispatches,
+                                      std::memory_order_relaxed);
+    }
 
     /**
      * The lookup the interpreter hook and the transfer helpers use:
-     * hot(), then resolve (stream, pc) to its block entry. Out of line
-     * on purpose: the hook is inlined at every dispatch site of every
-     * interpreter instantiation, and inlining this body there measured
-     * slower on perfbench serve.
+     * return `func`'s compiled entry for (stream, pc), first compiling
+     * the function when its credited work has paid for it. Null code
+     * means keep interpreting: the function is still cold, failed to
+     * compile, or another thread is compiling it. When this call
+     * performed the compilation, the credit records it for the
+     * caller's counters. Out of line on purpose: the hook is inlined
+     * at every dispatch site of every interpreter instantiation, and
+     * inlining this body there measured slower on perfbench serve.
      */
     Entry entryAt(int func, bool inFast, uint64_t pc, Credit *credit);
 
     /**
-     * entryAt without counting or compiling: the already-compiled
-     * fast path for cross-function linking. Once a target is compiled
-     * its hotness is moot, and skipping hot()'s atomic increment keeps
-     * the call/return linking path free of contended read-modify-
-     * writes. Null (cold or uncompilable) sends the caller to entryAt,
-     * so cold targets still gain heat.
+     * entryAt without compiling: the already-compiled fast path for
+     * cross-function linking. Null (cold or uncompilable) sends the
+     * caller to entryAt, which compiles a target whose work has
+     * paid up.
      */
     Entry peekAt(int func, bool inFast, uint64_t pc) const;
 
@@ -382,6 +394,15 @@ class CodeCache
     void drainStatsInto(StatSet &stats);
 
   private:
+    /**
+     * Work value that marks a compile as claimed: the one caller that
+     * swaps a paid-up counter to it compiles, and racers that see it
+     * keep interpreting. Credits added on top keep it claimed.
+     */
+    static constexpr uint64_t kClaimed = uint64_t(1) << 63;
+
+    /** Compile `func` and publish it (or the uncompilable sentinel). */
+    const CompiledFunction *compile(int func, Credit *credit);
     const CompiledFunction *publishFunctionLocked(
         int func, std::unique_ptr<CompiledFunction> compiled,
         Credit *credit);
@@ -400,7 +421,11 @@ class CodeCache
     uint32_t threshold_;
     size_t maxBytes_;
 
-    std::vector<std::atomic<uint32_t>> hot_;
+    /** Per function: the work that pays for compiling it. */
+    std::vector<uint64_t> cost_;
+    /** Per function: interpreted dispatches credited since the last
+     * flush. */
+    std::vector<std::atomic<uint64_t>> work_;
     std::vector<std::atomic<const CompiledFunction *>> fns_;
     /** Published for functions the backend rejected: never retried. */
     static const CompiledFunction kUncompilable;

@@ -874,24 +874,26 @@ JitOps::aux(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
 
 /*
  * Cross-function linking: with the target (func, pc, stream) already
- * written into the Machine, try to continue natively. Feeds the same
- * per-function hotness counter the interpreter hook feeds — so
- * promotion (and compilation) behaves identically whether a function
- * gets called from interpreted or compiled code — and jumps straight
- * into the target's compiled body when it has an entry for the
- * landing point. Every landing point is a superblock leader (function
- * entry is block 0; a return pc follows a BrCall terminator), so the
- * entry exists whenever the function compiled. Otherwise spill a
- * clean bail: the hook resumes interpreting at the landing point,
- * exactly where the old always-bail scheme resumed, minus the call
- * op re-dispatch.
+ * written into the Machine, try to continue natively. Looks the target
+ * up through the same promotion path as the interpreter hook — so a
+ * target whose interpreted work has paid for its compile compiles here
+ * too, whether it is called from interpreted or compiled code — and
+ * jumps straight into the target's compiled body when it has an entry
+ * for the landing point. Compiled code credits no work: the hook
+ * restarts its work mark after every compiled run, so a cold target's
+ * work comes only from the dispatches it then interprets. Every
+ * landing point is a superblock leader (function entry is block 0; a
+ * return pc follows a BrCall terminator), so the entry exists whenever
+ * the function compiled. Otherwise spill a clean bail: the hook
+ * resumes interpreting at the landing point, exactly where the old
+ * always-bail scheme resumed, minus the call op re-dispatch.
  */
 uint64_t
 JitOps::transfer(JitCtx *c, int func, uint64_t pc, bool fast)
 {
     Machine &m = *c->m;
-    // Compiled targets need no more heat: peekAt skips the hotness
-    // accounting on the (dominant) already-compiled case.
+    // peekAt skips the promotion check on the (dominant)
+    // already-compiled case.
     jit::CodeCache::Entry en = m.jitActive_->peekAt(func, fast, pc);
     if (!en) {
         jit::CodeCache::Credit credit;

@@ -92,7 +92,12 @@ struct SessionOptions
      * hosts/builds where Machine::jitAvailable() is false.
      */
     bool jit = false;
-    uint32_t jitThreshold = 0;  ///< promotion threshold, 0 = default
+    /**
+     * Promotion threshold T: a function compiles once the interpreter
+     * has run (T - 1) x its micro-op count in it. 0 = the default, 32;
+     * 1 compiles every function at its first lookup.
+     */
+    uint32_t jitThreshold = 0;
     size_t jitCacheBytes = 0;   ///< code-cache byte budget, 0 = default
     /** Read by nothing: the JIT has one compile mode (synchronous,
      * whole-function). Kept so existing callers that set these still

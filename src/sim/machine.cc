@@ -1360,16 +1360,24 @@ Machine::runDecoded(uint64_t maxSteps)
         return target;
     };
     // JIT tier (docs/JIT.md): at every control-transfer landing point
-    // (all of which are superblock leaders in compiled code), feed the
-    // hotness counter and, once the function is compiled, run native
-    // code until it bails back. The compiled code accumulates into
-    // jitCtx_ and the hook folds the deltas into the same locals the
-    // interpreter uses, so all simulated numbers stay bit-identical.
-    // Returns 0 = keep interpreting here, 1 = ran and bailed out
-    // (locals re-synced to the bail point), 2 = ran and stopped.
+    // (all of which are superblock leaders in compiled code), credit
+    // the dispatches interpreted since the previous hook to the
+    // function that ran them (the one current at that hook, not the
+    // landing function, so a leaf called from compiled code still
+    // heats up) and, once the landing function is compiled, run
+    // native code until it bails back. The compiled code accumulates
+    // into jitCtx_ and the hook folds the deltas into the same locals
+    // the interpreter uses, so all simulated numbers stay
+    // bit-identical. Returns 0 = keep interpreting here, 1 = ran and
+    // bailed out (locals re-synced to the bail point), 2 = ran and
+    // stopped.
     auto jitHook = [&]() -> int {
         if (!jitActive_ || stopped_)
             return 0;
+        if (steps != jitWorkMark_)
+            jitActive_->addWork(jitWorkFunc_, steps - jitWorkMark_);
+        jitWorkMark_ = steps;
+        jitWorkFunc_ = curFunc_;
         jit::CodeCache::Credit credit;
         jit::CodeCache::Entry en =
             jitActive_->entryAt(curFunc_, inFast, pc, &credit);
@@ -1412,6 +1420,7 @@ Machine::runDecoded(uint64_t maxSteps)
         // accumulators into the members (so the fault handler saw a
         // synced machine); these adds then fold zeros.
         steps += budget - static_cast<uint64_t>(jitCtx_.stepsLeft);
+        jitWorkMark_ = steps; // compiled dispatches are not work
         cycles += jitCtx_.cycles;
         instrs += jitCtx_.instrs;
         stallCycles_ += jitCtx_.stall;
@@ -1426,6 +1435,7 @@ Machine::runDecoded(uint64_t maxSteps)
         // decode view must follow before resuming.
         df = &decoded_->functions[curFunc_];
         code = inFast ? df->fast.data() : df->code.data();
+        jitWorkFunc_ = curFunc_;
         if (stopped_) {
             // Attribute the compiled span; pc may be stale on a stop,
             // so close the context at a neutral site.

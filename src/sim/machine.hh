@@ -166,7 +166,7 @@ struct MachineSnapshot
      * Shared executable code cache (null unless the source machine had
      * the JIT tier enabled). Clones adopt it read-mostly: compiled
      * bodies are immutable once published, so a whole fleet shares one
-     * set of RX buffers and one set of hotness counters.
+     * set of RX buffers and one set of work counters.
      */
     std::shared_ptr<jit::CodeCache> jitCache;
 };
@@ -319,16 +319,17 @@ class Machine
     // ----- JIT tier (docs/JIT.md) ---------------------------------------
 
     /**
-     * Enable the JIT tier: functions whose entry count crosses the
-     * promotion threshold (0 = the cache default) are compiled to host
-     * code and entered from the interpreter's dispatch points. Only
-     * meaningful on the predecoded engine when jitAvailable(); the
-     * call is a silent no-op elsewhere, so callers can set it
-     * unconditionally. Call after setFastPathEnabled — the compiled
-     * code bakes the fast-tier promotion policy in. The cache is
-     * created eagerly so capture() can share it with clones.
-     * Compilation is whole-function, on the thread whose entry
-     * crosses the threshold.
+     * Enable the JIT tier: a function whose interpreted dispatches
+     * reach (threshold - 1) x its micro-op count (threshold 0 = the
+     * cache default, 32) is compiled to host code and entered from the
+     * interpreter's dispatch points. Only meaningful on the predecoded
+     * engine when jitAvailable(); the call is a silent no-op
+     * elsewhere, so callers can set it unconditionally. Call after
+     * setFastPathEnabled — the compiled code bakes the fast-tier
+     * promotion policy in. The cache is created eagerly so capture()
+     * can share it with clones.
+     * Compilation is whole-function, on the thread whose lookup first
+     * finds the function's work paid up.
      */
     void setJitEnabled(bool enabled, uint32_t threshold = 0,
                        size_t cacheBytes = 0);
@@ -587,6 +588,11 @@ class Machine
     std::shared_ptr<jit::CodeCache> jitCache_;
     jit::CodeCache *jitActive_ = nullptr;
     jit::JitCtx jitCtx_;
+    // Promotion work (CodeCache::addWork): the interpreter's step
+    // count at the last JIT hook and the function it resumed in. The
+    // next hook credits the steps in between to that function.
+    uint64_t jitWorkMark_ = 0;
+    int jitWorkFunc_ = 0;
     uint64_t jitCompiled_ = 0; ///< superblocks compiled by this machine
     uint64_t jitEntered_ = 0;  ///< entries into compiled code
     uint64_t jitDeopts_ = 0;   ///< fast-tier deopts taken inside it

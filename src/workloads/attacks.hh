@@ -57,7 +57,9 @@ struct AttackRun
  * applies the post-instrumentation optimizer, `fastPath` the
  * taint-clean fast tier and `jit` the host-code tier (detection must
  * be unchanged under all three; the differential suites lean on
- * this). `jitThreshold` tunes promotion, 0 = default.
+ * this). `jitThreshold` is SessionOptions::jitThreshold: a function
+ * compiles once its interpreted work reaches (jitThreshold - 1) x its
+ * size; 0 = default.
  */
 AttackRun runAttackScenario(const AttackScenario &scenario, bool exploit,
                             Granularity granularity,

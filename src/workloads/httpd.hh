@@ -37,7 +37,7 @@ struct HttpdConfig
     bool fastPath = false;         ///< taint-clean fast tier (FAST-PATH.md)
     dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
     bool jit = false;              ///< native tier (JIT.md)
-    uint32_t jitThreshold = 0;     ///< promotion threshold, 0 = default
+    uint32_t jitThreshold = 0;     ///< SessionOptions::jitThreshold
     /**
      * Mark request bytes tainted as they arrive (policy.taintNetwork).
      * Off models the paper's figure-6 regime — a trusted/benign client

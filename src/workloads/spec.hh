@@ -60,7 +60,7 @@ struct SpecRunConfig
     bool fastPath = false;    ///< taint-clean fast tier (FAST-PATH.md)
     dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
     bool jit = false;         ///< native tier (JIT.md)
-    uint32_t jitThreshold = 0; ///< promotion threshold, 0 = default
+    uint32_t jitThreshold = 0; ///< SessionOptions::jitThreshold
     bool profile = false;     ///< tier-attribution profiler (prof.*)
     int scale = 0;            ///< 0 = kernel default
 };

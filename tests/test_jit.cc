@@ -7,7 +7,8 @@
  * protocol's edge cases, the code-cache byte budget, repeatable jit.*
  * counters, stats merge and fleet sharing. The broad workload differentials (SPEC, httpd, the
  * attack suite) live in test_jit_diff.cc; both use the exact-equality
- * harness in jit_test_util.hh.
+ * harness in jit_test_util.hh. JitPromotionCounts.* is an exact-counter
+ * gate: ctest runs it alone as perf_jit_promotion.
  *
  * Every behavioural test skips on hosts/builds where the backend is
  * unavailable (non-x86-64, -DSHIFT_ENABLE_JIT=OFF); the no-op and
@@ -16,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 #include "jit_test_util.hh"
@@ -24,6 +26,7 @@
 #include "svc/fleet.hh"
 #include "workloads/attacks.hh"
 #include "workloads/httpd.hh"
+#include "workloads/spec.hh"
 
 namespace shift
 {
@@ -350,9 +353,9 @@ TEST(JitCache, EvictionUnderATinyBudgetStaysCorrect)
 }
 
 // ---------------------------------------------------------------------
-// Repeatability: compilation runs on the thread whose entry crosses
-// the threshold, so the tier's own counters depend on the program
-// alone, never on host timing.
+// Repeatability: compilation runs on the thread whose lookup finds the
+// function's work paid up, so the tier's own counters depend on the
+// program alone, never on host timing.
 // ---------------------------------------------------------------------
 
 /**
@@ -390,6 +393,251 @@ TEST(JitCounters, RepeatExactlyAcrossRuns)
     EXPECT_GT(compiled, 0u)
         << "the default threshold must promote something across the "
            "16 programs";
+}
+
+// ---------------------------------------------------------------------
+// Promotion: a function compiles once the dispatches the interpreter
+// has spent on it reach (threshold - 1) x its micro-op count.
+// ---------------------------------------------------------------------
+
+/** A jit-on run, checked against jit-off, and what it left compiled. */
+struct Promotion
+{
+    DiffRun run;
+    std::set<std::string> compiled; ///< functions with a published body
+    uint64_t evictions = 0;
+};
+
+/**
+ * Run `source` under SHIFT with the JIT off and on (threshold 0 = the
+ * default, 32), expect the two runs identical, and name the functions
+ * the jit-on run's code cache ends with compiled.
+ */
+Promotion
+runPromotion(const std::string &source, uint32_t threshold = 0,
+             size_t cacheBytes = 0)
+{
+    DiffRun off;
+    Promotion p;
+    for (bool jitOn : {false, true}) {
+        SessionOptions options = testutil::shiftOptions(Granularity::Byte);
+        options.jit = jitOn;
+        options.jitThreshold = threshold;
+        options.jitCacheBytes = cacheBytes;
+        Session session(source, options);
+        if (!jitOn) {
+            off = captureRun(session);
+            continue;
+        }
+        MachineSnapshot snap = session.machine().capture();
+        p.run = captureRun(session);
+        p.evictions = session.machine().jitEvictions();
+        for (size_t f = 0; f < snap.decoded->functions.size(); ++f)
+            if (snap.jitCache->peekAt(int(f), false, 0))
+                p.compiled.insert(snap.decoded->functions[f].src->name);
+    }
+    EXPECT_TRUE(off.result.exited) << off.result.fault.detail;
+    expectIdentical(off, p.run, "promotion");
+    return p;
+}
+
+/** ~1,000 micro-ops over both streams, most of them straight-line,
+ * then a 40-trip loop. */
+std::string
+bigFunctionSource()
+{
+    std::string src = "long big(long x) {\n"
+                      "  long a = x; long b = x + 1; long c = x + 2;\n";
+    for (int i = 0; i < 40; ++i)
+        src += "  a = a * 3 + b; b = b ^ (a >> " +
+               std::to_string(i % 7 + 1) + "); c = c + a - b;\n";
+    src += "  for (int i = 0; i < 40; i++) a += i;\n"
+           "  return a + b + c;\n"
+           "}\n"
+           "int main() { return (int)(big(7) & 127); }\n";
+    return src;
+}
+
+/**
+ * Forty back edges used to promote any function. The whole program
+ * runs about 1,100 dispatches, far short of 31 x big's size, so big
+ * stays interpreted.
+ */
+TEST(JitPromotion, LargeFunctionWithAShortLoopStaysInterpreted)
+{
+    SKIP_WITHOUT_JIT();
+    Promotion p = runPromotion(bigFunctionSource());
+    EXPECT_EQ(p.compiled, std::set<std::string>{});
+    EXPECT_EQ(p.run.result.stats.get("jit.compiled"), 0u);
+    EXPECT_EQ(p.run.jitEntered, 0u);
+}
+
+/** Mutation: drop the hook's addWork call, and nothing compiles. */
+TEST(JitPromotion, SmallFunctionInALongLoopCompiles)
+{
+    SKIP_WITHOUT_JIT();
+    Promotion p = runPromotion(
+        "long small(long n) {\n"
+        "  long s = 0;\n"
+        "  for (long i = 0; i < n; i++) s += i;\n"
+        "  return s;\n"
+        "}\n"
+        "int main() { return (int)(small(5000) & 127); }\n");
+    EXPECT_EQ(p.compiled, std::set<std::string>{"small"});
+    EXPECT_GT(p.run.jitEntered, 0u);
+}
+
+/**
+ * main compiles during its first loop, so every call to leaf comes
+ * from compiled code and bails into the interpreter at leaf's entry.
+ * leaf is straight-line (a void function that falls off its end), so
+ * its only hook is its return, whose landing function is main: all
+ * of leaf's dispatches are credited there. They pay for its compile in
+ * about 50 calls. Mutation: credit the hook's landing function
+ * instead (main, already compiled), and leaf never compiles.
+ */
+TEST(JitPromotion, LeafCalledOnlyFromCompiledCodeIsPromoted)
+{
+    SKIP_WITHOUT_JIT();
+    std::string src = "long acc; long acc2;\n"
+                      "void leaf(long x) {\n";
+    for (int i = 0; i < 20; ++i)
+        src += "  acc = acc + x * " + std::to_string(i + 3) +
+               "; acc2 = acc2 ^ acc;\n";
+    src += "}\n"
+           "int main() {\n"
+           "  long s = 0;\n"
+           "  for (long i = 0; i < 3000; i++) s += i ^ 5;\n"
+           "  for (long i = 0; i < 200; i++) leaf(i);\n"
+           "  return (int)((s + acc + acc2) & 127);\n"
+           "}\n";
+    Promotion p = runPromotion(src);
+    EXPECT_EQ(p.compiled, (std::set<std::string>{"leaf", "main"}));
+    EXPECT_LT(p.run.jitEntered, 200u)
+        << "leaf's calls keep bailing into the interpreter";
+}
+
+/**
+ * Threshold 1 costs no work: every function compiles at its first
+ * lookup, so kCleanSource compiles the same 29 superblocks the
+ * 32-entry counter compiled at threshold 1. Mutation: price a
+ * function at threshold x size, and main, entered once with big's
+ * call as its only work, stays interpreted.
+ */
+TEST(JitPromotion, ThresholdOneCompilesAtTheFirstLookup)
+{
+    SKIP_WITHOUT_JIT();
+    Promotion clean = runPromotion(kCleanSource, kEager);
+    EXPECT_EQ(clean.compiled, std::set<std::string>{"main"});
+    EXPECT_EQ(clean.run.result.stats.get("jit.compiled"), 29u);
+    // big, whose work never pays at the default, compiles at entry.
+    Promotion big = runPromotion(bigFunctionSource(), kEager);
+    EXPECT_EQ(big.compiled, (std::set<std::string>{"big", "main"}));
+}
+
+/**
+ * A budget of one byte flushes the cache at every compile after the
+ * first. Compiling g flushes f and restarts every function's work, so
+ * f(5) runs interpreted and g(5) runs g's surviving body; the second
+ * f(3000) re-earns f's compile, which flushes g. Mutation: keep the
+ * work across the flush, and f, left claimed, never compiles again.
+ */
+TEST(JitPromotion, FlushWhenFullRestartsWork)
+{
+    SKIP_WITHOUT_JIT();
+    Promotion p = runPromotion(
+        "long f(long n) {\n"
+        "  long s = 0;\n"
+        "  for (long i = 0; i < n; i++) s += i ^ 3;\n"
+        "  return s;\n"
+        "}\n"
+        "long g(long n) {\n"
+        "  long s = 1;\n"
+        "  for (long i = 0; i < n; i++) s += i * 5;\n"
+        "  return s;\n"
+        "}\n"
+        "int main() {\n"
+        "  long s = f(3000);\n"
+        "  s += g(3000);\n"
+        "  s += f(5);\n"
+        "  s += g(5);\n"
+        "  s += f(3000);\n"
+        "  return (int)(s & 127);\n"
+        "}\n",
+        0, 1);
+    EXPECT_EQ(p.evictions, 2u);
+    EXPECT_EQ(p.compiled, std::set<std::string>{"f"});
+}
+
+// ---------------------------------------------------------------------
+// Exact-counter gate (ctest perf_jit_promotion): superblocks compiled
+// on the perfbench programs at perfbench's JIT settings.
+// ---------------------------------------------------------------------
+
+/** Σ jit.compiled per group at threshold 32 (31 x size). */
+constexpr uint64_t kAttacksUntracked = 56;
+constexpr uint64_t kAttacksFull = 60;
+constexpr uint64_t kSpecFull = 1718;
+static_assert(kAttacksUntracked > 0 && kAttacksFull > 0,
+              "perfbench checks that both attack JIT rungs compile");
+
+/** perfbench's `untracked` or `full` rung (applyRung) over `base`. */
+SessionOptions
+perfbenchRung(SessionOptions o, bool full)
+{
+    o.engine = ExecEngine::Predecoded;
+    o.policy.granularity = Granularity::Byte;
+    o.mode = full ? TrackingMode::Shift : TrackingMode::None;
+    o.optimize = {};
+    o.optimize.enable = full;
+    o.features = {};
+    o.features.natSetClear = full;
+    o.features.natAwareCompare = full;
+    o.fastPath = full;
+    o.jit = true;
+    o.jitThreshold = 32;
+    o.jitCacheBytes = size_t(64) << 20;
+    return o;
+}
+
+/**
+ * The 16 attack programs at `untracked` and `full` and the 8 SPEC
+ * kernels (default-scale input) at `full` compile exactly these many
+ * superblocks. A promotion change that moves them must say why in
+ * docs/JIT.md ("Promotion policy") and update the constants.
+ */
+TEST(JitPromotionCounts, PerfbenchProgramsCompileExactly)
+{
+    SKIP_WITHOUT_JIT();
+    uint64_t attacks[2] = {0, 0};
+    for (const AttackScenario &sc : attackScenarios()) {
+        SessionOptions base;
+        base.policy = sc.policy;
+        base.instr.relaxLoadFunctions = sc.relaxLoadFunctions;
+        for (bool exploit : {false, true}) {
+            for (bool full : {false, true}) {
+                Session session(sc.source, perfbenchRung(base, full));
+                (exploit ? sc.setupExploit : sc.setupBenign)(session);
+                attacks[full] +=
+                    session.run().stats.get("jit.compiled");
+            }
+        }
+    }
+    uint64_t spec = 0;
+    for (const workloads::SpecKernel &k : workloads::specKernels()) {
+        SessionOptions base;
+        base.policy.taintFile = true;
+        base.instr.relaxLoadFunctions = k.relaxLoadFunctions;
+        base.instr.relaxStoreFunctions = k.relaxStoreFunctions;
+        Session session(k.source, perfbenchRung(base, true));
+        session.os().addFile("input.dat", k.makeInput(k.defaultScale));
+        RunResult r = session.run();
+        EXPECT_TRUE(r.ok()) << k.shortName;
+        spec += r.stats.get("jit.compiled");
+    }
+    EXPECT_EQ(attacks[0], kAttacksUntracked) << "attacks at untracked";
+    EXPECT_EQ(attacks[1], kAttacksFull) << "attacks at full";
+    EXPECT_EQ(spec, kSpecFull) << "spec at full";
 }
 
 // ---------------------------------------------------------------------
@@ -472,7 +720,7 @@ TEST(JitFleet, TemplateSharesCompiledCodeAcrossClones)
  * working set, so synchronous compiles on every serving thread race
  * flush-when-full evictions that unpublish bodies other clones are
  * executing or about to look up. Any unfenced access to the
- * publication slots, the hotness counters or the retained-buffer list
+ * publication slots, the work counters or the retained-buffer list
  * is a TSan report; without TSan this still asserts the fleet serves
  * correctly and deterministically through the churn, and that the
  * churn happened.

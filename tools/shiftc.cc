@@ -59,9 +59,10 @@ usage()
         "  --max-steps N            execution budget\n"
         "  --async-taint            decoupled taint tier: run the "
         "uninstrumented program and replay taint beside it\n"
-        "  --jit[=THRESHOLD]        compile hot superblocks to host "
-        "code after THRESHOLD executions (default 32; no-op on "
-        "non-x86-64 hosts)\n"
+        "  --jit[=THRESHOLD]        compile a whole function to host "
+        "code once the interpreter has run (THRESHOLD-1) x its "
+        "micro-op count in it (default 32; 1 compiles at first use; "
+        "no-op on non-x86-64 hosts)\n"
         "  --profile[=PATH]         tier-attribution profiler: print a "
         "per-tier host-time summary; with PATH also write the full "
         "report (collapsed stacks when PATH ends in .collapsed or "

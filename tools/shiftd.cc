@@ -57,9 +57,11 @@ usage()
         "  --max-steps N            execution budget per clone\n"
         "  --async-taint            decoupled taint tier: run the "
         "uninstrumented program and replay taint beside it\n"
-        "  --jit[=THRESHOLD]        compile hot superblocks to host "
-        "code after THRESHOLD executions per clone (default 32; "
-        "no-op on non-x86-64 hosts)\n"
+        "  --jit[=THRESHOLD]        compile a whole function to host "
+        "code once the interpreter has run (THRESHOLD-1) x its "
+        "micro-op count in it, summed over all clones, which share "
+        "one code cache (default 32; 1 compiles at first use; no-op "
+        "on non-x86-64 hosts)\n"
         "  --profile[=PATH]         tier-attribution profiler: each "
         "clone carries its own table, the report merges them; prints "
         "a per-tier summary, with PATH also writes the full report "
