@@ -20,7 +20,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 struct Variant
 {
@@ -87,18 +86,14 @@ printTable()
         Variant none{"none", false, false, false};
         uint64_t base = cyclesFor(kernel, TrackingMode::None, none);
         std::printf("%-12s", kernel.name.c_str());
-        std::map<std::string, double> counters;
         for (size_t v = 0; v < std::size(kVariants); ++v) {
             double ratio =
                 double(cyclesFor(kernel, TrackingMode::Shift,
                                  kVariants[v])) / double(base);
             columns[v].push_back(ratio);
-            counters[std::string(kVariants[v].name) + "_X"] = ratio;
             std::printf(" %12.2fX", ratio);
         }
         std::printf("\n");
-        registerMetricRow("ablation/" + kernel.shortName,
-                          std::move(counters));
     }
     benchutil::rule(84);
     std::printf("%-12s", "geo.mean");
@@ -110,10 +105,8 @@ printTable()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

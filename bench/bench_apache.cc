@@ -19,7 +19,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 constexpr int kRequests = 25;
 
@@ -73,13 +72,6 @@ printFigure6()
 
         std::printf("%6lluKB %13.4f %14.4f %17.4f %17.4f\n",
                     static_cast<unsigned long long>(kb), lb, lw, tb, tw);
-        registerMetricRow(
-            "fig6/" + std::to_string(kb) + "KB",
-            {{"rel_latency_byte", lb},
-             {"rel_latency_word", lw},
-             {"rel_throughput_byte", tb},
-             {"rel_throughput_word", tw},
-             {"overhead_byte_pct", (lb - 1.0) * 100.0}});
     }
     benchutil::rule(76);
     double meanOverhead =
@@ -87,18 +79,13 @@ printFigure6()
     std::printf("geometric mean overhead (latency, byte+word): "
                 "%.2f%%\n", meanOverhead * 100.0);
     std::printf("paper: ~1%% average; 4KB worst at ~4.2%%\n\n");
-
-    registerMetricRow("fig6/geomean",
-                      {{"mean_overhead_pct", meanOverhead * 100.0}});
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printFigure6();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -20,7 +20,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 uint64_t
 cyclesFor(const SpecKernel &kernel, TrackingMode mode, Granularity g,
@@ -85,14 +84,6 @@ printFigure8()
         w0.push_back(wPlain);
         w1.push_back(wSet);
         w2.push_back(wBoth);
-
-        registerMetricRow("fig8/" + kernel.shortName,
-                          {{"byte_X", bPlain},
-                           {"byte_setclr_X", bSet},
-                           {"byte_both_X", bBoth},
-                           {"word_X", wPlain},
-                           {"word_setclr_X", wSet},
-                           {"word_both_X", wBoth}});
     }
     benchutil::rule(78);
     double gb0 = geomean(b0), gb1 = geomean(b1), gb2 = geomean(b2);
@@ -107,23 +98,13 @@ printFigure8()
                 (gb0 - gb2) * 100.0, (gw0 - gw2) * 100.0);
     std::printf("paper: set/clr reduces slowdown by ~16 percentage "
                 "points; both lands at 2.32X (byte) / 1.80X (word)\n\n");
-
-    registerMetricRow("fig8/geomean",
-                      {{"byte_X", gb0},
-                       {"byte_setclr_X", gb1},
-                       {"byte_both_X", gb2},
-                       {"word_X", gw0},
-                       {"word_setclr_X", gw1},
-                       {"word_both_X", gw2}});
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printFigure8();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -20,7 +20,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 void
 printComparison()
@@ -62,11 +61,6 @@ printComparison()
         sb.push_back(shiftByte);
         sw.push_back(shiftWord);
         soft.push_back(software);
-
-        registerMetricRow("baseline/" + kernel.shortName,
-                          {{"shift_byte_X", shiftByte},
-                           {"shift_word_X", shiftWord},
-                           {"software_X", software}});
     }
     benchutil::rule(62);
     std::printf("%-12s %11.2fX %11.2fX %11.2fX %8.2fx\n", "geo.mean",
@@ -74,19 +68,13 @@ printComparison()
                 geomean(soft) / geomean(sw));
     std::printf("paper: LIFT 4.6X vs SHIFT 2.27X (word) / 2.81X "
                 "(byte)\n\n");
-    registerMetricRow("baseline/geomean",
-                      {{"shift_byte_X", geomean(sb)},
-                       {"shift_word_X", geomean(sw)},
-                       {"software_X", geomean(soft)}});
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printComparison();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -21,7 +21,6 @@ namespace
 
 using namespace shift;
 using namespace shift::workloads;
-using benchutil::registerMetricRow;
 
 struct Breakdown
 {
@@ -78,12 +77,6 @@ printFigure9()
                         b.memLoad * scale * 100,
                         b.compStore * scale * 100,
                         b.memStore * scale * 100);
-            registerMetricRow(
-                std::string("fig9/") + gname + "/" + kernel.shortName,
-                {{"comp_load_pct", b.compLoad * scale * 100},
-                 {"mem_load_pct", b.memLoad * scale * 100},
-                 {"comp_store_pct", b.compStore * scale * 100},
-                 {"mem_store_pct", b.memStore * scale * 100}});
         }
         benchutil::rule(62);
     }
@@ -94,10 +87,8 @@ printFigure9()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printFigure9();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

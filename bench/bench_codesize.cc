@@ -21,7 +21,6 @@ namespace
 
 using namespace shift;
 using namespace shift::workloads;
-using benchutil::registerMetricRow;
 
 struct SizeRow
 {
@@ -66,10 +65,6 @@ printRow(const std::string &name, const SizeRow &row)
                 static_cast<unsigned long long>(row.orig),
                 static_cast<unsigned long long>(row.word), wordPct,
                 static_cast<unsigned long long>(row.byte), bytePct);
-    registerMetricRow("table3/" + name,
-                      {{"orig_insns", double(row.orig)},
-                       {"word_overhead_pct", wordPct},
-                       {"byte_overhead_pct", bytePct}});
 }
 
 void
@@ -98,10 +93,8 @@ printTable3()
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable3();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

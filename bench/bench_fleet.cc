@@ -13,7 +13,7 @@
  * instructions, alerts, response bytes) against its monolith twin —
  * throughput without fidelity is worthless.
  *
- * Writes BENCH_fleet.json (same schema family as BENCH_interp.json).
+ * Writes BENCH_fleet.json.
  * `--smoke` runs a reduced matrix and exits non-zero when the
  * 4-worker fleet fails to clear 2x the monolith throughput — the
  * perf-smoke-fleet CI tripwire.
@@ -34,7 +34,6 @@ namespace
 
 using namespace shift;
 using namespace shift::workloads;
-using benchutil::registerMetricRow;
 
 double
 now()
@@ -236,10 +235,8 @@ main(int argc, char **argv)
     size_t snapshotPages = tmpl->snapshotPages();
     double forkStart = now();
     constexpr int kForkSamples = 50;
-    for (int i = 0; i < kForkSamples; ++i) {
-        auto clone = tmpl->instantiate();
-        benchmark::DoNotOptimize(clone);
-    }
+    for (int i = 0; i < kForkSamples; ++i)
+        tmpl->instantiate();
     double forkMs = (now() - forkStart) * 1000.0 / kForkSamples;
 
     double fleet4Speedup = 0;
@@ -250,9 +247,6 @@ main(int argc, char **argv)
             monolith.rps() > 0 ? r.rps() / monolith.rps() : 0;
         if (r.workers == 4 && r.name != "monolith")
             fleet4Speedup = speedup;
-        registerMetricRow("fleet/" + r.name,
-                          {{"requests_per_sec", r.rps()},
-                           {"speedup_vs_monolith_X", speedup}});
     }
     benchutil::rule(58);
     std::printf("clone fork: %.3f ms avg over %d forks "
@@ -262,9 +256,6 @@ main(int argc, char **argv)
                 "(every job verified bit-identical)\n\n",
                 fleet4Speedup);
 
-    registerMetricRow("fleet/fork",
-                      {{"fork_ms", forkMs},
-                       {"snapshot_pages", double(snapshotPages)}});
     writeJson(rows, monolith.rps(), fleet4Speedup, forkMs,
               snapshotPages);
 
@@ -276,7 +267,5 @@ main(int argc, char **argv)
         return 1;
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

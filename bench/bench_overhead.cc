@@ -45,7 +45,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 /** The instrumented-run variants measured per kernel/granularity. */
 struct Variant
@@ -284,18 +283,22 @@ writeJson(const std::vector<Row> &rows, double byteCut, double wordCut,
 void
 printTable(const std::vector<Row> &rows, int variantCount)
 {
-    std::printf("%-8s %-5s %10s %8s %8s %8s %8s\n", "kernel", "gran",
-                "Minstrs", "base", "isa", "opt", "isa+opt");
-    benchutil::rule(62);
+    // With all four variants, the last column is the isa+opt run's
+    // host MIPS.
+    std::printf("%-8s %-5s %10s %8s %8s %8s %8s %8s\n", "kernel", "gran",
+                "Minstrs", "base", "isa", "opt", "isa+opt", "MIPS");
+    benchutil::rule(71);
     for (const Row &r : rows) {
         std::printf("%-8s %-5s %10.2f", r.kernel.c_str(),
                     granName(r.granularity),
                     double(r.noneInstructions) / 1e6);
         for (int v = 0; v < variantCount; ++v)
             std::printf(" %7.2fx", r.instrOverhead(v));
+        if (variantCount == 4)
+            std::printf(" %8.1f", r.cells[3].mips);
         std::printf("\n");
     }
-    benchutil::rule(62);
+    benchutil::rule(71);
 }
 
 } // namespace
@@ -364,19 +367,6 @@ main(int argc, char **argv)
                 "false positives\n\n",
                 attacks.detected, attacks.total, attacks.falsePositives);
 
-    for (const Row &r : byteRows)
-        registerMetricRow(
-            "overhead/byte/" + r.kernel,
-            {{"overhead_base_X", r.instrOverhead(0)},
-             {"overhead_isa_X", r.instrOverhead(1)},
-             {"overhead_opt_X", r.instrOverhead(2)},
-             {"overhead_isa_opt_X", r.instrOverhead(3)},
-             {"mips_isa_opt", r.cells[3].mips}});
-    registerMetricRow("overhead/aggregate",
-                      {{"byte_cut_pct", byteCut},
-                       {"word_cut_pct", wordCut},
-                       {"attacks_detected", double(attacks.detected)}});
-
     std::vector<Row> all = byteRows;
     all.insert(all.end(), wordRows.begin(), wordRows.end());
     writeJson(all, byteCut, wordCut, attacks);
@@ -386,7 +376,5 @@ main(int argc, char **argv)
         return 1;
     }
 
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

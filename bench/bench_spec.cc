@@ -20,7 +20,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 struct Bars
 {
@@ -80,32 +79,19 @@ printFigure7()
         bs.push_back(bars.byteSafe);
         wu.push_back(bars.wordUnsafe);
         ws.push_back(bars.wordSafe);
-
-        registerMetricRow("fig7/" + kernel.shortName,
-                          {{"byte_unsafe_X", bars.byteUnsafe},
-                           {"byte_safe_X", bars.byteSafe},
-                           {"word_unsafe_X", bars.wordUnsafe},
-                           {"word_safe_X", bars.wordSafe}});
     }
     benchutil::rule(64);
     std::printf("%-12s %11.2fX %11.2fX %11.2fX %11.2fX\n", "geo.mean",
                 geomean(bu), geomean(bs), geomean(wu), geomean(ws));
     std::printf("paper:       byte-unsafe 2.81X (1.32-4.73), "
                 "word-unsafe 2.27X (1.34-3.80)\n\n");
-
-    registerMetricRow("fig7/geomean", {{"byte_unsafe_X", geomean(bu)},
-                                       {"byte_safe_X", geomean(bs)},
-                                       {"word_unsafe_X", geomean(wu)},
-                                       {"word_safe_X", geomean(ws)}});
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printFigure7();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

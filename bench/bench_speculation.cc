@@ -27,7 +27,6 @@ namespace
 using namespace shift;
 using namespace shift::workloads;
 using benchutil::geomean;
-using benchutil::registerMetricRow;
 
 uint64_t
 cyclesFor(const SpecKernel &kernel, bool speculate, bool taint)
@@ -74,27 +73,19 @@ printTable()
         std::printf("%-12s %13.4f %14.4f %17.2f%%\n",
                     kernel.name.c_str(), clean, tainted,
                     (tainted - clean) * 100.0);
-        registerMetricRow("speculation/" + kernel.shortName,
-                          {{"clean_ratio", clean},
-                           {"tainted_ratio", tainted}});
     }
     benchutil::rule(62);
     std::printf("%-12s %13.4f %14.4f\n", "geo.mean", geomean(cleanR),
                 geomean(taintR));
     std::printf("< 1.0 means speculation pays off; taint shifts the "
                 "ratio up (paper section 3.3.4)\n\n");
-    registerMetricRow("speculation/geomean",
-                      {{"clean_ratio", geomean(cleanR)},
-                       {"tainted_ratio", geomean(taintR)}});
 }
 
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
     printTable();
-    benchmark::Initialize(&argc, argv);
-    benchmark::RunSpecifiedBenchmarks();
     return 0;
 }

@@ -3,21 +3,16 @@
  * Shared helpers for the benchmark harnesses.
  *
  * Each bench binary reproduces one table or figure of the paper: it
- * runs the relevant simulations once, prints the paper-style table
+ * runs the relevant simulations once and prints the paper-style table
  * (simulated-cycle ratios — the substrate is a simulator, so relative
- * numbers are the result), and then registers google-benchmark rows
- * that expose the measured metrics as counters.
+ * numbers are the result).
  */
 
 #ifndef SHIFT_BENCH_BENCH_UTIL_HH
 #define SHIFT_BENCH_BENCH_UTIL_HH
 
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <string>
 #include <vector>
 
 namespace shift::benchutil
@@ -35,26 +30,6 @@ geomean(const std::vector<double> &values)
     return std::exp(logSum / static_cast<double>(values.size()));
 }
 
-/**
- * Host-throughput sampling discipline, shared by the MIPS benches
- * (bench_interp, bench_jit): how many back-to-back runs one timed
- * sample must aggregate so it retires at least `floorInstrs`
- * simulated instructions. A short workload (the 5-request smoke
- * httpd serve retires ~60k instructions in ~1.5ms) otherwise
- * measures timer granularity, cold host caches and allocator
- * first-touch instead of steady-state throughput — the historical
- * httpd MIPS outlier. Callers should also run one untimed warm-up
- * before the first sample.
- */
-inline int
-runsForInstructionFloor(uint64_t perRunInstrs, uint64_t floorInstrs)
-{
-    if (perRunInstrs == 0 || perRunInstrs >= floorInstrs)
-        return 1;
-    return static_cast<int>((floorInstrs + perRunInstrs - 1) /
-                            perRunInstrs);
-}
-
 /** Print a horizontal rule sized to a header line. */
 inline void
 rule(size_t width)
@@ -62,26 +37,6 @@ rule(size_t width)
     for (size_t i = 0; i < width; ++i)
         std::putchar('-');
     std::putchar('\n');
-}
-
-/**
- * Register a google-benchmark row that exposes precomputed metrics as
- * counters (the simulation itself ran during table construction).
- */
-inline void
-registerMetricRow(const std::string &name,
-                  std::map<std::string, double> counters)
-{
-    benchmark::RegisterBenchmark(
-        name.c_str(),
-        [counters = std::move(counters)](benchmark::State &state) {
-            for (auto _ : state) {
-                benchmark::DoNotOptimize(counters.size());
-            }
-            for (const auto &kv : counters)
-                state.counters[kv.first] = kv.second;
-        })
-        ->Iterations(1);
 }
 
 } // namespace shift::benchutil

@@ -23,8 +23,7 @@ endif()
 # The full artifact set the bench binaries can emit. Missing entries
 # are normal — only the benches actually run (or committed) have files
 # — so they are reported and skipped, never an error.
-set(known_benches
-    interp fleet overhead fastpath obs async jit prof)
+set(known_benches fleet overhead)
 
 # Collect one file per bench name: build tree first, committed
 # baseline second.
@@ -90,7 +89,7 @@ if(NOT bench_files)
     message(STATUS
         "bench-trajectory: no BENCH_*.json in ${BENCH_DIR} — writing "
         "an empty trajectory (run a bench binary to populate it, e.g. "
-        "./bench/bench_interp)")
+        "./bench/bench_fleet)")
     string(TIMESTAMP now "%s" UTC)
     file(WRITE "${BENCH_DIR}/BENCH_trajectory.json"
         "{\n  \"generated\": ${now},\n  \"benches\": {}\n}\n")

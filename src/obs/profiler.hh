@@ -30,16 +30,16 @@
  *
  * Because every nanosecond between begin() and stop() lands in
  * exactly one bucket, sum(prof.tier.*) == prof.total.nanos by
- * construction — the property the bench asserts to 1%.
+ * construction — the property the Profiler.* tests assert.
  *
  * Cost contract: mirrors the flight recorder. An attached profiler
  * selects the observed runDecoded loop; the production loop compiles
- * none of its calls, so a disabled profiler costs nothing (enforced
- * by the perf-smoke-prof tripwire). Tables are per-machine
- * (per-clone) and fold into StatSet counters under the stable
- * `prof.*` schema (docs/OBSERVABILITY.md), so fleet merge, the
- * Prometheus exporter and --json reports all ride the existing
- * machinery.
+ * none of its calls, so a disabled profiler costs nothing (its run
+ * carries no `prof.*` key; ctest perf_counters checks it). Tables
+ * are per-machine (per-clone) and fold into StatSet counters under
+ * the stable `prof.*` schema (docs/OBSERVABILITY.md), so fleet
+ * merge, the Prometheus exporter and --json reports all ride the
+ * existing machinery.
  */
 
 #ifndef SHIFT_OBS_PROFILER_HH

@@ -18,7 +18,7 @@
  *    surface as the `obs.dropped` stat.
  *  - Recorder: the global registry. Null when tracing is off — the
  *    entire hot-path cost of the subsystem is one branch on that
- *    pointer (enforced by the perf-smoke-obs tripwire).
+ *    pointer.
  *
  * Buffers drain to Chrome `trace_event`-format JSON, loadable
  * directly in Perfetto (ui.perfetto.dev) or chrome://tracing. On a

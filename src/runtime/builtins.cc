@@ -1,5 +1,6 @@
 #include "builtins.hh"
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -261,7 +262,7 @@ registerRuntimeBuiltins(Machine &machine, RuntimeContext &ctx)
     // is checked on data leaving for the network.
     machine.registerBuiltin("send", [os, c](Machine &m) {
         uint64_t buf = m.arg(1);
-        uint64_t len = m.arg(2);
+        uint64_t len = std::min(m.arg(2), Os::kMaxTransfer);
         if (c->tracking()) {
             std::string data(len, '\0');
             if (m.memory().readBytes(buf, data.data(), len) ==
@@ -356,13 +357,13 @@ registerRuntimeBuiltins(Machine &machine, RuntimeContext &ctx)
 
     machine.registerBuiltin("__taint", [c](Machine &m) {
         if (c->taint)
-            c->taint->taint(m.arg(0), m.arg(1));
+            c->taint->taint(m.arg(0), std::min(m.arg(1), Os::kMaxTransfer));
         m.setRetval(0);
     });
 
     machine.registerBuiltin("__untaint", [c](Machine &m) {
         if (c->taint)
-            c->taint->clear(m.arg(0), m.arg(1));
+            c->taint->clear(m.arg(0), std::min(m.arg(1), Os::kMaxTransfer));
         m.setRetval(0);
     });
 

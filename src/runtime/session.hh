@@ -112,7 +112,7 @@ struct SessionOptions
      * builtin tiers, per {function, pc} site (docs/OBSERVABILITY.md).
      * Composes with every mode including the JIT; disabled it costs
      * nothing (the production interpreter loop compiles none of it,
-     * enforced by perf-smoke-prof).
+     * and the run carries no `prof.*` key).
      */
     bool profile = false;
 

@@ -46,8 +46,7 @@ Machine::Machine(const Program &program, CpuFeatures features,
         resolveLabels();
         // The legacy stepper is the pre-change reference: it keeps
         // paying the hash-map page translation on every access, so
-        // bench_interp's baseline stays honest and the equivalence
-        // suite exercises both translation paths.
+        // the equivalence suite exercises both translation paths.
         mem_.setTranslationCacheEnabled(false);
     }
     reset();
@@ -1450,8 +1449,8 @@ Machine::runDecoded(uint64_t maxSteps)
         return 1;
     };
 // Both loops carry the check: jitHook returns at once unless run()
-// activated the JIT, which it never does under a trace hook, a
-// recorder or forced dispatch (a profiler alone keeps compiled code).
+// activated the JIT, which it never does under a trace hook or a
+// recorder (a profiler alone keeps compiled code).
 #define SHIFT_JIT_CHECK()                                               \
     do {                                                                \
         if (jitHook() == 2)                                             \
@@ -2814,10 +2813,10 @@ doneRun:
 
 // The template parameters are <kObserved, kAsync>. Production runs
 // <false, false>: every observer site above compiles out, so no
-// observer costs more than run()'s selection test (perf-smoke-obs and
-// perf-smoke-prof enforce this). <true, *> is the observed loop: trace
-// hook, recorder emit sites, hot-pc counting and profiler sampling,
-// each behind a null test of its loop-entry local. The kAsync
+// observer costs more than run()'s selection test. <true, *> is the
+// observed loop: trace hook, recorder emit sites, hot-pc counting and
+// profiler sampling, each behind a null test of its loop-entry local.
+// The kAsync
 // instantiations are the decoupled-taint engines
 // (docs/ASYNC-TAINT.md): the replay calls compile in, and the
 // synchronous loops carry zero async instructions.
@@ -2843,7 +2842,7 @@ Machine::run(uint64_t maxSteps)
     // than trusted.
     jitActive_ = nullptr;
     if (jitEnabled_ && engine_ == ExecEngine::Predecoded && decoded_ &&
-        !trace_ && !obs_ && !obsForce_ && jit::available()) {
+        !trace_ && !obs_ && jit::available()) {
         jit::CompileEnv env{cycleModel_, features_.natSetClear,
                             features_.natAwareCompare, fastEnabled_,
                             asyncTier_ != nullptr};
@@ -2873,7 +2872,7 @@ Machine::run(uint64_t maxSteps)
     if (prof_)
         prof_->begin();
     if (engine_ == ExecEngine::Predecoded) {
-        bool observed = trace_ || obs_ || prof_ || obsForce_;
+        bool observed = trace_ || obs_ || prof_;
         if (asyncTier_) {
             // Decoupled taint tier: the machine owns the tier's
             // lifecycle around the run.

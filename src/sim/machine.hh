@@ -185,8 +185,8 @@ class Machine
      * program must outlive the machine.
      *
      * ExecEngine::Legacy forces the original per-step resolution path;
-     * it exists as the reference implementation for equivalence tests
-     * and A/B throughput measurement (bench_interp).
+     * it exists as the reference implementation for the equivalence
+     * tests (test_engine, test_fused).
      */
     explicit Machine(const Program &program, CpuFeatures features = {},
                      ExecEngine engine = ExecEngine::Predecoded);
@@ -357,18 +357,12 @@ class Machine
      * and counts the per-PC hot-spot table (`engine.hotpc.*`, also
      * under a profiler and the async tier). run() takes the observed
      * interpreter loop with the JIT off. Null detaches. With no buffer
-     * attached the whole subsystem costs one branch at run(), which
-     * perf-smoke-obs enforces.
+     * attached the whole subsystem costs one branch at run(); the
+     * flight-recorder row of perf_counters counts the events a run
+     * emits.
      */
     void setObserver(obs::TraceBuffer *buffer);
     obs::TraceBuffer *observer() const { return obs_; }
-
-    /**
-     * Bench/test knob: pin run() to the observed interpreter loop
-     * (JIT off) even with no observer attached, so the cost of its
-     * not-taken observer branches is measurable (bench_obs).
-     */
-    void setObsDispatchForced(bool forced) { obsForce_ = forced; }
 
     /**
      * Attach the tier-attribution profiler: run() takes the observed
@@ -379,7 +373,8 @@ class Machine
      * tables into the run's StatSet as `prof.*`
      * (docs/OBSERVABILITY.md). Null detaches; with none attached the
      * subsystem costs nothing (the production loop compiles none of
-     * it, enforced by perf-smoke-prof). Unlike the other observers it
+     * it, and such a run carries no `prof.*` key). Unlike the other
+     * observers it
      * keeps the JIT tier — compiled code accrues to jit-slow/jit-fast
      * between dispatch hooks.
      */
@@ -607,7 +602,6 @@ class Machine
     // only allocated (and so only counted) when a recorder is
     // attached.
     obs::TraceBuffer *obs_ = nullptr;
-    bool obsForce_ = false;
     obs::Profiler *prof_ = nullptr;
     dift::AsyncTaintTier *asyncTier_ = nullptr;
     std::vector<uint32_t> hotPc_;

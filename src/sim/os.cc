@@ -1,5 +1,7 @@
 #include "os.hh"
 
+#include <algorithm>
+
 #include "sim/machine.hh"
 #include "support/logging.hh"
 
@@ -126,6 +128,7 @@ Os::readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
 int64_t
 Os::writeFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len)
 {
+    len = std::min(len, kMaxTransfer);
     std::vector<uint8_t> data(len);
     if (m.memory().readBytes(buf, data.data(), len) != MemFault::None)
         return -1;

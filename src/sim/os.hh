@@ -94,10 +94,20 @@ class Os
     /** Open a file; returns an fd or -1. */
     int64_t openFd(Machine &m, const std::string &path, int64_t flags);
 
+    /**
+     * The most bytes one write or send moves, as Linux caps one write
+     * at MAX_RW_COUNT: a longer request gets a short count, so no
+     * host buffer is sized from a guest length. __taint and __untaint
+     * cover at most this many bytes too. httpd sends at most 8 KiB per
+     * call.
+     */
+    static constexpr uint64_t kMaxTransfer = uint64_t(1) << 20;
+
     /** Read from an fd into simulated memory; returns bytes or -1. */
     int64_t readFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len);
 
-    /** Write from simulated memory to an fd; returns bytes or -1. */
+    /** Write at most kMaxTransfer bytes from simulated memory to an
+     * fd; returns bytes or -1. */
     int64_t writeFd(Machine &m, int64_t fd, uint64_t buf, uint64_t len);
 
     /** Close an fd; returns 0 or -1. */

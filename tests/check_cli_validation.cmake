@@ -36,6 +36,24 @@ function(expect_usage_error regex bin)
     endif()
 endfunction()
 
+# expect_exit(<code> <binary> <args...>): the run must exit <code>.
+function(expect_exit code bin)
+    execute_process(
+        COMMAND ${bin} ${ARGN}
+        RESULT_VARIABLE rc
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        TIMEOUT 30)
+    if(NOT rc EQUAL code)
+        get_filename_component(name ${bin} NAME)
+        message(SEND_ERROR
+            "${name} ${ARGN}: expected exit ${code}, got '${rc}'\n"
+            "stdout: ${out}\nstderr: ${err}")
+        math(EXPR failures "${failures}+1")
+        set(failures ${failures} PARENT_SCOPE)
+    endif()
+endfunction()
+
 # --- shiftd: worker/clone counts, intervals, budgets -----------------
 expect_usage_error("jobs and --requests must be positive"
     ${SHIFTD} --jobs 0)
@@ -45,6 +63,17 @@ expect_usage_error("expected an integer"
     ${SHIFTD} --jobs banana)
 expect_usage_error("workers must be positive"
     ${SHIFTD} --workers 0)
+# Counts an int cannot hold must not wrap (4294967297 would narrow to
+# one job), and the fleet starts one thread per worker, so --workers
+# has a fixed ceiling.
+expect_usage_error("jobs: 4294967297 is out of range"
+    ${SHIFTD} --jobs 4294967297 --requests 4294967298)
+expect_usage_error("requests: 4294967298 is out of range"
+    ${SHIFTD} --requests 4294967298)
+expect_usage_error("workers: at most 256"
+    ${SHIFTD} --workers 4294967297)
+expect_usage_error("workers: at most 256"
+    ${SHIFTD} --workers 257)
 expect_usage_error("expected a number of seconds"
     ${SHIFTD} --metrics-interval often)
 expect_usage_error("metrics-interval must not be negative"
@@ -78,6 +107,14 @@ expect_usage_error("expected a file path"
     ${SHIFTD} --profile=)
 expect_usage_error("expected a file path"
     ${SHIFTD} --jitdump=)
+
+# --- shiftd: --policy applies to the built-in httpd too ---------------
+# Under a policy that only logs and has H2 off, a doc-root traversal
+# is not a kill: exit 0, where the httpd defaults would exit 101.
+set(log_policy ${CMAKE_CURRENT_BINARY_DIR}/cli_validation_log_h2off.ini)
+file(WRITE ${log_policy} "[tracking]\naction = log\n[policies]\nH2 = off\n")
+expect_exit(0 ${SHIFTD} --policy ${log_policy} --jobs 1 --requests 1
+    --conn "GET /../../etc/shadow HTTP/1.0\r\n\r\n")
 
 # --- shiftc -----------------------------------------------------------
 expect_usage_error("max-steps must be positive"

@@ -1,0 +1,187 @@
+/**
+ * @file
+ * Exact-counter gate (ctest perf_counters, label perf): what each
+ * layer does on the perfbench programs, counted rather than timed.
+ *
+ * Each row runs one group of programs at one perfbench rung, once,
+ * checks every verdict (so each tracked attack row also requires 8/8
+ * detections and no false positive) and asserts the exact sum of a
+ * few counters over the group. The sums repeat exactly at a fixed
+ * input, so a row moves only when the code behind its layer changes
+ * what it does:
+ *
+ *  - interpreter: engine.dispatches, engine.instrs.total at `shift`;
+ *  - fast path: fastpath.entered, fastpath.deopts at `fast`, with
+ *    httpd serving untainted requests so it never deopts;
+ *  - async tier: dift.events, dift.fences at `async`;
+ *  - flight recorder: the runs' own obs.events at `fast`, none of
+ *    them dropped;
+ *  - profiler: prof.samples at `shift` with the profiler on, and no
+ *    prof.* key with it off.
+ *
+ * The JIT's row (jit.entered, jit.bailouts, jit.deopts) rides with
+ * its compile counts in test_jit (JitPromotionCounts.*). Every row
+ * here runs on the interpreter, so this gate also passes in builds
+ * without the JIT. Host time goes through perfbench A/B pairs only.
+ *
+ * A change that moves a sum on purpose must say why in CHANGES.md and
+ * update the row.
+ */
+
+#include <gtest/gtest.h>
+
+#include <cctype>
+#include <map>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "obs/trace.hh"
+#include "perfbench_programs.hh"
+
+namespace shift
+{
+namespace
+{
+
+using testutil::PerfbenchProgram;
+using testutil::Rung;
+
+enum class Group
+{
+    Spec,       ///< the 8 SPEC kernels
+    Attacks,    ///< the 16 attack programs
+    Httpd,      ///< httpd, requests tainted
+    HttpdClean, ///< httpd, requests untainted
+};
+
+enum class Observer
+{
+    None,
+    Profiler, ///< SessionOptions::profile
+    Recorder, ///< a flight recorder enabled around the runs
+};
+
+struct Row
+{
+    const char *layer;
+    Group group;
+    Rung rung;
+    Observer observer;
+    /** Σ over the group's programs, exact. */
+    std::map<std::string, uint64_t> sums;
+};
+
+const Row kRows[] = {
+    {"interpreter", Group::Spec, Rung::Shift, Observer::None,
+     {{"engine.dispatches", 22'657'578},
+      {"engine.instrs.total", 41'007'838}}},
+    {"interpreter", Group::Attacks, Rung::Shift, Observer::None,
+     {{"engine.dispatches", 85'503}, {"engine.instrs.total", 171'228}}},
+    {"interpreter", Group::Httpd, Rung::Shift, Observer::None,
+     {{"engine.dispatches", 21'938}, {"engine.instrs.total", 45'958}}},
+
+    {"fast path", Group::Spec, Rung::Fast, Observer::None,
+     {{"fastpath.entered", 147'238}, {"fastpath.deopts", 47'154}}},
+    {"fast path", Group::Attacks, Rung::Fast, Observer::None,
+     {{"fastpath.entered", 1'828}, {"fastpath.deopts", 1'250}}},
+    {"fast path", Group::HttpdClean, Rung::Fast, Observer::None,
+     {{"fastpath.entered", 1'368}, {"fastpath.deopts", 0}}},
+
+    {"async tier", Group::Spec, Rung::Async, Observer::None,
+     {{"dift.events", 5'161'238}, {"dift.fences", 32}}},
+    {"async tier", Group::Attacks, Rung::Async, Observer::None,
+     {{"dift.events", 13'205}, {"dift.fences", 100}}},
+
+    {"flight recorder", Group::Attacks, Rung::Fast, Observer::Recorder,
+     {{"obs.events", 6'711}, {"obs.dropped", 0}}},
+    {"flight recorder", Group::Httpd, Rung::Fast, Observer::Recorder,
+     {{"obs.events", 1'770}, {"obs.dropped", 0}}},
+
+    {"profiler", Group::Spec, Rung::Shift, Observer::Profiler,
+     {{"prof.samples", 11'060}}},
+};
+
+const char *
+groupName(Group group)
+{
+    switch (group) {
+      case Group::Spec: return "spec";
+      case Group::Attacks: return "attacks";
+      case Group::Httpd: return "httpd";
+      case Group::HttpdClean: return "httpd/clean";
+    }
+    return "?";
+}
+
+std::vector<PerfbenchProgram>
+programsOf(Group group)
+{
+    switch (group) {
+      case Group::Spec: return testutil::specPrograms();
+      case Group::Attacks: return testutil::attackPrograms();
+      case Group::Httpd: return {testutil::httpdProgram(true)};
+      case Group::HttpdClean: return {testutil::httpdProgram(false)};
+    }
+    return {};
+}
+
+bool
+hasProfileKey(const StatSet &stats)
+{
+    for (const std::string &name : stats.names())
+        if (name.rfind("prof.", 0) == 0)
+            return true;
+    return false;
+}
+
+void
+PrintTo(const Row &row, std::ostream *os)
+{
+    *os << row.layer << " on " << groupName(row.group);
+}
+
+class PerfCounters : public testing::TestWithParam<Row>
+{};
+
+TEST_P(PerfCounters, SumsAreExact)
+{
+    const Row &row = GetParam();
+    std::map<std::string, uint64_t> sums;
+    for (const auto &entry : row.sums)
+        sums[entry.first] = 0;
+    if (row.observer == Observer::Recorder)
+        obs::Recorder::enable();
+    for (const PerfbenchProgram &p : programsOf(row.group)) {
+        SessionOptions options = testutil::perfbenchRung(p.base, row.rung);
+        options.profile = row.observer == Observer::Profiler;
+        Session session(p.source, options);
+        p.provision(session);
+        RunResult r = session.run();
+        EXPECT_EQ(testutil::verdictProblem(p, row.rung, r), "") << p.name;
+        EXPECT_EQ(hasProfileKey(r.stats), options.profile) << p.name;
+        for (auto &[name, sum] : sums)
+            sum += r.stats.get(name);
+    }
+    if (row.observer == Observer::Recorder)
+        obs::Recorder::disable();
+    for (const auto &[name, expected] : row.sums)
+        EXPECT_EQ(sums[name], expected) << name;
+}
+
+std::string
+rowName(const testing::TestParamInfo<Row> &info)
+{
+    std::string name = std::string(info.param.layer) + "_" +
+                       groupName(info.param.group);
+    for (char &c : name)
+        if (!std::isalnum(static_cast<unsigned char>(c)))
+            c = '_';
+    return name;
+}
+
+INSTANTIATE_TEST_SUITE_P(Rows, PerfCounters, testing::ValuesIn(kRows),
+                         rowName);
+
+} // namespace
+} // namespace shift

@@ -19,8 +19,10 @@
 
 #include <set>
 #include <string>
+#include <tuple>
 
 #include "jit_test_util.hh"
+#include "perfbench_programs.hh"
 #include "runtime/session_template.hh"
 #include "session_helpers.hh"
 #include "svc/fleet.hh"
@@ -570,9 +572,24 @@ TEST(JitPromotion, FlushWhenFullRestartsWork)
 }
 
 // ---------------------------------------------------------------------
-// Exact-counter gate (ctest perf_jit_promotion): superblocks compiled
-// on the perfbench programs at perfbench's JIT settings.
+// Exact-counter gate (ctest perf_jit_promotion): what the JIT does on
+// the perfbench programs at perfbench's JIT settings.
 // ---------------------------------------------------------------------
+
+/** Σ of the jit.* counters over one group of programs at one rung. */
+struct JitCounts
+{
+    uint64_t compiled = 0, entered = 0, bailouts = 0, deopts = 0;
+
+    void
+    add(const StatSet &stats)
+    {
+        compiled += stats.get("jit.compiled");
+        entered += stats.get("jit.entered");
+        bailouts += stats.get("jit.bailouts");
+        deopts += stats.get("jit.deopts");
+    }
+};
 
 /** Σ jit.compiled per group at threshold 32 (31 x size). */
 constexpr uint64_t kAttacksUntracked = 56;
@@ -580,64 +597,55 @@ constexpr uint64_t kAttacksFull = 60;
 constexpr uint64_t kSpecFull = 1718;
 static_assert(kAttacksUntracked > 0 && kAttacksFull > 0,
               "perfbench checks that both attack JIT rungs compile");
-
-/** perfbench's `untracked` or `full` rung (applyRung) over `base`. */
-SessionOptions
-perfbenchRung(SessionOptions o, bool full)
-{
-    o.engine = ExecEngine::Predecoded;
-    o.policy.granularity = Granularity::Byte;
-    o.mode = full ? TrackingMode::Shift : TrackingMode::None;
-    o.optimize = {};
-    o.optimize.enable = full;
-    o.features = {};
-    o.features.natSetClear = full;
-    o.features.natAwareCompare = full;
-    o.fastPath = full;
-    o.jit = true;
-    o.jitThreshold = 32;
-    o.jitCacheBytes = size_t(64) << 20;
-    return o;
-}
+/** Σ jit.entered, jit.bailouts and jit.deopts per group at `full`. */
+constexpr JitCounts kAttacksFullRuns{
+    .compiled = kAttacksFull, .entered = 5, .bailouts = 5, .deopts = 0};
+constexpr JitCounts kSpecFullRuns{.compiled = kSpecFull,
+                                  .entered = 5'595,
+                                  .bailouts = 5'587,
+                                  .deopts = 46'297};
 
 /**
  * The 16 attack programs at `untracked` and `full` and the 8 SPEC
  * kernels (default-scale input) at `full` compile exactly these many
- * superblocks. A promotion change that moves them must say why in
- * docs/JIT.md ("Promotion policy") and update the constants.
+ * superblocks, and at `full` enter, bail out of and deopt from
+ * compiled code exactly these many times. A promotion change that
+ * moves the compile counts must say why in docs/JIT.md ("Promotion
+ * policy") and update the constants.
  */
 TEST(JitPromotionCounts, PerfbenchProgramsCompileExactly)
 {
     SKIP_WITHOUT_JIT();
-    uint64_t attacks[2] = {0, 0};
-    for (const AttackScenario &sc : attackScenarios()) {
-        SessionOptions base;
-        base.policy = sc.policy;
-        base.instr.relaxLoadFunctions = sc.relaxLoadFunctions;
-        for (bool exploit : {false, true}) {
-            for (bool full : {false, true}) {
-                Session session(sc.source, perfbenchRung(base, full));
-                (exploit ? sc.setupExploit : sc.setupBenign)(session);
-                attacks[full] +=
-                    session.run().stats.get("jit.compiled");
-            }
+    auto runGroup = [](const std::vector<testutil::PerfbenchProgram> &group,
+                       testutil::Rung rung) {
+        JitCounts sum;
+        for (const testutil::PerfbenchProgram &p : group) {
+            Session session(p.source, testutil::perfbenchRung(p.base, rung));
+            p.provision(session);
+            RunResult r = session.run();
+            EXPECT_EQ(testutil::verdictProblem(p, rung, r), "") << p.name;
+            sum.add(r.stats);
         }
+        return sum;
+    };
+    std::vector<testutil::PerfbenchProgram> attacks =
+        testutil::attackPrograms();
+    JitCounts attacksUntracked = runGroup(attacks, testutil::Rung::Untracked);
+    JitCounts attacksFull = runGroup(attacks, testutil::Rung::Full);
+    JitCounts specFull =
+        runGroup(testutil::specPrograms(), testutil::Rung::Full);
+
+    EXPECT_EQ(attacksUntracked.compiled, kAttacksUntracked)
+        << "attacks at untracked";
+    for (const auto &[name, got, want] :
+         {std::tuple("attacks", attacksFull, kAttacksFullRuns),
+          std::tuple("spec", specFull, kSpecFullRuns)}) {
+        SCOPED_TRACE(std::string(name) + " at full");
+        EXPECT_EQ(got.compiled, want.compiled) << "jit.compiled";
+        EXPECT_EQ(got.entered, want.entered) << "jit.entered";
+        EXPECT_EQ(got.bailouts, want.bailouts) << "jit.bailouts";
+        EXPECT_EQ(got.deopts, want.deopts) << "jit.deopts";
     }
-    uint64_t spec = 0;
-    for (const workloads::SpecKernel &k : workloads::specKernels()) {
-        SessionOptions base;
-        base.policy.taintFile = true;
-        base.instr.relaxLoadFunctions = k.relaxLoadFunctions;
-        base.instr.relaxStoreFunctions = k.relaxStoreFunctions;
-        Session session(k.source, perfbenchRung(base, true));
-        session.os().addFile("input.dat", k.makeInput(k.defaultScale));
-        RunResult r = session.run();
-        EXPECT_TRUE(r.ok()) << k.shortName;
-        spec += r.stats.get("jit.compiled");
-    }
-    EXPECT_EQ(attacks[0], kAttacksUntracked) << "attacks at untracked";
-    EXPECT_EQ(attacks[1], kAttacksFull) << "attacks at full";
-    EXPECT_EQ(spec, kSpecFull) << "spec at full";
 }
 
 // ---------------------------------------------------------------------

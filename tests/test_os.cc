@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "runtime/session.hh"
 
 namespace shift
@@ -205,6 +207,64 @@ TEST(Os, SprintfFormatting)
     RunResult r = session.run();
     ASSERT_TRUE(r.exited) << faultKindName(r.fault.kind);
     EXPECT_EQ(session.os().stdoutText(), "key=-42 c=Z hex=ff %");
+}
+
+// One write or send moves at most Os::kMaxTransfer bytes, and one
+// __taint or __untaint covers at most that many: a guest length never
+// sizes a host buffer or a host loop. Unbounded, each of these calls
+// aborts on std::bad_alloc, materializes every page it reads, or runs
+// for minutes.
+struct Transfer
+{
+    RunResult result;
+    std::string out; ///< stdout: the bytes moved, "=", the call's result
+};
+
+Transfer
+runTransfer(const std::string &call, TrackingMode mode)
+{
+    SessionOptions options;
+    options.mode = mode;
+    Session session("int main() {"
+                    "  char *big = malloc(2000000);"
+                    "  long n = " + call + ";"
+                    "  print(\"=\");"
+                    "  print_num(n);"
+                    "  return 0;"
+                    "}",
+                    options);
+    RunResult result = session.run();
+    return {result, session.os().stdoutText()};
+}
+
+TEST(Os, OversizedTransfersGetShortCounts)
+{
+    const std::string kMaxText = "=" + std::to_string(Os::kMaxTransfer);
+    for (const auto &[call, mode] :
+         {std::pair("write(1, big, 1000000000000)", TrackingMode::None),
+          std::pair("send(1, big, 1000000000000)", TrackingMode::None),
+          std::pair("send(1, big, 1000000000000)", TrackingMode::Shift),
+          // Address 0 lies in a region reserved whole at construction.
+          std::pair("write(1, 0, 600000000)", TrackingMode::None)}) {
+        SCOPED_TRACE(call);
+        Transfer t = runTransfer(call, mode);
+        ASSERT_TRUE(t.result.exited) << faultKindName(t.result.fault.kind);
+        EXPECT_EQ(t.result.exitCode, 0);
+        ASSERT_EQ(t.out.size(), Os::kMaxTransfer + kMaxText.size());
+        EXPECT_EQ(t.out.substr(Os::kMaxTransfer), kMaxText);
+    }
+}
+
+TEST(Os, OversizedTaintRangesAreBounded)
+{
+    for (const char *call : {"__taint(big, 1000000000000)",
+                             "__untaint(big, 1000000000000)"}) {
+        SCOPED_TRACE(call);
+        Transfer t = runTransfer(call, TrackingMode::Shift);
+        ASSERT_TRUE(t.result.exited) << faultKindName(t.result.fault.kind);
+        EXPECT_EQ(t.result.exitCode, 0);
+        EXPECT_EQ(t.out, "=0");
+    }
 }
 
 } // namespace

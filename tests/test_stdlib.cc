@@ -20,6 +20,7 @@
 
 #include "dift/annotate.hh"
 #include "lang/compiler.hh"
+#include "perfbench_programs.hh"
 #include "runtime/minic_stdlib.hh"
 #include "session_helpers.hh"
 #include "support/logging.hh"
@@ -45,23 +46,13 @@ const char *const kLibcUser = R"(
     }
 )";
 
-/** Turn on every layer the perfbench `full` rung adds to SHIFT. */
-void
-makeFull(SessionOptions &options)
-{
-    options.optimize.enable = true;
-    options.features.natSetClear = true;
-    options.features.natAwareCompare = true;
-    options.fastPath = true;
-    options.jit = true;
-}
-
 /** The perfbench `full` rung at `granularity`. */
 SessionOptions
 fullOptions(Granularity granularity)
 {
-    SessionOptions options = testutil::shiftOptions(granularity);
-    makeFull(options);
+    SessionOptions options = testutil::perfbenchRung(
+        testutil::shiftOptions(), testutil::Rung::Full);
+    options.policy.granularity = granularity;
     return options;
 }
 
@@ -495,38 +486,15 @@ TEST(StdlibMemo, PerfbenchProgramsShareOneEntryPerRung)
 {
     ASSERT_EQ(trackedStdlibEntries(), 0u)
         << "needs a fresh process: ctest -R perf_libc_memo";
-    std::vector<std::pair<std::string, SessionOptions>> programs;
-    for (const workloads::SpecKernel &k : workloads::specKernels()) {
-        SessionOptions base;
-        base.policy.taintFile = true;
-        base.instr.relaxLoadFunctions = k.relaxLoadFunctions;
-        base.instr.relaxStoreFunctions = k.relaxStoreFunctions;
-        programs.emplace_back(k.source, base);
-    }
-    for (const workloads::AttackScenario &sc :
-         workloads::attackScenarios()) {
-        SessionOptions base;
-        base.policy = sc.policy;
-        base.instr.relaxLoadFunctions = sc.relaxLoadFunctions;
-        programs.emplace_back(sc.source, base); // benign
-        programs.emplace_back(sc.source, base); // exploit
-    }
-    programs.emplace_back(workloads::kHttpdSource,
-                          workloads::httpdSessionOptions(
-                              TrackingMode::Shift, Granularity::Byte, {},
-                              ExecEngine::Predecoded));
+    std::vector<testutil::PerfbenchProgram> programs =
+        testutil::perfbenchPrograms();
     ASSERT_EQ(programs.size(), 25u);
 
-    for (bool full : {false, true}) {
+    for (testutil::Rung rung : {testutil::Rung::Shift, testutil::Rung::Full}) {
+        bool full = rung == testutil::Rung::Full;
         SCOPED_TRACE(full ? "full" : "shift");
-        for (const auto &[source, base] : programs) {
-            SessionOptions options = base;
-            options.mode = TrackingMode::Shift;
-            options.policy.granularity = Granularity::Byte;
-            if (full)
-                makeFull(options);
-            Session session(source, options);
-        }
+        for (const testutil::PerfbenchProgram &p : programs)
+            Session session(p.source, testutil::perfbenchRung(p.base, rung));
         EXPECT_EQ(trackedStdlibEntries(), full ? 2u : 1u);
     }
 }

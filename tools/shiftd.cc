@@ -19,6 +19,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,12 +39,17 @@ using namespace shift;
 namespace
 {
 
+/** Most worker threads --workers may ask for: the fleet starts one
+ * thread per worker. */
+constexpr long long kMaxWorkers = 256;
+
 void
 usage()
 {
     std::fprintf(stderr,
         "usage: shiftd [options] [program.mc]\n"
-        "  --policy FILE            policy configuration (INI)\n"
+        "  --policy FILE            policy configuration (INI); "
+        "replaces the built-in httpd's policy too\n"
         "  --mode none|shift|software   tracking mode (default shift)\n"
         "  --granularity byte|word  bitmap granularity\n"
         "  --enhanced               setnat/clrnat + cmp.nat hardware\n"
@@ -53,7 +59,8 @@ usage()
         "  --conn TEXT              the request each connection carries\n"
         "  --jobs N                 clones to fork (default 8)\n"
         "  --requests N             connections per clone (default 4)\n"
-        "  --workers N              worker threads (default 4)\n"
+        "  --workers N              worker threads (default 4, at "
+        "most 256)\n"
         "  --max-steps N            execution budget per clone\n"
         "  --async-taint            decoupled taint tier: run the "
         "uninstrumented program and replay taint beside it\n"
@@ -118,6 +125,18 @@ parseInteger(const std::string &flag, const std::string &text)
     }
 }
 
+/** parseInteger for a flag held in an int: a value the int cannot
+ * hold is an error, not a wrapped count. */
+int
+parseInt(const std::string &flag, const std::string &text)
+{
+    long long v = parseInteger(flag, text);
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max())
+        SHIFT_FATAL("%s: %lld is out of range", flag.c_str(), v);
+    return static_cast<int>(v);
+}
+
 double
 parseSeconds(const std::string &flag, const std::string &text)
 {
@@ -141,6 +160,7 @@ main(int argc, char **argv)
     setVerbose(false);
 
     SessionOptions options;
+    bool policyGiven = false;
     std::string sourcePath;
     std::vector<std::pair<std::string, std::string>> files;
     std::string request;
@@ -169,6 +189,7 @@ main(int argc, char **argv)
             } else if (arg == "--policy") {
                 options.policy =
                     PolicyConfig::fromConfig(Config::parseFile(next()));
+                policyGiven = true;
             } else if (arg == "--mode") {
                 std::string mode = next();
                 if (mode == "none")
@@ -198,14 +219,16 @@ main(int argc, char **argv)
             } else if (arg == "--conn") {
                 request = next();
             } else if (arg == "--jobs") {
-                jobs = static_cast<int>(parseInteger(arg, next()));
+                jobs = parseInt(arg, next());
             } else if (arg == "--requests") {
-                requestsPerJob =
-                    static_cast<int>(parseInteger(arg, next()));
+                requestsPerJob = parseInt(arg, next());
             } else if (arg == "--workers") {
                 long long n = parseInteger(arg, next());
                 if (n <= 0)
                     SHIFT_FATAL("--workers must be positive");
+                if (n > kMaxWorkers)
+                    SHIFT_FATAL("--workers: at most %lld, got %lld",
+                                kMaxWorkers, n);
                 workers = static_cast<unsigned>(n);
             } else if (arg == "--max-steps") {
                 long long n = parseInteger(arg, next());
@@ -273,13 +296,16 @@ main(int argc, char **argv)
             obs::PerfJitSink::enable(jitdumpPath);
 
         // Build the template: a user program, or the built-in httpd
-        // workload (its policy/request defaults) when none is given.
+        // workload (its policy/request defaults, the policy unless
+        // --policy names one) when none is given.
         std::unique_ptr<SessionTemplate> tmpl;
         if (sourcePath.empty()) {
             workloads::HttpdFleetConfig defaults;
             SessionOptions httpdOptions = workloads::httpdSessionOptions(
                 options.mode, options.policy.granularity,
                 options.features, options.engine);
+            if (policyGiven)
+                httpdOptions.policy = options.policy;
             httpdOptions.maxSteps = options.maxSteps;
             httpdOptions.async = options.async;
             httpdOptions.jit = options.jit;
