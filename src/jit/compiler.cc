@@ -399,7 +399,7 @@ computeLeaders(const DecodedFunction &df, const CompileEnv &env,
     if (!fast.empty())
         fastLead[0] = 1;
     // Leaders: targets, terminator successors, probe deopt pcs.
-    auto mark = [&](const std::vector<DecodedInstr> &s, bool inFast) {
+    auto mark = [&](DecodedStream s, bool inFast) {
         for (size_t i = 0; i < s.size(); ++i) {
             const DecodedInstr &dp = s[i];
             if (isTerminator(dp.op) && i + 1 < s.size())
@@ -570,7 +570,7 @@ class FunctionCompiler
         stubs_.clear();
     }
 
-    bool emitStream(const std::vector<DecodedInstr> &s, bool inFast,
+    bool emitStream(DecodedStream s, bool inFast,
                     std::vector<int32_t> &entry)
     {
         const std::vector<uint8_t> &lead = inFast ? fastLead_ : slowLead_;
@@ -596,7 +596,7 @@ class FunctionCompiler
         return true;
     }
 
-    bool emitBlock(const std::vector<DecodedInstr> &s, bool inFast,
+    bool emitBlock(DecodedStream s, bool inFast,
                    size_t start, size_t end,
                    std::vector<int32_t> &entry)
     {
@@ -691,7 +691,7 @@ class FunctionCompiler
      *     null: nullified charges ; xor rbp
      *     join:
      */
-    bool lowerOp(const std::vector<DecodedInstr> &s, bool inFast,
+    bool lowerOp(DecodedStream s, bool inFast,
                  size_t pc)
     {
         const DecodedInstr &dp = s[pc];
@@ -742,7 +742,7 @@ class FunctionCompiler
 
     // ---- op bodies -------------------------------------------------
 
-    bool emitBody(const std::vector<DecodedInstr> &s, bool inFast,
+    bool emitBody(DecodedStream s, bool inFast,
                   size_t pc)
     {
         const DecodedInstr &dp = s[pc];

@@ -6,9 +6,6 @@
 #include <map>
 #include <vector>
 
-#include "mem/address_space.hh"
-#include "support/logging.hh"
-
 namespace shift
 {
 
@@ -24,20 +21,6 @@ constexpr int kT3 = reg::shiftTmp3;
 constexpr int kPTag = 12;
 constexpr int kPSrcNat = 13;
 constexpr int kPSrcNat2 = 14;
-
-/** Availability lattice for "whose tag address is in kT0". */
-constexpr int kTop = -2;  ///< unreached: everything available
-constexpr int kNone = -1; ///< nothing available
-
-int
-meetAvail(int a, int b)
-{
-    if (a == kTop)
-        return b;
-    if (b == kTop)
-        return a;
-    return a == b ? a : kNone;
-}
 
 // ---------------------------------------------------------------------
 // Known-low-bits lattice for pass (f). Only the low 3 bits of a
@@ -173,72 +156,21 @@ alignMeet(const AlignState &a, const AlignState &b)
 }
 
 /**
- * Match the figure-4 tag-address fold at code[i..i+3]:
- *   extr kT0 = R, 61, 3 ; shl kT0 <<= regionShift ;
- *   extr kT1 = R, dataShift, ... ; or kT0 |= kT1
- * all Provenance::TagAddr. Reports the address register.
+ * Match the byte-granularity load-path bitmap check at code[i]: the
+ * 9-instruction two-tag-byte window assembly ending in the kPTag
+ * compare. Reports the data address register. Only non-speculative
+ * checks match (ld.s checks defer differently).
  */
 bool
-matchFold(const std::vector<Instr> &code, size_t i, int *addrReg)
+matchByteCheck(const std::vector<Instr> &code, size_t i, int *addrReg)
 {
-    if (i + 4 > code.size())
-        return false;
-    const Instr *c = &code[i];
-    if (c[0].op != Opcode::Extr || c[0].prov != Provenance::TagAddr ||
-        c[0].qp != 0 || c[0].r1 != kT0 ||
-        c[0].pos != static_cast<uint8_t>(kRegionShift) || c[0].len != 3)
-        return false;
-    int r = c[0].r2;
-    if (c[1].op != Opcode::Shl || c[1].prov != Provenance::TagAddr ||
-        c[1].r1 != kT0 || c[1].r2 != kT0 || !c[1].useImm)
-        return false;
-    if (c[2].op != Opcode::Extr || c[2].prov != Provenance::TagAddr ||
-        c[2].r1 != kT1 || c[2].r2 != r)
-        return false;
-    if (c[3].op != Opcode::Or || c[3].prov != Provenance::TagAddr ||
-        c[3].r1 != kT0 || c[3].r2 != kT0 || c[3].useImm ||
-        c[3].r3 != kT1)
-        return false;
-    *addrReg = r;
-    return true;
-}
-
-/**
- * Match a load-path bitmap check starting at code[i]. Byte
- * granularity is the 9-instruction two-tag-byte window assembly, word
- * granularity the 4-instruction tbit form. Both end by writing kPTag.
- * Only non-speculative checks match (ld.s checks defer differently).
- */
-bool
-matchLoadCheck(const std::vector<Instr> &code, size_t i, int *addrReg,
-               int64_t *mask, size_t *len)
-{
-    if (i >= code.size())
-        return false;
-    const Instr &first = code[i];
-    if (first.op != Opcode::Ld || first.prov != Provenance::TagMem ||
-        first.origClass != OrigClass::ForLoad || first.spec ||
-        first.r1 != kT1 || first.r2 != kT0 || first.size != 1)
-        return false;
-    // Word form: ld ; extr kT2=R,3,3 ; shr kT1>>=kT2 ; tbit kPTag.
-    if (i + 4 <= code.size() && code[i + 1].op == Opcode::Extr) {
-        const Instr *c = &code[i];
-        if (c[1].r1 == kT2 && c[1].pos == 3 && c[1].len == 3 &&
-            c[2].op == Opcode::Shr && c[2].r1 == kT1 &&
-            c[2].r2 == kT1 && !c[2].useImm && c[2].r3 == kT2 &&
-            c[3].op == Opcode::Tbit && c[3].p1 == kPTag &&
-            c[3].p2 == 0 && c[3].r2 == kT1) {
-            *addrReg = c[1].r2;
-            *mask = -1; // single covered bit; size-independent
-            *len = 4;
-            return true;
-        }
-        return false;
-    }
-    // Byte form.
     if (i + 9 > code.size())
         return false;
     const Instr *c = &code[i];
+    if (c[0].op != Opcode::Ld || c[0].prov != Provenance::TagMem ||
+        c[0].origClass != OrigClass::ForLoad || c[0].spec ||
+        c[0].r1 != kT1 || c[0].r2 != kT0 || c[0].size != 1)
+        return false;
     if (c[1].op != Opcode::Add || c[1].r1 != kT2 || c[1].r2 != kT0 ||
         !c[1].useImm || c[1].imm != 1)
         return false;
@@ -265,44 +197,25 @@ matchLoadCheck(const std::vector<Instr> &code, size_t i, int *addrReg,
         !c[8].useImm || c[8].imm != 0)
         return false;
     *addrReg = c[5].r2;
-    *mask = c[7].imm;
-    *len = 9;
     return true;
 }
 
 /**
- * Match a store-path bitmap update (mask build + RMW) starting at
- * code[i]: 13 instructions at byte granularity (two tag bytes), 7 at
- * word granularity. The leading tnat and the trailing real store are
- * not part of the unit.
+ * Match the byte-granularity store-path bitmap update at code[i]: the
+ * 13-instruction mask build and read-modify-write of two tag bytes.
+ * The leading tnat and the trailing real store are not part of the
+ * unit. Reports the data address register.
  */
 bool
-matchStoreUpdate(const std::vector<Instr> &code, size_t i, int *addrReg,
-                 int64_t *mask, size_t *len)
+matchByteUpdate(const std::vector<Instr> &code, size_t i, int *addrReg)
 {
-    if (i >= code.size())
-        return false;
-    const Instr &first = code[i];
-    if (first.prov != Provenance::TagAddr ||
-        first.origClass != OrigClass::ForStore)
-        return false;
-    bool byteGran;
-    int r;
-    if (first.op == Opcode::And && first.r1 == kT2 && first.useImm &&
-        first.imm == 7) {
-        byteGran = true;
-        r = first.r2;
-    } else if (first.op == Opcode::Extr && first.r1 == kT2 &&
-               first.pos == 3 && first.len == 3) {
-        byteGran = false;
-        r = first.r2;
-    } else {
-        return false;
-    }
-    size_t n = byteGran ? 13 : 7;
-    if (i + n > code.size())
+    if (i + 13 > code.size())
         return false;
     const Instr *c = &code[i];
+    if (c[0].op != Opcode::And || c[0].prov != Provenance::TagAddr ||
+        c[0].origClass != OrigClass::ForStore || c[0].r1 != kT2 ||
+        !c[0].useImm || c[0].imm != 7)
+        return false;
     if (c[1].op != Opcode::Movi || c[1].r1 != kT3)
         return false;
     if (c[2].op != Opcode::Shl || c[2].r1 != kT3 || c[2].r2 != kT3 ||
@@ -321,19 +234,15 @@ matchStoreUpdate(const std::vector<Instr> &code, size_t i, int *addrReg,
     };
     if (!rmw(3, kT0))
         return false;
-    if (byteGran) {
-        if (c[7].op != Opcode::Shr || c[7].r1 != kT3 || !c[7].useImm ||
-            c[7].imm != 8)
-            return false;
-        if (c[8].op != Opcode::Add || c[8].r1 != kT2 ||
-            c[8].r2 != kT0 || !c[8].useImm || c[8].imm != 1)
-            return false;
-        if (!rmw(9, kT2))
-            return false;
-    }
-    *addrReg = r;
-    *mask = c[1].imm;
-    *len = n;
+    if (c[7].op != Opcode::Shr || c[7].r1 != kT3 || !c[7].useImm ||
+        c[7].imm != 8)
+        return false;
+    if (c[8].op != Opcode::Add || c[8].r1 != kT2 || c[8].r2 != kT0 ||
+        !c[8].useImm || c[8].imm != 1)
+        return false;
+    if (!rmw(9, kT2))
+        return false;
+    *addrReg = c[0].r2;
     return true;
 }
 
@@ -381,7 +290,6 @@ matchClearNat(const std::vector<Instr> &code, size_t i, int *regOut,
 struct Block
 {
     size_t begin = 0, end = 0; ///< [begin, end) instruction indices
-    std::vector<int> succs;
     std::vector<int> preds;
 };
 
@@ -424,7 +332,6 @@ struct Cfg
             blocks.push_back(blk);
         }
         auto addEdge = [&](int from, int to) {
-            blocks[from].succs.push_back(to);
             blocks[to].preds.push_back(from);
         };
         for (size_t b = 0; b < blocks.size(); ++b) {
@@ -452,14 +359,6 @@ struct Cfg
     }
 };
 
-/** True for instructions that clobber every availability fact. */
-bool
-isBarrier(const Instr &in)
-{
-    return in.op == Opcode::BrCall || in.op == Opcode::BrCalli ||
-           in.op == Opcode::Syscall;
-}
-
 // ---------------------------------------------------------------------
 // Per-function optimizer.
 // ---------------------------------------------------------------------
@@ -475,22 +374,10 @@ class FunctionOptimizer
     void
     run()
     {
-        if (opt_.hoist) {
-            // Bounded: each round inserts one preheader fold and the
-            // opportunity test refuses folds already in place.
-            while (hoistOne()) {
-            }
-        }
-        if (opt_.cse)
-            eliminateRedundantFolds();
-        if (opt_.redundantChecks)
-            eliminateRedundantChecks();
-        if (opt_.deadUpdates)
-            eliminateDeadUpdates();
         if (opt_.cleanRelax)
             eliminateCleanRelax();
         // Narrowing runs last: it breaks up the canonical unit shapes
-        // the other passes (and the fusion matchers) key on.
+        // the fusion matchers key on.
         if (opt_.narrow)
             narrowAlignedAccesses();
     }
@@ -514,290 +401,6 @@ class FunctionOptimizer
             kept.push_back(std::move(fn_.code[i]));
         }
         fn_.code = std::move(kept);
-    }
-
-    // -----------------------------------------------------------------
-    // (b) Loop-invariant fold hoisting.
-    // -----------------------------------------------------------------
-
-    /**
-     * Find one natural loop whose body computes the fold of an
-     * address register the body never redefines, and copy that fold
-     * in front of the loop header so the CSE pass can delete the
-     * in-loop copies. Returns true when an insertion happened.
-     */
-    bool
-    hoistOne()
-    {
-        std::vector<Instr> &code = fn_.code;
-        Cfg cfg;
-        cfg.build(code);
-        for (size_t h = 1; h < cfg.blocks.size(); ++h) {
-            const Block &hd = cfg.blocks[h];
-            if (hd.begin >= code.size() ||
-                code[hd.begin].op != Opcode::Label)
-                continue;
-            int maxBack = -1;
-            bool forwardOk = true;
-            for (int p : hd.preds) {
-                if (static_cast<size_t>(p) >= h)
-                    maxBack = std::max(maxBack, p);
-                else if (static_cast<size_t>(p) != h - 1)
-                    forwardOk = false;
-            }
-            if (maxBack < 0 || !forwardOk)
-                continue;
-            // The preheader must actually fall through into the
-            // header, or the inserted fold would never execute.
-            const Instr &preLast = code[cfg.blocks[h - 1].end - 1];
-            if ((preLast.op == Opcode::Br && preLast.qp == 0) ||
-                preLast.op == Opcode::BrRet ||
-                preLast.op == Opcode::Halt)
-                continue;
-
-            // Loop body: blocks [h, maxBack]. No calls/returns, no
-            // side entries assumed beyond what CSE re-verifies.
-            size_t bodyBegin = hd.begin;
-            size_t bodyEnd = cfg.blocks[maxBack].end;
-            int candidate = -1;
-            Instr foldCopy[4];
-            bool safe = true;
-            for (size_t i = bodyBegin; i < bodyEnd && safe;) {
-                const Instr &in = code[i];
-                int r;
-                if (matchFold(code, i, &r)) {
-                    if (candidate == -1) {
-                        candidate = r;
-                        for (int k = 0; k < 4; ++k)
-                            foldCopy[k] = code[i + k];
-                    } else if (candidate != r) {
-                        safe = false; // competing folds share kT0
-                    }
-                    i += 4;
-                    continue;
-                }
-                if (isBarrier(in) || in.op == Opcode::BrRet)
-                    safe = false;
-                ++i;
-            }
-            if (!safe || candidate < 0)
-                continue;
-            // The body must never redefine the address register (by
-            // ANY instruction: a relax strip/retaint of the pointer
-            // changes its NaT, and a hoisted fold would freeze the
-            // wrong NaT into kT0) nor clobber kT0 outside folds.
-            for (size_t i = bodyBegin; i < bodyEnd && safe;) {
-                int r;
-                if (matchFold(code, i, &r)) {
-                    i += 4;
-                    continue;
-                }
-                int d = defReg(code[i]);
-                if (d == candidate || d == kT0)
-                    safe = false;
-                ++i;
-            }
-            if (!safe)
-                continue;
-            // Refuse when the preheader already ends with this fold
-            // (bounds the hoist loop; also what CSE will key on).
-            size_t at = hd.begin; // insert just before the Label
-            int r;
-            if (at >= 4 && matchFold(code, at - 4, &r) &&
-                r == candidate)
-                continue;
-            code.insert(code.begin() + static_cast<long>(at),
-                        foldCopy, foldCopy + 4);
-            stats_.instrsAdded += 4;
-            ++stats_.foldsHoisted;
-            return true;
-        }
-        return false;
-    }
-
-    // -----------------------------------------------------------------
-    // (a) Tag-address CSE over the whole function.
-    // -----------------------------------------------------------------
-
-    /** Transfer one block; optionally record redundant folds. */
-    int
-    flowBlock(const std::vector<Instr> &code, const Block &blk,
-              int avail, std::vector<char> *dead)
-    {
-        for (size_t i = blk.begin; i < blk.end;) {
-            const Instr &in = code[i];
-            int r;
-            if (matchFold(code, i, &r)) {
-                if (avail == r) {
-                    if (dead) {
-                        for (size_t k = i; k < i + 4; ++k)
-                            (*dead)[k] = 1;
-                        ++stats_.foldsElided;
-                    }
-                } else {
-                    avail = r;
-                }
-                i += 4;
-                continue;
-            }
-            if (isBarrier(in)) {
-                avail = kNone;
-            } else if (in.prov == Provenance::Original) {
-                int d = defReg(in);
-                if (d >= 0 && (d == avail || d == kT0))
-                    avail = kNone;
-            }
-            ++i;
-        }
-        return avail;
-    }
-
-    void
-    eliminateRedundantFolds()
-    {
-        std::vector<Instr> &code = fn_.code;
-        Cfg cfg;
-        cfg.build(code);
-        if (cfg.blocks.empty())
-            return;
-        std::vector<int> in(cfg.blocks.size(), kTop);
-        std::vector<int> out(cfg.blocks.size(), kTop);
-        in[0] = kNone; // entry: nothing available
-        bool changed = true;
-        while (changed) {
-            changed = false;
-            for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-                int newIn = b == 0 ? kNone : kTop;
-                for (int p : cfg.blocks[b].preds)
-                    newIn = meetAvail(newIn, out[p]);
-                // Unreached blocks keep TOP on both sides so their
-                // code cannot contaminate reachable joins.
-                int newOut =
-                    newIn == kTop
-                        ? kTop
-                        : flowBlock(code, cfg.blocks[b], newIn,
-                                    nullptr);
-                if (newIn != in[b] || newOut != out[b]) {
-                    in[b] = newIn;
-                    out[b] = newOut;
-                    changed = true;
-                }
-            }
-        }
-        std::vector<char> dead(code.size(), 0);
-        for (size_t b = 0; b < cfg.blocks.size(); ++b) {
-            // kTop means unreached: deleting there is safe, but keep
-            // the code honest and skip it.
-            if (in[b] == kTop)
-                continue;
-            flowBlock(code, cfg.blocks[b], in[b], &dead);
-        }
-        applyDeletions(dead);
-    }
-
-    // -----------------------------------------------------------------
-    // (c) Redundant bitmap-check elimination (block-local).
-    // -----------------------------------------------------------------
-
-    void
-    eliminateRedundantChecks()
-    {
-        std::vector<Instr> &code = fn_.code;
-        std::vector<char> dead(code.size(), 0);
-        int checkedReg = kNone;
-        int64_t checkedMask = 0;
-        for (size_t i = 0; i < code.size();) {
-            const Instr &in = code[i];
-            int r;
-            int64_t mask;
-            size_t len;
-            if (matchLoadCheck(code, i, &r, &mask, &len)) {
-                if (checkedReg == r && checkedMask == mask) {
-                    for (size_t k = i; k < i + len; ++k)
-                        dead[k] = 1;
-                    ++stats_.checksElided;
-                } else {
-                    checkedReg = r;
-                    checkedMask = mask;
-                }
-                i += len;
-                continue;
-            }
-            // Kills: the bitmap may change (any store), control may
-            // join or leave, the pointer or kPTag may be redefined.
-            if (in.op == Opcode::St || in.op == Opcode::Label ||
-                in.op == Opcode::Br || in.op == Opcode::Chk ||
-                in.op == Opcode::BrRet || in.op == Opcode::Halt ||
-                isBarrier(in)) {
-                checkedReg = kNone;
-            } else if (in.op == Opcode::Cmp ||
-                       in.op == Opcode::CmpNat ||
-                       in.op == Opcode::Tnat ||
-                       in.op == Opcode::Tbit) {
-                if (in.p1 == kPTag || in.p2 == kPTag)
-                    checkedReg = kNone;
-            } else if (in.prov == Provenance::Original) {
-                int d = defReg(in);
-                if (d >= 0 && (d == checkedReg || d == kT0))
-                    checkedReg = kNone;
-            }
-            ++i;
-        }
-        applyDeletions(dead);
-    }
-
-    // -----------------------------------------------------------------
-    // (d) Dead bitmap-update elimination (block-local).
-    // -----------------------------------------------------------------
-
-    void
-    eliminateDeadUpdates()
-    {
-        std::vector<Instr> &code = fn_.code;
-        std::vector<char> dead(code.size(), 0);
-        for (size_t i = 0; i < code.size();) {
-            int r;
-            int64_t mask;
-            size_t len;
-            if (!matchStoreUpdate(code, i, &r, &mask, &len)) {
-                ++i;
-                continue;
-            }
-            // Scan forward: is this exact tag slot overwritten before
-            // anything can read the bitmap? Loads of any kind (tag
-            // checks, reloads), stores other than a matching update,
-            // control flow and pointer redefinitions all block it.
-            bool overwritten = false;
-            for (size_t j = i + len; j < code.size();) {
-                int r2;
-                int64_t mask2;
-                size_t len2;
-                if (matchStoreUpdate(code, j, &r2, &mask2, &len2)) {
-                    if (r2 == r && mask2 == mask)
-                        overwritten = true;
-                    break;
-                }
-                const Instr &in = code[j];
-                if (in.op == Opcode::Ld || in.op == Opcode::Label ||
-                    in.op == Opcode::Br || in.op == Opcode::Chk ||
-                    in.op == Opcode::BrRet || in.op == Opcode::Halt ||
-                    isBarrier(in))
-                    break;
-                if (in.prov == Provenance::Original) {
-                    int d = defReg(in);
-                    if (d >= 0 && (d == r || d == kT0))
-                        break;
-                }
-                ++j;
-            }
-            if (overwritten) {
-                for (size_t k = i; k < i + len; ++k)
-                    dead[k] = 1;
-                ++stats_.updatesElided;
-            }
-            i += len;
-        }
-        applyDeletions(dead);
     }
 
     // -----------------------------------------------------------------
@@ -856,14 +459,25 @@ class FunctionOptimizer
         return dirty;
     }
 
+    /** The tnat that opens a compare-relaxation half. */
+    static bool
+    isCompareRelaxTnat(const Instr &in)
+    {
+        return in.op == Opcode::Tnat && in.prov == Provenance::Relax &&
+               in.origClass == OrigClass::ForCompare && in.p2 == 0 &&
+               (in.p1 == kPSrcNat || in.p1 == kPSrcNat2);
+    }
+
     void
     eliminateCleanRelax()
     {
         std::vector<Instr> &code = fn_.code;
+        // Nothing to elide without a compare-relax unit (the ISA
+        // extensions' cmp.nat leaves none), so skip the dataflow.
+        if (std::none_of(code.begin(), code.end(), isCompareRelaxTnat))
+            return;
         Cfg cfg;
         cfg.build(code);
-        if (cfg.blocks.empty())
-            return;
         // Optimistic fixpoint: entry all-dirty (arguments and every
         // callee-clobbered register may carry NaT), others clean
         // until proven otherwise.
@@ -902,83 +516,53 @@ class FunctionOptimizer
     }
 
     /**
-     * If code[i] starts a deletable relax/purify unit for a provably
-     * clean register, mark it dead. Two shapes:
-     *  - compare relaxation half: tnat pN = X ; clearNat(X) ;
-     *    ... cmp ... ; (pN) add X += natSrc — the whole half goes
-     *    when X cannot carry NaT (the predicate could never fire);
-     *  - zero-idiom purge: xor/sub r,r,r ; clearNat(r) — the purge
-     *    goes when r was already clean (NaT hardware ORs r's own
-     *    bits, so a clean input means a clean result).
+     * If code[i] starts a compare relaxation half of a provably clean
+     * register X — tnat pN = X ; clearNat(X) ; ... cmp ... ;
+     * (pN) add X += natSrc — mark the whole half dead: the predicate
+     * could never fire.
      */
     void
     tryElideAt(const std::vector<Instr> &code, size_t i,
                uint64_t dirty, std::vector<char> &dead)
     {
-        if (dead[i])
-            return;
-        auto isClean = [&](int r) {
-            return r == reg::zero || !((dirty >> (r & 63)) & 1);
-        };
-
         const Instr &in = code[i];
-        // Compare-relax half.
-        if (in.op == Opcode::Tnat && in.prov == Provenance::Relax &&
-            in.origClass == OrigClass::ForCompare && in.p2 == 0 &&
-            (in.p1 == kPSrcNat || in.p1 == kPSrcNat2) &&
-            isClean(in.r2)) {
-            int x = in.r2;
-            int pred = in.p1;
-            int cn;
-            size_t cnLen;
-            if (!matchClearNat(code, i + 1, &cn, &cnLen) || cn != x)
-                return;
-            // Find the paired retaint; nothing in between may write
-            // the predicate (compiled code never touches p13/p14,
-            // this guards hand-written assembly).
-            size_t retaint = 0;
-            for (size_t j = i + 1 + cnLen;
-                 j < code.size() && j < i + 1 + cnLen + 16; ++j) {
-                const Instr &c = code[j];
-                if ((c.op == Opcode::Cmp || c.op == Opcode::CmpNat ||
-                     c.op == Opcode::Tnat || c.op == Opcode::Tbit) &&
-                    (c.p1 == pred || c.p2 == pred))
-                    return;
-                if (c.op == Opcode::Add && c.qp == pred &&
-                    c.prov == Provenance::Relax &&
-                    c.origClass == OrigClass::ForCompare &&
-                    c.r1 == x && c.r2 == x && !c.useImm &&
-                    c.r3 == reg::natSrc) {
-                    retaint = j;
-                    break;
-                }
-                if (isBranchLikeLocal(c))
-                    return;
-            }
-            if (!retaint)
-                return;
-            for (size_t k = i; k < i + 1 + cnLen; ++k)
-                dead[k] = 1;
-            dead[retaint] = 1;
-            ++stats_.relaxElided;
+        if (dead[i] || !isCompareRelaxTnat(in))
             return;
-        }
-
-        // Zero-idiom purge: the idiom itself stays (it is original
-        // code), the emitted clearNat goes.
-        if ((in.op == Opcode::Xor || in.op == Opcode::Sub) &&
-            in.prov == Provenance::Original && !in.useImm &&
-            in.r1 == in.r2 && in.r2 == in.r3 && isClean(in.r1)) {
-            int cn;
-            size_t cnLen;
-            if (matchClearNat(code, i + 1, &cn, &cnLen) &&
-                cn == in.r1 &&
-                code[i + 1].prov == Provenance::TagReg) {
-                for (size_t k = i + 1; k < i + 1 + cnLen; ++k)
-                    dead[k] = 1;
-                ++stats_.purifiesElided;
+        int x = in.r2;
+        if (x != reg::zero && ((dirty >> (x & 63)) & 1))
+            return;
+        int pred = in.p1;
+        int cn;
+        size_t cnLen;
+        if (!matchClearNat(code, i + 1, &cn, &cnLen) || cn != x)
+            return;
+        // Find the paired retaint; nothing in between may write the
+        // predicate (compiled code never touches p13/p14, this guards
+        // hand-written assembly).
+        size_t retaint = 0;
+        for (size_t j = i + 1 + cnLen;
+             j < code.size() && j < i + 1 + cnLen + 16; ++j) {
+            const Instr &c = code[j];
+            if ((c.op == Opcode::Cmp || c.op == Opcode::CmpNat ||
+                 c.op == Opcode::Tnat || c.op == Opcode::Tbit) &&
+                (c.p1 == pred || c.p2 == pred))
+                return;
+            if (c.op == Opcode::Add && c.qp == pred &&
+                c.prov == Provenance::Relax &&
+                c.origClass == OrigClass::ForCompare && c.r1 == x &&
+                c.r2 == x && !c.useImm && c.r3 == reg::natSrc) {
+                retaint = j;
+                break;
             }
+            if (isBranchLikeLocal(c))
+                return;
         }
+        if (!retaint)
+            return;
+        for (size_t k = i; k < i + 1 + cnLen; ++k)
+            dead[k] = 1;
+        dead[retaint] = 1;
+        ++stats_.relaxElided;
     }
 
     // -----------------------------------------------------------------
@@ -1132,10 +716,7 @@ class FunctionOptimizer
                 continue;
             }
             int r;
-            int64_t mask;
-            size_t len;
-            if (dead && matchLoadCheck(code, i, &r, &mask, &len) &&
-                len == 9) {
+            if (dead && matchByteCheck(code, i, &r)) {
                 int size = bitsOf(code[i + 7].imm);
                 if (maxLowOf(r) + size <= 8) {
                     // Covered bits fit the low tag byte: the second
@@ -1150,13 +731,12 @@ class FunctionOptimizer
                     }
                     ++stats_.checksNarrowed;
                 }
-                for (size_t k = i; k < i + len; ++k)
+                for (size_t k = i; k < i + 9; ++k)
                     flowKnown(code[k], st);
-                i += len;
+                i += 9;
                 continue;
             }
-            if (dead && matchStoreUpdate(code, i, &r, &mask, &len) &&
-                len == 13) {
+            if (dead && matchByteUpdate(code, i, &r)) {
                 int size = bitsOf(code[i + 1].imm);
                 if (maxLowOf(r) + size <= 8) {
                     // Shifted mask fits the low tag byte: the high
@@ -1169,9 +749,9 @@ class FunctionOptimizer
                     }
                     ++stats_.updatesNarrowed;
                 }
-                for (size_t k = i; k < i + len; ++k)
+                for (size_t k = i; k < i + 13; ++k)
                     flowKnown(code[k], st);
-                i += len;
+                i += 13;
                 continue;
             }
             flowKnown(code[i], st);
@@ -1242,7 +822,8 @@ class FunctionOptimizer
     {
         return in.op == Opcode::Label || in.op == Opcode::Br ||
                in.op == Opcode::Chk || in.op == Opcode::BrRet ||
-               in.op == Opcode::Halt || isBarrier(in);
+               in.op == Opcode::Halt || in.op == Opcode::BrCall ||
+               in.op == Opcode::BrCalli || in.op == Opcode::Syscall;
     }
 };
 

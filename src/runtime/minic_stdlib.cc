@@ -4,6 +4,7 @@
 #include <mutex>
 #include <set>
 
+#include "obs/trace.hh"
 #include "runtime/session.hh"
 
 namespace shift
@@ -187,13 +188,18 @@ stdlibKey(const SessionOptions &options, const std::string &entry)
     key.async = options.async.enabled;
     key.speculate = options.speculate;
     key.speculateOptions = options.speculateOptions;
-    key.instr = options.instr;
-    key.instr.relaxLoadFunctions = libcNames(key.instr.relaxLoadFunctions);
-    key.instr.relaxStoreFunctions = libcNames(key.instr.relaxStoreFunctions);
-    key.instr.cmpTaintAlertFunctions =
-        libcNames(key.instr.cmpTaintAlertFunctions);
-    key.optimize = options.optimize;
-    key.baseline = options.baseline;
+    if (options.mode == TrackingMode::Shift) {
+        key.instr = options.instr;
+        key.instr.relaxLoadFunctions =
+            libcNames(key.instr.relaxLoadFunctions);
+        key.instr.relaxStoreFunctions =
+            libcNames(key.instr.relaxStoreFunctions);
+        key.instr.cmpTaintAlertFunctions =
+            libcNames(key.instr.cmpTaintAlertFunctions);
+        key.optimize = options.optimize;
+    }
+    if (options.mode == TrackingMode::SoftwareDift)
+        key.baseline = options.baseline;
     if (prebuiltStdlib().signatures.contains(entry))
         key.entry = entry;
     return key;
@@ -229,8 +235,17 @@ trackedStdlib(const SessionOptions &options, const std::string &entry,
     }
     // Build outside the lock. Concurrent misses on one key each build
     // the same code and the first to insert wins; a throw inserts
-    // nothing.
+    // nothing. The unit decodes the functions it is stored with: moving
+    // `built` into the map moves their vector's buffer, not the
+    // functions, so its `src` pointers stay valid.
     TrackedCode built = track();
+    {
+        obs::ScopedPhase span(obs::Phase::Decode);
+        auto unit = std::make_shared<DecodedProgram>();
+        Fault error;
+        if (decodeFunctions(built.functions, nullptr, *unit, error))
+            built.decoded = std::move(unit);
+    }
     std::lock_guard<std::mutex> lock(memo.mutex);
     return memo.entries.try_emplace(std::move(key), std::move(built))
         .first->second;

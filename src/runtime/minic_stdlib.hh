@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,7 @@
 #include "lang/compiler.hh"
 #include "lang/speculate.hh"
 #include "opt/instr_opt.hh"
+#include "sim/decoded.hh"
 
 namespace shift
 {
@@ -53,26 +55,34 @@ struct TrackedCode
     InstrumentStats instrStats;
     minic::SpeculateStats speculateStats;
     OptStats optStats;
+    /**
+     * `functions` decoded once as a link unit (decodeFunctions), which
+     * every predecoded Machine of the configuration links by pointer.
+     * Set on trackedStdlib() entries; null if they do not decode, and
+     * Machines then decode the whole program and report its fault.
+     */
+    std::shared_ptr<const DecodedProgram> decoded;
 };
 
 /**
  * The prebuilt libc after the tracking passes of `options`, resolved as
  * detail::buildProgram resolves them, in a program whose entry function
- * is `entry`. Memoized per process: on a miss `track` runs those passes
- * on the linked libc functions and its result becomes the entry.
+ * is `entry`, and decoded. Memoized per process: on a miss `track` runs
+ * those passes on the linked libc functions, and its result, decoded,
+ * becomes the entry.
  *
  * The key is every option that reaches a libc function and nothing
  * else: the tracking mode and async.enabled, speculate and
- * speculateOptions, the instrumenter, optimizer and baseline options,
- * and `entry` when it names a libc function. The per-function name sets
+ * speculateOptions, the instrumenter and optimizer options (SHIFT mode
+ * only) and baseline options (software DIFT only), and `entry` when it
+ * names a libc function. The per-function name sets
  * (relaxLoadFunctions, relaxStoreFunctions, cmpTaintAlertFunctions)
  * enter intersected with libc's function names, so programs that scope
  * those rules to their own functions share one entry. An entry (about
- * 130-180 KB of code at SHIFT configurations) lives for the whole
- * process. First use is safe
- * from many threads at once: concurrent misses on one key may each run
- * `track`, and one result is kept. A `track` that throws leaves no
- * entry.
+ * 130-180 KB of code at SHIFT configurations, and its decode) lives for
+ * the whole process. First use is safe from many threads at once:
+ * concurrent misses on one key may each run `track` and decode, and
+ * one result is kept. A `track` that throws leaves no entry.
  */
 const TrackedCode &trackedStdlib(const SessionOptions &options,
                                  const std::string &entry,

@@ -100,7 +100,8 @@ track(std::vector<Function> functions, const std::string &entry,
 Program
 buildProgram(const std::vector<std::string> &sources,
              SessionOptions &options, InstrumentStats &instrStats,
-             minic::SpeculateStats &speculateStats, OptStats &optStats)
+             minic::SpeculateStats &speculateStats, OptStats &optStats,
+             std::shared_ptr<const DecodedProgram> &decodedLibc)
 {
     // 1. Compile the application and link it against the MiniC libc,
     // which is compiled once per process (prebuiltStdlib()).
@@ -134,9 +135,6 @@ buildProgram(const std::vector<std::string> &sources,
     // layout; the ISA switches follow the CPU features.
     switch (options.mode) {
       case TrackingMode::None:
-        // No pass would change the program: it stays as linked.
-        if (!options.speculate)
-            return program;
         break;
       case TrackingMode::Shift:
         options.instr.granularity = options.policy.granularity;
@@ -149,7 +147,9 @@ buildProgram(const std::vector<std::string> &sources,
     }
 
     // 2. Track the program's own functions, and put the libc in front
-    // of them as tracked once per configuration (trackedStdlib()).
+    // of them as tracked and decoded once per configuration
+    // (trackedStdlib()). With tracking off and no speculation no pass
+    // changes anything, and the libc entry saves the decode.
     size_t libcSize =
         options.includeStdlib ? prebuiltStdlib().functions.size() : 0;
     auto ownBegin = program.functions.begin() + static_cast<long>(libcSize);
@@ -158,21 +158,25 @@ buildProgram(const std::vector<std::string> &sources,
         std::make_move_iterator(program.functions.end()));
     program.functions.erase(ownBegin, program.functions.end());
     TrackedCode own = track(std::move(ownCode), program.entry, options);
-    TrackedCode prefix;
-    if (libcSize > 0) {
-        prefix = trackedStdlib(options, program.entry, [&] {
-            return track(std::move(program.functions), program.entry,
-                         options);
-        });
-    }
+    static const TrackedCode kNoLibc;
+    const TrackedCode &prefix =
+        libcSize == 0 ? kNoLibc
+                      : trackedStdlib(options, program.entry, [&] {
+                            return track(std::move(program.functions),
+                                         program.entry, options);
+                        });
 
-    program.functions = std::move(prefix.functions);
+    program.functions = prefix.functions;
     program.functions.insert(program.functions.end(),
                              std::make_move_iterator(own.functions.begin()),
                              std::make_move_iterator(own.functions.end()));
-    instrStats = prefix.instrStats += own.instrStats;
-    speculateStats = prefix.speculateStats += own.speculateStats;
-    optStats = prefix.optStats += own.optStats;
+    instrStats = prefix.instrStats;
+    instrStats += own.instrStats;
+    speculateStats = prefix.speculateStats;
+    speculateStats += own.speculateStats;
+    optStats = prefix.optStats;
+    optStats += own.optStats;
+    decodedLibc = prefix.decoded;
     return program;
 }
 
@@ -257,14 +261,16 @@ Session::Session(const std::string &source, SessionOptions options)
 void
 Session::build(const std::vector<std::string> &sources)
 {
+    std::shared_ptr<const DecodedProgram> decodedLibc;
     program_ = detail::buildProgram(sources, options_, instrStats_,
-                                    speculateStats_, optStats_);
+                                    speculateStats_, optStats_, decodedLibc);
 
     // Machine + runtime wiring.
     {
         obs::ScopedPhase span(obs::Phase::Decode);
         machine_ = std::make_unique<Machine>(program_, options_.features,
-                                             options_.engine);
+                                             options_.engine,
+                                             std::move(decodedLibc));
     }
     if (options_.async.enabled) {
         asyncTier_ = std::make_unique<dift::AsyncTaintTier>(

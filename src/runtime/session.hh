@@ -65,8 +65,9 @@ struct SessionOptions
      * once per configuration (trackedStdlib()), and its functions are
      * put ahead of the program's own, exactly as if its source had been
      * prepended and the whole program tracked. Per program, only the
-     * program's own functions are instrumented and optimized; decode
-     * and the JIT cover libc too. Compile errors report line numbers in
+     * program's own functions are instrumented, optimized and decoded:
+     * the machine links libc's decode from the same memo entry. The JIT
+     * covers libc too. Compile errors report line numbers in
      * the program's own sources either way. When false, libc calls are
      * unknown functions at run time.
      */
@@ -139,13 +140,16 @@ namespace detail
  * build-front half of a Session, shared with SessionTemplate. The
  * passes run on the program's own functions; the libc in front of them
  * comes tracked from trackedStdlib(), and the stats are the sum of
- * both. Mutates `options` (granularity and feature switches propagate
- * into the instrumenter options, exactly as Session::build always did).
+ * both. `decodedLibc` receives that libc's decoded unit for the
+ * Machine to link (null without libc). Mutates `options` (granularity
+ * and feature switches propagate into the instrumenter options,
+ * exactly as Session::build always did).
  */
 Program buildProgram(const std::vector<std::string> &sources,
                      SessionOptions &options, InstrumentStats &instrStats,
                      minic::SpeculateStats &speculateStats,
-                     OptStats &optStats);
+                     OptStats &optStats,
+                     std::shared_ptr<const DecodedProgram> &decodedLibc);
 
 /**
  * Per-machine runtime wiring: built-ins, taint-source input hook,

@@ -10,10 +10,12 @@ SessionTemplate::SessionTemplate(const std::vector<std::string> &sources,
                                  SessionOptions options)
     : options_(std::move(options))
 {
+    std::shared_ptr<const DecodedProgram> decodedLibc;
     program_ = detail::buildProgram(sources, options_, instrStats_,
-                                    speculateStats_, optStats_);
+                                    speculateStats_, optStats_, decodedLibc);
     proto_ = std::make_unique<Machine>(program_, options_.features,
-                                       options_.engine);
+                                       options_.engine,
+                                       std::move(decodedLibc));
     // The prototype's settings determine what capture() puts in the
     // snapshot: with the JIT on, the eagerly-created code cache rides
     // along so the whole fleet shares one set of compiled bodies.

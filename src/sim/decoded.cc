@@ -3,6 +3,7 @@
 #include <unordered_map>
 
 #include "mem/address_space.hh"
+#include "support/logging.hh"
 
 namespace shift
 {
@@ -405,9 +406,8 @@ matchStUpdD(const std::vector<DecodedInstr> &c, size_t i, DecodedInstr &f)
  * target is remapped onto the shrunk stream afterwards.
  */
 void
-fuseFunction(DecodedFunction &df)
+fuseFunction(std::vector<DecodedInstr> &in)
 {
-    std::vector<DecodedInstr> &in = df.code;
     const size_t n = in.size();
     if (n < 3)
         return;
@@ -746,14 +746,14 @@ isRetaint(const DecodedInstr &d, uint8_t pT, unsigned r)
 }
 
 /**
- * Build `df.fast`/`df.fastEntry` for one function and append its
- * superblocks to `prog.fastBlocks`. No-op (fast left empty) when the
+ * Build `df.fast`/`df.fastEntry` for function `funcIdx` and append its
+ * superblocks to `fastBlocks`. No-op (fast left empty) when the
  * function contains nothing elidable.
  */
 void
-buildFastStream(DecodedProgram &prog, size_t funcIdx)
+buildFastStream(DecodedProgram::Streams &df, size_t funcIdx,
+                std::vector<FastBlockInfo> &fastBlocks)
 {
-    DecodedFunction &df = prog.functions[funcIdx];
     const std::vector<DecodedInstr> &c = df.code; // sentinel included
     const size_t n = c.size();
     if (n < 2)
@@ -787,7 +787,7 @@ buildFastStream(DecodedProgram &prog, size_t funcIdx)
             continue;
         }
         int32_t blockId =
-            static_cast<int32_t>(prog.fastBlocks.size() + blocks.size());
+            static_cast<int32_t>(fastBlocks.size() + blocks.size());
         body.clear();
         size_t blockProbes = 0;
 
@@ -1022,8 +1022,7 @@ buildFastStream(DecodedProgram &prog, size_t funcIdx)
 
     df.fast = std::move(fast);
     df.fastEntry = std::move(fastEntry);
-    prog.fastBlocks.insert(prog.fastBlocks.end(), blocks.begin(),
-                           blocks.end());
+    fastBlocks.insert(fastBlocks.end(), blocks.begin(), blocks.end());
 }
 
 } // namespace
@@ -1032,24 +1031,49 @@ bool
 decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
               bool fuse)
 {
+    return decodeFunctions(program.functions, nullptr, out, error, fuse);
+}
+
+bool
+decodeFunctions(const std::vector<Function> &functions,
+                std::shared_ptr<const DecodedProgram> linked,
+                DecodedProgram &out, Fault &error, bool fuse)
+{
+    // The linked unit's functions come first and stay as decoded: its
+    // call sites resolved within itself, and its fast blocks are
+    // numbered from 0, so only what follows it is decoded here.
+    size_t first = 0;
     out.functions.clear();
-    out.functions.resize(program.functions.size());
     out.builtinNames.clear();
     out.fastBlocks.clear();
+    if (linked) {
+        first = linked->functions.size();
+        SHIFT_ASSERT(fuse && linked->builtinNames.empty() &&
+                     first <= functions.size());
+        for (size_t f = 0; f < first; ++f)
+            SHIFT_ASSERT(linked->functions[f].src->name ==
+                         functions[f].name);
+        out.functions = linked->functions;
+        out.fastBlocks = linked->fastBlocks;
+    }
+    out.linked = std::move(linked);
+    out.functions.resize(functions.size());
+    out.owned.clear();
+    out.owned.resize(functions.size() - first);
 
     // Name tables built once; emplace keeps the first definition, the
     // same one Program::findFunction's linear scan returns.
     std::unordered_map<std::string, int32_t> funcOf;
-    for (size_t f = 0; f < program.functions.size(); ++f)
-        funcOf.emplace(program.functions[f].name,
-                       static_cast<int32_t>(f));
+    for (size_t f = 0; f < functions.size(); ++f)
+        funcOf.emplace(functions[f].name, static_cast<int32_t>(f));
     std::unordered_map<std::string, int32_t> slotOf;
 
-    for (size_t f = 0; f < program.functions.size(); ++f) {
-        const Function &fn = program.functions[f];
-        DecodedFunction &df = out.functions[f];
-        df.src = &fn;
-        df.origCount = static_cast<uint32_t>(fn.code.size());
+    for (size_t f = first; f < functions.size(); ++f) {
+        const Function &fn = functions[f];
+        DecodedProgram::Streams &df = out.owned[f - first];
+        DecodedFunction &view = out.functions[f];
+        view.src = &fn;
+        view.origCount = static_cast<uint32_t>(fn.code.size());
 
         // Pass 1: label positions, and for every original index the
         // dense index of the first non-label instruction at/after it
@@ -1147,7 +1171,7 @@ decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
 
         // Pass 3: collapse instrumentation idioms into macro micro-ops.
         if (fuse)
-            fuseFunction(df);
+            fuseFunction(df.code);
 
         // End-of-function sentinel: falling (or branching) past the
         // last instruction lands here instead of needing a bounds
@@ -1164,7 +1188,11 @@ decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
         // same reason fusion is: trace hooks need the one-to-one
         // stream, and the probes guard idioms the fused stream names.
         if (fuse)
-            buildFastStream(out, f);
+            buildFastStream(df, f, out.fastBlocks);
+
+        view.code = df.code;
+        view.fast = df.fast;
+        view.fastEntry = df.fastEntry;
     }
     return true;
 }

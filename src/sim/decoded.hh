@@ -41,12 +41,19 @@
  * in the architectural program, is a malformed program; the pass
  * rejects it here, at construction time, with a BadProgram fault that
  * names the offending function (see docs/EXECUTION-ENGINE.md).
+ *
+ * A decoded program can link a unit decoded once before it: the MiniC
+ * libc, decoded once per configuration (trackedStdlib()), is linked by
+ * pointer into every Session's decode, which decodes only the
+ * program's own functions (decodeFunctions).
  */
 
 #ifndef SHIFT_SIM_DECODED_HH
 #define SHIFT_SIM_DECODED_HH
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -107,13 +114,23 @@ struct DecodedInstr
     bool spec = false;       ///< speculative load (ld.s)
     bool fill = false;       ///< ld8.fill
     bool spill = false;      ///< st8.spill
+
+    bool operator==(const DecodedInstr &) const = default;
 };
 
-/** One function compiled to a label-free stream. */
+/** A read-only run of micro-ops, viewing a DecodedProgram's storage. */
+using DecodedStream = std::span<const DecodedInstr>;
+
+/**
+ * One function compiled to a label-free stream. The streams are views:
+ * a DecodedProgram owns the streams of its own functions and shares
+ * those of the unit it links (DecodedProgram::linked), so
+ * `functions[f].code` reads the same either way.
+ */
 struct DecodedFunction
 {
     const Function *src = nullptr;
-    std::vector<DecodedInstr> code;
+    DecodedStream code;
     uint32_t origCount = 0; ///< src->code.size(), for end-of-function pcs
 
     /**
@@ -126,14 +143,14 @@ struct DecodedFunction
      * when the function has nothing to elide (running its fast twin
      * would be pure dispatch overhead) or when fusion is off.
      */
-    std::vector<DecodedInstr> fast;
+    DecodedStream fast;
     /**
      * Slow index -> fast index of that superblock's entry, -1 for
      * non-leaders. Sized code.size() exactly when `fast` is nonempty.
      * Every Br/Chk target and index 0 are leaders, so any slow-stream
      * control transfer can promote into the fast tier here.
      */
-    std::vector<int32_t> fastEntry;
+    std::span<const int32_t> fastEntry;
 };
 
 /** Where one fast-tier superblock lives, for per-block counters. */
@@ -141,11 +158,27 @@ struct FastBlockInfo
 {
     int32_t function = 0; ///< index into DecodedProgram::functions
     int32_t slowPc = 0;   ///< dense slow-stream index of the block head
+
+    bool operator==(const FastBlockInfo &) const = default;
 };
 
 /** A whole predecoded program. */
 struct DecodedProgram
 {
+    /** The streams of one function this program decoded itself. */
+    struct Streams
+    {
+        std::vector<DecodedInstr> code;
+        std::vector<DecodedInstr> fast;
+        std::vector<int32_t> fastEntry;
+    };
+
+    DecodedProgram() = default;
+    // Movable, not copyable: `functions` views the buffers of `owned`,
+    // which a move keeps and a copy would leave behind.
+    DecodedProgram(DecodedProgram &&) = default;
+    DecodedProgram &operator=(DecodedProgram &&) = default;
+
     std::vector<DecodedFunction> functions;
     /** Slot id -> callee name for BrCalls that are not user functions. */
     std::vector<std::string> builtinNames;
@@ -155,6 +188,17 @@ struct DecodedProgram
      * Machine sizes its per-block hit/deopt counters from this.
      */
     std::vector<FastBlockInfo> fastBlocks;
+
+    /**
+     * The unit linked in front of this program's own functions, or
+     * null. Its functions are this program's first ones: their
+     * `functions` and `fastBlocks` entries copy the unit's, and their
+     * streams are the unit's own, so every program that links one unit
+     * runs the same DecodedInstrs.
+     */
+    std::shared_ptr<const DecodedProgram> linked;
+    /** Storage for the streams of the functions after `linked`'s. */
+    std::vector<Streams> owned;
 };
 
 /**
@@ -169,6 +213,20 @@ struct DecodedProgram
  */
 bool decodeProgram(const Program &program, DecodedProgram &out,
                    Fault &error, bool fuse = true);
+
+/**
+ * decodeProgram over `functions`, with `linked` (if not null) linked
+ * in front instead of decoded again. `linked` must be a fused decode of
+ * functions equal to the first linked->functions.size() of
+ * `functions`, calling only each other: a link unit that numbers its
+ * fast blocks from 0 and has no builtin slots, as the MiniC libc does.
+ * The functions after it number their fast blocks and builtin slots
+ * after the unit's, so the result equals decoding `functions` whole,
+ * field for field.
+ */
+bool decodeFunctions(const std::vector<Function> &functions,
+                     std::shared_ptr<const DecodedProgram> linked,
+                     DecodedProgram &out, Fault &error, bool fuse = true);
 
 /** True when any function's stream contains a fused macro micro-op. */
 bool hasFusedOps(const DecodedProgram &program);

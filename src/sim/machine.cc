@@ -24,14 +24,16 @@ constexpr uint64_t kHeapMax = 1ULL << 32;
 } // namespace
 
 Machine::Machine(const Program &program, CpuFeatures features,
-                 ExecEngine engine)
+                 ExecEngine engine,
+                 std::shared_ptr<const DecodedProgram> linked)
     : program_(&program), features_(features), engine_(engine)
 {
     layout();
     if (engine_ == ExecEngine::Predecoded) {
         auto decoded = std::make_shared<DecodedProgram>();
         Fault decodeError;
-        if (!decodeProgram(*program_, *decoded, decodeError)) {
+        if (!decodeFunctions(program_->functions, std::move(linked),
+                             *decoded, decodeError)) {
             // Malformed code is a construction-time diagnostic: the
             // machine starts stopped and run() reports the fault.
             fault_ = decodeError;
@@ -254,7 +256,7 @@ Machine::archPc() const
         static_cast<size_t>(curFunc_) >= decoded_->functions.size())
         return pc_;
     const DecodedFunction &df = decoded_->functions[curFunc_];
-    const std::vector<DecodedInstr> &stream = inFast_ ? df.fast : df.code;
+    DecodedStream stream = inFast_ ? df.fast : df.code;
     if (pc_ < stream.size())
         return static_cast<uint64_t>(stream[pc_].origIndex);
     return df.origCount; // fell off the end

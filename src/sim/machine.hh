@@ -187,9 +187,14 @@ class Machine
      * ExecEngine::Legacy forces the original per-step resolution path;
      * it exists as the reference implementation for the equivalence
      * tests (test_engine, test_fused).
+     *
+     * A predecoded machine given `linked`, a unit decoded once from the
+     * functions the program starts with (see decodeFunctions), links it
+     * by pointer and decodes only the functions after it.
      */
     explicit Machine(const Program &program, CpuFeatures features = {},
-                     ExecEngine engine = ExecEngine::Predecoded);
+                     ExecEngine engine = ExecEngine::Predecoded,
+                     std::shared_ptr<const DecodedProgram> linked = nullptr);
 
     /**
      * Fork a machine from a pre-run snapshot: adopts the snapshot's
@@ -285,6 +290,8 @@ class Machine
     uint64_t sbrk(uint64_t bytes);
 
     const Program &program() const { return *program_; }
+    /** The predecoded program (null under ExecEngine::Legacy). */
+    const DecodedProgram *decoded() const { return decoded_.get(); }
     const CpuFeatures &features() const { return features_; }
     ExecEngine engine() const { return engine_; }
     CycleModel &cycleModel() { return cycleModel_; }

@@ -103,14 +103,17 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
         }
     };
 
-    aggregate.setGauge("fleet.workers", options_.workers);
+    // A worker beyond the job count would only wait for the queue to
+    // close.
+    size_t workers = std::min<size_t>(options_.workers, jobs.size());
+    aggregate.setGauge("fleet.workers", workers);
     if (options_.live)
-        options_.live->setGauge("fleet.workers", options_.workers);
+        options_.live->setGauge("fleet.workers", workers);
 
     auto serveStart = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
-    threads.reserve(options_.workers);
-    for (unsigned i = 0; i < options_.workers; ++i)
+    threads.reserve(workers);
+    for (size_t i = 0; i < workers; ++i)
         threads.emplace_back(worker);
 
     for (const FleetJob &job : jobs)

@@ -62,6 +62,7 @@ struct FleetJobResult
 
 struct FleetOptions
 {
+    /** Worker threads; serve() starts at most one per job. */
     unsigned workers = 4;
     /** Queue bound; 0 picks 2x workers. */
     size_t queueCapacity = 0;

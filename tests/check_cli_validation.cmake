@@ -116,6 +116,62 @@ file(WRITE ${log_policy} "[tracking]\naction = log\n[policies]\nH2 = off\n")
 expect_exit(0 ${SHIFTD} --policy ${log_policy} --jobs 1 --requests 1
     --conn "GET /../../etc/shadow HTTP/1.0\r\n\r\n")
 
+# --- --granularity beats the policy file's, in either order ----------
+# run_output(<var> <binary> <args...>): stdout and stderr of one run.
+function(run_output var bin)
+    execute_process(
+        COMMAND ${bin} ${ARGN}
+        OUTPUT_VARIABLE out
+        ERROR_VARIABLE err
+        TIMEOUT 30)
+    set(${var} "${out}${err}" PARENT_SCOPE)
+endfunction()
+
+# expect_same_output(<what> <first> <second>): two runs' outputs match.
+function(expect_same_output what first second)
+    if(NOT first STREQUAL second)
+        message(SEND_ERROR "${what}: outputs differ\n"
+            "first:\n${first}\nsecond:\n${second}")
+        math(EXPR failures "${failures}+1")
+        set(failures ${failures} PARENT_SCOPE)
+    endif()
+endfunction()
+
+set(byte_policy ${CMAKE_CURRENT_BINARY_DIR}/cli_validation_byte.ini)
+file(WRITE ${byte_policy}
+    "[tracking]\ngranularity = byte\n[sources]\nfile = taint\n")
+set(sum_source ${CMAKE_CURRENT_BINARY_DIR}/cli_validation_sum.mc)
+file(WRITE ${sum_source} "char buf[64];
+int main() {
+    int fd = open(\"in.txt\", 0);
+    int n = read(fd, buf, 32);
+    close(fd);
+    long s = 0;
+    for (int i = 0; i < n; i++) s += buf[i];
+    return (int)(s & 1);
+}
+")
+set(sum_args --filetext in.txt=abcdefgh --stats ${sum_source})
+run_output(word_first ${SHIFTC} --granularity word --policy ${byte_policy}
+    ${sum_args})
+run_output(word_last ${SHIFTC} --policy ${byte_policy} --granularity word
+    ${sum_args})
+run_output(byte_run ${SHIFTC} --policy ${byte_policy} ${sum_args})
+expect_same_output("shiftc --granularity before/after --policy"
+    "${word_first}" "${word_last}")
+if(word_last STREQUAL byte_run)
+    message(SEND_ERROR "shiftc: --granularity word did not change --stats")
+    math(EXPR failures "${failures}+1")
+endif()
+run_output(word_first ${SHIFTD} --granularity word --policy ${byte_policy}
+    --jobs 1 --requests 1 --workers 1)
+run_output(word_last ${SHIFTD} --policy ${byte_policy} --granularity word
+    --jobs 1 --requests 1 --workers 1)
+string(REGEX MATCH "latency p50/p99: [0-9 /]+" word_first "${word_first}")
+string(REGEX MATCH "latency p50/p99: [0-9 /]+" word_last "${word_last}")
+expect_same_output("shiftd --granularity before/after --policy"
+    "${word_first}" "${word_last}")
+
 # --- shiftc -----------------------------------------------------------
 expect_usage_error("max-steps must be positive"
     ${SHIFTC} --max-steps -5 prog.mc)

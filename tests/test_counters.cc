@@ -19,6 +19,10 @@
  *  - profiler: prof.samples at `shift` with the profiler on, and no
  *    prof.* key with it off.
  *
+ * Two more tests count without a run table: the instructions the
+ * instrumenter adds and the optimizer removes (static sizes), and a
+ * small httpd fleet's snapshot and copy-on-write pages.
+ *
  * The JIT's row (jit.entered, jit.bailouts, jit.deopts) rides with
  * its compile counts in test_jit (JitPromotionCounts.*). Every row
  * here runs on the interpreter, so this gate also passes in builds
@@ -38,6 +42,8 @@
 
 #include "obs/trace.hh"
 #include "perfbench_programs.hh"
+#include "runtime/session_template.hh"
+#include "svc/fleet.hh"
 
 namespace shift
 {
@@ -182,6 +188,76 @@ rowName(const testing::TestParamInfo<Row> &info)
 
 INSTANTIATE_TEST_SUITE_P(Rows, PerfCounters, testing::ValuesIn(kRows),
                          rowName);
+
+/**
+ * Static code size: Σ over the 25 programs of the instructions the
+ * instrumenter adds and the optimizer removes (perfbench's
+ * core.instrs_added and opt.instrs_removed), libc included. Built,
+ * not run. A pass that starts or stops firing moves a sum.
+ */
+struct StaticRow
+{
+    Rung rung;
+    Granularity granularity;
+    uint64_t instrsAdded;
+    uint64_t instrsRemoved;
+};
+
+const StaticRow kStaticRows[] = {
+    {Rung::Opt, Granularity::Byte, 38'190, 10'661},
+    {Rung::Opt, Granularity::Word, 30'012, 3'495},
+    {Rung::Full, Granularity::Byte, 24'886, 7'166},
+    {Rung::Full, Granularity::Word, 16'708, 0},
+};
+
+TEST(StaticCounts, InstrumenterAndOptimizerSumsAreExact)
+{
+    std::vector<PerfbenchProgram> programs = testutil::perfbenchPrograms();
+    ASSERT_EQ(programs.size(), 25u);
+    for (const StaticRow &row : kStaticRows) {
+        bool word = row.granularity == Granularity::Word;
+        SCOPED_TRACE(std::string(row.rung == Rung::Opt ? "opt" : "full") +
+                     (word ? " word" : " byte"));
+        uint64_t added = 0, removed = 0;
+        for (const PerfbenchProgram &p : programs) {
+            SessionOptions options = testutil::perfbenchRung(p.base, row.rung);
+            options.policy.granularity = row.granularity;
+            Session session(p.source, options);
+            added += session.instrStats().added;
+            removed += session.optStats().instrsRemoved;
+        }
+        EXPECT_EQ(added, row.instrsAdded);
+        EXPECT_EQ(removed, row.instrsRemoved);
+    }
+}
+
+/**
+ * Fleet memory: the pages a frozen httpd template holds and the pages
+ * its clones copy on write, for a small fleet at `fast` (no JIT, so
+ * this row also passes in builds without it).
+ */
+TEST(FleetPages, SnapshotAndCowPagesAreExact)
+{
+    PerfbenchProgram p = testutil::httpdProgram();
+    SessionTemplate tmpl(p.source, testutil::perfbenchRung(p.base, Rung::Fast));
+    workloads::provisionHttpdOs(tmpl.os(), 4 * 1024);
+    tmpl.freeze();
+    EXPECT_EQ(tmpl.snapshotPages(), 1u);
+
+    std::vector<svc::FleetJob> jobs;
+    for (int j = 0; j < 4; ++j)
+        jobs.push_back({j, std::vector<std::string>(
+                               size_t(1 + j), workloads::kHttpdRequest)});
+    svc::FleetOptions options;
+    options.workers = 2;
+    svc::FleetReport report = svc::Fleet(tmpl, options).serve(jobs);
+    ASSERT_TRUE(report.allOk);
+    ASSERT_EQ(report.jobResults.size(), jobs.size());
+    std::vector<uint64_t> cow;
+    for (const svc::FleetJobResult &jr : report.jobResults)
+        cow.push_back(jr.cowPages);
+    EXPECT_EQ(cow, (std::vector<uint64_t>{1, 1, 1, 1}));
+}
 
 } // namespace
 } // namespace shift

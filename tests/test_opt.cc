@@ -116,14 +116,13 @@ TEST(OptimizerUnit, DisabledIsANoop)
     const OptStats &stats = session.optStats();
     EXPECT_EQ(stats.sizeBefore, stats.sizeAfter);
     EXPECT_EQ(stats.instrsRemoved, 0u);
-    EXPECT_EQ(stats.instrsAdded, 0u);
 }
 
 TEST(OptimizerUnit, LoopWorkloadShrinksAndStillComputes)
 {
-    // A loop over a buffer: adjacent accesses through one base address
-    // (fold CSE), induction-variable compares (relax elimination) and
-    // back-to-back stores (dead updates) all have something to elide.
+    // A loop over a buffer: induction-variable compares (relax
+    // elimination) and byte accesses (narrowing) have something to
+    // elide.
     const char *source =
         "char buf[256];\n"
         "int main() {\n"

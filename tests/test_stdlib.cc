@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <latch>
 #include <set>
 #include <thread>
@@ -46,21 +47,33 @@ const char *const kLibcUser = R"(
     }
 )";
 
-/** The perfbench `full` rung at `granularity`. */
+/** A perfbench rung at `granularity`. */
 SessionOptions
-fullOptions(Granularity granularity)
+rungOptions(testutil::Rung rung, Granularity granularity)
 {
-    SessionOptions options = testutil::perfbenchRung(
-        testutil::shiftOptions(), testutil::Rung::Full);
+    SessionOptions options =
+        testutil::perfbenchRung(testutil::shiftOptions(), rung);
     options.policy.granularity = granularity;
     return options;
 }
 
 // Keep this the first test in the file: it is the process's first use
 // of the compiled libc and of the tracked-libc memo, so the threads race
-// the compile and two memo misses, one per granularity.
+// the compile and three memo misses, each of which decodes the libc:
+// `untracked`, and `full` at either granularity.
 TEST(StdlibFirstUse, ConcurrentSessionsAgree)
 {
+    struct Config
+    {
+        const char *name;
+        testutil::Rung rung;
+        Granularity granularity;
+    };
+    const Config configs[] = {
+        {"untracked", testutil::Rung::Untracked, Granularity::Byte},
+        {"full byte", testutil::Rung::Full, Granularity::Byte},
+        {"full word", testutil::Rung::Full, Granularity::Word},
+    };
     struct Outcome
     {
         std::string error;
@@ -68,11 +81,17 @@ TEST(StdlibFirstUse, ConcurrentSessionsAgree)
         int64_t exitCode = 0;
         uint64_t cycles = 0;
         uint64_t staticSize = 0;
+        const DecodedProgram *libc = nullptr;
+        const DecodedInstr *strlenCode = nullptr;
     };
-    auto build = [](Granularity granularity) {
+    auto build = [](const Config &config) {
         Outcome out;
         try {
-            Session session(kLibcUser, fullOptions(granularity));
+            Session session(kLibcUser,
+                            rungOptions(config.rung, config.granularity));
+            const DecodedProgram &decoded = *session.machine().decoded();
+            out.libc = decoded.linked.get();
+            out.strlenCode = decoded.functions[0].code.data();
             RunResult r = session.run();
             out.exited = r.exited;
             out.exitCode = r.exitCode;
@@ -84,40 +103,46 @@ TEST(StdlibFirstUse, ConcurrentSessionsAgree)
         return out;
     };
 
-    // Threads 0-3 build at byte granularity, 4-7 at word.
-    constexpr int kThreads = 8;
-    auto granularityOf = [](int i) {
-        return i < kThreads / 2 ? Granularity::Byte : Granularity::Word;
-    };
+    // Threads 3k, 3k+1 and 3k+2 build the three configurations.
+    constexpr size_t kThreads = 9;
+    auto configOf = [](size_t i) { return i % 3; };
     std::vector<Outcome> outcomes(kThreads);
     std::latch start(kThreads);
     std::vector<std::thread> threads;
-    for (int i = 0; i < kThreads; ++i) {
+    for (size_t i = 0; i < kThreads; ++i) {
         threads.emplace_back([&, i] {
             start.arrive_and_wait();
-            outcomes[static_cast<size_t>(i)] = build(granularityOf(i));
+            outcomes[i] = build(configs[configOf(i)]);
         });
     }
     for (std::thread &t : threads)
         t.join();
 
-    for (Granularity granularity : {Granularity::Byte, Granularity::Word}) {
-        SCOPED_TRACE(granularity == Granularity::Byte ? "byte" : "word");
-        Outcome after = build(granularity);
+    std::set<const DecodedProgram *> units;
+    for (size_t c = 0; c < 3; ++c) {
+        SCOPED_TRACE(configs[c].name);
+        Outcome after = build(configs[c]);
         ASSERT_EQ(after.error, "");
         EXPECT_TRUE(after.exited);
         EXPECT_EQ(after.exitCode, 72);
-        for (int i = 0; i < kThreads; ++i) {
-            if (granularityOf(i) != granularity)
+        ASSERT_NE(after.libc, nullptr);
+        EXPECT_EQ(after.strlenCode, after.libc->functions[0].code.data());
+        units.insert(after.libc);
+        for (size_t i = 0; i < kThreads; ++i) {
+            if (configOf(i) != c)
                 continue;
-            const Outcome &out = outcomes[static_cast<size_t>(i)];
+            const Outcome &out = outcomes[i];
             ASSERT_EQ(out.error, "");
             EXPECT_TRUE(out.exited);
             EXPECT_EQ(out.exitCode, after.exitCode);
             EXPECT_EQ(out.cycles, after.cycles);
             EXPECT_EQ(out.staticSize, after.staticSize);
+            // The winner of the race is every Session's decoded libc.
+            EXPECT_EQ(out.libc, after.libc);
+            EXPECT_EQ(out.strlenCode, after.strlenCode);
         }
     }
+    EXPECT_EQ(units.size(), 3u);
 }
 
 /** Field-for-field equality, reporting the first difference. */
@@ -477,11 +502,110 @@ TEST(StdlibTracked, AThrowingPassLeavesNoEntry)
     EXPECT_EQ(trackedStdlibEntries(), entries + 1);
 }
 
+/** Field-for-field equality of two decodes. */
+void
+expectSameDecode(const DecodedProgram &got, const DecodedProgram &want)
+{
+    ASSERT_EQ(got.functions.size(), want.functions.size());
+    for (size_t f = 0; f < want.functions.size(); ++f) {
+        const DecodedFunction &g = got.functions[f];
+        const DecodedFunction &w = want.functions[f];
+        ASSERT_EQ(g.src->name, w.src->name) << "function #" << f;
+        EXPECT_TRUE(g.src->code == w.src->code) << w.src->name;
+        EXPECT_EQ(g.origCount, w.origCount) << w.src->name;
+        EXPECT_TRUE(std::ranges::equal(g.code, w.code)) << w.src->name;
+        EXPECT_TRUE(std::ranges::equal(g.fast, w.fast)) << w.src->name;
+        EXPECT_TRUE(std::ranges::equal(g.fastEntry, w.fastEntry))
+            << w.src->name;
+    }
+    EXPECT_EQ(got.fastBlocks, want.fastBlocks);
+    EXPECT_EQ(got.builtinNames, want.builtinNames);
+}
+
+/**
+ * A Session's machine links the libc decoded once per configuration
+ * and decodes only the program's own functions; the result must equal
+ * decoding the Session's whole program.
+ */
+void
+expectDecodeOracle(const std::vector<std::string> &sources,
+                   const SessionOptions &options)
+{
+    Session session(sources, options);
+    const DecodedProgram &got = *session.machine().decoded();
+    if (options.includeStdlib) {
+        ASSERT_NE(got.linked, nullptr);
+        ASSERT_EQ(got.linked->functions.size(),
+                  prebuiltStdlib().functions.size());
+        EXPECT_EQ(got.functions[0].code.data(),
+                  got.linked->functions[0].code.data());
+    } else {
+        EXPECT_EQ(got.linked, nullptr);
+    }
+    DecodedProgram want;
+    Fault error;
+    ASSERT_TRUE(decodeProgram(session.program(), want, error))
+        << error.detail;
+    expectSameDecode(got, want);
+}
+
+TEST(StdlibDecode, PerfbenchProgramsAtEveryRung)
+{
+    using testutil::Rung;
+    for (const testutil::PerfbenchProgram &p :
+         testutil::perfbenchPrograms()) {
+        for (Rung rung : {Rung::UntrackedInterp, Rung::Untracked,
+                          Rung::Shift, Rung::Opt, Rung::Isa, Rung::Fast,
+                          Rung::Full, Rung::Async}) {
+            SCOPED_TRACE(p.name + " rung " +
+                         std::to_string(static_cast<int>(rung)));
+            expectDecodeOracle({p.source}, testutil::perfbenchRung(p.base,
+                                                                    rung));
+        }
+        SessionOptions word = testutil::perfbenchRung(p.base, Rung::Full);
+        word.policy.granularity = Granularity::Word;
+        SCOPED_TRACE(p.name + " word");
+        expectDecodeOracle({p.source}, word);
+    }
+}
+
+TEST(StdlibDecode, SpeculationSoftwareDiftAndTwoModules)
+{
+    SessionOptions speculate = testutil::shiftOptions();
+    speculate.speculate = true;
+    SessionOptions software = testutil::shiftOptions();
+    software.mode = TrackingMode::SoftwareDift;
+    SessionOptions untracked;
+    untracked.mode = TrackingMode::None;
+    SessionOptions noLibc = testutil::shiftOptions();
+    noLibc.includeStdlib = false;
+    for (const SessionOptions &options : {speculate, software}) {
+        for (const WorkloadSource &w : workloadSources()) {
+            SCOPED_TRACE(w.name);
+            expectDecodeOracle({w.source}, options);
+        }
+    }
+    std::vector<std::string> modules{
+        "long twice(char *s) { return 2 * strlen(s); }\n",
+        "char *name = \"shift\";\n"
+        "int main() { print(name); return (int)twice(name); }\n"};
+    for (const SessionOptions &options :
+         {testutil::shiftOptions(), untracked, speculate, software}) {
+        SCOPED_TRACE("two modules");
+        expectDecodeOracle(modules, options);
+    }
+    expectDecodeOracle({"int main() { print(\"x\"); return 3; }\n"},
+                       noLibc);
+}
+
 // Key fragmentation would cost a full libc instrument + optimize and
-// 130-180 KB per program configuration. The perfbench programs at the
-// `shift` and `full` rungs differ only in per-program rules scoped to
-// their own functions, so they must share two entries. Counts entries
-// from an empty memo: ctest runs this alone as perf_libc_memo.
+// decode, and 130-180 KB plus the decoded unit, per program
+// configuration. The perfbench programs at the `shift` and `full`
+// rungs differ only in per-program rules scoped to their own
+// functions, so they must share two entries, and `untracked` adds one.
+// Every Session at a rung links that entry's one decoded libc: the
+// same DecodedInstrs. Counts entries from an empty memo: ctest runs
+// this alone as perf_libc_memo.
 TEST(StdlibMemo, PerfbenchProgramsShareOneEntryPerRung)
 {
     ASSERT_EQ(trackedStdlibEntries(), 0u)
@@ -490,12 +614,26 @@ TEST(StdlibMemo, PerfbenchProgramsShareOneEntryPerRung)
         testutil::perfbenchPrograms();
     ASSERT_EQ(programs.size(), 25u);
 
-    for (testutil::Rung rung : {testutil::Rung::Shift, testutil::Rung::Full}) {
-        bool full = rung == testutil::Rung::Full;
-        SCOPED_TRACE(full ? "full" : "shift");
-        for (const testutil::PerfbenchProgram &p : programs)
+    std::set<const DecodedProgram *> units;
+    size_t entries = 0;
+    for (testutil::Rung rung : {testutil::Rung::Shift, testutil::Rung::Full,
+                                testutil::Rung::Untracked}) {
+        SCOPED_TRACE(static_cast<int>(rung));
+        std::set<const DecodedProgram *> rungUnits;
+        for (const testutil::PerfbenchProgram &p : programs) {
             Session session(p.source, testutil::perfbenchRung(p.base, rung));
-        EXPECT_EQ(trackedStdlibEntries(), full ? 2u : 1u);
+            const DecodedProgram &decoded = *session.machine().decoded();
+            ASSERT_NE(decoded.linked, nullptr) << p.name;
+            rungUnits.insert(decoded.linked.get());
+            for (size_t f = 0; f < decoded.linked->functions.size(); ++f)
+                ASSERT_EQ(decoded.functions[f].code.data(),
+                          decoded.linked->functions[f].code.data())
+                    << p.name << " copies libc function #" << f;
+        }
+        EXPECT_EQ(rungUnits.size(), 1u);
+        units.insert(rungUnits.begin(), rungUnits.end());
+        EXPECT_EQ(trackedStdlibEntries(), ++entries);
+        EXPECT_EQ(units.size(), entries);
     }
 }
 

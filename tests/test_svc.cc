@@ -14,7 +14,9 @@
 #include "runtime/session_template.hh"
 #include "session_helpers.hh"
 #include "support/logging.hh"
+#include "svc/fleet.hh"
 #include "svc/mpmc_queue.hh"
+#include "workloads/httpd.hh"
 
 namespace shift
 {
@@ -234,6 +236,44 @@ TEST(SessionTemplate, ConcurrentClonesComputeIdenticalResults)
         EXPECT_EQ(results[i].exitCode, 1);
         EXPECT_EQ(results[i].cycles, results[0].cycles);
     }
+}
+
+// ----- Fleet ------------------------------------------------------------
+
+TEST(Fleet, StartsNoMoreWorkersThanJobs)
+{
+    SessionTemplate tmpl(workloads::kHttpdSource,
+                         workloads::httpdSessionOptions(
+                             TrackingMode::Shift, Granularity::Byte, {},
+                             ExecEngine::Predecoded));
+    workloads::provisionHttpdOs(tmpl.os(), 512);
+    std::vector<svc::FleetJob> jobs = {
+        {0, {workloads::kHttpdRequest}},
+        {1, {workloads::kHttpdRequest, workloads::kHttpdAttackRequest}},
+    };
+    auto serve = [&](unsigned workers) {
+        svc::FleetOptions options;
+        options.workers = workers;
+        return svc::Fleet(tmpl, options).serve(jobs);
+    };
+    svc::FleetReport two = serve(2);
+    svc::FleetReport eight = serve(8);
+    EXPECT_EQ(eight.stats.gauge("fleet.workers"), 2u);
+    EXPECT_EQ(two.stats.gauge("fleet.workers"), 2u);
+    ASSERT_EQ(eight.jobResults.size(), jobs.size());
+    ASSERT_EQ(two.jobResults.size(), jobs.size());
+    for (size_t j = 0; j < jobs.size(); ++j) {
+        const svc::FleetJobResult &a = two.jobResults[j];
+        const svc::FleetJobResult &b = eight.jobResults[j];
+        EXPECT_EQ(b.id, a.id);
+        EXPECT_EQ(b.result.exitCode, a.result.exitCode) << "job " << j;
+        EXPECT_EQ(b.result.killedByPolicy, a.result.killedByPolicy);
+        EXPECT_EQ(b.result.cycles, a.result.cycles) << "job " << j;
+        EXPECT_EQ(b.result.instructions, a.result.instructions);
+        EXPECT_EQ(b.responses, a.responses) << "job " << j;
+    }
+    EXPECT_EQ(eight.detections, 1u);
+    EXPECT_EQ(eight.totalSimCycles, two.totalSimCycles);
 }
 
 // ----- log tagging ------------------------------------------------------

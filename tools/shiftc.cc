@@ -17,6 +17,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -41,7 +42,8 @@ usage()
         "  --policy FILE            policy configuration (INI)\n"
         "  --mode none|shift|software   tracking mode "
         "(default shift)\n"
-        "  --granularity byte|word  bitmap granularity\n"
+        "  --granularity byte|word  bitmap granularity (overrides "
+        "the policy file's)\n"
         "  --enhanced               setnat/clrnat + cmp.nat hardware\n"
         "  --speculate              control-speculation optimizer\n"
         "  --relax-loads f1,f2      per-function load relax rules\n"
@@ -127,6 +129,7 @@ main(int argc, char **argv)
     std::string profilePath;
     bool jitdump = false;
     std::string jitdumpPath;
+    std::optional<Granularity> granularity;
 
     try {
         for (int i = 1; i < argc; ++i) {
@@ -155,9 +158,9 @@ main(int argc, char **argv)
             } else if (arg == "--granularity") {
                 std::string g = next();
                 if (g == "byte")
-                    options.policy.granularity = Granularity::Byte;
+                    granularity = Granularity::Byte;
                 else if (g == "word")
-                    options.policy.granularity = Granularity::Word;
+                    granularity = Granularity::Word;
                 else
                     SHIFT_FATAL("unknown granularity '%s'", g.c_str());
             } else if (arg == "--enhanced") {
@@ -235,6 +238,9 @@ main(int argc, char **argv)
             usage();
             return 103;
         }
+        // --granularity beats the policy file's, whichever came first.
+        if (granularity)
+            options.policy.granularity = *granularity;
 
         // Enable the flight recorder before the session build so the
         // compile/instrument/decode phases land in the trace too.

@@ -20,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -40,7 +41,7 @@ namespace
 {
 
 /** Most worker threads --workers may ask for: the fleet starts one
- * thread per worker. */
+ * thread per worker, up to one per job. */
 constexpr long long kMaxWorkers = 256;
 
 void
@@ -51,7 +52,8 @@ usage()
         "  --policy FILE            policy configuration (INI); "
         "replaces the built-in httpd's policy too\n"
         "  --mode none|shift|software   tracking mode (default shift)\n"
-        "  --granularity byte|word  bitmap granularity\n"
+        "  --granularity byte|word  bitmap granularity (overrides "
+        "the policy file's)\n"
         "  --enhanced               setnat/clrnat + cmp.nat hardware\n"
         "  --file SIM=HOST          provision a simulated file from a "
         "host file\n"
@@ -172,6 +174,7 @@ main(int argc, char **argv)
     std::string profilePath;
     bool jitdump = false;
     std::string jitdumpPath;
+    std::optional<Granularity> granularity;
     double metricsInterval = 0;
     std::string metricsOut = "-";
 
@@ -203,9 +206,9 @@ main(int argc, char **argv)
             } else if (arg == "--granularity") {
                 std::string g = next();
                 if (g == "byte")
-                    options.policy.granularity = Granularity::Byte;
+                    granularity = Granularity::Byte;
                 else if (g == "word")
-                    options.policy.granularity = Granularity::Word;
+                    granularity = Granularity::Word;
                 else
                     SHIFT_FATAL("unknown granularity '%s'", g.c_str());
             } else if (arg == "--enhanced") {
@@ -285,6 +288,9 @@ main(int argc, char **argv)
         }
         if (jobs <= 0 || requestsPerJob <= 0)
             SHIFT_FATAL("--jobs and --requests must be positive");
+        // --granularity beats the policy file's, whichever came first.
+        if (granularity)
+            options.policy.granularity = *granularity;
 
         // Enable the flight recorder before the template build so the
         // compile/instrument/freeze phases land in the trace too.
@@ -353,6 +359,8 @@ main(int argc, char **argv)
         svc::Fleet fleet(*tmpl, fleetOptions);
         svc::FleetReport report = fleet.serve(jobList);
         exporter.stop();
+        auto startedWorkers =
+            static_cast<unsigned>(report.stats.gauge("fleet.workers"));
 
         if (json) {
             std::printf(
@@ -365,7 +373,8 @@ main(int argc, char **argv)
                 "\"requests_per_host_second\": %.1f,\n"
                 " \"snapshot_pages\": %zu,\n"
                 " \"stats\":\n%s}\n",
-                report.jobs, report.requests, workers, report.detections,
+                report.jobs, report.requests, startedWorkers,
+                report.detections,
                 report.allOk ? "true" : "false",
                 static_cast<unsigned long long>(report.totalSimCycles),
                 static_cast<unsigned long long>(report.p50LatencyCycles),
@@ -375,7 +384,7 @@ main(int argc, char **argv)
                 obs::renderJsonStats(report.stats, 1).c_str());
         } else {
             std::printf("fleet: %zu jobs, %zu requests, %u workers\n",
-                        report.jobs, report.requests, workers);
+                        report.jobs, report.requests, startedWorkers);
             std::printf("  snapshot: %zu pages shared per clone\n",
                         tmpl->snapshotPages());
             std::printf("  latency p50/p99: %llu / %llu cycles\n",
