@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "lang/lexer.hh"
 #include "lang/type.hh"
 
 namespace shift::minic
@@ -41,12 +42,18 @@ enum class ExprKind : uint8_t
 struct Expr
 {
     ExprKind kind;
+    Tok op = Tok::None;   ///< operator of Unary/Postfix/Binary/Assign
+    /**
+     * Syntax-tree levels from this node down, counting a pair of
+     * parentheses around an operand as one. The parser bounds it
+     * (kMaxNesting in parser.hh).
+     */
+    uint16_t height = 1;
     int line = 0;
 
     int64_t intVal = 0;
     std::string strVal;
     std::string name;
-    std::string op;
     ExprPtr a, b, c;
     std::vector<ExprPtr> args;
     const Type *castType = nullptr;

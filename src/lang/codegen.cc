@@ -47,7 +47,7 @@ class EscapeScanner
     {
         if (!e)
             return;
-        if (e->kind == ExprKind::Unary && e->op == "&" && e->a &&
+        if (e->kind == ExprKind::Unary && e->op == Tok::Amp && e->a &&
             e->a->kind == ExprKind::Ident) {
             names.insert(e->a->name);
         }
@@ -167,9 +167,9 @@ class Generator
           case ExprKind::IntLit:
             return e->intVal;
           case ExprKind::Unary:
-            if (e->op == "-")
+            if (e->op == Tok::Minus)
                 return -constFold(e->a.get());
-            if (e->op == "~")
+            if (e->op == Tok::Tilde)
                 return ~constFold(e->a.get());
             break;
           default:
@@ -437,40 +437,69 @@ class Generator
     // ----- conditions -------------------------------------------------------
 
     static CmpRel
-    relForOp(const std::string &op, bool isUnsigned)
+    relForOp(Tok op, bool isUnsigned)
     {
-        if (op == "==") return CmpRel::Eq;
-        if (op == "!=") return CmpRel::Ne;
-        if (op == "<") return isUnsigned ? CmpRel::LtU : CmpRel::Lt;
-        if (op == "<=") return isUnsigned ? CmpRel::LeU : CmpRel::Le;
-        if (op == ">") return isUnsigned ? CmpRel::GtU : CmpRel::Gt;
-        if (op == ">=") return isUnsigned ? CmpRel::GeU : CmpRel::Ge;
-        SHIFT_PANIC("not a relational op: %s", op.c_str());
+        switch (op) {
+          case Tok::Eq: return CmpRel::Eq;
+          case Tok::Ne: return CmpRel::Ne;
+          case Tok::Lt: return isUnsigned ? CmpRel::LtU : CmpRel::Lt;
+          case Tok::Le: return isUnsigned ? CmpRel::LeU : CmpRel::Le;
+          case Tok::Gt: return isUnsigned ? CmpRel::GtU : CmpRel::Gt;
+          case Tok::Ge: return isUnsigned ? CmpRel::GeU : CmpRel::Ge;
+          default:
+            SHIFT_PANIC("not a relational op: %s", tokSpelling(op));
+        }
     }
 
     static bool
-    isRelOp(const std::string &op)
+    isRelOp(Tok op)
     {
-        return op == "==" || op == "!=" || op == "<" || op == "<=" ||
-               op == ">" || op == ">=";
+        switch (op) {
+          case Tok::Eq: case Tok::Ne: case Tok::Lt: case Tok::Le:
+          case Tok::Gt: case Tok::Ge:
+            return true;
+          default:
+            return false;
+        }
+    }
+
+    /** The operator a compound assignment applies ("+=" -> "+"). */
+    static Tok
+    arithOf(Tok assignOp)
+    {
+        switch (assignOp) {
+          case Tok::AddAssign: return Tok::Plus;
+          case Tok::SubAssign: return Tok::Minus;
+          case Tok::MulAssign: return Tok::Star;
+          case Tok::DivAssign: return Tok::Slash;
+          case Tok::ModAssign: return Tok::Percent;
+          case Tok::AndAssign: return Tok::Amp;
+          case Tok::OrAssign: return Tok::Pipe;
+          case Tok::XorAssign: return Tok::Caret;
+          case Tok::ShlAssign: return Tok::Shl;
+          case Tok::ShrAssign: return Tok::Shr;
+          default:
+            SHIFT_PANIC("not a compound assignment: %s",
+                        tokSpelling(assignOp));
+        }
     }
 
     /** Generate a conditional branch to trueL or falseL. */
     void
     genCond(const Expr *e, int trueL, int falseL)
     {
-        if (e->kind == ExprKind::Unary && e->op == "!") {
+        if (e->kind == ExprKind::Unary && e->op == Tok::Bang) {
             genCond(e->a.get(), falseL, trueL);
             return;
         }
-        if (e->kind == ExprKind::Binary && e->op == "&&") {
+        if (e->kind == ExprKind::Binary && e->op == Tok::AndAnd) {
             int midL = newLabel();
             genCond(e->a.get(), midL, falseL);
             emitLabel(midL);
             genCond(e->b.get(), trueL, falseL);
             return;
         }
-        if (e->kind == ExprKind::Binary && e->op == "||") {
+        if (e->kind == ExprKind::Binary && e->op == Tok::OrOr) {
             int midL = newLabel();
             genCond(e->a.get(), trueL, midL);
             emitLabel(midL);
@@ -528,7 +557,7 @@ class Generator
             error(e->line, "unknown variable '" + e->name + "'");
           }
           case ExprKind::Unary:
-            if (e->op == "*") {
+            if (e->op == Tok::Star) {
                 Val ptr = genExpr(e->a.get());
                 const Type *obj = ptr.type->isPointer()
                                       ? ptr.type->elem
@@ -688,11 +717,12 @@ class Generator
     Val
     genUnary(const Expr *e)
     {
-        if (e->op == "*") {
+        switch (e->op) {
+          case Tok::Star: {
             Val addr = genAddr(e);
             return loadFrom(addr.vr, addr.type);
-        }
-        if (e->op == "&") {
+          }
+          case Tok::Amp: {
             if (e->a->kind == ExprKind::Ident &&
                 funcType(e->a->name) &&
                 !findLocal(e->a->name) &&
@@ -705,36 +735,42 @@ class Generator
             return {addr.vr, pool_.ptr(addr.type->isArray()
                                            ? addr.type->elem
                                            : addr.type)};
-        }
-        if (e->op == "++" || e->op == "--")
+          }
+          case Tok::Inc:
+          case Tok::Dec:
             return genIncDec(e, /*isPostfix=*/false);
+          default:
+            break;
+        }
 
         Val a = genExpr(e->a.get());
         int v = newVreg();
-        if (e->op == "-") {
+        switch (e->op) {
+          case Tok::Minus:
             emit(makeAlu(Opcode::Sub, v, reg::zero, a.vr));
             return {v, a.type};
-        }
-        if (e->op == "~") {
+          case Tok::Tilde:
             emit(makeAluImm(Opcode::Xor, v, a.vr, -1));
             return {v, a.type};
-        }
-        if (e->op == "!") {
+          case Tok::Bang: {
             emit(makeCmpImm(CmpRel::Eq, kCondPred, 0, a.vr, 0));
             emit(makeMovi(v, 0));
             Instr one = makeMovi(v, 1);
             one.qp = kCondPred;
             emit(one);
             return {v, pool_.intType()};
+          }
+          default:
+            error(e->line, std::string("unhandled unary operator '") +
+                               tokSpelling(e->op) + "'");
         }
-        error(e->line, "unhandled unary operator '" + e->op + "'");
     }
 
     /** Pre/post increment/decrement. */
     Val
     genIncDec(const Expr *e, bool isPostfix)
     {
-        int64_t delta = e->op == "++" ? 1 : -1;
+        int64_t delta = e->op == Tok::Inc ? 1 : -1;
         const Expr *target = e->a.get();
 
         // Register-resident scalar: operate in place.
@@ -775,8 +811,8 @@ class Generator
     Val
     genBinary(const Expr *e)
     {
-        const std::string &op = e->op;
-        if (op == "&&" || op == "||")
+        Tok op = e->op;
+        if (op == Tok::AndAnd || op == Tok::OrOr)
             return genLogicalValue(e);
         if (isRelOp(op)) {
             Val a = genExpr(e->a.get());
@@ -797,16 +833,16 @@ class Generator
     }
 
     Val
-    genArith(int line, const std::string &op, Val a, Val b)
+    genArith(int line, Tok op, Val a, Val b)
     {
         int v = newVreg();
 
         // Pointer arithmetic.
-        if (op == "+" || op == "-") {
+        if (op == Tok::Plus || op == Tok::Minus) {
             if (a.type->isPointer() && b.type->isInteger()) {
                 uint64_t scale = a.type->elem->size();
                 int rhs = b.vr;
-                if (op == "-") {
+                if (op == Tok::Minus) {
                     int neg = newVreg();
                     emit(makeAlu(Opcode::Sub, neg, reg::zero, b.vr));
                     rhs = neg;
@@ -814,9 +850,11 @@ class Generator
                 int addr = scaledAdd(a.vr, rhs, scale);
                 return {addr, a.type};
             }
-            if (op == "+" && b.type->isPointer() && a.type->isInteger())
+            if (op == Tok::Plus && b.type->isPointer() &&
+                a.type->isInteger())
                 return genArith(line, op, b, a);
-            if (op == "-" && a.type->isPointer() && b.type->isPointer()) {
+            if (op == Tok::Minus && a.type->isPointer() &&
+                b.type->isPointer()) {
                 int diff = newVreg();
                 emit(makeAlu(Opcode::Sub, diff, a.vr, b.vr));
                 uint64_t esize = a.type->elem->size();
@@ -833,17 +871,21 @@ class Generator
         const Type *rt = resultType(a.type, b.type);
         bool uns = rt->kind == TypeKind::Char;
         Opcode opcode;
-        if (op == "+") opcode = Opcode::Add;
-        else if (op == "-") opcode = Opcode::Sub;
-        else if (op == "*") opcode = Opcode::Mul;
-        else if (op == "/") opcode = uns ? Opcode::DivU : Opcode::Div;
-        else if (op == "%") opcode = uns ? Opcode::ModU : Opcode::Mod;
-        else if (op == "&") opcode = Opcode::And;
-        else if (op == "|") opcode = Opcode::Or;
-        else if (op == "^") opcode = Opcode::Xor;
-        else if (op == "<<") opcode = Opcode::Shl;
-        else if (op == ">>") opcode = uns ? Opcode::Shr : Opcode::Sar;
-        else error(line, "unhandled binary operator '" + op + "'");
+        switch (op) {
+          case Tok::Plus: opcode = Opcode::Add; break;
+          case Tok::Minus: opcode = Opcode::Sub; break;
+          case Tok::Star: opcode = Opcode::Mul; break;
+          case Tok::Slash: opcode = uns ? Opcode::DivU : Opcode::Div; break;
+          case Tok::Percent: opcode = uns ? Opcode::ModU : Opcode::Mod; break;
+          case Tok::Amp: opcode = Opcode::And; break;
+          case Tok::Pipe: opcode = Opcode::Or; break;
+          case Tok::Caret: opcode = Opcode::Xor; break;
+          case Tok::Shl: opcode = Opcode::Shl; break;
+          case Tok::Shr: opcode = uns ? Opcode::Shr : Opcode::Sar; break;
+          default:
+            error(line, std::string("unhandled binary operator '") +
+                            tokSpelling(op) + "'");
+        }
 
         emit(makeAlu(opcode, v, a.vr, b.vr));
         return {v, rt};
@@ -903,37 +945,34 @@ class Generator
     genAssign(const Expr *e)
     {
         const Expr *lhs = e->a.get();
-        const std::string &op = e->op;
+        Tok op = e->op;
 
         // Simple and compound assignment to a register-resident scalar.
         if (lhs->kind == ExprKind::Ident) {
             if (LocalVar *var = findLocal(lhs->name);
                 var && !var->inFrame) {
-                if (op == "=") {
+                if (op == Tok::Assign) {
                     Val rhs = genExpr(e->b.get());
                     emit(makeMov(var->vreg, rhs.vr));
                     return {var->vreg, var->type};
                 }
                 Val cur{var->vreg, var->type};
                 Val rhs = genExpr(e->b.get());
-                Val result = genArith(e->line,
-                                      op.substr(0, op.size() - 1), cur,
-                                      rhs);
+                Val result = genArith(e->line, arithOf(op), cur, rhs);
                 emit(makeMov(var->vreg, result.vr));
                 return {var->vreg, var->type};
             }
         }
 
         Val addr = genAddr(lhs);
-        if (op == "=") {
+        if (op == Tok::Assign) {
             Val rhs = genExpr(e->b.get());
             storeTo(addr.vr, rhs.vr, addr.type);
             return {rhs.vr, addr.type};
         }
         Val cur = loadFrom(addr.vr, addr.type);
         Val rhs = genExpr(e->b.get());
-        Val result = genArith(e->line, op.substr(0, op.size() - 1), cur,
-                              rhs);
+        Val result = genArith(e->line, arithOf(op), cur, rhs);
         storeTo(addr.vr, result.vr, addr.type);
         return {result.vr, addr.type};
     }

@@ -10,7 +10,7 @@
  *
  * Symbol references (global addresses, function descriptors, string
  * literals) are emitted as symbolic `movl` instructions and resolved
- * by linkProgram() in compiler.cc.
+ * when compiler.cc links the program.
  */
 
 #ifndef SHIFT_LANG_CODEGEN_HH

@@ -9,18 +9,30 @@
 namespace shift::minic
 {
 
+namespace
+{
+
+/**
+ * Resolve symbolic movl operands (globals, function descriptors) and
+ * pointer-global initializers of `program`, whose functions follow
+ * `library`'s: globals by layout, then functions by index, the
+ * library's through its table.
+ */
 void
-linkProgram(Program &program)
+link(Program &program, const Library &library)
 {
     GlobalLayout layout = computeGlobalLayout(program);
+    int firstOwn = static_cast<int>(library.functions.size());
 
     auto resolve = [&](const std::string &symbol) -> uint64_t {
         auto it = layout.addr.find(symbol);
         if (it != layout.addr.end())
             return it->second;
-        auto fn = program.findFunction(symbol);
-        if (fn)
-            return funcDescAddr(*fn);
+        auto lib = library.index.find(symbol);
+        if (lib != library.index.end())
+            return funcDescAddr(lib->second);
+        if (auto own = program.findFunction(symbol))
+            return funcDescAddr(firstOwn + *own);
         SHIFT_FATAL("link error: undefined symbol '%s'", symbol.c_str());
     };
 
@@ -43,9 +55,6 @@ linkProgram(Program &program)
         }
     }
 }
-
-namespace
-{
 
 /**
  * The front half every compile shares: parse the concatenated
@@ -105,27 +114,41 @@ compileLibrary(const std::string &source)
         }
     }
 
+    // A library comes first in every program, so its references to
+    // its own functions resolve the same way in all of them.
+    link(gen.program, Library{});
     library.functions = std::move(gen.program.functions);
     library.signatures = std::move(gen.signatures);
+    for (size_t i = 0; i < library.functions.size(); ++i)
+        library.index.emplace(library.functions[i].name, static_cast<int>(i));
     return library;
+}
+
+Program
+compileAgainst(const std::vector<std::string> &sources,
+               const Library &library, const CompileOptions &options)
+{
+    TypePool pool;
+    GenOutput gen = compileUnit(sources, pool, library.signatures);
+    Program &program = gen.program;
+
+    if (options.requireMain && !program.findFunction("main") &&
+        !library.index.count("main"))
+        SHIFT_FATAL("program has no 'main' function");
+
+    link(program, library);
+    return std::move(program);
 }
 
 Program
 compileProgram(const std::vector<std::string> &sources,
                const Library &library, const CompileOptions &options)
 {
-    TypePool pool;
-    GenOutput gen = compileUnit(sources, pool, library.signatures);
-    Program &program = gen.program;
+    Program program = compileAgainst(sources, library, options);
     program.functions.insert(program.functions.begin(),
                              library.functions.begin(),
                              library.functions.end());
-
-    if (options.requireMain && !program.findFunction("main"))
-        SHIFT_FATAL("program has no 'main' function");
-
-    linkProgram(program);
-    return std::move(program);
+    return program;
 }
 
 Program

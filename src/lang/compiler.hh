@@ -8,6 +8,7 @@
 
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "isa/program.hh"
@@ -23,24 +24,28 @@ struct CompileOptions
 };
 
 /**
- * A compiled, unlinked library module: register-allocated functions in
- * source order plus the signature of each, which is what calling code
- * needs. Immutable once built; one instance can serve any number of
- * concurrent compiles.
+ * A compiled library module: register-allocated functions in source
+ * order, the signature of each, which is what calling code needs, and
+ * each one's index. Immutable once built; one instance can serve any
+ * number of concurrent compiles.
  *
  * Linking a library puts its functions first, ahead of the program's
  * own, so function indices and descriptor addresses are those of
  * compiling the library's source concatenated in front of the
- * program's. The rest of the program equals that compile only because
- * compileLibrary() checks that the library defines no globals (so
- * global layout is unchanged), interns no string literals (so
- * `__str_N` numbering is unchanged) and calls only its own functions
- * (so its code cannot depend on a return type the program declares).
+ * program's. That fixes the library's own descriptor addresses, so
+ * compileLibrary() resolves its references to them, and its functions
+ * go in front of any program unchanged. The rest of the program
+ * equals that compile only because compileLibrary() checks that the
+ * library defines no globals (so global layout is unchanged), interns
+ * no string literals (so `__str_N` numbering is unchanged) and calls
+ * only its own functions (so its code cannot depend on a return type
+ * the program declares).
  */
 struct Library
 {
     std::vector<Function> functions;
     Signatures signatures;
+    std::unordered_map<std::string, int> index; ///< name -> function
     std::unique_ptr<TypePool> types; ///< owns the signatures' types
 };
 
@@ -62,25 +67,31 @@ Program compileProgram(const std::string &source,
  * Compile `sources` against a prebuilt library and link the two: the
  * result equals compileProgram() on the library's source followed by
  * `sources`, but only `sources` are parsed, generated and allocated.
- * Error line numbers count from the first line of `sources`.
+ * Error line numbers count from the first line of `sources`. This is
+ * compileAgainst() with a copy of `library.functions` put in front.
  */
 Program compileProgram(const std::vector<std::string> &sources,
                        const Library &library,
                        const CompileOptions &options = {});
 
 /**
- * Parse, generate and register-allocate a library module without
- * linking it. Throws FatalError on compile errors and when the source
- * breaks one of the properties Library documents.
+ * compileProgram(sources, library) without the library's functions:
+ * the program's own functions and its globals, linked as though
+ * `library.functions` stood in front of them. Putting those functions,
+ * or any per-function transform of them, in front completes the
+ * program, so a caller that has its own copy of the library never
+ * copies it twice.
  */
-Library compileLibrary(const std::string &source);
+Program compileAgainst(const std::vector<std::string> &sources,
+                       const Library &library,
+                       const CompileOptions &options = {});
 
 /**
- * Resolve symbolic movl operands (globals, function descriptors) and
- * pointer-global initializers in place. Idempotent. compileProgram
- * calls this; exposed for passes that synthesize code.
+ * Parse, generate, register-allocate and self-link a library module.
+ * Throws FatalError on compile errors and when the source breaks one
+ * of the properties Library documents.
  */
-void linkProgram(Program &program);
+Library compileLibrary(const std::string &source);
 
 } // namespace shift::minic
 

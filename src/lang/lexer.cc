@@ -1,7 +1,6 @@
 #include "lexer.hh"
 
-#include <cctype>
-#include <set>
+#include <iterator>
 
 #include "support/logging.hh"
 
@@ -11,18 +10,143 @@ namespace shift::minic
 namespace
 {
 
-const std::set<std::string> kKeywords = {
-    "void", "char", "int", "long",
-    "if", "else", "while", "for", "return", "break", "continue",
-};
-
-// Multi-character punctuation, longest first so maximal munch works.
-const char *kPuncts[] = {
+/** Spellings, indexed by Tok. */
+const char *const kSpelling[] = {
+    "",
     "<<=", ">>=", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
     "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "++", "--",
     "+", "-", "*", "/", "%", "&", "|", "^", "~", "!", "<", ">",
     "=", "(", ")", "{", "}", "[", "]", ";", ",", "?", ":",
+    "void", "char", "int", "long", "if", "else", "while", "for",
+    "return", "break", "continue",
 };
+static_assert(std::size(kSpelling) == static_cast<size_t>(Tok::Continue) + 1,
+              "one spelling per Tok");
+
+bool isDigit(char c) { return c >= '0' && c <= '9'; }
+
+bool
+isLetter(char c)
+{
+    return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+
+bool isIdentStart(char c) { return isLetter(c) || c == '_'; }
+bool isIdentChar(char c) { return isIdentStart(c) || isDigit(c); }
+
+/** Value of a digit in any base up to 16; 16 for anything else. */
+unsigned
+digitValue(char c)
+{
+    if (isDigit(c))
+        return static_cast<unsigned>(c - '0');
+    char lower = static_cast<char>(c | 0x20);
+    if (lower >= 'a' && lower <= 'f')
+        return static_cast<unsigned>(lower - 'a' + 10);
+    return 16;
+}
+
+/** The keyword spelled `word`, or None when it is an identifier. */
+Tok
+keyword(std::string_view word)
+{
+    switch (word.size()) {
+      case 2:
+        return word == "if" ? Tok::If : Tok::None;
+      case 3:
+        if (word == "int")
+            return Tok::Int;
+        return word == "for" ? Tok::For : Tok::None;
+      case 4:
+        switch (word[0]) {
+          case 'v': return word == "void" ? Tok::Void : Tok::None;
+          case 'c': return word == "char" ? Tok::Char : Tok::None;
+          case 'l': return word == "long" ? Tok::Long : Tok::None;
+          case 'e': return word == "else" ? Tok::Else : Tok::None;
+          default: return Tok::None;
+        }
+      case 5:
+        if (word == "while")
+            return Tok::While;
+        return word == "break" ? Tok::Break : Tok::None;
+      case 6:
+        return word == "return" ? Tok::Return : Tok::None;
+      case 8:
+        return word == "continue" ? Tok::Continue : Tok::None;
+      default:
+        return Tok::None;
+    }
+}
+
+/**
+ * The punctuator `p` starts with, longest match first, or None; sets
+ * `len` to its length. `p` is NUL-terminated, so looking one or two
+ * characters ahead never leaves the buffer.
+ */
+Tok
+punctuator(const char *p, size_t &len)
+{
+    char next = p[1];
+    len = 1;
+    auto two = [&](Tok code) {
+        len = 2;
+        return code;
+    };
+    switch (p[0]) {
+      case '<':
+        if (next == '<') {
+            if (p[2] == '=') {
+                len = 3;
+                return Tok::ShlAssign;
+            }
+            return two(Tok::Shl);
+        }
+        return next == '=' ? two(Tok::Le) : Tok::Lt;
+      case '>':
+        if (next == '>') {
+            if (p[2] == '=') {
+                len = 3;
+                return Tok::ShrAssign;
+            }
+            return two(Tok::Shr);
+        }
+        return next == '=' ? two(Tok::Ge) : Tok::Gt;
+      case '=': return next == '=' ? two(Tok::Eq) : Tok::Assign;
+      case '!': return next == '=' ? two(Tok::Ne) : Tok::Bang;
+      case '&':
+        if (next == '&')
+            return two(Tok::AndAnd);
+        return next == '=' ? two(Tok::AndAssign) : Tok::Amp;
+      case '|':
+        if (next == '|')
+            return two(Tok::OrOr);
+        return next == '=' ? two(Tok::OrAssign) : Tok::Pipe;
+      case '+':
+        if (next == '+')
+            return two(Tok::Inc);
+        return next == '=' ? two(Tok::AddAssign) : Tok::Plus;
+      case '-':
+        if (next == '-')
+            return two(Tok::Dec);
+        return next == '=' ? two(Tok::SubAssign) : Tok::Minus;
+      case '*': return next == '=' ? two(Tok::MulAssign) : Tok::Star;
+      case '/': return next == '=' ? two(Tok::DivAssign) : Tok::Slash;
+      case '%': return next == '=' ? two(Tok::ModAssign) : Tok::Percent;
+      case '^': return next == '=' ? two(Tok::XorAssign) : Tok::Caret;
+      case '~': return Tok::Tilde;
+      case '(': return Tok::LParen;
+      case ')': return Tok::RParen;
+      case '{': return Tok::LBrace;
+      case '}': return Tok::RBrace;
+      case '[': return Tok::LBracket;
+      case ']': return Tok::RBracket;
+      case ';': return Tok::Semi;
+      case ',': return Tok::Comma;
+      case '?': return Tok::Question;
+      case ':': return Tok::Colon;
+      default: return Tok::None;
+    }
+}
 
 /** Decode one escape sequence starting after the backslash. */
 char
@@ -43,39 +167,47 @@ decodeEscape(char c, int line)
 
 } // namespace
 
+const char *
+tokSpelling(Tok code)
+{
+    return kSpelling[static_cast<size_t>(code)];
+}
+
 std::vector<Token>
 tokenize(const std::string &source)
 {
     std::vector<Token> tokens;
+    // The workloads and libc run to 3.1-5.4 source bytes per token,
+    // so this rarely reallocates.
+    tokens.reserve(source.size() / 3 + 1);
+    const char *s = source.c_str();
+    size_t n = source.size();
     size_t i = 0;
     int line = 1;
-    size_t n = source.size();
-
-    auto peek = [&](size_t off = 0) -> char {
-        return i + off < n ? source[i + off] : '\0';
-    };
 
     while (i < n) {
-        char c = source[i];
-        if (c == '\n') {
+        char c = s[i];
+        switch (c) {
+          case '\n':
             ++line;
             ++i;
             continue;
-        }
-        if (std::isspace(static_cast<unsigned char>(c))) {
+          case ' ': case '\t': case '\v': case '\f': case '\r':
             ++i;
             continue;
+          default:
+            break;
         }
         // Comments.
-        if (c == '/' && peek(1) == '/') {
-            while (i < n && source[i] != '\n')
+        if (c == '/' && s[i + 1] == '/') {
+            while (i < n && s[i] != '\n')
                 ++i;
             continue;
         }
-        if (c == '/' && peek(1) == '*') {
+        if (c == '/' && s[i + 1] == '*') {
             i += 2;
-            while (i + 1 < n && !(source[i] == '*' && source[i + 1] == '/')) {
-                if (source[i] == '\n')
+            while (i + 1 < n && !(s[i] == '*' && s[i + 1] == '/')) {
+                if (s[i] == '\n')
                     ++line;
                 ++i;
             }
@@ -85,43 +217,45 @@ tokenize(const std::string &source)
             continue;
         }
 
-        Token tok;
+        Token &tok = tokens.emplace_back();
         tok.line = line;
+        size_t start = i;
 
-        if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-            size_t start = i;
-            while (i < n && (std::isalnum(
-                                 static_cast<unsigned char>(source[i])) ||
-                             source[i] == '_'))
+        if (isIdentStart(c)) {
+            while (isIdentChar(s[i]))
                 ++i;
-            tok.text = source.substr(start, i - start);
-            tok.kind = kKeywords.count(tok.text) ? TokKind::Keyword
-                                                 : TokKind::Ident;
-            tokens.push_back(std::move(tok));
+            tok.text = std::string_view(s + start, i - start);
+            tok.code = keyword(tok.text);
+            tok.kind = tok.code == Tok::None ? TokKind::Ident
+                                             : TokKind::Keyword;
             continue;
         }
 
-        if (std::isdigit(static_cast<unsigned char>(c))) {
-            size_t start = i;
-            int base = 10;
-            if (c == '0' && (peek(1) == 'x' || peek(1) == 'X')) {
+        if (isDigit(c)) {
+            // The whole spelling must be digits of its base, and a hex
+            // literal needs at least one after its 0x.
+            unsigned base = 10;
+            if (c == '0' && (s[i + 1] == 'x' || s[i + 1] == 'X')) {
                 base = 16;
                 i += 2;
             }
-            while (i < n && (std::isalnum(
-                       static_cast<unsigned char>(source[i]))))
+            size_t digits = i;
+            while (isLetter(s[i]) || isDigit(s[i]))
                 ++i;
-            std::string text = source.substr(start, i - start);
-            try {
-                tok.intVal = static_cast<int64_t>(
-                    std::stoull(text, nullptr, base));
-            } catch (const std::exception &) {
-                SHIFT_FATAL("line %d: bad integer literal '%s'", line,
-                            text.c_str());
+            tok.text = std::string_view(s + start, i - start);
+            bool ok = i > digits;
+            uint64_t value = 0;
+            for (size_t k = digits; ok && k < i; ++k) {
+                unsigned d = digitValue(s[k]);
+                ok = d < base && value <= (UINT64_MAX - d) / base;
+                value = value * base + d;
             }
+            if (!ok)
+                SHIFT_FATAL("line %d: bad integer literal '%.*s'", line,
+                            static_cast<int>(tok.text.size()),
+                            tok.text.data());
             tok.kind = TokKind::IntLit;
-            tok.text = std::move(text);
-            tokens.push_back(std::move(tok));
+            tok.intVal = static_cast<int64_t>(value);
             continue;
         }
 
@@ -129,66 +263,54 @@ tokenize(const std::string &source)
             ++i;
             if (i >= n)
                 SHIFT_FATAL("line %d: unterminated char literal", line);
-            char v = source[i++];
+            char v = s[i++];
             if (v == '\\') {
                 if (i >= n)
                     SHIFT_FATAL("line %d: unterminated char literal",
                                 line);
-                v = decodeEscape(source[i++], line);
+                v = decodeEscape(s[i++], line);
             }
-            if (i >= n || source[i] != '\'')
+            if (i >= n || s[i] != '\'')
                 SHIFT_FATAL("line %d: unterminated char literal", line);
             ++i;
             tok.kind = TokKind::CharLit;
             tok.intVal = static_cast<unsigned char>(v);
-            tokens.push_back(std::move(tok));
             continue;
         }
 
         if (c == '"') {
             ++i;
-            std::string value;
-            while (i < n && source[i] != '"') {
-                char v = source[i++];
+            while (i < n && s[i] != '"') {
+                char v = s[i++];
                 if (v == '\n')
                     SHIFT_FATAL("line %d: newline in string literal",
                                 line);
                 if (v == '\\') {
                     if (i >= n)
                         break;
-                    v = decodeEscape(source[i++], line);
+                    v = decodeEscape(s[i++], line);
                 }
-                value.push_back(v);
+                tok.strVal.push_back(v);
             }
             if (i >= n)
                 SHIFT_FATAL("line %d: unterminated string literal", line);
             ++i;
             tok.kind = TokKind::StrLit;
-            tok.strVal = std::move(value);
-            tokens.push_back(std::move(tok));
             continue;
         }
 
-        bool matched = false;
-        for (const char *punct : kPuncts) {
-            size_t len = std::char_traits<char>::length(punct);
-            if (source.compare(i, len, punct) == 0) {
-                tok.kind = TokKind::Punct;
-                tok.text = punct;
-                i += len;
-                tokens.push_back(std::move(tok));
-                matched = true;
-                break;
-            }
-        }
-        if (!matched)
+        size_t len = 0;
+        tok.code = punctuator(s + i, len);
+        if (tok.code == Tok::None)
             SHIFT_FATAL("line %d: unexpected character '%c'", line, c);
+        tok.kind = TokKind::Punct;
+        tok.text = std::string_view(s + i, len);
+        i += len;
     }
 
-    Token end;
+    Token &end = tokens.emplace_back();
     end.kind = TokKind::End;
     end.line = line;
-    tokens.push_back(std::move(end));
     return tokens;
 }
 

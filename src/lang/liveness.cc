@@ -1,5 +1,7 @@
 #include "liveness.hh"
 
+#include <algorithm>
+
 #include "support/logging.hh"
 
 namespace shift::minic
@@ -73,47 +75,67 @@ buildCfg(const Function &fn)
 }
 
 Liveness
-computeLiveness(const Function &fn, const Cfg &cfg,
-                bool (*tracked)(int reg))
+computeLiveness(const Function &fn, const Cfg &cfg, int first, int count)
 {
+    Liveness live;
+    live.first = first;
+    live.count = count;
+    size_t words = static_cast<size_t>(count + 63) / 64;
+    live.words = words;
     size_t numBlocks = cfg.numBlocks();
-    std::vector<std::set<int>> use(numBlocks), def(numBlocks);
+
+    auto bitOf = [&](int r) -> int64_t {
+        return r >= first && r - first < count ? r - first : -1;
+    };
+    auto has = [](const uint64_t *set, int64_t k) {
+        return (set[k / 64] >> (k % 64)) & 1;
+    };
+    auto add = [](uint64_t *set, int64_t k) {
+        set[k / 64] |= uint64_t{1} << (k % 64);
+    };
+
+    std::vector<uint64_t> use(numBlocks * words), def(numBlocks * words);
     for (size_t b = 0; b < numBlocks; ++b) {
+        uint64_t *u = use.data() + b * words;
+        uint64_t *d = def.data() + b * words;
         for (size_t i = cfg.blockStart[b]; i < cfg.blockEnd[b]; ++i) {
             const Instr &instr = fn.code[i];
             forEachUse(instr, [&](uint16_t r) {
-                if (tracked(r) && !def[b].count(r))
-                    use[b].insert(r);
+                int64_t k = bitOf(r);
+                if (k >= 0 && !has(d, k))
+                    add(u, k);
             });
-            int d = defReg(instr);
             // A predicated definition may not execute: it does not
             // kill the incoming value.
-            if (d >= 0 && tracked(d) && instr.qp == 0)
-                def[b].insert(d);
+            int64_t k = bitOf(defReg(instr));
+            if (k >= 0 && instr.qp == 0)
+                add(d, k);
         }
     }
 
-    Liveness live;
-    live.liveIn.resize(numBlocks);
-    live.liveOut.resize(numBlocks);
+    live.liveIn.assign(numBlocks * words, 0);
+    live.liveOut.assign(numBlocks * words, 0);
+    std::vector<uint64_t> out(words);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t b = numBlocks; b-- > 0;) {
-            std::set<int> out;
+            std::fill(out.begin(), out.end(), 0);
             for (int s : cfg.succ[b]) {
-                out.insert(live.liveIn[static_cast<size_t>(s)].begin(),
-                           live.liveIn[static_cast<size_t>(s)].end());
+                const uint64_t *in =
+                    live.liveIn.data() + static_cast<size_t>(s) * words;
+                for (size_t w = 0; w < words; ++w)
+                    out[w] |= in[w];
             }
-            std::set<int> in = use[b];
-            for (int v : out) {
-                if (!def[b].count(v))
-                    in.insert(v);
-            }
-            if (out != live.liveOut[b] || in != live.liveIn[b]) {
-                live.liveOut[b] = std::move(out);
-                live.liveIn[b] = std::move(in);
-                changed = true;
+            size_t base = b * words;
+            for (size_t w = 0; w < words; ++w) {
+                uint64_t in = use[base + w] | (out[w] & ~def[base + w]);
+                if (out[w] != live.liveOut[base + w] ||
+                    in != live.liveIn[base + w]) {
+                    live.liveOut[base + w] = out[w];
+                    live.liveIn[base + w] = in;
+                    changed = true;
+                }
             }
         }
     }
@@ -123,8 +145,7 @@ computeLiveness(const Function &fn, const Cfg &cfg,
 bool
 liveAt(const Liveness &live, const Cfg &cfg, size_t target, int reg)
 {
-    int block = cfg.blockOf[target];
-    return live.liveIn[static_cast<size_t>(block)].count(reg) != 0;
+    return live.liveInto(static_cast<size_t>(cfg.blockOf[target]), reg);
 }
 
 } // namespace shift::minic

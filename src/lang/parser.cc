@@ -1,6 +1,6 @@
 #include "parser.hh"
 
-#include <map>
+#include <algorithm>
 
 #include "lang/lexer.hh"
 #include "support/logging.hh"
@@ -11,23 +11,57 @@ namespace shift::minic
 namespace
 {
 
-/** Binary operator precedence (higher binds tighter). */
-const std::map<std::string, int> kBinPrec = {
-    {"*", 10}, {"/", 10}, {"%", 10},
-    {"+", 9}, {"-", 9},
-    {"<<", 8}, {">>", 8},
-    {"<", 7}, {"<=", 7}, {">", 7}, {">=", 7},
-    {"==", 6}, {"!=", 6},
-    {"&", 5},
-    {"^", 4},
-    {"|", 3},
-    {"&&", 2},
-    {"||", 1},
-};
+/** Binary operator precedence (higher binds tighter); 0 for none. */
+int
+binaryPrec(Tok op)
+{
+    switch (op) {
+      case Tok::Star: case Tok::Slash: case Tok::Percent: return 10;
+      case Tok::Plus: case Tok::Minus: return 9;
+      case Tok::Shl: case Tok::Shr: return 8;
+      case Tok::Lt: case Tok::Le: case Tok::Gt: case Tok::Ge: return 7;
+      case Tok::Eq: case Tok::Ne: return 6;
+      case Tok::Amp: return 5;
+      case Tok::Caret: return 4;
+      case Tok::Pipe: return 3;
+      case Tok::AndAnd: return 2;
+      case Tok::OrOr: return 1;
+      default: return 0;
+    }
+}
 
-const char *kAssignOps[] = {
-    "=", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "<<=", ">>=",
-};
+bool
+isAssignOp(Tok op)
+{
+    switch (op) {
+      case Tok::Assign: case Tok::AddAssign: case Tok::SubAssign:
+      case Tok::MulAssign: case Tok::DivAssign: case Tok::ModAssign:
+      case Tok::AndAssign: case Tok::OrAssign: case Tok::XorAssign:
+      case Tok::ShlAssign: case Tok::ShrAssign:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+isPrefixOp(Tok op)
+{
+    switch (op) {
+      case Tok::Minus: case Tok::Bang: case Tok::Tilde: case Tok::Star:
+      case Tok::Amp: case Tok::Inc: case Tok::Dec:
+        return true;
+      default:
+        return false;
+    }
+}
+
+bool
+isTypeKeyword(Tok code)
+{
+    return code == Tok::Void || code == Tok::Char || code == Tok::Int ||
+           code == Tok::Long;
+}
 
 class Parser
 {
@@ -44,7 +78,7 @@ class Parser
             const Type *base = parseBaseType();
             const Type *type = parsePointerSuffix(base);
             std::string name = expectIdent();
-            if (cur().isPunct("(")) {
+            if (cur().is(Tok::LParen)) {
                 bool isPrototype = false;
                 FuncDecl fn = parseFunction(type, name, &isPrototype);
                 // Prototypes are dropped: name resolution is two-pass,
@@ -70,15 +104,67 @@ class Parser
     [[noreturn]] void
     error(const std::string &msg)
     {
-        SHIFT_FATAL("parse error at line %d: %s (near '%s')", cur().line,
-                    msg.c_str(), cur().text.c_str());
+        SHIFT_FATAL("parse error at line %d: %s (near '%.*s')", cur().line,
+                    msg.c_str(), static_cast<int>(cur().text.size()),
+                    cur().text.data());
+    }
+
+    [[noreturn]] void
+    tooDeep()
+    {
+        SHIFT_FATAL("parse error at line %d: expression nested too deeply",
+                    cur().line);
+    }
+
+    /**
+     * One more level of nesting while it lives: a statement, an
+     * expression's root, or an operand the parser reaches by
+     * recursion. Past kMaxNesting levels the parse fails, before the
+     * recursion can exhaust the stack.
+     */
+    class Nested
+    {
+      public:
+        explicit Nested(Parser &parser) : parser_(parser)
+        {
+            if (++parser_.depth_ > kMaxNesting)
+                parser_.tooDeep();
+        }
+        ~Nested() { --parser_.depth_; }
+        Nested(const Nested &) = delete;
+        Nested &operator=(const Nested &) = delete;
+
+      private:
+        Parser &parser_;
+    };
+
+    /**
+     * `e` with its operands attached: set its height, and fail when
+     * its deepest leaf would sit past kMaxNesting. depth_ is the level
+     * `e` sits at, or less inside an operator chain, where the check
+     * at the chain's top node is the exact one.
+     */
+    ExprPtr
+    sealed(ExprPtr e)
+    {
+        int below = 0;
+        for (const ExprPtr *sub : {&e->a, &e->b, &e->c}) {
+            if (*sub)
+                below = std::max<int>(below, (*sub)->height);
+        }
+        for (const ExprPtr &arg : e->args)
+            below = std::max<int>(below, arg->height);
+        if (depth_ + below > kMaxNesting)
+            tooDeep();
+        e->height = static_cast<uint16_t>(below + 1);
+        return e;
     }
 
     void
-    expectPunct(const char *p)
+    expect(Tok code)
     {
-        if (!cur().isPunct(p))
-            error(std::string("expected '") + p + "'");
+        if (!cur().is(code))
+            error(std::string("expected '") + tokSpelling(code) + "'");
         advance();
     }
 
@@ -87,32 +173,32 @@ class Parser
     {
         if (!cur().is(TokKind::Ident))
             error("expected identifier");
-        std::string name = cur().text;
+        std::string name(cur().text);
         advance();
         return name;
     }
 
-    bool
-    atTypeKeyword() const
-    {
-        return cur().isKeyword("void") || cur().isKeyword("char") ||
-               cur().isKeyword("int") || cur().isKeyword("long");
-    }
+    bool atTypeKeyword() const { return isTypeKeyword(cur().code); }
 
     const Type *
     parseBaseType()
     {
-        if (cur().isKeyword("void")) { advance(); return pool_.voidType(); }
-        if (cur().isKeyword("char")) { advance(); return pool_.charType(); }
-        if (cur().isKeyword("int")) { advance(); return pool_.intType(); }
-        if (cur().isKeyword("long")) { advance(); return pool_.longType(); }
-        error("expected a type");
+        const Type *type = nullptr;
+        switch (cur().code) {
+          case Tok::Void: type = pool_.voidType(); break;
+          case Tok::Char: type = pool_.charType(); break;
+          case Tok::Int: type = pool_.intType(); break;
+          case Tok::Long: type = pool_.longType(); break;
+          default: error("expected a type");
+        }
+        advance();
+        return type;
     }
 
     const Type *
     parsePointerSuffix(const Type *type)
     {
-        while (cur().isPunct("*")) {
+        while (cur().is(Tok::Star)) {
             advance();
             type = pool_.ptr(type);
         }
@@ -129,10 +215,10 @@ class Parser
         fn.name = name;
         fn.retType = retType;
         fn.line = cur().line;
-        expectPunct("(");
-        if (!cur().isPunct(")")) {
+        expect(Tok::LParen);
+        if (!cur().is(Tok::RParen)) {
             for (;;) {
-                if (cur().isKeyword("void") && peek().isPunct(")")) {
+                if (cur().is(Tok::Void) && peek().is(Tok::RParen)) {
                     advance();
                     break;
                 }
@@ -140,13 +226,13 @@ class Parser
                 param.type = parsePointerSuffix(parseBaseType());
                 param.name = expectIdent();
                 fn.params.push_back(std::move(param));
-                if (!cur().isPunct(","))
+                if (!cur().is(Tok::Comma))
                     break;
                 advance();
             }
         }
-        expectPunct(")");
-        if (isPrototype && cur().isPunct(";")) {
+        expect(Tok::RParen);
+        if (isPrototype && cur().is(Tok::Semi)) {
             advance();
             *isPrototype = true;
             return fn;
@@ -162,11 +248,11 @@ class Parser
         g.name = name;
         g.line = cur().line;
         g.type = parseArraySuffix(type);
-        if (cur().isPunct("=")) {
+        if (cur().is(Tok::Assign)) {
             advance();
             g.init = parseAssignExpr();
         }
-        expectPunct(";");
+        expect(Tok::Semi);
         return g;
     }
 
@@ -175,13 +261,13 @@ class Parser
     {
         // Multi-dimensional arrays read inner-to-outer; MiniC supports
         // one dimension, which covers all workloads.
-        if (cur().isPunct("[")) {
+        if (cur().is(Tok::LBracket)) {
             advance();
             if (!cur().is(TokKind::IntLit))
                 error("array bound must be an integer literal");
             uint64_t count = static_cast<uint64_t>(cur().intVal);
             advance();
-            expectPunct("]");
+            expect(Tok::RBracket);
             type = pool_.array(type, count);
         }
         return type;
@@ -192,16 +278,16 @@ class Parser
     StmtPtr
     parseBlock()
     {
-        expectPunct("{");
+        expect(Tok::LBrace);
         auto block = std::make_unique<Stmt>();
         block->kind = StmtKind::Block;
         block->line = cur().line;
-        while (!cur().isPunct("}")) {
+        while (!cur().is(Tok::RBrace)) {
             if (cur().is(TokKind::End))
                 error("unterminated block");
             block->body.push_back(parseStatement());
         }
-        expectPunct("}");
+        expect(Tok::RBrace);
         return block;
     }
 
@@ -214,19 +300,20 @@ class Parser
         const Type *type = parsePointerSuffix(parseBaseType());
         stmt->name = expectIdent();
         stmt->varType = parseArraySuffix(type);
-        if (cur().isPunct("=")) {
+        if (cur().is(Tok::Assign)) {
             advance();
             stmt->value = parseAssignExpr();
         }
-        expectPunct(";");
+        expect(Tok::Semi);
         return stmt;
     }
 
     StmtPtr
     parseStatement()
     {
+        Nested level(*this);
         int line = cur().line;
-        if (cur().isPunct("{"))
+        if (cur().is(Tok::LBrace))
             return parseBlock();
         if (atTypeKeyword())
             return parseVarDecl();
@@ -234,75 +321,74 @@ class Parser
         auto stmt = std::make_unique<Stmt>();
         stmt->line = line;
 
-        if (cur().isKeyword("if")) {
+        switch (cur().code) {
+          case Tok::If:
             advance();
             stmt->kind = StmtKind::If;
-            expectPunct("(");
+            expect(Tok::LParen);
             stmt->value = parseExpr();
-            expectPunct(")");
+            expect(Tok::RParen);
             stmt->then = parseStatement();
-            if (cur().isKeyword("else")) {
+            if (cur().is(Tok::Else)) {
                 advance();
                 stmt->otherwise = parseStatement();
             }
             return stmt;
-        }
-        if (cur().isKeyword("while")) {
+          case Tok::While:
             advance();
             stmt->kind = StmtKind::While;
-            expectPunct("(");
+            expect(Tok::LParen);
             stmt->value = parseExpr();
-            expectPunct(")");
+            expect(Tok::RParen);
             stmt->body0 = parseStatement();
             return stmt;
-        }
-        if (cur().isKeyword("for")) {
+          case Tok::For:
             advance();
             stmt->kind = StmtKind::For;
-            expectPunct("(");
-            if (!cur().isPunct(";")) {
-                if (atTypeKeyword())
+            expect(Tok::LParen);
+            if (!cur().is(Tok::Semi)) {
+                if (atTypeKeyword()) {
+                    Nested decl(*this);
                     stmt->declInit = parseVarDecl(); // consumes ';'
-                else {
+                } else {
                     stmt->init = parseExpr();
-                    expectPunct(";");
+                    expect(Tok::Semi);
                 }
             } else {
-                expectPunct(";");
+                expect(Tok::Semi);
             }
-            if (!cur().isPunct(";"))
+            if (!cur().is(Tok::Semi))
                 stmt->value = parseExpr();
-            expectPunct(";");
-            if (!cur().isPunct(")"))
+            expect(Tok::Semi);
+            if (!cur().is(Tok::RParen))
                 stmt->step = parseExpr();
-            expectPunct(")");
+            expect(Tok::RParen);
             stmt->body0 = parseStatement();
             return stmt;
-        }
-        if (cur().isKeyword("return")) {
+          case Tok::Return:
             advance();
             stmt->kind = StmtKind::Return;
-            if (!cur().isPunct(";"))
+            if (!cur().is(Tok::Semi))
                 stmt->value = parseExpr();
-            expectPunct(";");
+            expect(Tok::Semi);
             return stmt;
-        }
-        if (cur().isKeyword("break")) {
+          case Tok::Break:
             advance();
             stmt->kind = StmtKind::Break;
-            expectPunct(";");
+            expect(Tok::Semi);
             return stmt;
-        }
-        if (cur().isKeyword("continue")) {
+          case Tok::Continue:
             advance();
             stmt->kind = StmtKind::Continue;
-            expectPunct(";");
+            expect(Tok::Semi);
             return stmt;
+          default:
+            break;
         }
 
         stmt->kind = StmtKind::ExprStmt;
         stmt->value = parseExpr();
-        expectPunct(";");
+        expect(Tok::Semi);
         return stmt;
     }
 
@@ -326,34 +412,34 @@ class Parser
     ExprPtr
     parseAssignExpr()
     {
+        Nested level(*this);
         ExprPtr lhs = parseCondExpr();
-        for (const char *op : kAssignOps) {
-            if (cur().isPunct(op)) {
-                auto e = makeExpr(ExprKind::Assign);
-                e->op = op;
-                advance();
-                e->a = std::move(lhs);
-                e->b = parseAssignExpr(); // right-associative
-                return e;
-            }
-        }
-        return lhs;
+        if (!isAssignOp(cur().code))
+            return lhs;
+        auto e = makeExpr(ExprKind::Assign);
+        e->op = cur().code;
+        advance();
+        e->a = std::move(lhs);
+        e->b = parseAssignExpr(); // right-associative
+        return sealed(std::move(e));
     }
 
     ExprPtr
     parseCondExpr()
     {
         ExprPtr cond = parseBinaryExpr(1);
-        if (cur().isPunct("?")) {
-            auto e = makeExpr(ExprKind::Cond);
-            advance();
-            e->a = std::move(cond);
-            e->b = parseExpr();
-            expectPunct(":");
+        if (!cur().is(Tok::Question))
+            return cond;
+        auto e = makeExpr(ExprKind::Cond);
+        advance();
+        e->a = std::move(cond);
+        e->b = parseExpr();
+        expect(Tok::Colon);
+        {
+            Nested operand(*this);
             e->c = parseCondExpr();
-            return e;
         }
-        return cond;
+        return sealed(std::move(e));
     }
 
     ExprPtr
@@ -361,19 +447,17 @@ class Parser
     {
         ExprPtr lhs = parseUnaryExpr();
         for (;;) {
-            if (!cur().is(TokKind::Punct))
+            // Assignment operators have no precedence here: the caller
+            // handles them.
+            int prec = binaryPrec(cur().code);
+            if (prec == 0 || prec < minPrec)
                 break;
-            auto it = kBinPrec.find(cur().text);
-            if (it == kBinPrec.end() || it->second < minPrec)
-                break;
-            // Don't greedily eat '=' family here: handled by caller.
             auto e = makeExpr(ExprKind::Binary);
-            e->op = cur().text;
-            int prec = it->second;
+            e->op = cur().code;
             advance();
             e->a = std::move(lhs);
             e->b = parseBinaryExpr(prec + 1);
-            lhs = std::move(e);
+            lhs = sealed(std::move(e));
         }
         return lhs;
     }
@@ -381,33 +465,27 @@ class Parser
     ExprPtr
     parseUnaryExpr()
     {
-        static const char *kUnaryOps[] = {"-", "!", "~", "*", "&"};
-        for (const char *op : kUnaryOps) {
-            if (cur().isPunct(op)) {
-                auto e = makeExpr(ExprKind::Unary);
-                e->op = op;
-                advance();
-                e->a = parseUnaryExpr();
-                return e;
-            }
-        }
-        if (cur().isPunct("++") || cur().isPunct("--")) {
+        if (isPrefixOp(cur().code)) {
             auto e = makeExpr(ExprKind::Unary);
-            e->op = cur().text;
+            e->op = cur().code;
             advance();
-            e->a = parseUnaryExpr();
-            return e;
+            {
+                Nested operand(*this);
+                e->a = parseUnaryExpr();
+            }
+            return sealed(std::move(e));
         }
         // Cast: '(' type-keyword ... ')'.
-        if (cur().isPunct("(") && peek().is(TokKind::Keyword) &&
-            (peek().isKeyword("void") || peek().isKeyword("char") ||
-             peek().isKeyword("int") || peek().isKeyword("long"))) {
+        if (cur().is(Tok::LParen) && isTypeKeyword(peek().code)) {
             auto e = makeExpr(ExprKind::Cast);
             advance();
             e->castType = parsePointerSuffix(parseBaseType());
-            expectPunct(")");
-            e->a = parseUnaryExpr();
-            return e;
+            expect(Tok::RParen);
+            {
+                Nested operand(*this);
+                e->a = parseUnaryExpr();
+            }
+            return sealed(std::move(e));
         }
         return parsePostfixExpr();
     }
@@ -417,19 +495,19 @@ class Parser
     {
         ExprPtr e = parsePrimaryExpr();
         for (;;) {
-            if (cur().isPunct("[")) {
+            if (cur().is(Tok::LBracket)) {
                 auto idx = makeExpr(ExprKind::Index);
                 advance();
                 idx->a = std::move(e);
                 idx->b = parseExpr();
-                expectPunct("]");
-                e = std::move(idx);
-            } else if (cur().isPunct("++") || cur().isPunct("--")) {
+                expect(Tok::RBracket);
+                e = sealed(std::move(idx));
+            } else if (cur().is(Tok::Inc) || cur().is(Tok::Dec)) {
                 auto post = makeExpr(ExprKind::Postfix);
-                post->op = cur().text;
+                post->op = cur().code;
                 advance();
                 post->a = std::move(e);
-                e = std::move(post);
+                e = sealed(std::move(post));
             } else {
                 break;
             }
@@ -455,34 +533,35 @@ class Parser
             }
             return e;
         }
-        if (cur().isPunct("(")) {
+        if (cur().is(Tok::LParen)) {
             advance();
             ExprPtr e = parseExpr();
-            expectPunct(")");
+            expect(Tok::RParen);
+            ++e->height; // the parentheses are a level of their own
             return e;
         }
         if (cur().is(TokKind::Ident)) {
-            std::string name = cur().text;
+            std::string name(cur().text);
             int line = cur().line;
             advance();
-            if (cur().isPunct("(")) {
+            if (cur().is(Tok::LParen)) {
                 auto call = makeExpr(ExprKind::Call);
-                call->name = name;
+                call->name = std::move(name);
                 call->line = line;
                 advance();
-                if (!cur().isPunct(")")) {
+                if (!cur().is(Tok::RParen)) {
                     for (;;) {
                         call->args.push_back(parseAssignExpr());
-                        if (!cur().isPunct(","))
+                        if (!cur().is(Tok::Comma))
                             break;
                         advance();
                     }
                 }
-                expectPunct(")");
-                return call;
+                expect(Tok::RParen);
+                return sealed(std::move(call));
             }
             auto e = makeExpr(ExprKind::Ident);
-            e->name = name;
+            e->name = std::move(name);
             e->line = line;
             return e;
         }
@@ -492,6 +571,7 @@ class Parser
     std::vector<Token> tokens_;
     size_t pos_ = 0;
     TypePool &pool_;
+    int depth_ = 0; ///< levels of nesting around the current construct
 };
 
 } // namespace

@@ -3,8 +3,7 @@
 #include "lang/liveness.hh"
 
 #include <algorithm>
-#include <map>
-#include <set>
+#include <bit>
 #include <vector>
 
 #include "support/logging.hh"
@@ -49,10 +48,7 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
 
     Cfg cfg = buildCfg(fn);
     size_t numBlocks = cfg.numBlocks();
-    Liveness live = computeLiveness(
-        fn, cfg, [](int r) { return r >= kFirstVreg; });
-    const auto &liveIn = live.liveIn;
-    const auto &liveOut = live.liveOut;
+    Liveness live = computeLiveness(fn, cfg, kFirstVreg, numVregs);
 
     // Conservative [min, max] live intervals.
     std::vector<Interval> ivals(static_cast<size_t>(numVregs));
@@ -76,10 +72,12 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
             if (d >= 0 && isVreg(d))
                 extend(d, static_cast<int>(i));
         }
-        for (int v : liveIn[b])
+        live.forEachLiveIn(b, [&](int v) {
             extend(v, static_cast<int>(cfg.blockStart[b]));
-        for (int v : liveOut[b])
+        });
+        live.forEachLiveOut(b, [&](int v) {
             extend(v, static_cast<int>(cfg.blockEnd[b]) - 1);
+        });
     }
 
     // Linear scan (Poletto & Sarkar).
@@ -135,18 +133,25 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
     }
 
     // Frame layout: [objects][spill slots][unat][saved registers].
-    std::set<int> usedRegs;
+    // Bit r of usedRegs is set when pool register r is handed out;
+    // registers are saved lowest first.
+    uint64_t usedRegs = 0;
     for (const Interval &iv : ivals) {
         if (iv.reg >= 0)
-            usedRegs.insert(iv.reg);
+            usedRegs |= uint64_t{1} << iv.reg;
     }
+    auto forEachUsedReg = [&](auto fn) {
+        for (uint64_t bits = usedRegs; bits; bits &= bits - 1)
+            fn(std::countr_zero(bits));
+    };
     uint64_t spillBase = (info.objectBytes + 7) & ~7ULL;
     uint64_t unatSlot = spillBase + 8ULL * static_cast<uint64_t>(nextSlot);
     uint64_t saveBase = unatSlot + 8;
-    uint64_t frameSize = saveBase + 8ULL * usedRegs.size();
+    uint64_t frameSize =
+        saveBase + 8ULL * static_cast<uint64_t>(std::popcount(usedRegs));
     frameSize = (frameSize + 15) & ~15ULL;
     bool needFrame = frameSize > 0 &&
-                     (info.objectBytes || nextSlot || !usedRegs.empty());
+                     (info.objectBytes || nextSlot || usedRegs != 0);
     stats.frameSize = needFrame ? frameSize : 0;
 
     auto slotOffset = [&](int slot) {
@@ -250,7 +255,7 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
     }
     {
         int i = 0;
-        for (int r : usedRegs) {
+        forEachUsedReg([&](int r) {
             prologue.push_back(makeAluImm(
                 Opcode::Add, kScratchB, reg::sp,
                 static_cast<int64_t>(saveBase) + 8 * i));
@@ -258,7 +263,7 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
             save.spill = true;
             prologue.push_back(save);
             ++i;
-        }
+        });
     }
     fn.code.insert(fn.code.begin(), prologue.begin(), prologue.end());
 
@@ -269,7 +274,7 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
     std::vector<Instr> epilogue;
     {
         int i = 0;
-        for (int r : usedRegs) {
+        forEachUsedReg([&](int r) {
             epilogue.push_back(makeAluImm(
                 Opcode::Add, kScratchB, reg::sp,
                 static_cast<int64_t>(saveBase) + 8 * i));
@@ -277,7 +282,7 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
             load.fill = true;
             epilogue.push_back(load);
             ++i;
-        }
+        });
     }
     {
         epilogue.push_back(makeAluImm(Opcode::Add, kScratchB, reg::sp,

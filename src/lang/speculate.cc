@@ -89,8 +89,7 @@ class FunctionSpeculator
     transformOne()
     {
         Cfg cfg = buildCfg(fn_);
-        Liveness live = computeLiveness(fn_, cfg,
-                                        [](int r) { return r > 0; });
+        Liveness live = computeLiveness(fn_, cfg, 1, kNumGpr - 1);
         countLabelRefs();
 
         for (size_t b = 0; b < cfg.numBlocks(); ++b) {

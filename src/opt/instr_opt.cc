@@ -760,9 +760,27 @@ class FunctionOptimizer
         return st;
     }
 
+    /** True when some position of the function starts a byte unit. */
+    bool
+    hasByteUnit() const
+    {
+        const std::vector<Instr> &code = fn_.code;
+        int r = 0;
+        for (size_t i = 0; i < code.size(); ++i) {
+            if (matchByteCheck(code, i, &r) || matchByteUpdate(code, i, &r))
+                return true;
+        }
+        return false;
+    }
+
     void
     narrowAlignedAccesses()
     {
+        // Narrowing deletes only inside a byte check or byte update
+        // unit, and word granularity emits neither, so skip the CFG
+        // and the fixpoint where no unit exists.
+        if (!hasByteUnit())
+            return;
         std::vector<Instr> &code = fn_.code;
         Cfg cfg;
         cfg.build(code);

@@ -104,12 +104,14 @@ buildProgram(const std::vector<std::string> &sources,
              std::shared_ptr<const DecodedProgram> &decodedLibc)
 {
     // 1. Compile the application and link it against the MiniC libc,
-    // which is compiled once per process (prebuiltStdlib()).
+    // which is compiled once per process (prebuiltStdlib()). The
+    // program holds only its own functions until step 2 puts libc in
+    // front of them.
     Program program = [&] {
         obs::ScopedPhase span(obs::Phase::Compile);
         if (!options.includeStdlib)
             return minic::compileProgram(sources);
-        return minic::compileProgram(sources, prebuiltStdlib());
+        return minic::compileAgainst(sources, prebuiltStdlib());
     }();
 
     // Async-tier option screening happens here so Session and
@@ -148,25 +150,26 @@ buildProgram(const std::vector<std::string> &sources,
 
     // 2. Track the program's own functions, and put the libc in front
     // of them as tracked and decoded once per configuration
-    // (trackedStdlib()). With tracking off and no speculation no pass
-    // changes anything, and the libc entry saves the decode.
-    size_t libcSize =
-        options.includeStdlib ? prebuiltStdlib().functions.size() : 0;
-    auto ownBegin = program.functions.begin() + static_cast<long>(libcSize);
-    std::vector<Function> ownCode(
-        std::make_move_iterator(ownBegin),
-        std::make_move_iterator(program.functions.end()));
-    program.functions.erase(ownBegin, program.functions.end());
-    TrackedCode own = track(std::move(ownCode), program.entry, options);
+    // (trackedStdlib()): the only copy of libc a Session makes. With
+    // tracking off and no speculation no pass changes anything, and
+    // the libc entry saves the decode.
+    TrackedCode own = track(std::move(program.functions), program.entry,
+                            options);
     static const TrackedCode kNoLibc;
     const TrackedCode &prefix =
-        libcSize == 0 ? kNoLibc
-                      : trackedStdlib(options, program.entry, [&] {
-                            return track(std::move(program.functions),
-                                         program.entry, options);
-                        });
+        !options.includeStdlib
+            ? kNoLibc
+            : trackedStdlib(options, program.entry, [&] {
+                  return track(prebuiltStdlib().functions, program.entry,
+                               options);
+              });
 
-    program.functions = prefix.functions;
+    program.functions.clear();
+    program.functions.reserve(prefix.functions.size() +
+                              own.functions.size());
+    program.functions.insert(program.functions.end(),
+                             prefix.functions.begin(),
+                             prefix.functions.end());
     program.functions.insert(program.functions.end(),
                              std::make_move_iterator(own.functions.begin()),
                              std::make_move_iterator(own.functions.end()));

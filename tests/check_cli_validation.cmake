@@ -212,6 +212,16 @@ file(WRITE ${bad_source} "int main() {\n    return 1 1;\n}\n")
 expect_usage_error("line 2:"
     ${SHIFTC} ${bad_source})
 
+# Code nested past the parser's bound (docs/MINIC.md) is one clean
+# compile error, not a stack overflow: 20,000 nested parentheses.
+set(deep_source ${CMAKE_CURRENT_BINARY_DIR}/cli_validation_deep.mc)
+string(REPEAT "(" 20000 deep_open)
+string(REPEAT ")" 20000 deep_close)
+file(WRITE ${deep_source}
+    "int main() { return ${deep_open}1${deep_close}; }\n")
+expect_usage_error("^shiftc: parse error at line 1: expression nested too deeply[^\n]*\n$"
+    ${SHIFTC} ${deep_source})
+
 if(failures GREATER 0)
     message(FATAL_ERROR "${failures} CLI validation case(s) failed")
 endif()

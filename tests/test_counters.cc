@@ -19,7 +19,8 @@
  *  - profiler: prof.samples at `shift` with the profiler on, and no
  *    prof.* key with it off.
  *
- * Two more tests count without a run table: the instructions the
+ * Three more tests count without a run table: the compiled code
+ * itself (its size and a hash of every field), the instructions the
  * instrumenter adds and the optimizer removes (static sizes), and a
  * small httpd fleet's snapshot and copy-on-write pages.
  *
@@ -40,8 +41,10 @@
 #include <string>
 #include <vector>
 
+#include "lang/compiler.hh"
 #include "obs/trace.hh"
 #include "perfbench_programs.hh"
+#include "runtime/minic_stdlib.hh"
 #include "runtime/session_template.hh"
 #include "svc/fleet.hh"
 
@@ -188,6 +191,100 @@ rowName(const testing::TestParamInfo<Row> &info)
 
 INSTANTIATE_TEST_SUITE_P(Rows, PerfCounters, testing::ValuesIn(kRows),
                          rowName);
+
+/** 64-bit FNV-1a over a field-by-field serialization. */
+class Fingerprint
+{
+  public:
+    uint64_t hash = 14'695'981'039'346'656'037ULL;
+
+    /** Any integer or enum field, as 8 little-endian bytes. */
+    template <typename T>
+    void
+    num(T value)
+    {
+        uint64_t v = static_cast<uint64_t>(value);
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<uint8_t>(v >> (8 * i)));
+    }
+
+    void
+    bytes(const uint8_t *data, size_t n)
+    {
+        num(n);
+        for (size_t i = 0; i < n; ++i)
+            byte(data[i]);
+    }
+
+    void
+    text(const std::string &s)
+    {
+        bytes(reinterpret_cast<const uint8_t *>(s.data()), s.size());
+    }
+
+    void
+    function(const Function &fn)
+    {
+        text(fn.name);
+        num(fn.nextLabel);
+        num(fn.code.size());
+        for (const Instr &in : fn.code) {
+            num(in.op); num(in.qp); num(in.r1); num(in.r2); num(in.r3);
+            num(in.useImm); num(in.imm); num(in.p1); num(in.p2);
+            num(in.br); num(in.rel); num(in.size); num(in.pos);
+            num(in.len); num(in.spec); num(in.fill); num(in.spill);
+            text(in.callee); num(in.prov); num(in.origClass);
+        }
+    }
+
+    void
+    global(const GlobalDef &g)
+    {
+        text(g.name);
+        num(g.size);
+        bytes(g.init.data(), g.init.size());
+    }
+
+  private:
+    void
+    byte(uint8_t b)
+    {
+        hash ^= b;
+        hash *= 1'099'511'628'211ULL;
+    }
+};
+
+/**
+ * The front end's output: each of the 25 programs compiled and linked
+ * against the prebuilt libc, and the libc's own unlinked functions.
+ * Σ static instructions and one hash over every function name,
+ * nextLabel, Instr field and global. Compiled code that changes in
+ * any field moves the hash.
+ */
+TEST(CompiledCode, FingerprintIsExact)
+{
+    std::vector<PerfbenchProgram> programs = testutil::perfbenchPrograms();
+    ASSERT_EQ(programs.size(), 25u);
+    Fingerprint fp;
+    uint64_t instrs = 0;
+    for (const PerfbenchProgram &p : programs) {
+        Program program = minic::compileProgram(
+            std::vector<std::string>{p.source}, prebuiltStdlib());
+        instrs += program.staticInstrCount();
+        fp.num(program.functions.size());
+        for (const Function &fn : program.functions)
+            fp.function(fn);
+        fp.num(program.globals.size());
+        for (const GlobalDef &g : program.globals)
+            fp.global(g);
+    }
+    for (const Function &fn : prebuiltStdlib().functions) {
+        instrs += Program::staticInstrCount(fn);
+        fp.function(fn);
+    }
+    EXPECT_EQ(instrs, 34'956u);
+    EXPECT_EQ(fp.hash, 0xc0d4'013d'd00f'cbd1ULL);
+}
 
 /**
  * Static code size: Σ over the 25 programs of the instructions the

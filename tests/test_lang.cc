@@ -8,6 +8,7 @@
 
 #include "lang/compiler.hh"
 #include "lang/lexer.hh"
+#include "lang/parser.hh"
 #include "sim/machine.hh"
 #include "support/logging.hh"
 
@@ -30,26 +31,70 @@ runProgram(const std::string &source)
     return result.exitCode;
 }
 
+/** The spelling of each of `source`'s tokens, End excluded. */
+std::vector<std::string>
+spellings(const std::string &source)
+{
+    std::vector<std::string> out;
+    for (const minic::Token &tok : minic::tokenize(source)) {
+        if (!tok.is(minic::TokKind::End))
+            out.emplace_back(tok.text);
+    }
+    return out;
+}
+
+/** The FatalError message `fn` throws; empty when it throws none. */
+template <typename F>
+std::string
+fatalMessage(F fn)
+{
+    try {
+        fn();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    return "";
+}
+
+std::string
+lexError(const std::string &source)
+{
+    return fatalMessage([&] { minic::tokenize(source); });
+}
+
+std::string
+compileError(const std::string &source)
+{
+    return fatalMessage([&] { minic::compileProgram(source); });
+}
+
+using Words = std::vector<std::string>;
+
 TEST(Lexer, TokenKinds)
 {
-    auto toks = minic::tokenize("int x = 42; // comment\nchar *s;");
+    const std::string source = "int x = 42; // comment\nchar *s;";
+    auto toks = minic::tokenize(source);
     ASSERT_GE(toks.size(), 9u);
-    EXPECT_TRUE(toks[0].isKeyword("int"));
+    EXPECT_TRUE(toks[0].is(minic::TokKind::Keyword));
+    EXPECT_TRUE(toks[0].is(minic::Tok::Int));
     EXPECT_EQ(toks[1].text, "x");
-    EXPECT_TRUE(toks[2].isPunct("="));
+    EXPECT_TRUE(toks[2].is(minic::TokKind::Punct));
+    EXPECT_TRUE(toks[2].is(minic::Tok::Assign));
     EXPECT_EQ(toks[3].intVal, 42);
 }
 
 TEST(Lexer, StringEscapes)
 {
-    auto toks = minic::tokenize("\"a\\n\\t\\\\\\\"b\"");
+    const std::string source = "\"a\\n\\t\\\\\\\"b\"";
+    auto toks = minic::tokenize(source);
     ASSERT_EQ(toks[0].kind, minic::TokKind::StrLit);
     EXPECT_EQ(toks[0].strVal, "a\n\t\\\"b");
 }
 
 TEST(Lexer, CharLiterals)
 {
-    auto toks = minic::tokenize("'A' '\\n' '\\0'");
+    const std::string source = "'A' '\\n' '\\0'";
+    auto toks = minic::tokenize(source);
     EXPECT_EQ(toks[0].intVal, 'A');
     EXPECT_EQ(toks[1].intVal, '\n');
     EXPECT_EQ(toks[2].intVal, 0);
@@ -57,15 +102,185 @@ TEST(Lexer, CharLiterals)
 
 TEST(Lexer, HexLiterals)
 {
-    auto toks = minic::tokenize("0xFF 0x10");
+    const std::string source = "0xFF 0x10";
+    auto toks = minic::tokenize(source);
     EXPECT_EQ(toks[0].intVal, 255);
     EXPECT_EQ(toks[1].intVal, 16);
 }
 
+TEST(Lexer, EveryPunctuatorAloneAndInRuns)
+{
+    using minic::Tok;
+    for (int c = static_cast<int>(Tok::ShlAssign);
+         c <= static_cast<int>(Tok::Colon); ++c) {
+        Tok code = static_cast<Tok>(c);
+        const std::string source = minic::tokSpelling(code);
+        auto toks = minic::tokenize(source);
+        ASSERT_EQ(toks.size(), 2u) << source;
+        EXPECT_TRUE(toks[0].is(minic::TokKind::Punct)) << source;
+        EXPECT_TRUE(toks[0].is(code)) << source;
+        EXPECT_EQ(toks[0].text, source);
+    }
+    // Runs split longest match first.
+    EXPECT_EQ(spellings("a<<=b"), (Words{"a", "<<=", "b"}));
+    EXPECT_EQ(spellings("x---y"), (Words{"x", "--", "-", "y"}));
+    EXPECT_EQ(spellings("a&&!b"), (Words{"a", "&&", "!", "b"}));
+    EXPECT_EQ(spellings("p+++q"), (Words{"p", "++", "+", "q"}));
+    EXPECT_EQ(spellings("a-=-b"), (Words{"a", "-=", "-", "b"}));
+    EXPECT_EQ(spellings("<<<="), (Words{"<<", "<="}));
+    EXPECT_EQ(spellings("a>>=b>>c>=d>e"),
+              (Words{"a", ">>=", "b", ">>", "c", ">=", "d", ">", "e"}));
+    EXPECT_EQ(spellings("i<=j<k==l!=m=n"),
+              (Words{"i", "<=", "j", "<", "k", "==", "l", "!=", "m", "=",
+                     "n"}));
+    EXPECT_EQ(spellings("a&=b&c|=d||e|f"),
+              (Words{"a", "&=", "b", "&", "c", "|=", "d", "||", "e", "|",
+                     "f"}));
+    EXPECT_EQ(spellings("*p*=2/3/=4%5%=6^7^=8~9"),
+              (Words{"*", "p", "*=", "2", "/", "3", "/=", "4", "%", "5",
+                     "%=", "6", "^", "7", "^=", "8", "~", "9"}));
+    EXPECT_EQ(spellings("f(a[1],{b};c?d:e)"),
+              (Words{"f", "(", "a", "[", "1", "]", ",", "{", "b", "}", ";",
+                     "c", "?", "d", ":", "e", ")"}));
+}
+
+TEST(Lexer, KeywordsEndAtIdentifierBoundaries)
+{
+    using minic::Tok;
+    for (int c = static_cast<int>(Tok::Void);
+         c <= static_cast<int>(Tok::Continue); ++c) {
+        Tok code = static_cast<Tok>(c);
+        const std::string source = minic::tokSpelling(code);
+        auto toks = minic::tokenize(source);
+        ASSERT_EQ(toks.size(), 2u) << source;
+        EXPECT_TRUE(toks[0].is(minic::TokKind::Keyword)) << source;
+        EXPECT_TRUE(toks[0].is(code)) << source;
+    }
+    for (const std::string word :
+         {"iff", "int_x", "returned", "_while", "longer", "elsewhere",
+          "chars", "voids", "fo", "breaks", "continue2", "If", "INT"}) {
+        auto toks = minic::tokenize(word);
+        ASSERT_EQ(toks.size(), 2u) << word;
+        EXPECT_TRUE(toks[0].is(minic::TokKind::Ident)) << word;
+        EXPECT_TRUE(toks[0].is(Tok::None)) << word;
+        EXPECT_EQ(toks[0].text, word);
+    }
+    EXPECT_EQ(spellings("if(x)return-1;else{}"),
+              (Words{"if", "(", "x", ")", "return", "-", "1", ";", "else",
+                     "{", "}"}));
+}
+
+TEST(Lexer, LinesCountThroughBlockComments)
+{
+    const std::string source = "a /* one\ntwo\n\nthree */ b\n// x\nc";
+    auto toks = minic::tokenize(source);
+    ASSERT_EQ(toks.size(), 4u);
+    EXPECT_EQ(toks[0].line, 1);
+    EXPECT_EQ(toks[1].line, 4);
+    EXPECT_EQ(toks[2].line, 6);
+    EXPECT_EQ(toks[3].line, 6);
+    EXPECT_NE(compileError("int main() {\n/* a\n b\n*/ return 1 1;\n}\n")
+                  .find("parse error at line 4: expected ';' (near '1')"),
+              std::string::npos);
+}
+
 TEST(Lexer, RejectsBadInput)
 {
-    EXPECT_THROW(minic::tokenize("int @"), FatalError);
-    EXPECT_THROW(minic::tokenize("\"unterminated"), FatalError);
+    EXPECT_NE(lexError("int @").find("line 1: unexpected character '@'"),
+              std::string::npos);
+    EXPECT_NE(lexError("\"unterminated").find("unterminated string"),
+              std::string::npos);
+    // An integer literal converts whole, and 0x needs a digit after it.
+    EXPECT_NE(lexError("int x = 12ab;")
+                  .find("line 1: bad integer literal '12ab'"),
+              std::string::npos);
+    EXPECT_NE(lexError("\nreturn 0x;")
+                  .find("line 2: bad integer literal '0x'"),
+              std::string::npos);
+    EXPECT_NE(lexError("0x1g").find("line 1: bad integer literal '0x1g'"),
+              std::string::npos);
+    EXPECT_NE(lexError("99999999999999999999")
+                  .find("bad integer literal '99999999999999999999'"),
+              std::string::npos);
+    const std::string max = "0xffffffffffffffff 18446744073709551615";
+    auto toks = minic::tokenize(max);
+    EXPECT_EQ(toks[0].intVal, -1);
+    EXPECT_EQ(toks[1].intVal, -1);
+}
+
+std::string
+repeat(const std::string &s, int n)
+{
+    std::string out;
+    out.reserve(s.size() * static_cast<size_t>(n));
+    for (int i = 0; i < n; ++i)
+        out += s;
+    return out;
+}
+
+/**
+ * The four shapes of deep code, each with its deepest leaf at syntax
+ * level `level` (see minic::kMaxNesting): nested parentheses, unary
+ * minus, nested blocks and a left-deep chain of additions.
+ */
+std::vector<std::string>
+nestedPrograms(int level)
+{
+    int k = level - 2; // `return` is level 1, its expression level 2
+    return {
+        "int main() { return " + repeat("(", k) + "1" + repeat(")", k) +
+            "; }",
+        "int main() { return " + repeat("- ", k) + "1; }",
+        "int main() { " + repeat("{ ", k) + "return 0;" + repeat(" }", k) +
+            " }",
+        "int main() { int x = 1; return x" + repeat("+x", k) + "; }",
+    };
+}
+
+TEST(Parse, NestingAtTheBoundCompiles)
+{
+    for (const std::string &source : nestedPrograms(minic::kMaxNesting))
+        EXPECT_EQ(compileError(source), "") << source.substr(0, 40);
+    EXPECT_EQ(runProgram(nestedPrograms(minic::kMaxNesting)[1]), 1);
+    EXPECT_EQ(runProgram(nestedPrograms(minic::kMaxNesting)[3]) & 0xFF,
+              (minic::kMaxNesting - 1) & 0xFF);
+}
+
+TEST(Parse, DeepNestingIsAnErrorNotACrash)
+{
+    // One level past the bound, and the sizes that used to overflow
+    // the stack.
+    const std::string tooDeep =
+        "parse error at line 1: expression nested too deeply";
+    for (const std::string &source :
+         nestedPrograms(minic::kMaxNesting + 1))
+        EXPECT_NE(compileError(source).find(tooDeep), std::string::npos)
+            << source.substr(0, 40);
+    const std::vector<std::string> huge = {
+        "int main() { return " + repeat("(", 20'000) + "1" +
+            repeat(")", 20'000) + "; }",
+        "int main() { return " + repeat("- ", 100'000) + "1; }",
+        "int main() { " + repeat("{", 100'000) + repeat("}", 100'000) +
+            " return 0; }",
+        "int main() { int x = 1; return x" + repeat("+x", 19'999) + "; }",
+    };
+    for (const std::string &source : huge) {
+        EXPECT_THROW(minic::compileProgram(source), FatalError);
+        EXPECT_NE(compileError(source).find(tooDeep), std::string::npos)
+            << source.substr(0, 40);
+    }
+    // A chain whose first operand is itself a long chain is as deep as
+    // both together.
+    int half = minic::kMaxNesting / 2;
+    EXPECT_NE(compileError("int main() { int x = 1; return (x" +
+                           repeat("+x", half) + ")" +
+                           repeat("+x", half) + "; }")
+                  .find(tooDeep),
+              std::string::npos);
+    EXPECT_EQ(compileError("int main() { int x = 1; return (x" +
+                           repeat("+x", half - 3) + ")" +
+                           repeat("+x", half) + "; }"),
+              "");
 }
 
 TEST(Compile, ReturnsConstant)

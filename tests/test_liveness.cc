@@ -20,11 +20,9 @@ using minic::computeLiveness;
 using minic::liveAt;
 using minic::Liveness;
 
-bool
-trackAll(int r)
-{
-    return r > 0;
-}
+/** r1-r63, the registers control speculation tracks. */
+constexpr int kFirstTracked = 1;
+constexpr int kNumTracked = kNumGpr - 1;
 
 TEST(Cfg, StraightLineIsOneBlock)
 {
@@ -103,7 +101,8 @@ TEST(Liveness, ValueLiveAcrossLoop)
     )ASM");
     const Function &fn = p.functions[0];
     Cfg cfg = buildCfg(fn);
-    Liveness live = computeLiveness(fn, cfg, trackAll);
+    Liveness live = computeLiveness(fn, cfg, kFirstTracked,
+                                    kNumTracked);
 
     // r5 is live at the loop head (used each iteration)...
     size_t headIdx = 0;
@@ -129,7 +128,8 @@ TEST(Liveness, DeadAfterLastUse)
     )ASM");
     const Function &fn = p.functions[0];
     Cfg cfg = buildCfg(fn);
-    Liveness live = computeLiveness(fn, cfg, trackAll);
+    Liveness live = computeLiveness(fn, cfg, kFirstTracked,
+                                    kNumTracked);
     size_t tailIdx = 2; // the label
     ASSERT_EQ(fn.code[tailIdx].op, Opcode::Label);
     EXPECT_TRUE(liveAt(live, cfg, tailIdx, 5));
@@ -150,7 +150,8 @@ TEST(Liveness, PredicatedDefDoesNotKill)
     )ASM");
     const Function &fn = p.functions[0];
     Cfg cfg = buildCfg(fn);
-    Liveness live = computeLiveness(fn, cfg, trackAll);
+    Liveness live = computeLiveness(fn, cfg, kFirstTracked,
+                                    kNumTracked);
     size_t mergeIdx = 2;
     ASSERT_EQ(fn.code[mergeIdx].op, Opcode::Label);
     EXPECT_TRUE(liveAt(live, cfg, mergeIdx, 5));
@@ -166,9 +167,44 @@ TEST(Liveness, StoreUsesBothOperands)
     )ASM");
     const Function &fn = p.functions[0];
     Cfg cfg = buildCfg(fn);
-    Liveness live = computeLiveness(fn, cfg, trackAll);
+    Liveness live = computeLiveness(fn, cfg, kFirstTracked,
+                                    kNumTracked);
     EXPECT_TRUE(liveAt(live, cfg, 0, 4));
     EXPECT_TRUE(liveAt(live, cfg, 0, 5));
+}
+
+TEST(Liveness, TracksARangeAcrossWords)
+{
+    // Virtual registers past the first 64-bit word of a block's set,
+    // as register allocation tracks them.
+    const int first = kNumGpr;
+    const int count = 130;
+    const int a = first + 70, b = first + 129, c = first + 3;
+    Function fn;
+    fn.code.push_back(makeMovi(a, 1));
+    fn.code.push_back(makeLabel(fn.newLabel()));
+    fn.code.push_back(makeAlu(Opcode::Add, c, a, b));
+    fn.code.push_back(makeMov(reg::rv, c));
+    Instr ret;
+    ret.op = Opcode::BrRet;
+    fn.code.push_back(ret);
+    Cfg cfg = buildCfg(fn);
+    ASSERT_EQ(cfg.numBlocks(), 2u);
+    Liveness live = computeLiveness(fn, cfg, first, count);
+    EXPECT_EQ(live.words, 3u);
+    EXPECT_FALSE(liveAt(live, cfg, 0, a)); // defined before any use
+    EXPECT_TRUE(liveAt(live, cfg, 0, b));  // used, never defined
+    EXPECT_TRUE(liveAt(live, cfg, 1, a));
+    EXPECT_TRUE(liveAt(live, cfg, 1, b));
+    EXPECT_FALSE(liveAt(live, cfg, 1, c));
+    EXPECT_FALSE(liveAt(live, cfg, 1, reg::rv)); // outside the range
+    EXPECT_FALSE(liveAt(live, cfg, 1, first + count));
+    std::vector<int> in;
+    live.forEachLiveIn(1, [&](int r) { in.push_back(r); });
+    EXPECT_EQ(in, (std::vector<int>{a, b}));
+    std::vector<int> out;
+    live.forEachLiveOut(0, [&](int r) { out.push_back(r); });
+    EXPECT_EQ(out, (std::vector<int>{a, b}));
 }
 
 } // namespace
