@@ -33,6 +33,7 @@
 #include "dift/annotate.hh"
 #include "mem/address_space.hh"
 #include "mem/memory.hh"
+#include "sim/cycle_model.hh"
 #include "support/bitops.hh"
 
 #if SHIFT_JIT_BACKEND
@@ -652,7 +653,7 @@ class FunctionCompiler
         uint64_t use = dp.useMask;
         if (use == 0 || mask_.kind == MaskState::Zero)
             return;
-        int32_t cost = int32_t(env_.cycleModel.loadUseStall);
+        int32_t cost = int32_t(kCycleModel.loadUseStall);
         int32_t disp = int32_t(dp.statIdx) * 8;
         if (mask_.kind == MaskState::Load) {
             if (!((use >> (mask_.loadReg & 63)) & 1))
@@ -725,7 +726,7 @@ class FunctionCompiler
                 e_.jmp(join);
             }
             e_.bind(null);
-            emitChargeNow(dp.statIdx, env_.cycleModel.nullified, 1);
+            emitChargeNow(dp.statIdx, kCycleModel.nullified, 1);
             e_.xorRegReg32(RBP, RBP);
             if (term) {
                 // A nullified terminator falls through to pc + 1.
@@ -753,7 +754,7 @@ class FunctionCompiler
         switch (dp.op) {
           case Opcode::Nop:
             zeroMask();
-            pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+            pending_.add(dp.statIdx, kCycleModel.alu, 1);
             return true;
           case Opcode::Add:
           case Opcode::Sub:
@@ -799,7 +800,7 @@ class FunctionCompiler
             // setGpr (the interpreter writes the field itself).
             e_.movByteMemImm(R14, gprNat(dp.r1),
                              dp.op == Opcode::Setnat && dp.r1 != 0);
-            pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+            pending_.add(dp.statIdx, kCycleModel.alu, 1);
             return true;
           case Opcode::FusedTagAddr:
             emitFusedTagAddr(dp);
@@ -809,7 +810,7 @@ class FunctionCompiler
             return true;
           case Opcode::Br:
             zeroMask();
-            pending_.add(dp.statIdx, env_.cycleModel.branchTaken, 1);
+            pending_.add(dp.statIdx, kCycleModel.branchTaken, 1);
             pending_.flush(e_);
             emitBranchTarget(inFast, size_t(dp.target));
             return true;
@@ -975,7 +976,7 @@ class FunctionCompiler
     void emitAlu(const DecodedInstr &dp)
     {
         zeroMask();
-        uint64_t cost = env_.cycleModel.alu;
+        uint64_t cost = kCycleModel.alu;
         if (dp.op == Opcode::Movi) {
             loadSrc2(dp, RAX);
             if (dp.r1 != 0) {
@@ -1018,7 +1019,7 @@ class FunctionCompiler
             }
             break;
           case Opcode::Mul:
-            cost = env_.cycleModel.mul;
+            cost = kCycleModel.mul;
             loadSrc2(dp, RCX);
             e_.imulRegReg(RAX, RCX);
             break;
@@ -1131,7 +1132,7 @@ class FunctionCompiler
             e_.movByteMemReg(R13, int32_t(dp.p1), RDX);
         if (dp.p2 != 0)
             e_.movByteMemReg(R13, int32_t(dp.p2), R8);
-        pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+        pending_.add(dp.statIdx, kCycleModel.alu, 1);
     }
 
     void emitTnat(const DecodedInstr &dp)
@@ -1145,7 +1146,7 @@ class FunctionCompiler
                 e_.movByteMemImm(R13, int32_t(dp.p1), 0);
             if (dp.p2 != 0)
                 e_.movByteMemImm(R13, int32_t(dp.p2), 1);
-            pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+            pending_.add(dp.statIdx, kCycleModel.alu, 1);
             return;
         }
         e_.movzxByteMem(RAX, R14, gprNat(dp.r2));
@@ -1155,7 +1156,7 @@ class FunctionCompiler
             e_.aluRegImm32(Emitter::ALU_XOR, RAX, 1);
             e_.movByteMemReg(R13, int32_t(dp.p2), RAX);
         }
-        pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+        pending_.add(dp.statIdx, kCycleModel.alu, 1);
     }
 
     void emitTbit(const DecodedInstr &dp)
@@ -1184,7 +1185,7 @@ class FunctionCompiler
             e_.movByteMemReg(R13, int32_t(dp.p1), RAX);
         if (dp.p2 != 0)
             e_.movByteMemReg(R13, int32_t(dp.p2), RDX);
-        pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+        pending_.add(dp.statIdx, kCycleModel.alu, 1);
     }
 
     void emitMovFromBr(const DecodedInstr &dp)
@@ -1196,7 +1197,7 @@ class FunctionCompiler
             e_.movMemReg(R14, gprVal(dp.r1), RAX);
             e_.movByteMemImm(R14, gprNat(dp.r1), 0);
         }
-        pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+        pending_.add(dp.statIdx, kCycleModel.alu, 1);
     }
 
     void emitFusedTagAddr(const DecodedInstr &dp)
@@ -1220,7 +1221,7 @@ class FunctionCompiler
         e_.movzxByteMem(RDX, R14, gprNat(dp.r2));
         storeGpr(dp.r3, RCX, RDX);
         storeGpr(dp.r1, RAX, RDX);
-        pending_.add(dp.statIdx, 4 * env_.cycleModel.alu, 4);
+        pending_.add(dp.statIdx, 4 * kCycleModel.alu, 4);
     }
 
     void emitChk(const DecodedInstr &dp, bool inFast, size_t pc)
@@ -1231,17 +1232,17 @@ class FunctionCompiler
             // Maybe bits are not architectural NaTs: chk never
             // recovers under the async tier (explicit speculation is
             // outside its envelope, docs/ASYNC-TAINT.md).
-            emitChargeNow(dp.statIdx, env_.cycleModel.branch, 1);
+            emitChargeNow(dp.statIdx, kCycleModel.branch, 1);
             e_.jmp(blockLabel(inFast, pc + 1));
             return;
         }
         int notTaken = e_.newLabel();
         e_.cmpByteMemImm(R14, gprNat(dp.r2), 0);
         e_.jcc(CC_E, notTaken);
-        emitChargeNow(dp.statIdx, env_.cycleModel.branchTaken, 1);
+        emitChargeNow(dp.statIdx, kCycleModel.branchTaken, 1);
         emitBranchTarget(inFast, size_t(dp.target));
         e_.bind(notTaken);
-        emitChargeNow(dp.statIdx, env_.cycleModel.branch, 1);
+        emitChargeNow(dp.statIdx, kCycleModel.branch, 1);
         e_.jmp(blockLabel(inFast, pc + 1));
     }
 
@@ -1315,7 +1316,7 @@ class FunctionCompiler
             e_.movRegReg(RAX, RDX);
         emitNatOr(dp); // rdx = nat union (quotient already out of rdx)
         storeGpr(dp.r1, RAX, RDX);
-        emitChargeNow(dp.statIdx, env_.cycleModel.div, 1);
+        emitChargeNow(dp.statIdx, kCycleModel.div, 1);
         e_.jmp(cont);
         e_.bind(slow);
         emitHelperCall(dp, &JitOps::divmod, pc, inFast);
@@ -1944,7 +1945,7 @@ class FunctionCompiler
         e_.movRegMem(RAX, R14, gprVal(dp.r2));
         e_.movRegMem(RCX, R15, kOffBrRegs);
         e_.movMemReg(RCX, int32_t(dp.br) * 8, RAX);
-        emitChargeNow(dp.statIdx, env_.cycleModel.alu, 1);
+        emitChargeNow(dp.statIdx, kCycleModel.alu, 1);
         e_.jmp(done);
         e_.bind(slow);
         emitHelperCall(dp, &JitOps::aux, pc, inFast);
@@ -1963,7 +1964,7 @@ class FunctionCompiler
         e_.movRegMem(RAX, R14, gprVal(dp.r2));
         e_.movRegMem(RCX, R15, kOffUnat);
         e_.movMemReg(RCX, 0, RAX);
-        emitChargeNow(dp.statIdx, env_.cycleModel.alu, 1);
+        emitChargeNow(dp.statIdx, kCycleModel.alu, 1);
         e_.jmp(done);
         e_.bind(slow);
         emitHelperCall(dp, &JitOps::aux, pc, inFast);
@@ -1980,7 +1981,7 @@ class FunctionCompiler
             e_.movMemReg(R14, gprVal(dp.r1), RAX);
             e_.movByteMemImm(R14, gprNat(dp.r1), 0);
         }
-        pending_.add(dp.statIdx, env_.cycleModel.alu, 1);
+        pending_.add(dp.statIdx, kCycleModel.alu, 1);
     }
 
     /**

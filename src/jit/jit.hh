@@ -57,7 +57,6 @@
 #include <mutex>
 #include <vector>
 
-#include "sim/cycle_model.hh"
 #include "sim/decoded.hh"
 #include "support/stats.hh"
 
@@ -161,10 +160,12 @@ static_assert(offsetof(JitCtx, cyFlat) == 8 &&
                   offsetof(JitCtx, tagTlb) == 168,
               "JitCtx layout is baked into emitted code");
 
-/** Everything compile-time about the machine the code will run on. */
+/**
+ * Everything compile-time about the machine the code will run on. The
+ * cycle costs are not here: they are the constant kCycleModel.
+ */
 struct CompileEnv
 {
-    CycleModel cycleModel;
     bool natSetClear = false;
     bool natAwareCompare = false;
     bool fastEnabled = false;

@@ -163,7 +163,7 @@ JitOps::ld(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
         if (addrReg.nat ||
             m.mem_.probe(addr, dp->size) != MemFault::None) {
             m.setGpr(dp->r1, 0, true);
-            chg(c, statIdx, m.cycleModel_.loadBase);
+            chg(c, statIdx, kCycleModel.loadBase);
             return 0;
         }
     } else if (addrReg.nat) {
@@ -189,9 +189,9 @@ JitOps::ld(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     m.setGpr(dp->r1, value, nat);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(addr) ? m.cycleModel_.loadHit
-                                        : m.cycleModel_.loadMiss);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(addr) ? kCycleModel.loadHit
+                                        : kCycleModel.loadMiss);
     acc.flush();
     return 0;
 }
@@ -234,8 +234,8 @@ JitOps::st(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     ++m.storeCount_;
     Acc<1> acc{c, {statIdx}};
-    acc.chg(0, m.cycleModel_.storeBase);
-    acc.extra(0, m.dcache_.access(addr) ? 0 : m.cycleModel_.storeMiss);
+    acc.chg(0, kCycleModel.storeBase);
+    acc.extra(0, m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss);
     acc.flush();
     return 0;
 }
@@ -254,9 +254,9 @@ JitOps::ldRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
 {
     Machine &m = *c->m;
     ++m.loadCount_;
-    uint64_t cost = m.cycleModel_.loadBase +
-                    (m.dcache_.access(addr) ? m.cycleModel_.loadHit
-                                            : m.cycleModel_.loadMiss);
+    uint64_t cost = kCycleModel.loadBase +
+                    (m.dcache_.access(addr) ? kCycleModel.loadHit
+                                            : kCycleModel.loadMiss);
     c->cycles += cost;
     ++c->instrs;
     c->cyFlat[statIdx] += cost;
@@ -269,8 +269,8 @@ JitOps::stRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     Machine &m = *c->m;
     ++m.storeCount_;
     uint64_t cost =
-        m.cycleModel_.storeBase +
-        (m.dcache_.access(addr) ? 0 : m.cycleModel_.storeMiss);
+        kCycleModel.storeBase +
+        (m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss);
     c->cycles += cost;
     ++c->instrs;
     c->cyFlat[statIdx] += cost;
@@ -291,11 +291,11 @@ JitOps::clearNatRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     Machine &m = *c->m;
     ++m.storeCount_;
     ++m.loadCount_;
-    uint64_t cost = m.cycleModel_.alu + m.cycleModel_.storeBase +
-                    m.cycleModel_.loadBase;
-    cost += m.dcache_.access(addr) ? 0 : m.cycleModel_.storeMiss;
-    cost += m.dcache_.access(addr) ? m.cycleModel_.loadHit
-                                   : m.cycleModel_.loadMiss;
+    uint64_t cost = kCycleModel.alu + kCycleModel.storeBase +
+                    kCycleModel.loadBase;
+    cost += m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
+    cost += m.dcache_.access(addr) ? kCycleModel.loadHit
+                                   : kCycleModel.loadMiss;
     c->cycles += cost;
     c->instrs += 3;
     c->cyFlat[statIdx] += cost;
@@ -320,17 +320,17 @@ JitOps::chkByteRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
         statIndex(Provenance::TagReg, static_cast<OrigClass>(cls));
     m.loadCount_ += 2;
     uint64_t memCy =
-        2 * m.cycleModel_.loadBase +
-        (m.dcache_.access(addr) ? m.cycleModel_.loadHit
-                                : m.cycleModel_.loadMiss) +
-        (m.dcache_.access(addr + 1) ? m.cycleModel_.loadHit
-                                    : m.cycleModel_.loadMiss);
+        2 * kCycleModel.loadBase +
+        (m.dcache_.access(addr) ? kCycleModel.loadHit
+                                : kCycleModel.loadMiss) +
+        (m.dcache_.access(addr + 1) ? kCycleModel.loadHit
+                                    : kCycleModel.loadMiss);
     uint64_t addrCy =
-        6 * m.cycleModel_.alu + m.cycleModel_.loadUseStall;
-    uint64_t regCy = m.cycleModel_.alu;
+        6 * kCycleModel.alu + kCycleModel.loadUseStall;
+    uint64_t regCy = kCycleModel.alu;
     c->cycles += memCy + addrCy + regCy;
     c->instrs += 9;
-    c->stall += m.cycleModel_.loadUseStall;
+    c->stall += kCycleModel.loadUseStall;
     c->cyFlat[statIdx] += memCy;
     c->inFlat[statIdx] += 2;
     c->cyFlat[idxAddr] += addrCy;
@@ -375,7 +375,7 @@ JitOps::divmod(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
         }
     }
     m.setGpr(dp->r1, result, nat);
-    chg(c, dp->statIdx, m.cycleModel_.div);
+    chg(c, dp->statIdx, kCycleModel.div);
     return 0;
 }
 
@@ -414,11 +414,11 @@ JitOps::chkByte(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     m.setGpr(dp->r1, lo, false);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(a.val) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(a.val) ? kCycleModel.loadHit : kCycleModel.loadMiss);
     uint64_t hiAddr = a.val + 1;
     m.setGpr(dp->r3, hiAddr, false);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     uint64_t hi = 0;
     mf = m.mem_.read(hiAddr, 1, hi);
     if (mf != MemFault::None) {
@@ -431,27 +431,27 @@ JitOps::chkByte(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     m.setGpr(dp->r3, hi, false);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(hiAddr) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
-    acc.stall(1, m.cycleModel_.loadUseStall);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(hiAddr) ? kCycleModel.loadHit : kCycleModel.loadMiss);
+    acc.stall(1, kCycleModel.loadUseStall);
     hi <<= 8;
     m.setGpr(dp->r3, hi, false);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     lo |= hi;
     m.setGpr(dp->r1, lo, false);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     const auto r = m.gpr_[dp->r2];
     uint64_t bitIdx = r.val & 7;
     m.setGpr(dp->r3, bitIdx, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     lo >>= bitIdx;
     m.setGpr(dp->r1, lo, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     lo &= static_cast<uint64_t>(dp->imm);
     m.setGpr(dp->r1, lo, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     m.setPred(dp->p1, r.nat ? false : lo != 0);
-    acc.chg(2, m.cycleModel_.alu);
+    acc.chg(2, kCycleModel.alu);
     acc.flush();
     // Warm the summary's probe cache for the lines just read: the
     // inline body's summary shortcut can then prove later checks of
@@ -497,17 +497,17 @@ JitOps::chkWord(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     m.setGpr(dp->r1, lo, false);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(a.val) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(a.val) ? kCycleModel.loadHit : kCycleModel.loadMiss);
     const auto r = m.gpr_[dp->r2];
     uint64_t bitIdx = (r.val >> 3) & 7;
     m.setGpr(dp->r3, bitIdx, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     lo >>= bitIdx;
     m.setGpr(dp->r1, lo, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     m.setPred(dp->p1, r.nat ? false : bit(lo, 0));
-    acc.chg(2, m.cycleModel_.alu);
+    acc.chg(2, kCycleModel.alu);
     acc.flush();
     return 0;
 }
@@ -521,7 +521,7 @@ JitOps::clearNat(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     const auto bs = m.gpr_[dp->r2];
     uint64_t addr = bs.val + static_cast<uint64_t>(dp->imm);
     m.setGpr(dp->r3, addr, bs.nat);
-    acc.chg(0, m.cycleModel_.alu);
+    acc.chg(0, kCycleModel.alu);
     if (bs.nat) {
         m.archPcOverride_ = dp->origIndex + 1;
         acc.flush();
@@ -544,8 +544,8 @@ JitOps::clearNat(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
         return 1;
     }
     ++m.storeCount_;
-    acc.chg(0, m.cycleModel_.storeBase);
-    acc.extra(0, m.dcache_.access(addr) ? 0 : m.cycleModel_.storeMiss);
+    acc.chg(0, kCycleModel.storeBase);
+    acc.extra(0, m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss);
     uint64_t v = 0;
     mf = m.mem_.read(addr, 8, v);
     if (mf != MemFault::None) {
@@ -558,8 +558,8 @@ JitOps::clearNat(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     }
     m.setGpr(dp->r1, v, false);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(addr) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(addr) ? kCycleModel.loadHit : kCycleModel.loadMiss);
     // Last constituent is a load: the next op's use of r1 stalls.
     c->loadMask = 1ULL << (dp->r1 & 63);
     acc.flush();
@@ -581,14 +581,14 @@ JitOps::stUpd(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     const auto r = m.gpr_[dp->r2];
     uint64_t t2v = byteGran ? (r.val & 7) : ((r.val >> 3) & 7);
     m.setGpr(dp->br, t2v, r.nat);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     uint64_t t3v = static_cast<uint64_t>(dp->imm);
     m.setGpr(dp->r3, t3v, false);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     t3v <<= t2v;
     bool t3n = r.nat;
     m.setGpr(dp->r3, t3v, t3n);
-    acc.chg(1, m.cycleModel_.alu);
+    acc.chg(1, kCycleModel.alu);
     const auto a = m.gpr_[static_cast<size_t>(dp->target)];
     if (a.nat) {
         m.archPcOverride_ = dp->origIndex + 3;
@@ -614,24 +614,24 @@ JitOps::stUpd(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     bool t1n = false;
     m.setGpr(dp->r1, t1v, t1n);
     ++m.loadCount_;
-    acc.chg(0, m.cycleModel_.loadBase);
-    acc.extra(0, m.dcache_.access(a.val) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
+    acc.chg(0, kCycleModel.loadBase);
+    acc.extra(0, m.dcache_.access(a.val) ? kCycleModel.loadHit : kCycleModel.loadMiss);
     if (m.pred_[dp->p1]) {
-        acc.stall(2, m.cycleModel_.loadUseStall);
+        acc.stall(2, kCycleModel.loadUseStall);
         t1v |= t3v;
         t1n = t1n || t3n;
         m.setGpr(dp->r1, t1v, t1n);
-        acc.chg(2, m.cycleModel_.alu);
+        acc.chg(2, kCycleModel.alu);
     } else {
-        acc.chg(2, m.cycleModel_.nullified);
+        acc.chg(2, kCycleModel.nullified);
     }
     if (m.pred_[dp->p2]) {
         t1v &= ~t3v;
         t1n = t1n || t3n;
         m.setGpr(dp->r1, t1v, t1n);
-        acc.chg(2, m.cycleModel_.alu);
+        acc.chg(2, kCycleModel.alu);
     } else {
-        acc.chg(2, m.cycleModel_.nullified);
+        acc.chg(2, kCycleModel.nullified);
     }
     if (t1n) {
         m.archPcOverride_ = dp->origIndex + 6;
@@ -651,15 +651,15 @@ JitOps::stUpd(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
         return 1;
     }
     ++m.storeCount_;
-    acc.chg(0, m.cycleModel_.storeBase);
-    acc.extra(0, m.dcache_.access(a.val) ? 0 : m.cycleModel_.storeMiss);
+    acc.chg(0, kCycleModel.storeBase);
+    acc.extra(0, m.dcache_.access(a.val) ? 0 : kCycleModel.storeMiss);
     if (byteGran) {
         t3v >>= 8;
         m.setGpr(dp->r3, t3v, t3n);
-        acc.chg(1, m.cycleModel_.alu);
+        acc.chg(1, kCycleModel.alu);
         uint64_t hiAddr = a.val + 1;
         m.setGpr(dp->br, hiAddr, false);
-        acc.chg(1, m.cycleModel_.alu);
+        acc.chg(1, kCycleModel.alu);
         mf = m.mem_.read(hiAddr, 1, t1v);
         if (mf != MemFault::None) {
             m.archPcOverride_ = dp->origIndex + 9;
@@ -673,24 +673,24 @@ JitOps::stUpd(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
         t1n = false;
         m.setGpr(dp->r1, t1v, t1n);
         ++m.loadCount_;
-        acc.chg(0, m.cycleModel_.loadBase);
-        acc.extra(0, m.dcache_.access(hiAddr) ? m.cycleModel_.loadHit : m.cycleModel_.loadMiss);
+        acc.chg(0, kCycleModel.loadBase);
+        acc.extra(0, m.dcache_.access(hiAddr) ? kCycleModel.loadHit : kCycleModel.loadMiss);
         if (m.pred_[dp->p1]) {
-            acc.stall(2, m.cycleModel_.loadUseStall);
+            acc.stall(2, kCycleModel.loadUseStall);
             t1v |= t3v;
             t1n = t1n || t3n;
             m.setGpr(dp->r1, t1v, t1n);
-            acc.chg(2, m.cycleModel_.alu);
+            acc.chg(2, kCycleModel.alu);
         } else {
-            acc.chg(2, m.cycleModel_.nullified);
+            acc.chg(2, kCycleModel.nullified);
         }
         if (m.pred_[dp->p2]) {
             t1v &= ~t3v;
             t1n = t1n || t3n;
             m.setGpr(dp->r1, t1v, t1n);
-            acc.chg(2, m.cycleModel_.alu);
+            acc.chg(2, kCycleModel.alu);
         } else {
-            acc.chg(2, m.cycleModel_.nullified);
+            acc.chg(2, kCycleModel.nullified);
         }
         if (t1n) {
             m.archPcOverride_ = dp->origIndex + 12;
@@ -712,8 +712,8 @@ JitOps::stUpd(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
             return 1;
         }
         ++m.storeCount_;
-        acc.chg(0, m.cycleModel_.storeBase);
-        acc.extra(0, m.dcache_.access(hiAddr) ? 0 : m.cycleModel_.storeMiss);
+        acc.chg(0, kCycleModel.storeBase);
+        acc.extra(0, m.dcache_.access(hiAddr) ? 0 : kCycleModel.storeMiss);
     }
     acc.flush();
     return 0;
@@ -868,7 +868,7 @@ JitOps::aux(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
       default:
         SHIFT_ASSERT(false, "jit aux helper: unexpected opcode");
     }
-    chg(c, dp->statIdx, m.cycleModel_.alu);
+    chg(c, dp->statIdx, kCycleModel.alu);
     return 0;
 }
 
@@ -914,7 +914,7 @@ JitOps::enter(JitCtx *c, const DecodedInstr *dp, uint64_t pcw,
               int callee)
 {
     Machine &m = *c->m;
-    chg(c, dp->statIdx, m.cycleModel_.call);
+    chg(c, dp->statIdx, kCycleModel.call);
     if (m.callStack_.size() >= kMaxCallDepth) {
         spill(c, pcw);
         m.setFault(FaultKind::IllegalAddress, FaultContext::None, 0,
@@ -969,7 +969,7 @@ uint64_t
 JitOps::ret(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
 {
     Machine &m = *c->m;
-    chg(c, dp->statIdx, m.cycleModel_.call);
+    chg(c, dp->statIdx, kCycleModel.call);
     if (m.callStack_.empty()) {
         // Program exit: the pc stays on the BrRet, like the
         // interpreter's locals at its doneRun sync.
@@ -1007,7 +1007,7 @@ JitOps::builtin(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
                        m.decoded_->builtinNames[slot] + "'");
         return 1;
     }
-    chg(c, dp->statIdx, m.cycleModel_.call);
+    chg(c, dp->statIdx, kCycleModel.call);
     spill(c, pcw);
     // Built-ins are policy-check points: fence the async tier so
     // their TaintMap reads see the materialized bitmap.
@@ -1057,7 +1057,7 @@ uint64_t
 JitOps::syscall(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
 {
     Machine &m = *c->m;
-    chg(c, dp->statIdx, m.cycleModel_.syscallBase);
+    chg(c, dp->statIdx, kCycleModel.syscallBase);
     spill(c, pcw);
     if (m.asyncTier_) {
         uint64_t ft0 = m.prof_ ? obs::Profiler::nowNanos() : 0;

@@ -35,12 +35,15 @@ struct CycleModel
     uint64_t nullified = 1;    ///< predicated-off ops still use a slot
     uint64_t loadUseStall = 2; ///< consumer in the slot right after a
                                ///< load stalls on the result
-
-    // Costs are baked into JIT-compiled code (see src/jit), so the
-    // code cache must be able to tell whether a machine's model still
-    // matches the one it compiled against.
-    bool operator==(const CycleModel &) const = default;
 };
+
+/**
+ * The one cycle model. Every engine charges these costs — the legacy
+ * stepper, the predecoded interpreter and the JIT (which bakes them
+ * into emitted code) — so each cost folds into an immediate and no
+ * compiled code can disagree with the machine that runs it.
+ */
+inline constexpr CycleModel kCycleModel{};
 
 } // namespace shift
 

@@ -326,11 +326,10 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     jitCacheBytes_ = cacheBytes;
     // Create the cache eagerly so capture() can hand it to clones
     // before anything runs. run() re-validates the environment (the
-    // cycle model or fast-path switch may change in between) and
+    // fast-path switch or the async tier may change in between) and
     // replaces a stale cache then.
-    jit::CompileEnv env{cycleModel_, features_.natSetClear,
-                        features_.natAwareCompare, fastEnabled_,
-                        asyncTier_ != nullptr};
+    jit::CompileEnv env{features_.natSetClear, features_.natAwareCompare,
+                        fastEnabled_, asyncTier_ != nullptr};
     if (!jitCache_ || jitCache_->program() != decoded_.get() ||
         !(jitCache_->env() == env) ||
         (threshold != 0 && jitCache_->threshold() != threshold) ||
@@ -482,9 +481,9 @@ Machine::chargeMemAccess(const Instr &instr, uint64_t addr, bool isLoadAcc)
     bool hit = dcache_.access(addr);
     uint64_t extra;
     if (isLoadAcc)
-        extra = hit ? cycleModel_.loadHit : cycleModel_.loadMiss;
+        extra = hit ? kCycleModel.loadHit : kCycleModel.loadMiss;
     else
-        extra = hit ? 0 : cycleModel_.storeMiss;
+        extra = hit ? 0 : kCycleModel.storeMiss;
     cycles_ += extra;
     cyclesBy_[static_cast<int>(instr.prov)]
              [static_cast<int>(instr.origClass)] += extra;
@@ -510,7 +509,7 @@ Machine::execAlu(const Instr &instr)
     uint64_t b = src2Val(instr);
     bool nat = gpr_[instr.r2].nat || src2Nat(instr);
     uint64_t result = 0;
-    uint64_t cost = cycleModel_.alu;
+    uint64_t cost = kCycleModel.alu;
 
     auto shiftAmount = [](uint64_t v) { return v > 63 ? 64U
         : static_cast<unsigned>(v); };
@@ -524,13 +523,13 @@ Machine::execAlu(const Instr &instr)
       case Opcode::Xor: result = a ^ b; break;
       case Opcode::Mul:
         result = a * b;
-        cost = cycleModel_.mul;
+        cost = kCycleModel.mul;
         break;
       case Opcode::Div:
       case Opcode::Mod:
       case Opcode::DivU:
       case Opcode::ModU: {
-        cost = cycleModel_.div;
+        cost = kCycleModel.div;
         if (b == 0) {
             if (!nat) {
                 setFault(FaultKind::DivByZero, FaultContext::None, 0,
@@ -637,7 +636,7 @@ Machine::execCmp(const Instr &instr)
         setPred(instr.p1, taken);
         setPred(instr.p2, !taken);
     }
-    chargeCycles(instr, cycleModel_.alu);
+    chargeCycles(instr, kCycleModel.alu);
     ++pc_;
 }
 
@@ -651,7 +650,7 @@ Machine::execLd(const Instr &instr)
         // Speculative load: all failures defer into the NaT bit.
         if (addrReg.nat || mem_.probe(addr, instr.size) != MemFault::None) {
             setGpr(instr.r1, 0, true);
-            chargeCycles(instr, cycleModel_.loadBase);
+            chargeCycles(instr, kCycleModel.loadBase);
             ++pc_;
             return;
         }
@@ -682,7 +681,7 @@ Machine::execLd(const Instr &instr)
 
     setGpr(instr.r1, value, nat);
     ++loadCount_;
-    chargeCycles(instr, cycleModel_.loadBase);
+    chargeCycles(instr, kCycleModel.loadBase);
     chargeMemAccess(instr, addr, true);
     ++pc_;
 }
@@ -726,7 +725,7 @@ Machine::execSt(const Instr &instr)
         obs_->emit(obs::Ev::TaintStore, 0, curFunc_, pc_, addr);
 
     ++storeCount_;
-    chargeCycles(instr, cycleModel_.storeBase);
+    chargeCycles(instr, kCycleModel.storeBase);
     chargeMemAccess(instr, addr, false);
     ++pc_;
 }
@@ -774,7 +773,7 @@ Machine::doBuiltinOrFault(const Instr &instr)
 void
 Machine::runBuiltin(const Instr &instr, const BuiltinFn &fn)
 {
-    chargeCycles(instr, cycleModel_.call);
+    chargeCycles(instr, kCycleModel.call);
     uint64_t pcBefore = pc_;
     int funcBefore = curFunc_;
     size_t depthBefore = callStack_.size();
@@ -811,7 +810,7 @@ Machine::stepLegacy()
     // Qualifying predicate: a false predicate nullifies the
     // instruction, but it still occupies an issue slot.
     if (instr.qp != 0 && !pred_[instr.qp]) {
-        chargeCycles(instr, cycleModel_.nullified);
+        chargeCycles(instr, kCycleModel.nullified);
         lastLoadDst_ = -1;
         ++pc_;
         return;
@@ -823,7 +822,7 @@ Machine::stepLegacy()
     // (chk.s only inspects the NaT bit, which is available early.)
     if (lastLoadDst_ >= 0 && instr.op != Opcode::Chk &&
         usesReg(instr, lastLoadDst_)) {
-        uint64_t stall = cycleModel_.loadUseStall;
+        uint64_t stall = kCycleModel.loadUseStall;
         cycles_ += stall;
         stallCycles_ += stall;
         cyclesBy_[static_cast<int>(instr.prov)]
@@ -833,7 +832,7 @@ Machine::stepLegacy()
 
     switch (instr.op) {
       case Opcode::Nop:
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
@@ -863,7 +862,7 @@ Machine::stepLegacy()
       case Opcode::Tnat:
         setPred(instr.p1, gpr_[instr.r2].nat);
         setPred(instr.p2, !gpr_[instr.r2].nat);
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
@@ -877,7 +876,7 @@ Machine::stepLegacy()
             setPred(instr.p1, b);
             setPred(instr.p2, !b);
         }
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
       }
@@ -906,10 +905,10 @@ Machine::stepLegacy()
                              " in function '" + fn.name + "'");
                 return;
             }
-            chargeCycles(instr, cycleModel_.branchTaken);
+            chargeCycles(instr, kCycleModel.branchTaken);
             pc_ = static_cast<uint64_t>(target);
         } else {
-            chargeCycles(instr, cycleModel_.branch);
+            chargeCycles(instr, kCycleModel.branch);
             ++pc_;
         }
         break;
@@ -929,7 +928,7 @@ Machine::stepLegacy()
                          fn.name + "'");
             return;
         }
-        chargeCycles(instr, cycleModel_.branchTaken);
+        chargeCycles(instr, kCycleModel.branchTaken);
         pc_ = static_cast<uint64_t>(target);
         break;
       }
@@ -937,7 +936,7 @@ Machine::stepLegacy()
       case Opcode::BrCall: {
         auto callee = program_->findFunction(instr.callee);
         if (callee) {
-            chargeCycles(instr, cycleModel_.call);
+            chargeCycles(instr, kCycleModel.call);
             doCall(*callee);
         } else {
             doBuiltinOrFault(instr);
@@ -954,13 +953,13 @@ Machine::stepLegacy()
                      target, "indirect call to a non-function address");
             return;
         }
-        chargeCycles(instr, cycleModel_.call);
+        chargeCycles(instr, kCycleModel.call);
         doCall(*callee);
         break;
       }
 
       case Opcode::BrRet:
-        chargeCycles(instr, cycleModel_.call);
+        chargeCycles(instr, kCycleModel.call);
         if (callStack_.empty()) {
             exited_ = true;
             exitCode_ = static_cast<int64_t>(gpr_[reg::rv].val);
@@ -981,13 +980,13 @@ Machine::stepLegacy()
             return;
         }
         br_[instr.br] = gpr_[instr.r2].val;
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
       case Opcode::MovFromBr:
         setGpr(instr.r1, br_[instr.br], false);
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
@@ -999,13 +998,13 @@ Machine::stepLegacy()
             return;
         }
         unat_ = gpr_[instr.r2].val;
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
       case Opcode::MovFromUnat:
         setGpr(instr.r1, unat_, false);
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
@@ -1016,7 +1015,7 @@ Machine::stepLegacy()
             return;
         }
         gpr_[instr.r1].nat = instr.r1 != reg::zero;
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
@@ -1027,12 +1026,12 @@ Machine::stepLegacy()
             return;
         }
         gpr_[instr.r1].nat = false;
-        chargeCycles(instr, cycleModel_.alu);
+        chargeCycles(instr, kCycleModel.alu);
         ++pc_;
         break;
 
       case Opcode::Syscall:
-        chargeCycles(instr, cycleModel_.syscallBase);
+        chargeCycles(instr, kCycleModel.syscallBase);
         if (!syscall_) {
             setFault(FaultKind::UnknownFunction, FaultContext::None, 0,
                      "no system-call handler installed");
@@ -1072,30 +1071,118 @@ Machine::stepLegacy()
     }
 }
 
+jit::CodeCache::Entry
+Machine::jitLookup(uint64_t steps, bool inFast, uint64_t pc)
+{
+    // Credit the dispatches interpreted since the previous hook to
+    // the function that ran them (the one current at that hook, not
+    // the landing function, so a leaf called from compiled code still
+    // heats up).
+    if (steps != jitWorkMark_)
+        jitActive_->addWork(jitWorkFunc_, steps - jitWorkMark_);
+    jitWorkMark_ = steps;
+    jitWorkFunc_ = curFunc_;
+    jit::CodeCache::Credit credit;
+    jit::CodeCache::Entry en =
+        jitActive_->entryAt(curFunc_, inFast, pc, &credit);
+    jitCompiled_ += credit.blocks;
+    jitCodeBytes_ += credit.codeBytes;
+    jitEvictions_ += credit.evictions;
+    // entryAt timed any compile it ran on this thread; carve that span
+    // out of the interpreter tier. A profiler is attached only to the
+    // observed loop.
+    if (prof_ && credit.compileNanos) {
+        const DecodedFunction &df = decoded_->functions[curFunc_];
+        DecodedStream stream = inFast ? df.fast : df.code;
+        prof_->carveSince(obs::Tier::Compile, curFunc_,
+                          static_cast<uint32_t>(stream[pc].origIndex),
+                          obs::Profiler::nowNanos() - credit.compileNanos);
+    }
+    return en;
+}
+
+uint64_t
+Machine::jitRun(jit::CodeCache::Entry en, uint64_t steps,
+                uint64_t maxSteps)
+{
+    uint64_t budget = maxSteps - steps;
+    jitCtx_.cycles = 0;
+    jitCtx_.instrs = 0;
+    jitCtx_.stall = 0;
+    jitCtx_.coldBails = 0;
+    jitCtx_.deopts = 0;
+    jitCtx_.fpEntered = 0;
+    jitCtx_.stepsLeft = static_cast<int64_t>(budget);
+    if (prof_)
+        prof_->enter(inFast_ ? obs::Tier::JitFast : obs::Tier::JitSlow,
+                     curFunc_, static_cast<uint32_t>(archPc()));
+    en.fn->invoke(&jitCtx_, en.code);
+    ++jitEntered_;
+    // On a fault the runtime helpers already folded-and-zeroed the
+    // accumulators into the members (so the fault handler saw a
+    // synced machine); these adds then fold zeros.
+    steps += budget - static_cast<uint64_t>(jitCtx_.stepsLeft);
+    jitWorkMark_ = steps; // compiled dispatches are not work
+    cycles_ += jitCtx_.cycles;
+    instrs_ += jitCtx_.instrs;
+    stallCycles_ += jitCtx_.stall;
+    fpColdBails_ += jitCtx_.coldBails;
+    jitDeopts_ += jitCtx_.deopts;
+    fpEnteredTotal_ += jitCtx_.fpEntered;
+    pc_ = jitCtx_.exitPc;
+    inFast_ = jitCtx_.exitInFast != 0;
+    jitWorkFunc_ = curFunc_;
+    if (stopped_) {
+        // Attribute the compiled span; pc may be stale on a stop, so
+        // close the context at a neutral site.
+        if (prof_)
+            prof_->enter(obs::Tier::Host, curFunc_, 0);
+        return steps;
+    }
+    if (prof_)
+        prof_->enter(inFast_ ? obs::Tier::InterpFast
+                             : obs::Tier::InterpSlow,
+                     curFunc_, static_cast<uint32_t>(archPc()));
+    ++jitBailouts_;
+    return steps;
+}
+
 template <bool kObserved, bool kAsync>
 void
 Machine::runDecoded(uint64_t maxSteps)
 {
     // The fused interpreter loop. Everything per-instruction lives in
-    // locals the compiler can keep in registers: the dense pc, the
-    // cycle/instruction deltas, the last load destination and the
-    // current function's code pointer. The architectural members are
-    // the source of truth only at observation points — sync() writes
-    // the locals back before anything that can observe machine state
-    // (faults, alerts, built-ins, system calls, trace hooks), and
+    // locals: the dense pc, the cycle/instruction deltas, the load-use
+    // mask, the step count and the current function's code pointer.
+    // The architectural members are the source of truth only at
+    // observation points — sync() writes the locals back before
+    // anything that can observe machine state (faults, alerts,
+    // built-ins, system calls, trace hooks, compiled code), and
     // resync() re-reads control state after a callback that may have
     // moved it. The legacy engine's per-opcode helpers (execAlu and
     // friends) remain the reference semantics and every handler below
     // must match them bit for bit — the test_engine equivalence suite
     // enforces this.
     //
-    // Dispatch is direct-threaded (computed goto): SHIFT_NEXT() stamps
-    // the fetch/predicate/stall front end plus its own indirect jump at
-    // the end of every handler, so the host branch predictor can learn
-    // per-opcode successor patterns instead of sharing one switch
-    // branch. There is no per-fetch bounds check: every function's
-    // stream ends in a sentinel micro-op (see decodeProgram) whose
-    // handler raises the fell-off-the-end fault.
+    // Those locals stay in host registers only while no local has its
+    // address taken, and a closure the compiler leaves out of line
+    // takes the address of everything it captures. So every closure
+    // below is forced inline (SHIFT_INLINE), and the cold paths that
+    // leave the loop take values or members, never a local: fixed-text
+    // faults jump to one shared `raiseFault:` tail, and the JIT
+    // transfer syncs, runs in jitRun() on the members and resyncs. The
+    // perf_interp_inlined ctest fails if any instantiation calls a
+    // closure of runDecoded (tests/check_interp_inlined.cmake).
+    //
+    // Dispatch is direct-threaded (computed goto): SHIFT_NEXT() writes
+    // the fetch/predicate/stall front end plus its own indirect jump
+    // at the end of every handler; GCC then merges identical handler
+    // tails, so the compiled loop has a handful of shared dispatch
+    // jumps rather than one per handler (docs/EXECUTION-ENGINE.md).
+    // There is no per-fetch bounds check: every function's stream ends
+    // in a sentinel micro-op (see decodeProgram) whose handler raises
+    // the fell-off-the-end fault.
+#define SHIFT_INLINE __attribute__((always_inline))
     if (stopped_)
         return; // construction-time decode failure: nothing to run
     const DecodedFunction *df = &decoded_->functions[curFunc_];
@@ -1124,8 +1211,14 @@ Machine::runDecoded(uint64_t maxSteps)
     uint64_t *const cyFlat = &cyclesBy_[0][0];
     uint64_t *const inFlat = &instrsBy_[0][0];
     unsigned statIdx = 0; // of the instruction currently executing
+    // The pending fixed-text fault (see SHIFT_FAULT): set on the way
+    // to `raiseFault:` only.
+    FaultKind faultKind = FaultKind::None;
+    FaultContext faultCtx = FaultContext::None;
+    uint64_t faultAddr = 0;
+    const char *faultDetail = "";
 
-    auto sync = [&] {
+    auto sync = [&]() SHIFT_INLINE {
         pc_ = pc;
         inFast_ = inFast;
         cycles_ += cycles;
@@ -1134,7 +1227,7 @@ Machine::runDecoded(uint64_t maxSteps)
         instrs = 0;
         lastLoadDst_ = loadMask ? std::countr_zero(loadMask) : -1;
     };
-    auto resync = [&] {
+    auto resync = [&]() SHIFT_INLINE {
         pc = pc_;
         inFast = inFast_;
         df = &decoded_->functions[curFunc_];
@@ -1171,7 +1264,7 @@ Machine::runDecoded(uint64_t maxSteps)
             stepLimit = 0;
     }
     uint32_t profLeft = obs::Profiler::kSampleEvery;
-    auto charge = [&](uint64_t cost) {
+    auto charge = [&](uint64_t cost) SHIFT_INLINE {
         cycles += cost;
         ++instrs;
         cyFlat[statIdx] += cost;
@@ -1181,13 +1274,14 @@ Machine::runDecoded(uint64_t maxSteps)
     // (async publication, builtin, syscall), carve the exact span
     // after, so tier sums stay exhaustive. Both do nothing without a
     // profiler.
-    [[maybe_unused]] auto profT0 = [&] {
+    [[maybe_unused]] auto profT0 = [&]() SHIFT_INLINE {
         if constexpr (kObserved)
             return prof ? obs::Profiler::nowNanos() : uint64_t{0};
         else
             return uint64_t{0};
     };
-    [[maybe_unused]] auto profCarve = [&](obs::Tier tier, uint64_t t0) {
+    [[maybe_unused]] auto profCarve = [&](obs::Tier tier,
+                                          uint64_t t0) SHIFT_INLINE {
         if constexpr (kObserved) {
             if (prof)
                 prof->carveSince(tier, curFunc_,
@@ -1196,7 +1290,7 @@ Machine::runDecoded(uint64_t maxSteps)
         }
     };
     // Open the interpreter tier of the stream about to run.
-    auto profEnterInterp = [&] {
+    auto profEnterInterp = [&]() SHIFT_INLINE {
         if constexpr (kObserved) {
             if (prof)
                 prof->enter(inFast ? obs::Tier::InterpFast
@@ -1205,23 +1299,26 @@ Machine::runDecoded(uint64_t maxSteps)
                             static_cast<uint32_t>(code[pc].origIndex));
         }
     };
-    auto src2v = [&] {
+    auto src2v = [&]() SHIFT_INLINE {
         return dp->useImm ? static_cast<uint64_t>(dp->imm)
                           : gpr_[dp->r3].val;
     };
-    auto src2n = [&] { return dp->useImm ? false : gpr_[dp->r3].nat; };
+    auto src2n = [&]() SHIFT_INLINE {
+        return dp->useImm ? false : gpr_[dp->r3].nat;
+    };
     // Async-tier replay (docs/ASYNC-TAINT.md): one call into the tier
     // per taint-relevant micro-op, made before the op's own side
     // effects so the tier replays in program order. Each call's host
     // time is carved into the async-publish tier.
     [[maybe_unused]] auto replayRegWrite = [&](uint8_t a, uint8_t b,
-                                               uint8_t c, bool zero) {
+                                               uint8_t c,
+                                               bool zero) SHIFT_INLINE {
         [[maybe_unused]] uint64_t pt0 = profT0();
         asyncTier_->inlineRegWrite(a, b, c, zero);
         profCarve(obs::Tier::AsyncPublish, pt0);
     };
     // Raise the tier's pending violation (call after sync()).
-    [[maybe_unused]] auto asyncStop = [&] {
+    [[maybe_unused]] auto asyncStop = [&]() SHIFT_INLINE {
         applyAsyncViolation(*asyncTier_->pendingViolation());
     };
     // Policy fence: materialize the shadow bitmap into memory so
@@ -1229,7 +1326,7 @@ Machine::runDecoded(uint64_t maxSteps)
     // see what the synchronous engine's bitmap would hold. True when
     // a violation is pending — the engine must stop. Call after
     // sync().
-    [[maybe_unused]] auto asyncFence = [&]() -> bool {
+    [[maybe_unused]] auto asyncFence = [&]() SHIFT_INLINE -> bool {
         [[maybe_unused]] uint64_t pt0 = profT0();
         const dift::Violation *v = asyncTier_->fence();
         profCarve(obs::Tier::AsyncPublish, pt0);
@@ -1246,7 +1343,8 @@ Machine::runDecoded(uint64_t maxSteps)
     // only when it could set tier taint (a maybe source) or clear it
     // (a maybe destination) — anything else is provably a no-op. No
     // fault can depend on an ALU op, so there is no violation to check.
-    auto aluDone = [&](uint64_t result, bool nat, uint64_t cost) {
+    auto aluDone = [&](uint64_t result, bool nat,
+                       uint64_t cost) SHIFT_INLINE {
         if constexpr (kAsync) {
             bool zero = dp->p1 & dift::kAnnZeroIdiom;
             bool maybe = !zero && nat;
@@ -1266,14 +1364,14 @@ Machine::runDecoded(uint64_t maxSteps)
         charge(cost);
         ++pc;
     };
-    auto shiftAmount = [](uint64_t v) {
+    auto shiftAmount = [](uint64_t v) SHIFT_INLINE {
         return v > 63 ? 64U : static_cast<unsigned>(v);
     };
     // A superblock entry instruction is either a standalone FpEnter or
     // a block-leading probe carrying the merged entry flag (p2 bit 2,
     // see buildFastStream); cold (demoted) blocks are rejected at
     // every promotion site.
-    auto coldHead = [&](const DecodedInstr &head) {
+    auto coldHead = [&](const DecodedInstr &head) SHIFT_INLINE {
         bool entry = head.op == Opcode::FpEnter ||
                      ((head.op == Opcode::FpChkProbe ||
                        head.op == Opcode::FpStProbe ||
@@ -1281,14 +1379,13 @@ Machine::runDecoded(uint64_t maxSteps)
                       (head.p2 & 4));
         return entry && fpCold_[static_cast<uint32_t>(head.callee)];
     };
-    auto enterFunction = [&](int funcIndex) {
-        charge(cycleModel_.call);
-        if (callStack_.size() >= kMaxCallDepth) {
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::None, 0,
-                     "call stack overflow");
-            return;
-        }
+    // Charge a call and enter the callee. False at the depth limit:
+    // the call is charged, nothing is pushed, and the caller raises
+    // the overflow fault.
+    auto enterFunction = [&](int funcIndex) SHIFT_INLINE {
+        charge(kCycleModel.call);
+        if (callStack_.size() >= kMaxCallDepth) [[unlikely]]
+            return false;
         callStack_.push_back(Frame{curFunc_, pc + 1, inFast});
         curFunc_ = funcIndex;
         pc = 0;
@@ -1299,13 +1396,14 @@ Machine::runDecoded(uint64_t maxSteps)
         inFast = fastEnabled_ && !df->fast.empty() &&
                  !coldHead(df->fast[0]);
         code = inFast ? df->fast.data() : df->code.data();
+        return true;
     };
     // A failed Fp* probe: count the deopt (and its cause) against the
     // probe's superblock, demote the block to cold once deopts
     // dominate its entries, and resume the instrumented stream at the
     // elided group's own index (probes precede their group's side
     // effects, so re-execution replays nothing).
-    auto probeDeopt = [&](obs::DeoptCause cause) {
+    auto probeDeopt = [&](obs::DeoptCause cause) SHIFT_INLINE {
         uint32_t b = static_cast<uint32_t>(dp->callee);
         ++fpDeoptTotal_;
         ++fpDeoptCause_[static_cast<size_t>(cause)];
@@ -1324,14 +1422,14 @@ Machine::runDecoded(uint64_t maxSteps)
     };
     // Flight-recorder instants for the fast tier's other transitions;
     // compiled out of the production loop entirely.
-    auto obsFastEnter = [&] {
+    auto obsFastEnter = [&]() SHIFT_INLINE {
         if constexpr (kObserved) {
             if (rec) [[unlikely]]
                 rec->emitCold(obs::Ev::FastEnter, 0, curFunc_,
                               dp->origIndex);
         }
     };
-    auto obsColdBail = [&](uint64_t slowPc) {
+    auto obsColdBail = [&](uint64_t slowPc) SHIFT_INLINE {
         if constexpr (kObserved) {
             if (rec) [[unlikely]]
                 rec->emitCold(obs::Ev::FastColdBail, 0, curFunc_,
@@ -1344,7 +1442,7 @@ Machine::runDecoded(uint64_t maxSteps)
     // (cold) superblocks are rejected here, at the promotion site, so
     // a hot loop over tainted data settles in the instrumented stream
     // instead of bouncing through FpEnter's bail on every back edge.
-    auto maybeFast = [&](uint64_t target) {
+    auto maybeFast = [&](uint64_t target) SHIFT_INLINE {
         if (!inFast && fastEnabled_ && !df->fast.empty()) {
             int32_t fe = df->fastEntry[target];
             if (fe >= 0) {
@@ -1362,93 +1460,28 @@ Machine::runDecoded(uint64_t maxSteps)
     };
     // JIT tier (docs/JIT.md): at every control-transfer landing point
     // (all of which are superblock leaders in compiled code), credit
-    // the dispatches interpreted since the previous hook to the
-    // function that ran them (the one current at that hook, not the
-    // landing function, so a leaf called from compiled code still
-    // heats up) and, once the landing function is compiled, run
-    // native code until it bails back. The compiled code accumulates
-    // into jitCtx_ and the hook folds the deltas into the same locals
-    // the interpreter uses, so all simulated numbers stay
-    // bit-identical. Returns 0 = keep interpreting here, 1 = ran and
-    // bailed out (locals re-synced to the bail point), 2 = ran and
-    // stopped.
-    auto jitHook = [&]() -> int {
+    // the interpreted dispatches to the function that ran them and
+    // look the landing point up (jitLookup, which takes the locals by
+    // value); once the landing function is compiled, sync, run native
+    // code on the members until it bails back (jitRun) and resync, so
+    // all simulated numbers stay bit-identical. Returns 0 = keep
+    // interpreting here, 1 = ran and bailed out (locals re-synced to
+    // the bail point), 2 = ran and stopped.
+    auto jitHook = [&]() SHIFT_INLINE -> int {
         if (!jitActive_ || stopped_)
             return 0;
-        if (steps != jitWorkMark_)
-            jitActive_->addWork(jitWorkFunc_, steps - jitWorkMark_);
-        jitWorkMark_ = steps;
-        jitWorkFunc_ = curFunc_;
-        jit::CodeCache::Credit credit;
-        jit::CodeCache::Entry en =
-            jitActive_->entryAt(curFunc_, inFast, pc, &credit);
-        jitCompiled_ += credit.blocks;
-        jitCodeBytes_ += credit.codeBytes;
-        jitEvictions_ += credit.evictions;
-        if constexpr (kObserved) {
-            // entryAt timed any compile it ran on this thread; carve
-            // that span out of the interpreter tier.
-            if (prof && credit.compileNanos)
-                prof->carveSince(obs::Tier::Compile, curFunc_,
-                                 static_cast<uint32_t>(
-                                     code[pc].origIndex),
-                                 obs::Profiler::nowNanos() -
-                                     credit.compileNanos);
-        }
-        if (!en)
+        jit::CodeCache::Entry en = jitLookup(steps, inFast, pc);
+        if (!en || steps == maxSteps)
             return 0;
-        uint64_t budget = maxSteps - steps;
-        if (budget == 0)
-            return 0;
-        jitCtx_.cycles = 0;
-        jitCtx_.instrs = 0;
-        jitCtx_.stall = 0;
-        jitCtx_.coldBails = 0;
-        jitCtx_.deopts = 0;
-        jitCtx_.fpEntered = 0;
+        sync();
         jitCtx_.loadMask = loadMask;
-        jitCtx_.stepsLeft = static_cast<int64_t>(budget);
-        if constexpr (kObserved) {
-            if (prof)
-                prof->enter(inFast ? obs::Tier::JitFast
-                                   : obs::Tier::JitSlow,
-                            curFunc_,
-                            static_cast<uint32_t>(code[pc].origIndex));
-        }
-        en.fn->invoke(&jitCtx_, en.code);
-        ++jitEntered_;
-        // On a fault the runtime helpers already folded-and-zeroed the
-        // accumulators into the members (so the fault handler saw a
-        // synced machine); these adds then fold zeros.
-        steps += budget - static_cast<uint64_t>(jitCtx_.stepsLeft);
-        jitWorkMark_ = steps; // compiled dispatches are not work
-        cycles += jitCtx_.cycles;
-        instrs += jitCtx_.instrs;
-        stallCycles_ += jitCtx_.stall;
-        fpColdBails_ += jitCtx_.coldBails;
-        jitDeopts_ += jitCtx_.deopts;
-        fpEnteredTotal_ += jitCtx_.fpEntered;
+        steps = jitRun(en, steps, maxSteps);
         loadMask = jitCtx_.loadMask;
-        pc = jitCtx_.exitPc;
-        inFast = jitCtx_.exitInFast != 0;
         // Compiled calls and returns cross function boundaries (the
         // transfer helpers update curFunc_/callStack_), so the local
-        // decode view must follow before resuming.
-        df = &decoded_->functions[curFunc_];
-        code = inFast ? df->fast.data() : df->code.data();
-        jitWorkFunc_ = curFunc_;
-        if (stopped_) {
-            // Attribute the compiled span; pc may be stale on a stop,
-            // so close the context at a neutral site.
-            if constexpr (kObserved) {
-                if (prof)
-                    prof->enter(obs::Tier::Host, curFunc_, 0);
-            }
-            return 2;
-        }
-        profEnterInterp();
-        ++jitBailouts_;
-        return 1;
+        // decode view follows before resuming.
+        resync();
+        return stopped_ ? 2 : 1;
     };
 // Both loops carry the check: jitHook returns at once unless run()
 // activated the JIT, which it never does under a trace hook or a
@@ -1496,14 +1529,17 @@ Machine::runDecoded(uint64_t maxSteps)
 
 #define SHIFT_OP(name) L_##name:
 
-// The front end stamped at the end of every handler: count the step
+// The front end written at the end of every handler: count the step
 // (diverting to the step-limit/observe tails), fetch, divert to the
 // nullify tail, charge a load-use stall, and jump through the opcode
 // table. SHIFT_NEXT() checks stopped_ first; handler exits that cannot
 // have stopped the machine (no fault, no callback) use
 // SHIFT_NEXT_FAST() and skip that load+branch, and exits that
 // definitely stopped it (setFault / halt) take SHIFT_STOPPED()
-// straight to the sync-and-return tail.
+// straight to the sync-and-return tail. SHIFT_FAULT() raises a
+// fixed-text fault through the shared `raiseFault:` tail, so a fault
+// site costs four moves and a jump instead of a sync, a std::string
+// and a call.
 #define SHIFT_NEXT_FAST()                                               \
     do {                                                                \
         if (++steps > stepLimit)                                        \
@@ -1513,9 +1549,9 @@ Machine::runDecoded(uint64_t maxSteps)
         if (dp->qp != 0 && !pred_[dp->qp])                              \
             goto nullified;                                             \
         if (dp->useMask & loadMask) {                                   \
-            cycles += cycleModel_.loadUseStall;                         \
-            stallCycles_ += cycleModel_.loadUseStall;                   \
-            cyFlat[statIdx] += cycleModel_.loadUseStall;                \
+            cycles += kCycleModel.loadUseStall;                         \
+            stallCycles_ += kCycleModel.loadUseStall;                   \
+            cyFlat[statIdx] += kCycleModel.loadUseStall;                \
         }                                                               \
         loadMask = dp->op == Opcode::Ld ? 1ULL << (dp->r1 & 63) : 0;    \
         goto *kJump[static_cast<size_t>(dp->op)];                       \
@@ -1527,6 +1563,14 @@ Machine::runDecoded(uint64_t maxSteps)
         SHIFT_NEXT_FAST();                                              \
     } while (0)
 #define SHIFT_STOPPED() goto doneRun
+#define SHIFT_FAULT(kind, ctx, addr, detail)                            \
+    do {                                                                \
+        faultKind = (kind);                                             \
+        faultCtx = (ctx);                                               \
+        faultAddr = (addr);                                             \
+        faultDetail = (detail);                                         \
+        goto raiseFault;                                                \
+    } while (0)
 
     SHIFT_NEXT();
 
@@ -1569,9 +1613,9 @@ observe:
     if (dp->qp != 0 && !pred_[dp->qp])
         goto nullified;
     if (dp->useMask & loadMask) {
-        cycles += cycleModel_.loadUseStall;
-        stallCycles_ += cycleModel_.loadUseStall;
-        cyFlat[statIdx] += cycleModel_.loadUseStall;
+        cycles += kCycleModel.loadUseStall;
+        stallCycles_ += kCycleModel.loadUseStall;
+        cyFlat[statIdx] += kCycleModel.loadUseStall;
     }
     loadMask = dp->op == Opcode::Ld ? 1ULL << (dp->r1 & 63) : 0;
     goto *kJump[static_cast<size_t>(dp->op)];
@@ -1581,44 +1625,44 @@ nullified:
     // instruction, but it still occupies an issue slot. Checked
     // dispatch: the observe tail funnels through here and a trace hook
     // may have stopped the machine.
-    charge(cycleModel_.nullified);
+    charge(kCycleModel.nullified);
     loadMask = 0;
     ++pc;
     SHIFT_NEXT();
 
 
     SHIFT_OP(Nop)
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Add)
         aluDone(gpr_[dp->r2].val + src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Sub)
         aluDone(gpr_[dp->r2].val - src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(And)
         aluDone(gpr_[dp->r2].val & src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Andcm)
         aluDone(gpr_[dp->r2].val & ~src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Or)
         aluDone(gpr_[dp->r2].val | src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Xor)
         aluDone(gpr_[dp->r2].val ^ src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Mul)
         aluDone(gpr_[dp->r2].val * src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.mul);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.mul);
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Div)
@@ -1647,12 +1691,9 @@ nullified:
                         (!dp->useImm && asyncTier_->regTaint(dp->r3));
                 }
             }
-            if (!taintedDivisor) {
-                sync();
-                setFault(FaultKind::DivByZero, FaultContext::None, 0,
-                         "division by zero");
-                SHIFT_STOPPED();
-            }
+            if (!taintedDivisor)
+                SHIFT_FAULT(FaultKind::DivByZero, FaultContext::None, 0,
+                            "division by zero");
             result = 0;
         } else if (dp->op == Opcode::DivU) {
             result = a / b;
@@ -1671,7 +1712,7 @@ nullified:
                 result = static_cast<uint64_t>(sa % sb);
             }
         }
-        aluDone(result, nat, cycleModel_.div);
+        aluDone(result, nat, kCycleModel.div);
         SHIFT_NEXT_FAST();
     }
 
@@ -1679,14 +1720,14 @@ nullified:
         unsigned sh = shiftAmount(src2v());
         uint64_t a = gpr_[dp->r2].val;
         aluDone(sh >= 64 ? 0 : (a << sh),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     }
     SHIFT_OP(Shr) {
         unsigned sh = shiftAmount(src2v());
         uint64_t a = gpr_[dp->r2].val;
         aluDone(sh >= 64 ? 0 : (a >> sh),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     }
     SHIFT_OP(Sar) {
@@ -1694,42 +1735,39 @@ nullified:
         int64_t sa = static_cast<int64_t>(gpr_[dp->r2].val);
         uint64_t result = static_cast<uint64_t>(
             sh >= 64 ? (sa < 0 ? -1 : 0) : (sa >> sh));
-        aluDone(result, gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+        aluDone(result, gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     }
     SHIFT_OP(Sxt)
         aluDone(static_cast<uint64_t>(
                     signExtend(gpr_[dp->r2].val, dp->size * 8)),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Zxt)
         aluDone(gpr_[dp->r2].val & lowMask(dp->size * 8),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Extr)
         aluDone((gpr_[dp->r2].val >> dp->pos) &
                     lowMask(dp->len ? dp->len : 64),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Shladd)
         aluDone((gpr_[dp->r2].val << dp->pos) + src2v(),
-                gpr_[dp->r2].nat || src2n(), cycleModel_.alu);
+                gpr_[dp->r2].nat || src2n(), kCycleModel.alu);
         SHIFT_NEXT_FAST();
     SHIFT_OP(Mov)
         aluDone(gpr_[dp->r2].val, gpr_[dp->r2].nat || src2n(),
-                cycleModel_.alu);
+                kCycleModel.alu);
         SHIFT_NEXT();
     SHIFT_OP(Movi)
-        aluDone(src2v(), false, cycleModel_.alu);
+        aluDone(src2v(), false, kCycleModel.alu);
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(CmpNat)
-        if (!features_.natAwareCompare) {
-            sync();
-            setFault(FaultKind::UnknownFunction, FaultContext::None, 0,
-                     "cmp.nat requires the natAwareCompare feature");
-            SHIFT_STOPPED();
-        }
+        if (!features_.natAwareCompare)
+            SHIFT_FAULT(FaultKind::UnknownFunction, FaultContext::None, 0,
+                        "cmp.nat requires the natAwareCompare feature");
         // falls through to Cmp
     SHIFT_OP(Cmp) {
         uint64_t a = gpr_[dp->r2].val;
@@ -1762,7 +1800,7 @@ nullified:
             setPred(dp->p1, taken);
             setPred(dp->p2, !taken);
         }
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -1774,7 +1812,7 @@ nullified:
         bool n = !kAsync && gpr_[dp->r2].nat;
         setPred(dp->p1, n);
         setPred(dp->p2, !n);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -1789,7 +1827,7 @@ nullified:
             setPred(dp->p1, b);
             setPred(dp->p2, !b);
         }
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -1831,14 +1869,13 @@ nullified:
             if (addrReg.nat ||
                 mem_.probe(addr, dp->size) != MemFault::None) {
                 setGpr(dp->r1, 0, true);
-                charge(cycleModel_.loadBase);
+                charge(kCycleModel.loadBase);
                 ++pc;
                 SHIFT_NEXT_FAST();
             }
         } else if (!kAsync && addrReg.nat) {
             // Maybe bits never fault: under the async tier the
             // replay above made this check.
-            sync();
             // statIdx % kNumOrigClass is the OrigClass (the flat
             // index is prov * kNumOrigClass + cls).
             FaultContext ctx =
@@ -1846,21 +1883,17 @@ nullified:
                         static_cast<int>(OrigClass::ForStore)
                     ? FaultContext::StoreAddress
                     : FaultContext::LoadAddress;
-            setFault(FaultKind::NatConsumption, ctx, addr,
-                     "load through a NaT (tainted) address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption, ctx, addr,
+                        "load through a NaT (tainted) address");
         }
         uint64_t value = 0;
         bool nat = false;
         MemFault mf = dp->fill ? mem_.readFill(addr, value, nat)
                                : mem_.read(addr, dp->size, value);
-        if (mf != MemFault::None) {
-            sync();
-            setFault(FaultKind::IllegalAddress,
-                     FaultContext::LoadAddress, addr,
-                     "load from illegal address");
-            SHIFT_STOPPED();
-        }
+        if (mf != MemFault::None)
+            SHIFT_FAULT(FaultKind::IllegalAddress,
+                        FaultContext::LoadAddress, addr,
+                        "load from illegal address");
         if constexpr (kAsync) {
             // Maybe-out for the destination: the replay already ran,
             // so the exact taint is one shadow read away. Keeping the
@@ -1873,9 +1906,9 @@ nullified:
         }
         setGpr(dp->r1, value, nat);
         ++loadCount_;
-        charge(cycleModel_.loadBase);
-        uint64_t extra = dcache_.access(addr) ? cycleModel_.loadHit
-                                              : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        uint64_t extra = dcache_.access(addr) ? kCycleModel.loadHit
+                                              : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[statIdx] += extra;
         ++pc;
@@ -1915,20 +1948,14 @@ nullified:
                 }
             }
         }
-        if (!kAsync && addrReg.nat) {
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     FaultContext::StoreAddress, addr,
-                     "store through a NaT (tainted) address");
-            SHIFT_STOPPED();
-        }
-        if (!kAsync && srcReg.nat && !dp->spill) {
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     FaultContext::StoreValue, addr,
-                     "plain store of a NaT source register");
-            SHIFT_STOPPED();
-        }
+        if (!kAsync && addrReg.nat)
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        FaultContext::StoreAddress, addr,
+                        "store through a NaT (tainted) address");
+        if (!kAsync && srcReg.nat && !dp->spill)
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        FaultContext::StoreValue, addr,
+                        "plain store of a NaT source register");
         MemFault mf;
         if (dp->spill) {
             mf = mem_.writeSpill(addr, srcReg.val, srcReg.nat);
@@ -1940,13 +1967,10 @@ nullified:
         } else {
             mf = mem_.write(addr, dp->size, srcReg.val);
         }
-        if (mf != MemFault::None) {
-            sync();
-            setFault(FaultKind::IllegalAddress,
-                     FaultContext::StoreAddress, addr,
-                     "store to illegal address");
-            SHIFT_STOPPED();
-        }
+        if (mf != MemFault::None)
+            SHIFT_FAULT(FaultKind::IllegalAddress,
+                        FaultContext::StoreAddress, addr,
+                        "store to illegal address");
         if constexpr (kObserved) {
             // A nonzero write into the tag region spreads taint: the
             // provenance chain wants it.
@@ -1956,8 +1980,8 @@ nullified:
                               dp->origIndex, addr);
         }
         ++storeCount_;
-        charge(cycleModel_.storeBase);
-        uint64_t extra = dcache_.access(addr) ? 0 : cycleModel_.storeMiss;
+        charge(kCycleModel.storeBase);
+        uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
         cycles += extra;
         cyFlat[statIdx] += extra;
         ++pc;
@@ -1973,24 +1997,26 @@ nullified:
         // NaTs: chk never recovers under the async tier (explicit
         // speculation is outside its envelope, docs/ASYNC-TAINT.md).
         if (!kAsync && gpr_[dp->r2].nat) {
-            charge(cycleModel_.branchTaken);
+            charge(kCycleModel.branchTaken);
             pc = maybeFast(static_cast<uint64_t>(dp->target));
             SHIFT_JIT_CHECK();
         } else {
-            charge(cycleModel_.branch);
+            charge(kCycleModel.branch);
             ++pc;
         }
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Br)
-        charge(cycleModel_.branchTaken);
+        charge(kCycleModel.branchTaken);
         pc = maybeFast(static_cast<uint64_t>(dp->target));
         SHIFT_JIT_CHECK();
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(BrCall)
         if (dp->callee >= 0) {
-            enterFunction(dp->callee);
+            if (!enterFunction(dp->callee))
+                SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::None,
+                            0, "call stack overflow");
             SHIFT_JIT_CHECK();
         } else {
             int slot = -1 - dp->callee;
@@ -2003,7 +2029,7 @@ nullified:
                              decoded_->builtinNames[slot] + "'");
                 SHIFT_STOPPED();
             }
-            charge(cycleModel_.call);
+            charge(kCycleModel.call);
             sync();
             if constexpr (kAsync) {
                 // Built-ins are policy-check points (H1-H5, taint
@@ -2036,19 +2062,18 @@ nullified:
     SHIFT_OP(BrCalli) {
         uint64_t target = br_[dp->br];
         auto callee = funcIndexForDesc(target, program_->functions.size());
-        if (!callee) {
-            sync();
-            setFault(FaultKind::BadIndirect, FaultContext::ControlFlow,
-                     target, "indirect call to a non-function address");
-            SHIFT_STOPPED();
-        }
-        enterFunction(*callee);
+        if (!callee)
+            SHIFT_FAULT(FaultKind::BadIndirect, FaultContext::ControlFlow,
+                        target, "indirect call to a non-function address");
+        if (!enterFunction(*callee))
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::None, 0,
+                        "call stack overflow");
         SHIFT_JIT_CHECK();
         SHIFT_NEXT();
     }
 
     SHIFT_OP(BrRet)
-        charge(cycleModel_.call);
+        charge(kCycleModel.call);
         if (callStack_.empty()) {
             exited_ = true;
             exitCode_ = static_cast<int64_t>(gpr_[reg::rv].val);
@@ -2086,15 +2111,12 @@ nullified:
                 }
             }
         }
-        if (!kAsync && gpr_[dp->r2].nat) {
-            sync();
-            setFault(FaultKind::NatConsumption, FaultContext::ControlFlow,
-                     gpr_[dp->r2].val,
-                     "NaT (tainted) value moved into a branch register");
-            SHIFT_STOPPED();
-        }
+        if (!kAsync && gpr_[dp->r2].nat)
+            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::ControlFlow,
+                        gpr_[dp->r2].val,
+                        "NaT (tainted) value moved into a branch register");
         br_[dp->br] = gpr_[dp->r2].val;
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
@@ -2108,19 +2130,16 @@ nullified:
                 replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, false);
         }
         setGpr(dp->r1, br_[dp->br], false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(MovToUnat)
-        if (!kAsync && gpr_[dp->r2].nat) {
-            sync();
-            setFault(FaultKind::NatConsumption, FaultContext::AppRegister,
-                     0, "NaT value moved into ar.unat");
-            SHIFT_STOPPED();
-        }
+        if (!kAsync && gpr_[dp->r2].nat)
+            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::AppRegister,
+                        0, "NaT value moved into ar.unat");
         unat_ = gpr_[dp->r2].val;
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
@@ -2130,29 +2149,23 @@ nullified:
                 replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, false);
         }
         setGpr(dp->r1, unat_, false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Setnat)
-        if (!features_.natSetClear) {
-            sync();
-            setFault(FaultKind::UnknownFunction, FaultContext::None, 0,
-                     "setnat requires the natSetClear feature");
-            SHIFT_STOPPED();
-        }
+        if (!features_.natSetClear)
+            SHIFT_FAULT(FaultKind::UnknownFunction, FaultContext::None, 0,
+                        "setnat requires the natSetClear feature");
         gpr_[dp->r1].nat = dp->r1 != reg::zero;
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Clrnat)
-        if (!features_.natSetClear) {
-            sync();
-            setFault(FaultKind::UnknownFunction, FaultContext::None, 0,
-                     "clrnat requires the natSetClear feature");
-            SHIFT_STOPPED();
-        }
+        if (!features_.natSetClear)
+            SHIFT_FAULT(FaultKind::UnknownFunction, FaultContext::None, 0,
+                        "clrnat requires the natSetClear feature");
         if constexpr (kAsync) {
             // Keep the maybe-bit superset sound: clear the tier's
             // taint along with the engine's bit (a zero-idiom
@@ -2162,22 +2175,20 @@ nullified:
                 replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, true);
         }
         gpr_[dp->r1].nat = false;
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Syscall)
-        charge(cycleModel_.syscallBase);
+        charge(kCycleModel.syscallBase);
         sync();
         if constexpr (kAsync) {
             if (asyncFence())
                 SHIFT_STOPPED();
         }
-        if (!syscall_) {
-            setFault(FaultKind::UnknownFunction, FaultContext::None, 0,
-                     "no system-call handler installed");
-            SHIFT_STOPPED();
-        }
+        if (!syscall_)
+            SHIFT_FAULT(FaultKind::UnknownFunction, FaultContext::None, 0,
+                        "no system-call handler installed");
         {
             [[maybe_unused]] uint64_t st0 = profT0();
             syscall_(*this, dp->imm);
@@ -2228,9 +2239,9 @@ nullified:
                        t1v;
         setGpr(dp->r3, t1v, a.nat);
         setGpr(dp->r1, t0v, a.nat);
-        cycles += 4 * cycleModel_.alu;
+        cycles += 4 * kCycleModel.alu;
         instrs += 4;
-        cyFlat[statIdx] += 4 * cycleModel_.alu;
+        cyFlat[statIdx] += 4 * kCycleModel.alu;
         inFlat[statIdx] += 4;
         ++pc;
         SHIFT_NEXT_FAST();
@@ -2249,83 +2260,77 @@ nullified:
         const Gpr a = gpr_[dp->br]; // t0: tag byte address
         if (a.nat) {
             archPcOverride_ = dp->origIndex;
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     cls == static_cast<unsigned>(OrigClass::ForStore)
-                         ? FaultContext::StoreAddress
-                         : FaultContext::LoadAddress,
-                     a.val, "load through a NaT (tainted) address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        cls == static_cast<unsigned>(OrigClass::ForStore)
+                            ? FaultContext::StoreAddress
+                            : FaultContext::LoadAddress,
+                        a.val, "load through a NaT (tainted) address");
         }
         uint64_t lo = 0;
         MemFault mf = mem_.read(a.val, 1, lo);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex;
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                     a.val, "load from illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
+                        a.val, "load from illegal address");
         }
         setGpr(dp->r1, lo, false);
         ++loadCount_;
-        charge(cycleModel_.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? cycleModel_.loadHit
-                                               : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
+                                               : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[idxMem] += extra;
         // add t2 = t0 + 1
         statIdx = idxAddr;
         uint64_t hiAddr = a.val + 1;
         setGpr(dp->r3, hiAddr, false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // ld1 t2, [t2] (address just computed, known clean)
         uint64_t hi = 0;
         mf = mem_.read(hiAddr, 1, hi);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex + 2;
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                     hiAddr, "load from illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
+                        hiAddr, "load from illegal address");
         }
         setGpr(dp->r3, hi, false);
         ++loadCount_;
         statIdx = idxMem;
-        charge(cycleModel_.loadBase);
-        extra = dcache_.access(hiAddr) ? cycleModel_.loadHit
-                                       : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
+                                       : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[idxMem] += extra;
         // shl t2, t2, 8 — consumes the just-loaded t2: load-use stall
         statIdx = idxAddr;
-        cycles += cycleModel_.loadUseStall;
-        stallCycles_ += cycleModel_.loadUseStall;
-        cyFlat[idxAddr] += cycleModel_.loadUseStall;
+        cycles += kCycleModel.loadUseStall;
+        stallCycles_ += kCycleModel.loadUseStall;
+        cyFlat[idxAddr] += kCycleModel.loadUseStall;
         hi <<= 8;
         setGpr(dp->r3, hi, false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // or t1, t1, t2
         lo |= hi;
         setGpr(dp->r1, lo, false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // and t2 = R, 7 — R's NaT starts propagating here
         const Gpr r = gpr_[dp->r2];
         uint64_t bitIdx = r.val & 7;
         setGpr(dp->r3, bitIdx, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // shr t1, t1, t2 (shift < 8)
         lo >>= bitIdx;
         setGpr(dp->r1, lo, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // and t1, t1, mask
         lo &= static_cast<uint64_t>(dp->imm);
         setGpr(dp->r1, lo, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // cmp.ne pT, p0 = t1, 0 — a NaT operand clears both predicates
         // (p0 writes are hardwired no-ops)
         statIdx = idxReg;
         setPred(dp->p1, r.nat ? false : lo != 0);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -2341,28 +2346,24 @@ nullified:
         const Gpr a = gpr_[dp->br]; // t0
         if (a.nat) {
             archPcOverride_ = dp->origIndex;
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     cls == static_cast<unsigned>(OrigClass::ForStore)
-                         ? FaultContext::StoreAddress
-                         : FaultContext::LoadAddress,
-                     a.val, "load through a NaT (tainted) address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        cls == static_cast<unsigned>(OrigClass::ForStore)
+                            ? FaultContext::StoreAddress
+                            : FaultContext::LoadAddress,
+                        a.val, "load through a NaT (tainted) address");
         }
         uint64_t lo = 0;
         MemFault mf = mem_.read(a.val, 1, lo);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex;
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                     a.val, "load from illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
+                        a.val, "load from illegal address");
         }
         setGpr(dp->r1, lo, false);
         ++loadCount_;
-        charge(cycleModel_.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? cycleModel_.loadHit
-                                               : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
+                                               : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[idxMem] += extra;
         // extr t2 = R, 3, 3
@@ -2370,15 +2371,15 @@ nullified:
         const Gpr r = gpr_[dp->r2];
         uint64_t bitIdx = (r.val >> 3) & 7;
         setGpr(dp->r3, bitIdx, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // shr t1, t1, t2 (shift < 8)
         lo >>= bitIdx;
         setGpr(dp->r1, lo, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // tbit pT, p0 = t1, 0 — NaT clears both predicates
         statIdx = idxReg;
         setPred(dp->p1, r.nat ? false : bit(lo, 0));
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -2389,15 +2390,13 @@ nullified:
         const Gpr bs = gpr_[dp->r2];
         uint64_t addr = bs.val + static_cast<uint64_t>(dp->imm);
         setGpr(dp->r3, addr, bs.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // st8.spill [t3] = r
         if (bs.nat) {
             archPcOverride_ = dp->origIndex + 1;
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     FaultContext::StoreAddress, addr,
-                     "store through a NaT (tainted) address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        FaultContext::StoreAddress, addr,
+                        "store through a NaT (tainted) address");
         }
         const Gpr src = gpr_[dp->r1];
         MemFault mf = mem_.writeSpill(addr, src.val, src.nat);
@@ -2406,15 +2405,13 @@ nullified:
             unat_ = insertBit(unat_, spillBit, src.nat);
         } else {
             archPcOverride_ = dp->origIndex + 1;
-            sync();
-            setFault(FaultKind::IllegalAddress,
-                     FaultContext::StoreAddress, addr,
-                     "store to illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress,
+                        FaultContext::StoreAddress, addr,
+                        "store to illegal address");
         }
         ++storeCount_;
-        charge(cycleModel_.storeBase);
-        uint64_t extra = dcache_.access(addr) ? 0 : cycleModel_.storeMiss;
+        charge(kCycleModel.storeBase);
+        uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
         cycles += extra;
         cyFlat[statIdx] += extra;
         // ld8 r = [t3] — the plain reload leaves the value, drops NaT
@@ -2422,16 +2419,14 @@ nullified:
         mf = mem_.read(addr, 8, v);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex + 2;
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                     addr, "load from illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
+                        addr, "load from illegal address");
         }
         setGpr(dp->r1, v, false);
         ++loadCount_;
-        charge(cycleModel_.loadBase);
-        extra = dcache_.access(addr) ? cycleModel_.loadHit
-                                     : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        extra = dcache_.access(addr) ? kCycleModel.loadHit
+                                     : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[statIdx] += extra;
         loadMask = 1ULL << (dp->r1 & 63); // last constituent is a load
@@ -2456,44 +2451,40 @@ nullified:
         // t2 = bit index within the tag byte (R's NaT propagates)
         uint64_t t2v = byteGran ? (r.val & 7) : ((r.val >> 3) & 7);
         setGpr(dp->br, t2v, r.nat);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // t3 = mask immediate
         uint64_t t3v = static_cast<uint64_t>(dp->imm);
         setGpr(dp->r3, t3v, false);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // t3 <<= t2 (shift < 8)
         t3v <<= t2v;
         bool t3n = r.nat;
         setGpr(dp->r3, t3v, t3n);
-        charge(cycleModel_.alu);
+        charge(kCycleModel.alu);
         // ld1 t1, [t0]
         const Gpr a = gpr_[static_cast<size_t>(dp->target)];
         if (a.nat) {
             archPcOverride_ = dp->origIndex + 3;
-            sync();
-            setFault(FaultKind::NatConsumption,
-                     cls == static_cast<unsigned>(OrigClass::ForStore)
-                         ? FaultContext::StoreAddress
-                         : FaultContext::LoadAddress,
-                     a.val, "load through a NaT (tainted) address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption,
+                        cls == static_cast<unsigned>(OrigClass::ForStore)
+                            ? FaultContext::StoreAddress
+                            : FaultContext::LoadAddress,
+                        a.val, "load through a NaT (tainted) address");
         }
         uint64_t t1v = 0;
         MemFault mf = mem_.read(a.val, 1, t1v);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex + 3;
-            sync();
-            setFault(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                     a.val, "load from illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
+                        a.val, "load from illegal address");
         }
         bool t1n = false;
         setGpr(dp->r1, t1v, t1n);
         ++loadCount_;
         statIdx = idxMem;
-        charge(cycleModel_.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? cycleModel_.loadHit
-                                               : cycleModel_.loadMiss;
+        charge(kCycleModel.loadBase);
+        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
+                                               : kCycleModel.loadMiss;
         cycles += extra;
         cyFlat[idxMem] += extra;
         // (pSet) or t1,t1,t3 — stalls on the just-loaded t1 when it
@@ -2502,43 +2493,39 @@ nullified:
         // stream).
         statIdx = idxReg;
         if (pred_[dp->p1]) {
-            cycles += cycleModel_.loadUseStall;
-            stallCycles_ += cycleModel_.loadUseStall;
-            cyFlat[idxReg] += cycleModel_.loadUseStall;
+            cycles += kCycleModel.loadUseStall;
+            stallCycles_ += kCycleModel.loadUseStall;
+            cyFlat[idxReg] += kCycleModel.loadUseStall;
             t1v |= t3v;
             t1n = t1n || t3n;
             setGpr(dp->r1, t1v, t1n);
-            charge(cycleModel_.alu);
+            charge(kCycleModel.alu);
         } else {
-            charge(cycleModel_.nullified);
+            charge(kCycleModel.nullified);
         }
         // (pClr) andcm t1,t1,t3
         if (pred_[dp->p2]) {
             t1v &= ~t3v;
             t1n = t1n || t3n;
             setGpr(dp->r1, t1v, t1n);
-            charge(cycleModel_.alu);
+            charge(kCycleModel.alu);
         } else {
-            charge(cycleModel_.nullified);
+            charge(kCycleModel.nullified);
         }
         // st1 [t0] = t1 (t0 known clean — the ld above would have
         // faulted; a NaT source is the unfused stream's plain-store
         // policy fault)
         if (t1n) {
             archPcOverride_ = dp->origIndex + 6;
-            sync();
-            setFault(FaultKind::NatConsumption, FaultContext::StoreValue,
-                     a.val, "plain store of a NaT source register");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::StoreValue,
+                        a.val, "plain store of a NaT source register");
         }
         mf = mem_.write(a.val, 1, t1v);
         if (mf != MemFault::None) {
             archPcOverride_ = dp->origIndex + 6;
-            sync();
-            setFault(FaultKind::IllegalAddress,
-                     FaultContext::StoreAddress, a.val,
-                     "store to illegal address");
-            SHIFT_STOPPED();
+            SHIFT_FAULT(FaultKind::IllegalAddress,
+                        FaultContext::StoreAddress, a.val,
+                        "store to illegal address");
         }
         if constexpr (kObserved) {
             if (rec && t1v != 0) [[unlikely]]
@@ -2547,8 +2534,8 @@ nullified:
         }
         ++storeCount_;
         statIdx = idxMem;
-        charge(cycleModel_.storeBase);
-        extra = dcache_.access(a.val) ? 0 : cycleModel_.storeMiss;
+        charge(kCycleModel.storeBase);
+        extra = dcache_.access(a.val) ? 0 : kCycleModel.storeMiss;
         cycles += extra;
         cyFlat[idxMem] += extra;
         if (byteGran) {
@@ -2556,73 +2543,67 @@ nullified:
             statIdx = idxAddr;
             t3v >>= 8;
             setGpr(dp->r3, t3v, t3n);
-            charge(cycleModel_.alu);
+            charge(kCycleModel.alu);
             // add t2 = t0 + 1
             uint64_t hiAddr = a.val + 1;
             setGpr(dp->br, hiAddr, false);
-            charge(cycleModel_.alu);
+            charge(kCycleModel.alu);
             // ld1 t1, [t2]
             mf = mem_.read(hiAddr, 1, t1v);
             if (mf != MemFault::None) {
                 archPcOverride_ = dp->origIndex + 9;
-                sync();
-                setFault(FaultKind::IllegalAddress,
-                         FaultContext::LoadAddress, hiAddr,
-                         "load from illegal address");
-                SHIFT_STOPPED();
+                SHIFT_FAULT(FaultKind::IllegalAddress,
+                            FaultContext::LoadAddress, hiAddr,
+                            "load from illegal address");
             }
             t1n = false;
             setGpr(dp->r1, t1v, t1n);
             ++loadCount_;
             statIdx = idxMem;
-            charge(cycleModel_.loadBase);
-            extra = dcache_.access(hiAddr) ? cycleModel_.loadHit
-                                           : cycleModel_.loadMiss;
+            charge(kCycleModel.loadBase);
+            extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
+                                           : kCycleModel.loadMiss;
             cycles += extra;
             cyFlat[idxMem] += extra;
             // (pSet) or / (pClr) andcm on the high half
             statIdx = idxReg;
             if (pred_[dp->p1]) {
-                cycles += cycleModel_.loadUseStall;
-                stallCycles_ += cycleModel_.loadUseStall;
-                cyFlat[idxReg] += cycleModel_.loadUseStall;
+                cycles += kCycleModel.loadUseStall;
+                stallCycles_ += kCycleModel.loadUseStall;
+                cyFlat[idxReg] += kCycleModel.loadUseStall;
                 t1v |= t3v;
                 t1n = t1n || t3n;
                 setGpr(dp->r1, t1v, t1n);
-                charge(cycleModel_.alu);
+                charge(kCycleModel.alu);
             } else {
-                charge(cycleModel_.nullified);
+                charge(kCycleModel.nullified);
             }
             if (pred_[dp->p2]) {
                 t1v &= ~t3v;
                 t1n = t1n || t3n;
                 setGpr(dp->r1, t1v, t1n);
-                charge(cycleModel_.alu);
+                charge(kCycleModel.alu);
             } else {
-                charge(cycleModel_.nullified);
+                charge(kCycleModel.nullified);
             }
             // st1 [t2] = t1
             if (t1n) {
                 archPcOverride_ = dp->origIndex + 12;
-                sync();
-                setFault(FaultKind::NatConsumption,
-                         FaultContext::StoreValue, hiAddr,
-                         "plain store of a NaT source register");
-                SHIFT_STOPPED();
+                SHIFT_FAULT(FaultKind::NatConsumption,
+                            FaultContext::StoreValue, hiAddr,
+                            "plain store of a NaT source register");
             }
             mf = mem_.write(hiAddr, 1, t1v);
             if (mf != MemFault::None) {
                 archPcOverride_ = dp->origIndex + 12;
-                sync();
-                setFault(FaultKind::IllegalAddress,
-                         FaultContext::StoreAddress, hiAddr,
-                         "store to illegal address");
-                SHIFT_STOPPED();
+                SHIFT_FAULT(FaultKind::IllegalAddress,
+                            FaultContext::StoreAddress, hiAddr,
+                            "store to illegal address");
             }
             ++storeCount_;
             statIdx = idxMem;
-            charge(cycleModel_.storeBase);
-            extra = dcache_.access(hiAddr) ? 0 : cycleModel_.storeMiss;
+            charge(kCycleModel.storeBase);
+            extra = dcache_.access(hiAddr) ? 0 : kCycleModel.storeMiss;
             cycles += extra;
             cyFlat[idxMem] += extra;
         }
@@ -2803,6 +2784,11 @@ stepLimitHit:
              "step limit exceeded");
     return;
 
+raiseFault:
+    sync();
+    setFault(faultKind, faultCtx, faultAddr, faultDetail);
+    // setFault always stops the machine.
+
 doneRun:
     sync();
     dispatches_ += steps;
@@ -2811,6 +2797,8 @@ doneRun:
 #undef SHIFT_NEXT
 #undef SHIFT_NEXT_FAST
 #undef SHIFT_STOPPED
+#undef SHIFT_FAULT
+#undef SHIFT_INLINE
 }
 
 // The template parameters are <kObserved, kAsync>. Production runs
@@ -2839,13 +2827,13 @@ Machine::run(uint64_t maxSteps)
     // need per-instruction visibility compiled code doesn't provide),
     // and the cache must have been compiled against this machine's
     // exact program and compile-time environment. A mismatched cache
-    // (e.g. the cycle model was tuned after setJitEnabled, or a
+    // (e.g. the fast path was switched after setJitEnabled, or a
     // trace-hook re-decode replaced the program) is replaced rather
     // than trusted.
     jitActive_ = nullptr;
     if (jitEnabled_ && engine_ == ExecEngine::Predecoded && decoded_ &&
         !trace_ && !obs_ && jit::available()) {
-        jit::CompileEnv env{cycleModel_, features_.natSetClear,
+        jit::CompileEnv env{features_.natSetClear,
                             features_.natAwareCompare, fastEnabled_,
                             asyncTier_ != nullptr};
         if (!jitCache_ || jitCache_->program() != decoded_.get() ||

@@ -294,7 +294,6 @@ class Machine
     const DecodedProgram *decoded() const { return decoded_.get(); }
     const CpuFeatures &features() const { return features_; }
     ExecEngine engine() const { return engine_; }
-    CycleModel &cycleModel() { return cycleModel_; }
 
     /**
      * Raise a NaT-consumption fault from a built-in or the OS (e.g. a
@@ -439,7 +438,10 @@ class Machine
      * dispatch), with the pc and the hot counters held in locals that
      * are written back to the architectural members around every
      * observation point (trace hooks, built-ins, system calls, faults,
-     * alerts).
+     * alerts, compiled code). No local has its address taken: every
+     * closure in the loop is forced inline, cold exits take values or
+     * members (jitLookup, jitRun, the shared fault tail), and the
+     * perf_interp_inlined ctest holds that on the compiled library.
      *
      * kObserved selects the observed loop, taken whenever a trace
      * hook, recorder or profiler is attached or dispatch is forced:
@@ -452,6 +454,27 @@ class Machine
      */
     template <bool kObserved, bool kAsync>
     void runDecoded(uint64_t maxSteps);
+
+    /**
+     * runDecoded's JIT hook, out of line and on values: credit the
+     * interpreted dispatches up to `steps` and look up compiled code
+     * for (current function, stream, pc), compiling it when its work
+     * has paid up. Null means keep interpreting.
+     */
+    jit::CodeCache::Entry jitLookup(uint64_t steps, bool inFast,
+                                    uint64_t pc);
+
+    /**
+     * Run compiled code from the synced machine state (call after
+     * runDecoded's sync(), with jitCtx_.loadMask set) until it bails
+     * out or stops, folding its counters into the members and leaving
+     * pc_/inFast_ (and, from compiled calls and returns, curFunc_) at
+     * the exit point and the live load-use mask in jitCtx_.loadMask.
+     * Returns the step count after the compiled steps; never call it
+     * with steps == maxSteps.
+     */
+    uint64_t jitRun(jit::CodeCache::Entry en, uint64_t steps,
+                    uint64_t maxSteps);
 
     /**
      * Raise the tier's recorded violation as the synchronous engine's
@@ -488,7 +511,6 @@ class Machine
     const Program *program_;
     CpuFeatures features_;
     ExecEngine engine_;
-    CycleModel cycleModel_;
 
     // Predecoded engine state (null under ExecEngine::Legacy). Shared
     // and immutable after construction so snapshot clones reuse one
