@@ -13,7 +13,6 @@
  * instructions, alerts, response bytes) against its monolith twin —
  * throughput without fidelity is worthless.
  *
- * Writes BENCH_fleet.json.
  * `--smoke` runs a reduced matrix and exits non-zero when the
  * 4-worker fleet fails to clear 2x the monolith throughput — the
  * perf-smoke-fleet CI tripwire.
@@ -25,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_util.hh"
 #include "svc/fleet.hh"
 #include "workloads/httpd.hh"
 
@@ -158,38 +156,6 @@ checkIdentical(const Row &monolith, const Row &fleet)
     }
 }
 
-void
-writeJson(const std::vector<Row> &rows, double monolithRps,
-          double fleet4Speedup, double forkMs, size_t snapshotPages)
-{
-    FILE *f = std::fopen("BENCH_fleet.json", "w");
-    if (!f) {
-        std::fprintf(stderr, "bench_fleet: cannot write "
-                             "BENCH_fleet.json\n");
-        return;
-    }
-    std::fprintf(f, "{\n  \"workloads\": [\n");
-    for (size_t i = 0; i < rows.size(); ++i) {
-        const Row &r = rows[i];
-        std::fprintf(
-            f,
-            "    {\"name\": \"%s\", \"workers\": %u, "
-            "\"requests\": %zu, \"host_seconds\": %.6f, "
-            "\"requests_per_host_second\": %.1f, "
-            "\"speedup_vs_monolith\": %.3f}%s\n",
-            r.name.c_str(), r.workers, r.requests, r.hostSeconds,
-            r.rps(), monolithRps > 0 ? r.rps() / monolithRps : 0,
-            i + 1 < rows.size() ? "," : "");
-    }
-    std::fprintf(f,
-                 "  ],\n  \"fleet4_speedup_vs_monolith\": %.3f,\n"
-                 "  \"avg_fork_ms\": %.4f,\n"
-                 "  \"snapshot_pages\": %zu\n}\n",
-                 fleet4Speedup, forkMs, snapshotPages);
-    std::fclose(f);
-    std::printf("wrote BENCH_fleet.json\n");
-}
-
 } // namespace
 
 int
@@ -213,7 +179,7 @@ main(int argc, char **argv)
                 config.jobs, config.requestsPerJob);
     std::printf("%-12s %8s %10s %12s %10s\n", "harness", "workers",
                 "requests", "host secs", "req/sec");
-    benchutil::rule(58);
+    std::printf("%s\n", std::string(58, '-').c_str());
 
     Row monolith = runMonolith(config, jobs);
     std::vector<Row> rows;
@@ -248,16 +214,13 @@ main(int argc, char **argv)
         if (r.workers == 4 && r.name != "monolith")
             fleet4Speedup = speedup;
     }
-    benchutil::rule(58);
+    std::printf("%s\n", std::string(58, '-').c_str());
     std::printf("clone fork: %.3f ms avg over %d forks "
                 "(%zu snapshot pages shared)\n",
                 forkMs, kForkSamples, snapshotPages);
     std::printf("fleet@4 vs monolith: %.2fx "
                 "(every job verified bit-identical)\n\n",
                 fleet4Speedup);
-
-    writeJson(rows, monolith.rps(), fleet4Speedup, forkMs,
-              snapshotPages);
 
     if (smoke && fleet4Speedup < 2.0) {
         std::fprintf(stderr,

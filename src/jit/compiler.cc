@@ -54,20 +54,18 @@ constexpr int32_t kOffGpr = 24;
 constexpr int32_t kOffPred = 32;
 constexpr int32_t kOffFpCold = 40;
 constexpr int32_t kOffBrRegs = 48;
-constexpr int32_t kOffCycles = 56;
-constexpr int32_t kOffInstrs = 64;
-constexpr int32_t kOffStall = 72;
-constexpr int32_t kOffColdBails = 80;
-constexpr int32_t kOffLoadMask = 96;
-constexpr int32_t kOffStepsLeft = 104;
-constexpr int32_t kOffExitPc = 112;
-constexpr int32_t kOffExitInFast = 120;
-constexpr int32_t kOffTlb = 128;
-constexpr int32_t kOffSumWays = 136;
-constexpr int32_t kOffFpEnters = 144;
-constexpr int32_t kOffFpEntered = 152;
-constexpr int32_t kOffUnat = 160;
-constexpr int32_t kOffTagTlb = 168;
+constexpr int32_t kOffStall = 56;
+constexpr int32_t kOffColdBails = 64;
+constexpr int32_t kOffLoadMask = 80;
+constexpr int32_t kOffStepsLeft = 88;
+constexpr int32_t kOffExitPc = 96;
+constexpr int32_t kOffExitInFast = 104;
+constexpr int32_t kOffTlb = 112;
+constexpr int32_t kOffSumWays = 120;
+constexpr int32_t kOffFpEnters = 128;
+constexpr int32_t kOffFpEntered = 136;
+constexpr int32_t kOffUnat = 144;
+constexpr int32_t kOffTagTlb = 152;
 
 // Translation-cache entry layout (asserted in mem/memory.hh).
 constexpr int32_t kTlbKeyOff = 0;
@@ -338,14 +336,10 @@ isProbeOp(Opcode op)
  */
 struct PendingCharges
 {
-    int64_t cycles = 0;
-    int64_t instrs = 0;
     std::vector<std::array<int64_t, 3>> buckets; // statIdx, cy, in
 
     void add(unsigned statIdx, uint64_t cy, uint64_t in)
     {
-        cycles += int64_t(cy);
-        instrs += int64_t(in);
         for (auto &b : buckets) {
             if (b[0] == int64_t(statIdx)) {
                 b[1] += int64_t(cy);
@@ -358,14 +352,6 @@ struct PendingCharges
 
     void flush(Emitter &e)
     {
-        if (!cycles && !instrs)
-            return;
-        if (cycles)
-            e.aluMemImm32(Emitter::ALU_ADD, R15, kOffCycles,
-                          int32_t(cycles));
-        if (instrs)
-            e.aluMemImm32(Emitter::ALU_ADD, R15, kOffInstrs,
-                          int32_t(instrs));
         for (const auto &b : buckets) {
             int32_t disp = int32_t(b[0]) * 8;
             if (b[1])
@@ -375,7 +361,6 @@ struct PendingCharges
                 e.aluMemImm32(Emitter::ALU_ADD, RBX, disp,
                               int32_t(b[2]));
         }
-        cycles = instrs = 0;
         buckets.clear();
     }
 };
@@ -634,12 +619,6 @@ class FunctionCompiler
     /** charge(cost) emitted immediately (uncoalesced paths). */
     void emitChargeNow(unsigned statIdx, uint64_t cy, uint64_t in)
     {
-        if (cy)
-            e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffCycles,
-                           int32_t(cy));
-        if (in)
-            e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffInstrs,
-                           int32_t(in));
         int32_t disp = int32_t(statIdx) * 8;
         if (cy)
             e_.aluMemImm32(Emitter::ALU_ADD, R12, disp, int32_t(cy));
@@ -659,7 +638,6 @@ class FunctionCompiler
             if (!((use >> (mask_.loadReg & 63)) & 1))
                 return;
             // Statically known to stall.
-            e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffCycles, cost);
             e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffStall, cost);
             e_.aluMemImm32(Emitter::ALU_ADD, R12, disp, cost);
             return;
@@ -669,7 +647,6 @@ class FunctionCompiler
         e_.movRegImm64(RAX, use);
         e_.testRegReg(RAX, RBP);
         e_.jcc(CC_E, skip);
-        e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffCycles, cost);
         e_.aluMemImm32(Emitter::ALU_ADD, R15, kOffStall, cost);
         e_.aluMemImm32(Emitter::ALU_ADD, R12, disp, cost);
         e_.bind(skip);

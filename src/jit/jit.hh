@@ -89,17 +89,15 @@ bool available();
 struct JitCtx
 {
     Machine *m = nullptr;       ///< for helper calls (never baked)
-    uint64_t *cyFlat = nullptr; ///< cyclesBy_ viewed flat
-    uint64_t *inFlat = nullptr; ///< instrsBy_ viewed flat
+    uint64_t *cyFlat = nullptr; ///< cyclesBy_ viewed flat: the ledger
+    uint64_t *inFlat = nullptr; ///< instrsBy_ viewed flat: the ledger
     void *gpr = nullptr;        ///< Gpr[kNumGpr]: val@16r, nat@16r+8
     bool *pred = nullptr;       ///< predicate file
     uint8_t *fpCold = nullptr;  ///< per-superblock cold flags
     uint64_t *brRegs = nullptr; ///< branch register file
 
-    // Accumulators the interpreter folds into its locals on exit.
-    uint64_t cycles = 0;
-    uint64_t instrs = 0;
-    uint64_t stall = 0;     ///< load-use stall cycles (also in cycles)
+    // Accumulators the interpreter folds into the Machine on exit.
+    uint64_t stall = 0;     ///< load-use stall cycles (also in cyFlat)
     uint64_t coldBails = 0; ///< fast-tier cold bails taken in JIT code
     uint64_t deopts = 0;    ///< probe-guard failures taken in JIT code
 
@@ -143,21 +141,19 @@ static_assert(offsetof(JitCtx, cyFlat) == 8 &&
                   offsetof(JitCtx, pred) == 32 &&
                   offsetof(JitCtx, fpCold) == 40 &&
                   offsetof(JitCtx, brRegs) == 48 &&
-                  offsetof(JitCtx, cycles) == 56 &&
-                  offsetof(JitCtx, instrs) == 64 &&
-                  offsetof(JitCtx, stall) == 72 &&
-                  offsetof(JitCtx, coldBails) == 80 &&
-                  offsetof(JitCtx, deopts) == 88 &&
-                  offsetof(JitCtx, loadMask) == 96 &&
-                  offsetof(JitCtx, stepsLeft) == 104 &&
-                  offsetof(JitCtx, exitPc) == 112 &&
-                  offsetof(JitCtx, exitInFast) == 120 &&
-                  offsetof(JitCtx, tlb) == 128 &&
-                  offsetof(JitCtx, sumWays) == 136 &&
-                  offsetof(JitCtx, fpEnters) == 144 &&
-                  offsetof(JitCtx, fpEntered) == 152 &&
-                  offsetof(JitCtx, unat) == 160 &&
-                  offsetof(JitCtx, tagTlb) == 168,
+                  offsetof(JitCtx, stall) == 56 &&
+                  offsetof(JitCtx, coldBails) == 64 &&
+                  offsetof(JitCtx, deopts) == 72 &&
+                  offsetof(JitCtx, loadMask) == 80 &&
+                  offsetof(JitCtx, stepsLeft) == 88 &&
+                  offsetof(JitCtx, exitPc) == 96 &&
+                  offsetof(JitCtx, exitInFast) == 104 &&
+                  offsetof(JitCtx, tlb) == 112 &&
+                  offsetof(JitCtx, sumWays) == 120 &&
+                  offsetof(JitCtx, fpEnters) == 128 &&
+                  offsetof(JitCtx, fpEntered) == 136 &&
+                  offsetof(JitCtx, unat) == 144 &&
+                  offsetof(JitCtx, tagTlb) == 152,
               "JitCtx layout is baked into emitted code");
 
 /**

@@ -5,17 +5,17 @@
  * Each helper is a line-for-line transliteration of the corresponding
  * interpreter handler in src/sim/machine.cc (the comments there carry
  * the constituent-by-constituent story; here only the mechanics).
- * The interpreter's loop locals map onto JitCtx accumulators:
+ * The interpreter's loop state maps onto the JitCtx:
  *
- *     cycles/instrs     -> ctx->cycles / ctx->instrs
- *     cyFlat/inFlat     -> ctx->cyFlat / ctx->inFlat (same arrays)
+ *     cyFlat/inFlat     -> ctx->cyFlat / ctx->inFlat (same arrays,
+ *                          the only cycle and instruction ledger)
  *     stallCycles_      -> ctx->stall (folded on exit)
  *     loadMask          -> ctx->loadMask (helpers that end in a load
  *                          set it; emitted code mirrors it in rbp)
  *     sync()            -> spill() below, using the pc packed in pcw
  *
  * A helper that faults performs exactly what the interpreter does:
- * spill the deltas into the Machine, set archPcOverride_ where the
+ * spill the accumulators into the Machine, set archPcOverride_ where the
  * fused handler would, call setFault (which always stops the machine,
  * possibly converting to a policy alert), then report exit.
  */
@@ -39,8 +39,6 @@ namespace
 inline void
 chg(JitCtx *c, unsigned statIdx, uint64_t cost)
 {
-    c->cycles += cost;
-    ++c->instrs;
     c->cyFlat[statIdx] += cost;
     c->inFlat[statIdx] += 1;
 }
@@ -49,16 +47,14 @@ chg(JitCtx *c, unsigned statIdx, uint64_t cost)
 inline void
 stall(JitCtx *c, unsigned statIdx, uint64_t cost)
 {
-    c->cycles += cost;
     c->stall += cost;
     c->cyFlat[statIdx] += cost;
 }
 
 /**
- * Per-helper charge accumulator. The interpreter's charges go to loop
- * locals the compiler keeps in registers; a helper that RMW'd the
- * JitCtx accumulators once per constituent instead would serialize on
- * store-to-load forwarding (a fused taint op charges up to fourteen
+ * Per-helper charge accumulator. A helper that RMW'd the ledger's
+ * buckets once per constituent would serialize on store-to-load
+ * forwarding (a fused taint op charges up to fourteen
  * constituents against the same field) and hand much of the tier's
  * throughput win back. So the multi-constituent helpers accumulate
  * into an Acc and flush once per exit path — fault paths flush before
@@ -72,15 +68,11 @@ template <int N> struct Acc
     unsigned idx[N];
     uint64_t cy[N] = {};
     uint64_t in[N] = {};
-    uint64_t cycles = 0;
-    uint64_t instrs = 0;
     uint64_t stallCy = 0;
 
     void
     chg(int b, uint64_t cost)
     {
-        cycles += cost;
-        ++instrs;
         cy[b] += cost;
         ++in[b];
     }
@@ -88,21 +80,17 @@ template <int N> struct Acc
     void
     extra(int b, uint64_t cost)
     {
-        cycles += cost;
         cy[b] += cost;
     }
     void
     stall(int b, uint64_t cost)
     {
-        cycles += cost;
         stallCy += cost;
         cy[b] += cost;
     }
     void
     flush()
     {
-        c->cycles += cycles;
-        c->instrs += instrs;
         c->stall += stallCy;
         for (int i = 0; i < N; ++i) {
             c->cyFlat[idx[i]] += cy[i];
@@ -133,10 +121,6 @@ JitOps::spill(JitCtx *c, uint64_t pcw)
     uint64_t pc = pcw & 0xffffffffu;
     m.pc_ = pc;
     m.inFast_ = (pcw >> 32) != 0;
-    m.cycles_ += c->cycles;
-    c->cycles = 0;
-    m.instrs_ += c->instrs;
-    c->instrs = 0;
     m.stallCycles_ += c->stall;
     c->stall = 0;
     m.fpColdBails_ += c->coldBails;
@@ -257,8 +241,6 @@ JitOps::ldRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     uint64_t cost = kCycleModel.loadBase +
                     (m.dcache_.access(addr) ? kCycleModel.loadHit
                                             : kCycleModel.loadMiss);
-    c->cycles += cost;
-    ++c->instrs;
     c->cyFlat[statIdx] += cost;
     c->inFlat[statIdx] += 1;
 }
@@ -271,8 +253,6 @@ JitOps::stRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     uint64_t cost =
         kCycleModel.storeBase +
         (m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss);
-    c->cycles += cost;
-    ++c->instrs;
     c->cyFlat[statIdx] += cost;
     c->inFlat[statIdx] += 1;
 }
@@ -296,8 +276,6 @@ JitOps::clearNatRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     cost += m.dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
     cost += m.dcache_.access(addr) ? kCycleModel.loadHit
                                    : kCycleModel.loadMiss;
-    c->cycles += cost;
-    c->instrs += 3;
     c->cyFlat[statIdx] += cost;
     c->inFlat[statIdx] += 3;
 }
@@ -328,8 +306,6 @@ JitOps::chkByteRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
     uint64_t addrCy =
         6 * kCycleModel.alu + kCycleModel.loadUseStall;
     uint64_t regCy = kCycleModel.alu;
-    c->cycles += memCy + addrCy + regCy;
-    c->instrs += 9;
     c->stall += kCycleModel.loadUseStall;
     c->cyFlat[statIdx] += memCy;
     c->inFlat[statIdx] += 2;

@@ -15,7 +15,8 @@
  * ordinary instrumentation tracks it. This reproduces the paper's
  * observation that "control speculation is effective only when there
  * is little tainted data involved": tainted inputs turn the
- * speculation win into recovery overhead (see bench_speculation).
+ * speculation win into recovery overhead (see the control-speculation
+ * block of bench/paper_figures).
  *
  * Runs after register allocation and before instrumentation.
  */

@@ -463,8 +463,6 @@ Machine::applyAsyncViolation(const dift::Violation &v)
 void
 Machine::chargeCycles(const Instr &instr, uint64_t cycles)
 {
-    cycles_ += cycles;
-    ++instrs_;
     int prov = static_cast<int>(instr.prov);
     int cls = static_cast<int>(instr.origClass);
     cyclesBy_[prov][cls] += cycles;
@@ -484,7 +482,6 @@ Machine::chargeMemAccess(const Instr &instr, uint64_t addr, bool isLoadAcc)
         extra = hit ? kCycleModel.loadHit : kCycleModel.loadMiss;
     else
         extra = hit ? 0 : kCycleModel.storeMiss;
-    cycles_ += extra;
     cyclesBy_[static_cast<int>(instr.prov)]
              [static_cast<int>(instr.origClass)] += extra;
 }
@@ -823,7 +820,6 @@ Machine::stepLegacy()
     if (lastLoadDst_ >= 0 && instr.op != Opcode::Chk &&
         usesReg(instr, lastLoadDst_)) {
         uint64_t stall = kCycleModel.loadUseStall;
-        cycles_ += stall;
         stallCycles_ += stall;
         cyclesBy_[static_cast<int>(instr.prov)]
                  [static_cast<int>(instr.origClass)] += stall;
@@ -1106,8 +1102,6 @@ Machine::jitRun(jit::CodeCache::Entry en, uint64_t steps,
                 uint64_t maxSteps)
 {
     uint64_t budget = maxSteps - steps;
-    jitCtx_.cycles = 0;
-    jitCtx_.instrs = 0;
     jitCtx_.stall = 0;
     jitCtx_.coldBails = 0;
     jitCtx_.deopts = 0;
@@ -1123,8 +1117,6 @@ Machine::jitRun(jit::CodeCache::Entry en, uint64_t steps,
     // synced machine); these adds then fold zeros.
     steps += budget - static_cast<uint64_t>(jitCtx_.stepsLeft);
     jitWorkMark_ = steps; // compiled dispatches are not work
-    cycles_ += jitCtx_.cycles;
-    instrs_ += jitCtx_.instrs;
     stallCycles_ += jitCtx_.stall;
     fpColdBails_ += jitCtx_.coldBails;
     jitDeopts_ += jitCtx_.deopts;
@@ -1152,8 +1144,10 @@ void
 Machine::runDecoded(uint64_t maxSteps)
 {
     // The fused interpreter loop. Everything per-instruction lives in
-    // locals: the dense pc, the cycle/instruction deltas, the load-use
-    // mask, the step count and the current function's code pointer.
+    // locals: the dense pc, the load-use mask, the step count and the
+    // current function's code pointer. Charges go straight to the
+    // ledger, the cyclesBy_/instrsBy_ cells of the instruction's stat
+    // index; run() sums it.
     // The architectural members are the source of truth only at
     // observation points — sync() writes the locals back before
     // anything that can observe machine state (faults, alerts,
@@ -1197,8 +1191,6 @@ Machine::runDecoded(uint64_t maxSteps)
         inFast ? df->fast.data() : df->code.data();
     const DecodedInstr *dp = code;
     uint64_t pc = pc_;
-    uint64_t cycles = 0; // delta not yet in cycles_
-    uint64_t instrs = 0; // delta not yet in instrs_
     // Load-use tracking as a single mask: bit r is set when the
     // previous instruction loaded register r, so the stall check is
     // one AND against the micro-op's precomputed use mask.
@@ -1221,10 +1213,6 @@ Machine::runDecoded(uint64_t maxSteps)
     auto sync = [&]() SHIFT_INLINE {
         pc_ = pc;
         inFast_ = inFast;
-        cycles_ += cycles;
-        cycles = 0;
-        instrs_ += instrs;
-        instrs = 0;
         lastLoadDst_ = loadMask ? std::countr_zero(loadMask) : -1;
     };
     auto resync = [&]() SHIFT_INLINE {
@@ -1265,8 +1253,6 @@ Machine::runDecoded(uint64_t maxSteps)
     }
     uint32_t profLeft = obs::Profiler::kSampleEvery;
     auto charge = [&](uint64_t cost) SHIFT_INLINE {
-        cycles += cost;
-        ++instrs;
         cyFlat[statIdx] += cost;
         inFlat[statIdx] += 1;
     };
@@ -1549,7 +1535,6 @@ Machine::runDecoded(uint64_t maxSteps)
         if (dp->qp != 0 && !pred_[dp->qp])                              \
             goto nullified;                                             \
         if (dp->useMask & loadMask) {                                   \
-            cycles += kCycleModel.loadUseStall;                         \
             stallCycles_ += kCycleModel.loadUseStall;                   \
             cyFlat[statIdx] += kCycleModel.loadUseStall;                \
         }                                                               \
@@ -1613,7 +1598,6 @@ observe:
     if (dp->qp != 0 && !pred_[dp->qp])
         goto nullified;
     if (dp->useMask & loadMask) {
-        cycles += kCycleModel.loadUseStall;
         stallCycles_ += kCycleModel.loadUseStall;
         cyFlat[statIdx] += kCycleModel.loadUseStall;
     }
@@ -1909,7 +1893,6 @@ nullified:
         charge(kCycleModel.loadBase);
         uint64_t extra = dcache_.access(addr) ? kCycleModel.loadHit
                                               : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[statIdx] += extra;
         ++pc;
         SHIFT_NEXT_FAST();
@@ -1982,7 +1965,6 @@ nullified:
         ++storeCount_;
         charge(kCycleModel.storeBase);
         uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
-        cycles += extra;
         cyFlat[statIdx] += extra;
         ++pc;
         SHIFT_NEXT_FAST();
@@ -2239,8 +2221,6 @@ nullified:
                        t1v;
         setGpr(dp->r3, t1v, a.nat);
         setGpr(dp->r1, t0v, a.nat);
-        cycles += 4 * kCycleModel.alu;
-        instrs += 4;
         cyFlat[statIdx] += 4 * kCycleModel.alu;
         inFlat[statIdx] += 4;
         ++pc;
@@ -2278,7 +2258,6 @@ nullified:
         charge(kCycleModel.loadBase);
         uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
                                                : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[idxMem] += extra;
         // add t2 = t0 + 1
         statIdx = idxAddr;
@@ -2299,11 +2278,9 @@ nullified:
         charge(kCycleModel.loadBase);
         extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
                                        : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[idxMem] += extra;
         // shl t2, t2, 8 — consumes the just-loaded t2: load-use stall
         statIdx = idxAddr;
-        cycles += kCycleModel.loadUseStall;
         stallCycles_ += kCycleModel.loadUseStall;
         cyFlat[idxAddr] += kCycleModel.loadUseStall;
         hi <<= 8;
@@ -2364,7 +2341,6 @@ nullified:
         charge(kCycleModel.loadBase);
         uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
                                                : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[idxMem] += extra;
         // extr t2 = R, 3, 3
         statIdx = idxAddr;
@@ -2412,7 +2388,6 @@ nullified:
         ++storeCount_;
         charge(kCycleModel.storeBase);
         uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
-        cycles += extra;
         cyFlat[statIdx] += extra;
         // ld8 r = [t3] — the plain reload leaves the value, drops NaT
         uint64_t v = 0;
@@ -2427,7 +2402,6 @@ nullified:
         charge(kCycleModel.loadBase);
         extra = dcache_.access(addr) ? kCycleModel.loadHit
                                      : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[statIdx] += extra;
         loadMask = 1ULL << (dp->r1 & 63); // last constituent is a load
         ++pc;
@@ -2485,7 +2459,6 @@ nullified:
         charge(kCycleModel.loadBase);
         uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
                                                : kCycleModel.loadMiss;
-        cycles += extra;
         cyFlat[idxMem] += extra;
         // (pSet) or t1,t1,t3 — stalls on the just-loaded t1 when it
         // executes; occupies a nullified slot otherwise (which also
@@ -2493,7 +2466,6 @@ nullified:
         // stream).
         statIdx = idxReg;
         if (pred_[dp->p1]) {
-            cycles += kCycleModel.loadUseStall;
             stallCycles_ += kCycleModel.loadUseStall;
             cyFlat[idxReg] += kCycleModel.loadUseStall;
             t1v |= t3v;
@@ -2536,7 +2508,6 @@ nullified:
         statIdx = idxMem;
         charge(kCycleModel.storeBase);
         extra = dcache_.access(a.val) ? 0 : kCycleModel.storeMiss;
-        cycles += extra;
         cyFlat[idxMem] += extra;
         if (byteGran) {
             // shr t3, t3, 8
@@ -2563,12 +2534,10 @@ nullified:
             charge(kCycleModel.loadBase);
             extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
                                            : kCycleModel.loadMiss;
-            cycles += extra;
             cyFlat[idxMem] += extra;
             // (pSet) or / (pClr) andcm on the high half
             statIdx = idxReg;
             if (pred_[dp->p1]) {
-                cycles += kCycleModel.loadUseStall;
                 stallCycles_ += kCycleModel.loadUseStall;
                 cyFlat[idxReg] += kCycleModel.loadUseStall;
                 t1v |= t3v;
@@ -2604,7 +2573,6 @@ nullified:
             statIdx = idxMem;
             charge(kCycleModel.storeBase);
             extra = dcache_.access(hiAddr) ? 0 : kCycleModel.storeMiss;
-            cycles += extra;
             cyFlat[idxMem] += extra;
         }
         ++pc;
@@ -2899,17 +2867,25 @@ Machine::run(uint64_t maxSteps)
     result.fault = fault_;
     result.alerts = alerts_;
     result.killedByPolicy = killedByPolicy_;
-    result.instructions = instrs_;
-    result.cycles = cycles_ + osCycles_;
+    // The per-(provenance, class) matrices are the one cycle and
+    // instruction ledger; every charge lands in exactly one cell.
+    uint64_t cpuCycles = 0;
+    for (int p = 0; p < kNumProv; ++p) {
+        for (int c = 0; c < kNumClass; ++c) {
+            cpuCycles += cyclesBy_[p][c];
+            result.instructions += instrsBy_[p][c];
+        }
+    }
+    result.cycles = cpuCycles + osCycles_;
 
     // Machine-level counters live under the documented `engine.*`
     // namespace (docs/OBSERVABILITY.md); fastpath.* keeps its own
     // top-level family because the fast tier is a distinct subsystem.
     StatSet &st = result.stats;
     st.add("engine.cycles.total", result.cycles);
-    st.add("engine.cycles.cpu", cycles_);
+    st.add("engine.cycles.cpu", cpuCycles);
     st.add("engine.cycles.os", osCycles_);
-    st.add("engine.instrs.total", instrs_);
+    st.add("engine.instrs.total", result.instructions);
     st.add("engine.mem.loads", loadCount_);
     st.add("engine.mem.stores", storeCount_);
     st.add("engine.cycles.loadUseStall", stallCycles_);

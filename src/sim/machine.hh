@@ -570,9 +570,9 @@ class Machine
     // Accounting.
     static constexpr int kNumProv = kNumProvenance;
     static constexpr int kNumClass = kNumOrigClass;
-    uint64_t cycles_ = 0;
     uint64_t osCycles_ = 0;
-    uint64_t instrs_ = 0;
+    // The CPU's cycle and instruction ledger, per (provenance, class);
+    // run() sums it into the totals.
     uint64_t cyclesBy_[kNumProv][kNumClass] = {};
     uint64_t instrsBy_[kNumProv][kNumClass] = {};
     uint64_t loadCount_ = 0;

@@ -1,7 +1,5 @@
 #include "httpd.hh"
 
-#include <chrono>
-
 #include "support/logging.hh"
 
 namespace shift::workloads
@@ -174,14 +172,7 @@ HttpdRun
 runHttpd(const HttpdConfig &config)
 {
     SessionOptions options = httpdSessionOptions(
-        config.mode, config.granularity, config.features, config.engine);
-    options.optimize = config.optimize;
-    options.fastPath = config.fastPath;
-    options.async = config.async;
-    options.jit = config.jit;
-    options.jitThreshold = config.jitThreshold;
-    options.policy.taintNetwork = config.taintRequests;
-
+        config.mode, config.granularity, CpuFeatures{}, config.engine);
     Session session(kHttpdSource, options);
     provisionHttpdOs(session.os(), config.fileSize);
     std::string body = httpdFileBody(config.fileSize);
@@ -190,11 +181,7 @@ runHttpd(const HttpdConfig &config)
         session.os().queueConnection(kHttpdRequest);
 
     HttpdRun run;
-    auto start = std::chrono::steady_clock::now();
     run.result = session.run();
-    run.runSeconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
     run.requestsServed = session.os().responses().size();
     run.totalCycles = run.result.cycles;
     run.latencyCycles = static_cast<double>(run.totalCycles) /
@@ -221,9 +208,6 @@ makeHttpdTemplate(const HttpdFleetConfig &config)
 {
     SessionOptions options = httpdSessionOptions(
         config.mode, config.granularity, config.features, config.engine);
-    options.optimize = config.optimize;
-    options.fastPath = config.fastPath;
-    options.async = config.async;
     options.profile = config.profile;
     auto tmpl = std::make_unique<SessionTemplate>(
         std::string(kHttpdSource), std::move(options));
@@ -254,24 +238,13 @@ HttpdFleetRun
 runHttpdFleet(const HttpdFleetConfig &config)
 {
     HttpdFleetRun run;
-
-    auto buildStart = std::chrono::steady_clock::now();
     std::unique_ptr<SessionTemplate> tmpl = makeHttpdTemplate(config);
     tmpl->freeze();
-    run.buildSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - buildStart)
-                           .count();
 
     svc::FleetOptions fleetOptions;
     fleetOptions.workers = config.workers;
-    fleetOptions.queueCapacity = config.queueCapacity;
     svc::Fleet fleet(*tmpl, fleetOptions);
-
-    auto serveStart = std::chrono::steady_clock::now();
     run.report = fleet.serve(httpdFleetJobs(config));
-    run.serveSeconds = std::chrono::duration<double>(
-                           std::chrono::steady_clock::now() - serveStart)
-                           .count();
 
     // Validate benign payloads end-to-end, exactly as runHttpd does.
     std::string body = httpdFileBody(config.fileSize);

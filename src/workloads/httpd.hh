@@ -31,20 +31,7 @@ struct HttpdConfig
 {
     TrackingMode mode = TrackingMode::None;
     Granularity granularity = Granularity::Byte;
-    CpuFeatures features;
     ExecEngine engine = ExecEngine::Predecoded;
-    OptimizerOptions optimize;     ///< post-instrumentation optimizer
-    bool fastPath = false;         ///< taint-clean fast tier (FAST-PATH.md)
-    dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
-    bool jit = false;              ///< native tier (JIT.md)
-    uint32_t jitThreshold = 0;     ///< SessionOptions::jitThreshold
-    /**
-     * Mark request bytes tainted as they arrive (policy.taintNetwork).
-     * Off models the paper's figure-6 regime — a trusted/benign client
-     * mix where the server code never touches tainted data — which is
-     * the scenario the fast tier's floors are measured on.
-     */
-    bool taintRequests = true;
     uint64_t fileSize = 4 * 1024;  ///< served file size in bytes
     int requests = 50;             ///< number of requests to serve
 };
@@ -58,8 +45,6 @@ struct HttpdRun
     double latencyCycles = 0;      ///< cycles per request
     double throughput = 0;         ///< requests per giga-cycle
     bool responsesOk = false;      ///< every response carried the file
-    /** Host seconds inside Machine::run() alone (see SpecRun). */
-    double runSeconds = 0;
 };
 
 /** The MiniC source of the server (exposed for tests/examples). */
@@ -98,15 +83,11 @@ struct HttpdFleetConfig
     Granularity granularity = Granularity::Byte;
     CpuFeatures features;
     ExecEngine engine = ExecEngine::Predecoded;
-    OptimizerOptions optimize;     ///< post-instrumentation optimizer
-    bool fastPath = false;         ///< taint-clean fast tier (FAST-PATH.md)
-    dift::AsyncTaintOptions async; ///< per-clone tiers (ASYNC-TAINT.md)
     bool profile = false;          ///< per-clone tier-attribution tables
     uint64_t fileSize = 4 * 1024;
     int jobs = 8;            ///< clones forked (one per job)
     int requestsPerJob = 4;  ///< connections each clone serves
     unsigned workers = 4;    ///< fleet worker threads
-    size_t queueCapacity = 0;
     /** The last `attackJobs` jobs end with a traversal attack. */
     int attackJobs = 0;
 };
@@ -116,8 +97,6 @@ struct HttpdFleetRun
 {
     svc::FleetReport report;
     bool responsesOk = false; ///< every benign response carried the file
-    double buildSeconds = 0;  ///< compile+instrument+snapshot (once)
-    double serveSeconds = 0;  ///< host time inside Fleet::serve
 };
 
 /** Compile/instrument once and provision the prototype OS. */

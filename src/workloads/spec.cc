@@ -1,7 +1,5 @@
 #include "spec.hh"
 
-#include <chrono>
-
 #include "support/logging.hh"
 
 namespace shift::workloads
@@ -984,26 +982,14 @@ runSpecKernel(const SpecKernel &kernel, const SpecRunConfig &config)
     options.engine = config.engine;
     options.instr.relaxLoadFunctions = kernel.relaxLoadFunctions;
     options.instr.relaxStoreFunctions = kernel.relaxStoreFunctions;
-    options.optimize = config.optimize;
-    options.fastPath = config.fastPath;
-    options.async = config.async;
-    options.jit = config.jit;
-    options.jitThreshold = config.jitThreshold;
-    options.profile = config.profile;
 
     Session session(kernel.source, options);
-    int scale = config.scale > 0 ? config.scale : kernel.defaultScale;
-    session.os().addFile("input.dat", kernel.makeInput(scale));
+    session.os().addFile("input.dat",
+                         kernel.makeInput(kernel.defaultScale));
 
     SpecRun run;
     run.instrStats = session.instrStats();
-    run.optStats = session.optStats();
-    run.staticSize = session.program().staticInstrCount();
-    auto start = std::chrono::steady_clock::now();
     run.result = session.run();
-    run.runSeconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - start)
-                         .count();
     return run;
 }
 

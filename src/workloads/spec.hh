@@ -56,13 +56,6 @@ struct SpecRunConfig
     bool taintInput = true;   ///< unsafe (tainted) vs safe input
     CpuFeatures features;     ///< architectural enhancements
     ExecEngine engine = ExecEngine::Predecoded;
-    OptimizerOptions optimize; ///< post-instrumentation optimizer
-    bool fastPath = false;    ///< taint-clean fast tier (FAST-PATH.md)
-    dift::AsyncTaintOptions async; ///< decoupled tier (ASYNC-TAINT.md)
-    bool jit = false;         ///< native tier (JIT.md)
-    uint32_t jitThreshold = 0; ///< SessionOptions::jitThreshold
-    bool profile = false;     ///< tier-attribution profiler (prof.*)
-    int scale = 0;            ///< 0 = kernel default
 };
 
 /** Outcome of one run. */
@@ -70,14 +63,6 @@ struct SpecRun
 {
     RunResult result;
     InstrumentStats instrStats;
-    OptStats optStats;        ///< optimizer counters (zero when off)
-    uint64_t staticSize = 0;  ///< static instructions after passes
-    /**
-     * Host wall-clock seconds spent inside Machine::run() alone —
-     * the interpreter-throughput denominator (compilation,
-     * instrumentation and machine setup excluded).
-     */
-    double runSeconds = 0;
 };
 
 /** Compile, (maybe) instrument, run one kernel. */

@@ -1,6 +1,6 @@
 # perf_interp_inlined: the predecoded interpreter keeps its
-# per-dispatch locals (pc, cycle and instruction deltas, load-use mask,
-# step count) in host registers only while no closure defined in
+# per-dispatch locals (pc, load-use mask, step count, code pointer) in
+# host registers only while no closure defined in
 # Machine::runDecoded is called out of line: such a closure captures
 # those locals by reference, which pins every one of them to the stack
 # frame. This check disassembles the sim library with relocations and
