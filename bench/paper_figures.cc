@@ -121,7 +121,11 @@ label(const Config &c)
 
 std::map<std::pair<size_t, Config>, RunResult> cells;
 
-/** The run of `kernel` under `c`, simulated on first use. */
+/**
+ * The run of `kernel` under `c`, simulated on first use unless a twin
+ * configuration provably runs the same program on the same input; the
+ * cell then copies the twin's run.
+ */
 const RunResult &
 run(const SpecKernel &kernel, const Config &c)
 {
@@ -129,6 +133,13 @@ run(const SpecKernel &kernel, const Config &c)
         cells.try_emplace({size_t(&kernel - specKernels().data()), c});
     if (!fresh)
         return it->second;
+    // An untracked run installs no taint source: the input's taint
+    // cannot matter.
+    if (c.mode == TrackingMode::None && !c.taint) {
+        Config twin = c;
+        twin.taint = true;
+        return it->second = run(kernel, twin);
+    }
     SessionOptions options;
     options.mode = c.mode;
     options.policy.granularity = c.gran;
@@ -144,6 +155,14 @@ run(const SpecKernel &kernel, const Config &c)
     options.instr.instrumentCompares = !c.noCmps;
     options.instr.reuseTagAddr = !c.noReuse;
     Session session(kernel.source, options);
+    // The optimizer only deletes, so one that deleted nothing left the
+    // program of the run without it (at word granularity with the ISA
+    // extensions neither of its passes finds a unit).
+    if (c.opt && session.optStats().instrsRemoved == 0) {
+        Config twin = c;
+        twin.opt = false;
+        return it->second = run(kernel, twin);
+    }
     session.os().addFile("input.dat", kernel.makeInput(kernel.defaultScale));
     it->second = session.run();
     if (!it->second.ok())

@@ -101,11 +101,11 @@ AsyncTaintTier::materializeDirty()
 void
 AsyncTaintTier::statInto(StatSet &stats) const
 {
-    stats.add("dift.events", events_);
-    stats.add("dift.fences", fences_);
-    stats.add("dift.materialized.words", materializedWords_);
+    stats.add(stat::DiftEvents, events_);
+    stats.add(stat::DiftFences, fences_);
+    stats.add(stat::DiftMaterializedWords, materializedWords_);
     if (violated_)
-        stats.add("dift.violations");
+        stats.add(stat::DiftViolations);
 }
 
 } // namespace shift::dift

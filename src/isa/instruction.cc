@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "support/logging.hh"
+#include "support/stats.hh"
 
 namespace shift
 {
@@ -141,32 +142,23 @@ cmpRelName(CmpRel rel)
     return "??";
 }
 
+// The spellings live beside the stat schema, which builds the
+// engine.cycles.<prov>.<class> counter names from them.
+static_assert(stat::kProvenances == kNumProvenance &&
+              stat::kClasses == kNumOrigClass);
+
 const char *
 provenanceName(Provenance prov)
 {
-    switch (prov) {
-      case Provenance::Original: return "original";
-      case Provenance::NatGen: return "natgen";
-      case Provenance::TagAddr: return "tagaddr";
-      case Provenance::TagMem: return "tagmem";
-      case Provenance::TagReg: return "tagreg";
-      case Provenance::Relax: return "relax";
-      case Provenance::Check: return "check";
-      case Provenance::Baseline: return "baseline";
-    }
-    return "???";
+    size_t i = static_cast<size_t>(prov);
+    return i < stat::kProvenances ? stat::kProvenanceNames[i] : "???";
 }
 
 const char *
 origClassName(OrigClass oc)
 {
-    switch (oc) {
-      case OrigClass::None: return "none";
-      case OrigClass::ForLoad: return "load";
-      case OrigClass::ForStore: return "store";
-      case OrigClass::ForCompare: return "compare";
-    }
-    return "???";
+    size_t i = static_cast<size_t>(oc);
+    return i < stat::kClasses ? stat::kOrigClassNames[i] : "???";
 }
 
 namespace

@@ -6,8 +6,8 @@ namespace shift
 std::optional<int>
 Program::findFunction(const std::string &name) const
 {
-    for (size_t i = 0; i < functions.size(); ++i) {
-        if (functions[i].name == name)
+    for (size_t i = 0; i < functionCount(); ++i) {
+        if (function(i).name == name)
             return static_cast<int>(i);
     }
     return std::nullopt;
@@ -17,7 +17,7 @@ int
 Program::addFunction(Function fn)
 {
     functions.push_back(std::move(fn));
-    return static_cast<int>(functions.size() - 1);
+    return static_cast<int>(functionCount() - 1);
 }
 
 uint64_t
@@ -35,8 +35,8 @@ uint64_t
 Program::staticInstrCount() const
 {
     uint64_t n = 0;
-    for (const Function &fn : functions)
-        n += staticInstrCount(fn);
+    for (size_t i = 0; i < functionCount(); ++i)
+        n += staticInstrCount(function(i));
     return n;
 }
 

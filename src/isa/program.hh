@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -51,20 +52,52 @@ struct GlobalDef
     bool operator==(const GlobalDef &) const = default;
 };
 
-/** A whole program. */
+/**
+ * A whole program: an optional shared prefix of linked functions, then
+ * its own.
+ *
+ * Function indices are global across both parts: index i below
+ * linkedCount() names (*linked)[i], and `functions[j]` has index
+ * linkedCount() + j. Descriptors, decoded functions and JIT tables all
+ * use these indices, so whole-program readers go through
+ * functionCount() and function(i).
+ */
 struct Program
 {
+    /**
+     * Functions linked in front of `functions`, immutable and shared by
+     * every program that links them, or null. A Session links the
+     * tracked MiniC libc here straight from its trackedStdlib() entry,
+     * the way DecodedProgram::linked shares that entry's decode.
+     */
+    std::shared_ptr<const std::vector<Function>> linked;
+    /** The program's own functions, after `linked`'s. */
     std::vector<Function> functions;
     std::vector<GlobalDef> globals;
     std::string entry = "main";
 
-    /** Find a function index by name. */
+    /** Number of functions in the linked prefix. */
+    size_t linkedCount() const { return linked ? linked->size() : 0; }
+
+    /** Number of functions, the linked prefix included. */
+    size_t functionCount() const { return linkedCount() + functions.size(); }
+
+    /** The function at global index `index`. */
+    const Function &
+    function(size_t index) const
+    {
+        size_t n = linkedCount();
+        return index < n ? (*linked)[index] : functions[index - n];
+    }
+
+    /** Find a function's global index by name (first definition). */
     std::optional<int> findFunction(const std::string &name) const;
 
-    /** Add a function; returns its index. */
+    /** Add a function to `functions`; returns its global index. */
     int addFunction(Function fn);
 
-    /** Total static instruction count (Label pseudo-ops excluded). */
+    /** Total static instruction count (Label pseudo-ops excluded), the
+     *  linked prefix included. */
     uint64_t staticInstrCount() const;
 
     /** Static instruction count of one function. */

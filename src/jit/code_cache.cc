@@ -168,11 +168,11 @@ CodeCache::drainStatsInto(StatSet &stats)
 {
     std::lock_guard<std::mutex> lock(compileMutex_);
     if (compileNanos_.count()) {
-        stats.mergeHistogram("jit.compile.nanos", compileNanos_);
+        stats.mergeHistogram(stat::JitCompileNanos, compileNanos_);
         compileNanos_ = Histogram();
     }
     if (sealNanos_.count()) {
-        stats.mergeHistogram("jit.seal.nanos", sealNanos_);
+        stats.mergeHistogram(stat::JitSealNanos, sealNanos_);
         sealNanos_ = Histogram();
     }
 }

@@ -931,7 +931,7 @@ JitOps::calli(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
     Machine &m = *c->m;
     uint64_t target = m.br_[dp->br];
     auto callee =
-        funcIndexForDesc(target, m.program_->functions.size());
+        funcIndexForDesc(target, m.program_->functionCount());
     if (!callee) {
         spill(c, pcw);
         m.setFault(FaultKind::BadIndirect, FaultContext::ControlFlow,

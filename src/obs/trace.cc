@@ -71,19 +71,15 @@ phaseName(Phase phase)
     return "unknown";
 }
 
+// The spellings live beside the stat schema, which builds the
+// fastpath.deoptcause.<cause> counter names from them.
+static_assert(stat::kDeoptCauses == static_cast<size_t>(DeoptCause::kCount));
+
 const char *
 deoptCauseName(DeoptCause cause)
 {
-    switch (cause) {
-      case DeoptCause::ChkAddrNat: return "chk.addr-nat";
-      case DeoptCause::ChkSummary: return "chk.summary";
-      case DeoptCause::StAddrNat: return "st.addr-nat";
-      case DeoptCause::StSummary: return "st.summary";
-      case DeoptCause::StSrcTaint: return "st.src-taint";
-      case DeoptCause::ClrRegNat: return "clr.reg-nat";
-      case DeoptCause::kCount: break;
-    }
-    return "unknown";
+    size_t i = static_cast<size_t>(cause);
+    return i < stat::kDeoptCauses ? stat::kDeoptCauseNames[i] : "unknown";
 }
 
 uint16_t
@@ -310,15 +306,15 @@ void
 Recorder::statInto(StatSet &stats) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    stats.setGauge("obs.buffers", buffers_.size());
+    stats.setGauge(stat::ObsBuffers, buffers_.size());
     uint64_t events = 0;
     uint64_t dropped = 0;
     for (const auto &b : buffers_) {
         events += b->emitted();
         dropped += b->dropped();
     }
-    stats.add("obs.events", events);
-    stats.add("obs.dropped", dropped);
+    stats.add(stat::ObsEvents, events);
+    stats.add(stat::ObsDropped, dropped);
 }
 
 // ----- Chrome trace_event JSON drain ------------------------------------

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <map>
 #include <vector>
 
 namespace shift
@@ -297,64 +296,74 @@ struct Cfg
 {
     std::vector<Block> blocks;
 
+    /**
+     * Split `code` into blocks at every Label and after every branch.
+     * Label ids are dense from 0 (Function::newLabel; decodeFunctions
+     * indexes them the same way), so labels and blocks are indexed by
+     * vectors. A branch to a label no Label defines (or to a negative
+     * id, which decode rejects) gets no edge.
+     */
     void
-    build(const std::vector<Instr> &code)
+    build(const std::vector<Instr> &code, int nextLabel)
     {
         blocks.clear();
         if (code.empty())
             return;
+        // A label at i leads at i and a branch at i leads at i + 1, so
+        // leaders arrive in order and a repeat is always the last one.
         std::vector<size_t> leaders{0};
-        std::map<int64_t, size_t> labelAt;
+        auto lead = [&](size_t i) {
+            if (i < code.size() && leaders.back() != i)
+                leaders.push_back(i);
+        };
         for (size_t i = 0; i < code.size(); ++i) {
             const Instr &in = code[i];
-            if (in.op == Opcode::Label) {
-                leaders.push_back(i);
-                labelAt[in.imm] = i;
-            } else if (in.op == Opcode::Br || in.op == Opcode::Chk ||
-                       in.op == Opcode::BrRet ||
-                       in.op == Opcode::Halt) {
-                leaders.push_back(i + 1);
+            if (in.op == Opcode::Label)
+                lead(i);
+            else if (in.op == Opcode::Br || in.op == Opcode::Chk ||
+                     in.op == Opcode::BrRet || in.op == Opcode::Halt)
+                lead(i + 1);
+        }
+
+        // Every Label leads its block; a repeated id keeps its last.
+        std::vector<int> labelBlock(
+            nextLabel > 0 ? static_cast<size_t>(nextLabel) : 0, -1);
+        blocks.resize(leaders.size());
+        for (size_t b = 0; b < leaders.size(); ++b) {
+            Block &blk = blocks[b];
+            blk.begin = leaders[b];
+            blk.end = b + 1 < leaders.size() ? leaders[b + 1] : code.size();
+            const Instr &head = code[blk.begin];
+            if (head.op == Opcode::Label && head.imm >= 0) {
+                size_t id = static_cast<size_t>(head.imm);
+                if (id >= labelBlock.size())
+                    labelBlock.resize(id + 1, -1);
+                labelBlock[id] = static_cast<int>(b);
             }
         }
-        std::sort(leaders.begin(), leaders.end());
-        leaders.erase(std::unique(leaders.begin(), leaders.end()),
-                      leaders.end());
-        while (!leaders.empty() && leaders.back() >= code.size())
-            leaders.pop_back();
-
-        std::map<size_t, int> blockAt;
-        for (size_t b = 0; b < leaders.size(); ++b) {
-            Block blk;
-            blk.begin = leaders[b];
-            blk.end = b + 1 < leaders.size() ? leaders[b + 1]
-                                             : code.size();
-            blockAt[blk.begin] = static_cast<int>(b);
-            blocks.push_back(blk);
-        }
-        auto addEdge = [&](int from, int to) {
-            blocks[to].preds.push_back(from);
+        auto addBranchEdge = [&](size_t from, int64_t label) {
+            if (label < 0 || static_cast<size_t>(label) >= labelBlock.size())
+                return;
+            int to = labelBlock[static_cast<size_t>(label)];
+            if (to >= 0)
+                blocks[static_cast<size_t>(to)].preds.push_back(
+                    static_cast<int>(from));
         };
         for (size_t b = 0; b < blocks.size(); ++b) {
             const Instr &last = code[blocks[b].end - 1];
             bool fallsThrough = true;
             if (last.op == Opcode::Br) {
-                auto it = labelAt.find(last.imm);
-                if (it != labelAt.end())
-                    addEdge(static_cast<int>(b),
-                            blockAt[it->second]);
+                addBranchEdge(b, last.imm);
                 if (last.qp == 0)
                     fallsThrough = false;
             } else if (last.op == Opcode::Chk) {
-                auto it = labelAt.find(last.imm);
-                if (it != labelAt.end())
-                    addEdge(static_cast<int>(b),
-                            blockAt[it->second]);
+                addBranchEdge(b, last.imm);
             } else if (last.op == Opcode::BrRet ||
                        last.op == Opcode::Halt) {
                 fallsThrough = false;
             }
             if (fallsThrough && b + 1 < blocks.size())
-                addEdge(static_cast<int>(b), static_cast<int>(b + 1));
+                blocks[b + 1].preds.push_back(static_cast<int>(b));
         }
     }
 };
@@ -387,20 +396,22 @@ class FunctionOptimizer
     const OptimizerOptions &opt_;
     OptStats &stats_;
 
-    /** Erase the marked instructions (never Labels). */
+    /** Erase the marked instructions (never Labels), in place. */
     void
     applyDeletions(const std::vector<char> &dead)
     {
-        std::vector<Instr> kept;
-        kept.reserve(fn_.code.size());
-        for (size_t i = 0; i < fn_.code.size(); ++i) {
+        std::vector<Instr> &code = fn_.code;
+        size_t kept = 0;
+        for (size_t i = 0; i < code.size(); ++i) {
             if (dead[i]) {
                 ++stats_.instrsRemoved;
                 continue;
             }
-            kept.push_back(std::move(fn_.code[i]));
+            if (kept != i)
+                code[kept] = std::move(code[i]);
+            ++kept;
         }
-        fn_.code = std::move(kept);
+        code.resize(kept);
     }
 
     // -----------------------------------------------------------------
@@ -477,7 +488,7 @@ class FunctionOptimizer
         if (std::none_of(code.begin(), code.end(), isCompareRelaxTnat))
             return;
         Cfg cfg;
-        cfg.build(code);
+        cfg.build(code, fn_.nextLabel);
         // Optimistic fixpoint: entry all-dirty (arguments and every
         // callee-clobbered register may carry NaT), others clean
         // until proven otherwise.
@@ -673,29 +684,28 @@ class FunctionOptimizer
         slot = in.qp != 0 ? kbMeet(slot, nb) : nb;
     }
 
-    /**
-     * Walk one block, applying the unit-aware transfer: a spill/reload
-     * NaT purge preserves the purged register's value (only its NaT
-     * changes), so it must not be modelled as a value-killing reload.
-     * When `narrow` is set, byte-granularity check/update units are
-     * narrowed in place using the state at their head.
-     */
-    AlignState
-    alignFlowBlock(const std::vector<Instr> &code, const Block &blk,
-                   AlignState st, std::vector<char> *dead)
+    /** A byte check or byte update unit pass (f) may narrow. */
+    struct UnitHead
     {
-        auto maxLowOf = [&](int r) -> int {
-            KnownBits kb = r == reg::zero
-                               ? KnownBits{7, 0}
-                               : st.regs[static_cast<size_t>(r & 63)];
-            return (kb.value & kb.mask) | (7 & ~kb.mask);
-        };
-        auto exactZero = [&](int r) {
-            KnownBits kb = r == reg::zero
-                               ? KnownBits{7, 0}
-                               : st.regs[static_cast<size_t>(r & 63)];
-            return kb.mask == 7 && kb.value == 0;
-        };
+        size_t at = 0;       ///< index of the unit's first instruction
+        bool update = false; ///< 13-instruction update, else 9 check
+        int addrReg = 0;     ///< data address register
+        int size = 0;        ///< tag bits the access covers
+    };
+
+    /**
+     * One walk over the function, recording what the fixpoint and the
+     * narrowing need: the transfer steps (indices of the instructions
+     * flowKnown can change the state at: definitions and calls; a
+     * spill/reload NaT purge keeps the purged register's value, so of
+     * its three only the `add kT3 = sp, -16` is a step) and the unit
+     * heads. Neither a purge nor a unit contains a block leader, so
+     * this walk meets every block start where a per-block walk would.
+     */
+    static void
+    recordSteps(const std::vector<Instr> &code, std::vector<uint32_t> &steps,
+                std::vector<UnitHead> &heads)
+    {
         auto bitsOf = [](int64_t mask) {
             int n = 0;
             while (mask > 0) {
@@ -704,88 +714,100 @@ class FunctionOptimizer
             }
             return n;
         };
-
-        for (size_t i = blk.begin; i < blk.end;) {
-            int cn;
+        auto step = [&](size_t i) {
+            const Instr &in = code[i];
+            if (in.op == Opcode::BrCall || in.op == Opcode::BrCalli ||
+                in.op == Opcode::Syscall ||
+                (in.op != Opcode::Setnat && in.op != Opcode::Clrnat &&
+                 defReg(in) > 0))
+                steps.push_back(static_cast<uint32_t>(i));
+        };
+        for (size_t i = 0; i < code.size();) {
+            int r;
             size_t cnLen;
-            if (matchClearNat(code, i, &cn, &cnLen) && cnLen == 3) {
-                // add kT3 = sp, -16 defines kT3; the spill/reload pair
-                // leaves the purged register's VALUE intact.
-                flowKnown(code[i], st);
+            if (matchClearNat(code, i, &r, &cnLen) && cnLen == 3) {
+                step(i);
                 i += cnLen;
                 continue;
             }
-            int r;
-            if (dead && matchByteCheck(code, i, &r)) {
-                int size = bitsOf(code[i + 7].imm);
-                if (maxLowOf(r) + size <= 8) {
-                    // Covered bits fit the low tag byte: the second
-                    // tag-byte window (add/ld/shl/or) is dead.
-                    for (size_t k = i + 1; k <= i + 4; ++k)
-                        (*dead)[k] = 1;
-                    if (exactZero(r)) {
-                        // Bit index provably 0: the extraction and the
-                        // variable shift are no-ops too.
-                        (*dead)[i + 5] = 1;
-                        (*dead)[i + 6] = 1;
-                    }
-                    ++stats_.checksNarrowed;
-                }
-                for (size_t k = i; k < i + 9; ++k)
-                    flowKnown(code[k], st);
-                i += 9;
-                continue;
+            size_t len = 1;
+            if (matchByteCheck(code, i, &r)) {
+                heads.push_back({i, false, r, bitsOf(code[i + 7].imm)});
+                len = 9;
+            } else if (matchByteUpdate(code, i, &r)) {
+                heads.push_back({i, true, r, bitsOf(code[i + 1].imm)});
+                len = 13;
             }
-            if (dead && matchByteUpdate(code, i, &r)) {
-                int size = bitsOf(code[i + 1].imm);
-                if (maxLowOf(r) + size <= 8) {
-                    // Shifted mask fits the low tag byte: the high
-                    // half (shr/add + RMW) ORs and clears nothing.
-                    for (size_t k = i + 7; k <= i + 12; ++k)
-                        (*dead)[k] = 1;
-                    if (exactZero(r)) {
-                        (*dead)[i] = 1;     // and kT2 = addr, 7
-                        (*dead)[i + 2] = 1; // shl kT3 <<= kT2 (by 0)
-                    }
-                    ++stats_.updatesNarrowed;
-                }
-                for (size_t k = i; k < i + 13; ++k)
-                    flowKnown(code[k], st);
-                i += 13;
-                continue;
-            }
-            flowKnown(code[i], st);
-            ++i;
+            for (size_t k = i; k < i + len; ++k)
+                step(k);
+            i += len;
         }
-        return st;
     }
 
-    /** True when some position of the function starts a byte unit. */
-    bool
-    hasByteUnit() const
+    /** Narrow one unit given the known bits at its head. */
+    void
+    narrowUnit(const UnitHead &u, const AlignState &st,
+               std::vector<char> &dead)
     {
-        const std::vector<Instr> &code = fn_.code;
-        int r = 0;
-        for (size_t i = 0; i < code.size(); ++i) {
-            if (matchByteCheck(code, i, &r) || matchByteUpdate(code, i, &r))
-                return true;
+        KnownBits kb = u.addrReg == reg::zero
+                           ? KnownBits{7, 0}
+                           : st.regs[static_cast<size_t>(u.addrReg & 63)];
+        int maxLow = (kb.value & kb.mask) | (7 & ~kb.mask);
+        bool exactZero = kb.mask == 7 && kb.value == 0;
+        if (maxLow + u.size > 8)
+            return;
+        size_t i = u.at;
+        if (!u.update) {
+            // Covered bits fit the low tag byte: the second tag-byte
+            // window (add/ld/shl/or) is dead.
+            for (size_t k = i + 1; k <= i + 4; ++k)
+                dead[k] = 1;
+            if (exactZero) {
+                // Bit index provably 0: the extraction and the
+                // variable shift are no-ops too.
+                dead[i + 5] = 1;
+                dead[i + 6] = 1;
+            }
+            ++stats_.checksNarrowed;
+        } else {
+            // Shifted mask fits the low tag byte: the high half
+            // (shr/add + RMW) ORs and clears nothing.
+            for (size_t k = i + 7; k <= i + 12; ++k)
+                dead[k] = 1;
+            if (exactZero) {
+                dead[i] = 1;     // and kT2 = addr, 7
+                dead[i + 2] = 1; // shl kT3 <<= kT2 (by 0)
+            }
+            ++stats_.updatesNarrowed;
         }
-        return false;
     }
 
     void
     narrowAlignedAccesses()
     {
+        std::vector<Instr> &code = fn_.code;
+        std::vector<uint32_t> steps;
+        std::vector<UnitHead> heads;
+        recordSteps(code, steps, heads);
         // Narrowing deletes only inside a byte check or byte update
         // unit, and word granularity emits neither, so skip the CFG
         // and the fixpoint where no unit exists.
-        if (!hasByteUnit())
+        if (heads.empty())
             return;
-        std::vector<Instr> &code = fn_.code;
         Cfg cfg;
-        cfg.build(code);
-        if (cfg.blocks.empty())
-            return;
+        cfg.build(code, fn_.nextLabel);
+
+        // Block b's steps are steps[stepsEnd[b - 1], stepsEnd[b]).
+        size_t n = cfg.blocks.size();
+        std::vector<size_t> stepsEnd(n);
+        for (size_t b = 0, s = 0; b < n; ++b) {
+            while (s < steps.size() && steps[s] < cfg.blocks[b].end)
+                ++s;
+            stepsEnd[b] = s;
+        }
+        auto stepsBegin = [&](size_t b) {
+            return b == 0 ? size_t(0) : stepsEnd[b - 1];
+        };
 
         // Entry facts are ABI invariants: sp is 16-aligned (the loader
         // starts it 128-aligned and frames are 16-aligned) and r0 is 0.
@@ -793,18 +815,31 @@ class FunctionOptimizer
         entry.regs[reg::zero] = {7, 0};
         entry.regs[reg::sp] = {7, 0};
 
-        size_t n = cfg.blocks.size();
+        // Round-robin sweeps in block order. A reached block is
+        // recomputed only when a predecessor's output changed since its
+        // last visit and the meet then differs from its input; anything
+        // else would recompute the output it already has, so every
+        // sweep leaves the states a full recomputation would.
         std::vector<AlignState> in(n), out(n);
         std::vector<char> reached(n, 0);
+        std::vector<uint64_t> outAt(n, 0), visitedAt(n, 0);
+        uint64_t clock = 0;
         bool changed = true;
         while (changed) {
             changed = false;
             for (size_t b = 0; b < n; ++b) {
+                const std::vector<int> &preds = cfg.blocks[b].preds;
+                if (reached[b] &&
+                    std::none_of(preds.begin(), preds.end(), [&](int p) {
+                        return outAt[static_cast<size_t>(p)] > visitedAt[b];
+                    }))
+                    continue;
+                visitedAt[b] = clock;
                 AlignState newIn;
                 bool any = b == 0;
                 if (any)
                     newIn = entry;
-                for (int p : cfg.blocks[b].preds) {
+                for (int p : preds) {
                     if (!reached[static_cast<size_t>(p)])
                         continue;
                     newIn = any ? alignMeet(
@@ -814,23 +849,37 @@ class FunctionOptimizer
                 }
                 if (!any)
                     continue; // unreached so far
-                AlignState newOut =
-                    alignFlowBlock(code, cfg.blocks[b], newIn, nullptr);
-                if (!reached[b] || !(newIn == in[b]) ||
-                    !(newOut == out[b])) {
-                    reached[b] = 1;
-                    in[b] = std::move(newIn);
-                    out[b] = std::move(newOut);
-                    changed = true;
+                if (reached[b] && newIn == in[b])
+                    continue;
+                AlignState st = newIn;
+                for (size_t s = stepsBegin(b); s < stepsEnd[b]; ++s)
+                    flowKnown(code[steps[s]], st);
+                reached[b] = 1;
+                in[b] = newIn;
+                if (!(st == out[b]) || !outAt[b]) {
+                    out[b] = st;
+                    outAt[b] = ++clock;
                 }
+                changed = true;
             }
         }
 
+        // Narrow each unit on the state at its head: the block's input
+        // with the block's steps before the head replayed.
         std::vector<char> dead(code.size(), 0);
-        for (size_t b = 0; b < n; ++b) {
+        for (size_t b = 0, h = 0; b < n; ++b) {
+            size_t first = h;
+            while (h < heads.size() && heads[h].at < cfg.blocks[b].end)
+                ++h;
             if (!reached[b])
                 continue;
-            alignFlowBlock(code, cfg.blocks[b], in[b], &dead);
+            AlignState st = in[b];
+            size_t s = stepsBegin(b);
+            for (size_t u = first; u < h; ++u) {
+                for (; s < stepsEnd[b] && steps[s] < heads[u].at; ++s)
+                    flowKnown(code[steps[s]], st);
+                narrowUnit(heads[u], st, dead);
+            }
         }
         applyDeletions(dead);
     }
@@ -858,7 +907,8 @@ optimizeInstrumentation(Program &program, const OptimizerOptions &options)
             fo.run();
         }
     }
-    stats.sizeAfter = program.staticInstrCount();
+    // The passes delete only non-Label instructions.
+    stats.sizeAfter = stats.sizeBefore - stats.instrsRemoved;
     return stats;
 }
 

@@ -209,7 +209,7 @@ stdlibKey(const SessionOptions &options, const std::string &entry)
 struct StdlibMemo
 {
     std::mutex mutex;
-    std::map<StdlibKey, TrackedCode> entries;
+    std::map<StdlibKey, TrackedStdlib> entries;
 };
 
 StdlibMemo &
@@ -221,7 +221,7 @@ stdlibMemo()
 
 } // namespace
 
-const TrackedCode &
+const TrackedStdlib &
 trackedStdlib(const SessionOptions &options, const std::string &entry,
               const std::function<TrackedCode()> &track)
 {
@@ -235,19 +235,26 @@ trackedStdlib(const SessionOptions &options, const std::string &entry,
     }
     // Build outside the lock. Concurrent misses on one key each build
     // the same code and the first to insert wins; a throw inserts
-    // nothing. The unit decodes the functions it is stored with: moving
-    // `built` into the map moves their vector's buffer, not the
-    // functions, so its `src` pointers stay valid.
+    // nothing. The unit decodes the shared functions themselves, so its
+    // `src` pointers are the ones every linking Program holds.
     TrackedCode built = track();
+    TrackedStdlib tracked;
+    tracked.functions = std::make_shared<const std::vector<Function>>(
+        std::move(built.functions));
+    tracked.instrStats = built.instrStats;
+    tracked.speculateStats = built.speculateStats;
+    tracked.optStats = built.optStats;
     {
         obs::ScopedPhase span(obs::Phase::Decode);
+        Program libc;
+        libc.linked = tracked.functions;
         auto unit = std::make_shared<DecodedProgram>();
         Fault error;
-        if (decodeFunctions(built.functions, nullptr, *unit, error))
-            built.decoded = std::move(unit);
+        if (decodeProgram(libc, *unit, error))
+            tracked.decoded = std::move(unit);
     }
     std::lock_guard<std::mutex> lock(memo.mutex);
-    return memo.entries.try_emplace(std::move(key), std::move(built))
+    return memo.entries.try_emplace(std::move(key), std::move(tracked))
         .first->second;
 }
 

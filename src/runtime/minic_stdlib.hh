@@ -55,11 +55,25 @@ struct TrackedCode
     InstrumentStats instrStats;
     minic::SpeculateStats speculateStats;
     OptStats optStats;
+};
+
+/** A trackedStdlib() entry: libc after one configuration's passes. */
+struct TrackedStdlib
+{
+    /**
+     * The functions, immutable, which every Session's Program of the
+     * configuration links by pointer (Program::linked) instead of
+     * copying.
+     */
+    std::shared_ptr<const std::vector<Function>> functions;
+    InstrumentStats instrStats;
+    minic::SpeculateStats speculateStats;
+    OptStats optStats;
     /**
      * `functions` decoded once as a link unit (decodeFunctions), which
      * every predecoded Machine of the configuration links by pointer.
-     * Set on trackedStdlib() entries; null if they do not decode, and
-     * Machines then decode the whole program and report its fault.
+     * Null if they do not decode; Machines then decode the whole
+     * program and report its fault.
      */
     std::shared_ptr<const DecodedProgram> decoded;
 };
@@ -68,8 +82,8 @@ struct TrackedCode
  * The prebuilt libc after the tracking passes of `options`, resolved as
  * detail::buildProgram resolves them, in a program whose entry function
  * is `entry`, and decoded. Memoized per process: on a miss `track` runs
- * those passes on the linked libc functions, and its result, decoded,
- * becomes the entry.
+ * those passes on the linked libc functions, and its result, moved into
+ * shared storage and decoded, becomes the entry.
  *
  * The key is every option that reaches a libc function and nothing
  * else: the tracking mode and async.enabled, speculate and
@@ -84,9 +98,9 @@ struct TrackedCode
  * concurrent misses on one key may each run `track` and decode, and
  * one result is kept. A `track` that throws leaves no entry.
  */
-const TrackedCode &trackedStdlib(const SessionOptions &options,
-                                 const std::string &entry,
-                                 const std::function<TrackedCode()> &track);
+const TrackedStdlib &trackedStdlib(const SessionOptions &options,
+                                   const std::string &entry,
+                                   const std::function<TrackedCode()> &track);
 
 /** Number of trackedStdlib() entries; tests read it. */
 size_t trackedStdlibEntries();

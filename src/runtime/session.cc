@@ -1,7 +1,5 @@
 #include "session.hh"
 
-#include <iterator>
-
 #include "dift/annotate.hh"
 #include "lang/compiler.hh"
 #include "obs/trace.hh"
@@ -148,15 +146,16 @@ buildProgram(const std::vector<std::string> &sources,
         break;
     }
 
-    // 2. Track the program's own functions, and put the libc in front
+    // 2. Track the program's own functions, and link the libc in front
     // of them as tracked and decoded once per configuration
-    // (trackedStdlib()): the only copy of libc a Session makes. With
-    // tracking off and no speculation no pass changes anything, and
-    // the libc entry saves the decode.
+    // (trackedStdlib()): the program holds the entry's functions by
+    // pointer, so a Session copies no libc code. With tracking off and
+    // no speculation no pass changes anything, and the libc entry
+    // saves the decode.
     TrackedCode own = track(std::move(program.functions), program.entry,
                             options);
-    static const TrackedCode kNoLibc;
-    const TrackedCode &prefix =
+    static const TrackedStdlib kNoLibc;
+    const TrackedStdlib &prefix =
         !options.includeStdlib
             ? kNoLibc
             : trackedStdlib(options, program.entry, [&] {
@@ -164,15 +163,8 @@ buildProgram(const std::vector<std::string> &sources,
                                options);
               });
 
-    program.functions.clear();
-    program.functions.reserve(prefix.functions.size() +
-                              own.functions.size());
-    program.functions.insert(program.functions.end(),
-                             prefix.functions.begin(),
-                             prefix.functions.end());
-    program.functions.insert(program.functions.end(),
-                             std::make_move_iterator(own.functions.begin()),
-                             std::make_move_iterator(own.functions.end()));
+    program.linked = prefix.functions;
+    program.functions = std::move(own.functions);
     instrStats = prefix.instrStats;
     instrStats += own.instrStats;
     speculateStats = prefix.speculateStats;
@@ -289,8 +281,9 @@ Session::build(const std::vector<std::string> &sources)
     }
     if (obs::Recorder *rec = obs::Recorder::active()) {
         std::vector<std::string> names;
-        for (const auto &fn : program_.functions)
-            names.push_back(fn.name);
+        names.reserve(program_.functionCount());
+        for (size_t f = 0; f < program_.functionCount(); ++f)
+            names.push_back(program_.function(f).name);
         rec->setFunctionNames(std::move(names));
         machine_->setObserver(rec->acquireBuffer(-1));
     }

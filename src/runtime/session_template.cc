@@ -102,8 +102,9 @@ SessionClone::SessionClone(const SessionTemplate &tmpl, int cloneId)
     }
     if (obs::Recorder *rec = obs::Recorder::active()) {
         std::vector<std::string> names;
-        for (const auto &fn : tmpl.program_.functions)
-            names.push_back(fn.name);
+        names.reserve(tmpl.program_.functionCount());
+        for (size_t f = 0; f < tmpl.program_.functionCount(); ++f)
+            names.push_back(tmpl.program_.function(f).name);
         rec->setFunctionNames(std::move(names));
         machine_->setObserver(rec->acquireBuffer(cloneId));
     }

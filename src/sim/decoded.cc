@@ -1031,14 +1031,15 @@ bool
 decodeProgram(const Program &program, DecodedProgram &out, Fault &error,
               bool fuse)
 {
-    return decodeFunctions(program.functions, nullptr, out, error, fuse);
+    return decodeFunctions(program, nullptr, out, error, fuse);
 }
 
 bool
-decodeFunctions(const std::vector<Function> &functions,
+decodeFunctions(const Program &program,
                 std::shared_ptr<const DecodedProgram> linked,
                 DecodedProgram &out, Fault &error, bool fuse)
 {
+    size_t count = program.functionCount();
     // The linked unit's functions come first and stay as decoded: its
     // call sites resolved within itself, and its fast blocks are
     // numbered from 0, so only what follows it is decoded here.
@@ -1049,27 +1050,27 @@ decodeFunctions(const std::vector<Function> &functions,
     if (linked) {
         first = linked->functions.size();
         SHIFT_ASSERT(fuse && linked->builtinNames.empty() &&
-                     first <= functions.size());
+                     first <= count);
         for (size_t f = 0; f < first; ++f)
             SHIFT_ASSERT(linked->functions[f].src->name ==
-                         functions[f].name);
+                         program.function(f).name);
         out.functions = linked->functions;
         out.fastBlocks = linked->fastBlocks;
     }
     out.linked = std::move(linked);
-    out.functions.resize(functions.size());
+    out.functions.resize(count);
     out.owned.clear();
-    out.owned.resize(functions.size() - first);
+    out.owned.resize(count - first);
 
     // Name tables built once; emplace keeps the first definition, the
     // same one Program::findFunction's linear scan returns.
     std::unordered_map<std::string, int32_t> funcOf;
-    for (size_t f = 0; f < functions.size(); ++f)
-        funcOf.emplace(functions[f].name, static_cast<int32_t>(f));
+    for (size_t f = 0; f < count; ++f)
+        funcOf.emplace(program.function(f).name, static_cast<int32_t>(f));
     std::unordered_map<std::string, int32_t> slotOf;
 
-    for (size_t f = first; f < functions.size(); ++f) {
-        const Function &fn = functions[f];
+    for (size_t f = first; f < count; ++f) {
+        const Function &fn = program.function(f);
         DecodedProgram::Streams &df = out.owned[f - first];
         DecodedFunction &view = out.functions[f];
         view.src = &fn;

@@ -215,16 +215,16 @@ bool decodeProgram(const Program &program, DecodedProgram &out,
                    Fault &error, bool fuse = true);
 
 /**
- * decodeProgram over `functions`, with `linked` (if not null) linked
- * in front instead of decoded again. `linked` must be a fused decode of
- * functions equal to the first linked->functions.size() of
- * `functions`, calling only each other: a link unit that numbers its
- * fast blocks from 0 and has no builtin slots, as the MiniC libc does.
- * The functions after it number their fast blocks and builtin slots
- * after the unit's, so the result equals decoding `functions` whole,
- * field for field.
+ * decodeProgram, with `linked` (if not null) linked in front instead of
+ * decoded again. `linked` must be a fused decode of functions equal to
+ * the program's first linked->functions.size() (in a Session, the
+ * Program::linked prefix itself), calling only each other: a link unit
+ * that numbers its fast blocks from 0 and has no builtin slots, as the
+ * MiniC libc does. The functions after it number their fast blocks and
+ * builtin slots after the unit's, so the result equals decoding the
+ * program whole, field for field.
  */
-bool decodeFunctions(const std::vector<Function> &functions,
+bool decodeFunctions(const Program &program,
                      std::shared_ptr<const DecodedProgram> linked,
                      DecodedProgram &out, Fault &error, bool fuse = true);
 

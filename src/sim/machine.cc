@@ -32,7 +32,7 @@ Machine::Machine(const Program &program, CpuFeatures features,
     if (engine_ == ExecEngine::Predecoded) {
         auto decoded = std::make_shared<DecodedProgram>();
         Fault decodeError;
-        if (!decodeFunctions(program_->functions, std::move(linked),
+        if (!decodeFunctions(*program_, std::move(linked),
                              *decoded, decodeError)) {
             // Malformed code is a construction-time diagnostic: the
             // machine starts stopped and run() reports the fault.
@@ -146,9 +146,9 @@ Machine::layout()
 void
 Machine::resolveLabels()
 {
-    labelPos_.resize(program_->functions.size());
-    for (size_t f = 0; f < program_->functions.size(); ++f) {
-        const Function &fn = program_->functions[f];
+    labelPos_.resize(program_->functionCount());
+    for (size_t f = 0; f < program_->functionCount(); ++f) {
+        const Function &fn = program_->function(f);
         std::vector<int32_t> &pos = labelPos_[f];
         pos.assign(static_cast<size_t>(fn.nextLabel), -1);
         for (size_t i = 0; i < fn.code.size(); ++i) {
@@ -356,12 +356,12 @@ Machine::setObserver(obs::TraceBuffer *buffer)
     // observed interpreter loop (and the legacy stepper) count into it
     // whenever it exists.
     if (hotPc_.empty()) {
-        hotPcBase_.assign(program_->functions.size(), 0);
+        hotPcBase_.assign(program_->functionCount(), 0);
         uint32_t base = 0;
-        for (size_t f = 0; f < program_->functions.size(); ++f) {
+        for (size_t f = 0; f < program_->functionCount(); ++f) {
             hotPcBase_[f] = base;
             base += static_cast<uint32_t>(
-                        program_->functions[f].code.size()) +
+                        program_->function(f).code.size()) +
                     1;
         }
         hotPc_.assign(base, 0);
@@ -750,7 +750,7 @@ Machine::callFunction(int funcIndex)
 {
     SHIFT_ASSERT(funcIndex >= 0 &&
                  static_cast<size_t>(funcIndex) <
-                     program_->functions.size(),
+                     program_->functionCount(),
                  "callFunction: bad function index");
     doCall(funcIndex);
 }
@@ -788,7 +788,7 @@ Machine::runBuiltin(const Instr &instr, const BuiltinFn &fn)
 void
 Machine::stepLegacy()
 {
-    const Function &fn = program_->functions[curFunc_];
+    const Function &fn = program_->function(curFunc_);
     if (pc_ >= fn.code.size()) {
         setFault(FaultKind::IllegalAddress, FaultContext::None, pc_,
                  "fell off the end of function '" + fn.name + "'");
@@ -943,7 +943,7 @@ Machine::stepLegacy()
       case Opcode::BrCalli: {
         uint64_t target = br_[instr.br];
         auto callee = funcIndexForDesc(target,
-                                       program_->functions.size());
+                                       program_->functionCount());
         if (!callee) {
             setFault(FaultKind::BadIndirect, FaultContext::ControlFlow,
                      target, "indirect call to a non-function address");
@@ -2043,7 +2043,7 @@ nullified:
 
     SHIFT_OP(BrCalli) {
         uint64_t target = br_[dp->br];
-        auto callee = funcIndexForDesc(target, program_->functions.size());
+        auto callee = funcIndexForDesc(target, program_->functionCount());
         if (!callee)
             SHIFT_FAULT(FaultKind::BadIndirect, FaultContext::ControlFlow,
                         target, "indirect call to a non-function address");
@@ -2881,40 +2881,38 @@ Machine::run(uint64_t maxSteps)
     // Machine-level counters live under the documented `engine.*`
     // namespace (docs/OBSERVABILITY.md); fastpath.* keeps its own
     // top-level family because the fast tier is a distinct subsystem.
+    // Every name here but the per-site ones is a fixed slot (stat::):
+    // filled by index, named only when a reader asks.
     StatSet &st = result.stats;
-    st.add("engine.cycles.total", result.cycles);
-    st.add("engine.cycles.cpu", cpuCycles);
-    st.add("engine.cycles.os", osCycles_);
-    st.add("engine.instrs.total", result.instructions);
-    st.add("engine.mem.loads", loadCount_);
-    st.add("engine.mem.stores", storeCount_);
-    st.add("engine.cycles.loadUseStall", stallCycles_);
-    st.add("engine.cache.hits", dcache_.hits());
-    st.add("engine.cache.misses", dcache_.misses());
-    for (int p = 0; p < kNumProv; ++p) {
-        for (int c = 0; c < kNumClass; ++c) {
+    st.add(stat::EngineCyclesTotal, result.cycles);
+    st.add(stat::EngineCyclesCpu, cpuCycles);
+    st.add(stat::EngineCyclesOs, osCycles_);
+    st.add(stat::EngineInstrsTotal, result.instructions);
+    st.add(stat::EngineMemLoads, loadCount_);
+    st.add(stat::EngineMemStores, storeCount_);
+    st.add(stat::EngineCyclesLoadUseStall, stallCycles_);
+    st.add(stat::EngineCacheHits, dcache_.hits());
+    st.add(stat::EngineCacheMisses, dcache_.misses());
+    for (unsigned p = 0; p < stat::kProvenances; ++p) {
+        for (unsigned c = 0; c < stat::kClasses; ++c) {
             if (!instrsBy_[p][c] && !cyclesBy_[p][c])
                 continue;
-            std::string prov = provenanceName(static_cast<Provenance>(p));
-            std::string cls = origClassName(static_cast<OrigClass>(c));
-            st.add("engine.cycles." + prov, cyclesBy_[p][c]);
-            st.add("engine.instrs." + prov, instrsBy_[p][c]);
-            st.add("engine.cycles." + prov + "." + cls, cyclesBy_[p][c]);
-            st.add("engine.instrs." + prov + "." + cls, instrsBy_[p][c]);
+            unsigned cell = p * stat::kClasses + c;
+            st.add(stat::engineCycles(p), cyclesBy_[p][c]);
+            st.add(stat::engineInstrs(p), instrsBy_[p][c]);
+            st.add(stat::engineCyclesIn(cell), cyclesBy_[p][c]);
+            st.add(stat::engineInstrsIn(cell), instrsBy_[p][c]);
         }
     }
     if (dispatches_)
-        st.add("engine.dispatches", dispatches_);
+        st.add(stat::EngineDispatches, dispatches_);
     if (fpEnteredTotal_ || fpDeoptTotal_ || fpColdBails_) {
-        st.add("fastpath.entered", fpEnteredTotal_);
-        st.add("fastpath.deopts", fpDeoptTotal_);
-        st.add("fastpath.coldBails", fpColdBails_);
-        for (size_t c = 0; c < std::size(fpDeoptCause_); ++c) {
+        st.add(stat::FastpathEntered, fpEnteredTotal_);
+        st.add(stat::FastpathDeopts, fpDeoptTotal_);
+        st.add(stat::FastpathColdBails, fpColdBails_);
+        for (unsigned c = 0; c < std::size(fpDeoptCause_); ++c) {
             if (fpDeoptCause_[c])
-                st.add(std::string("fastpath.deoptcause.") +
-                           obs::deoptCauseName(
-                               static_cast<obs::DeoptCause>(c)),
-                       fpDeoptCause_[c]);
+                st.add(stat::fastpathDeoptCause(c), fpDeoptCause_[c]);
         }
         // Sparse per-block deopt attribution: only blocks that
         // actually deopted, keyed function@slowPc so fleet merges
@@ -2931,13 +2929,13 @@ Machine::run(uint64_t maxSteps)
     }
     if (jitCompiled_ || jitEntered_ || jitDeopts_ || jitBailouts_ ||
         jitCodeBytes_ || jitLinkedBuiltins_) {
-        st.add("jit.compiled", jitCompiled_);
-        st.add("jit.entered", jitEntered_);
-        st.add("jit.deopts", jitDeopts_);
-        st.add("jit.bailouts", jitBailouts_);
-        st.add("jit.codeBytes", jitCodeBytes_);
-        st.add("jit.evictions", jitEvictions_);
-        st.add("jit.linkedBuiltinReturns", jitLinkedBuiltins_);
+        st.add(stat::JitCompiled, jitCompiled_);
+        st.add(stat::JitEntered, jitEntered_);
+        st.add(stat::JitDeopts, jitDeopts_);
+        st.add(stat::JitBailouts, jitBailouts_);
+        st.add(stat::JitCodeBytes, jitCodeBytes_);
+        st.add(stat::JitEvictions, jitEvictions_);
+        st.add(stat::JitLinkedBuiltinReturns, jitLinkedBuiltins_);
     }
     if (!hotPc_.empty()) {
         // Per-PC hot spots: top-K flat-table entries, keyed
@@ -2956,17 +2954,17 @@ Machine::run(uint64_t maxSteps)
                           });
         top.resize(keep);
         for (uint32_t flat : top) {
-            size_t f = program_->functions.size() - 1;
+            size_t f = program_->functionCount() - 1;
             while (f > 0 && hotPcBase_[f] > flat)
                 --f;
-            st.add("engine.hotpc." + program_->functions[f].name + "@" +
+            st.add("engine.hotpc." + program_->function(f).name + "@" +
                        std::to_string(flat - hotPcBase_[f]),
                    hotPc_[flat]);
         }
     }
     if (obs_) {
-        st.add("obs.events", obs_->emitted());
-        st.add("obs.dropped", obs_->dropped());
+        st.add(stat::ObsEvents, obs_->emitted());
+        st.add(stat::ObsDropped, obs_->dropped());
     }
     if (asyncTier_)
         asyncTier_->statInto(st);
@@ -2974,9 +2972,9 @@ Machine::run(uint64_t maxSteps)
         prof_->stop();
         prof_->statInto(st, [this](int32_t f) -> std::string {
             if (f < 0 ||
-                static_cast<size_t>(f) >= program_->functions.size())
+                static_cast<size_t>(f) >= program_->functionCount())
                 return "host";
-            return program_->functions[static_cast<size_t>(f)].name;
+            return program_->function(static_cast<size_t>(f)).name;
         });
     }
     // Compile-pipeline histograms accumulate in the (possibly shared)

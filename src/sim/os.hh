@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace shift
@@ -76,6 +77,13 @@ class Os
 
     /** Responses written by the program, one per accepted connection. */
     const std::vector<std::string> &responses() const { return responses_; }
+
+    /** Move the responses out, leaving none. */
+    std::vector<std::string>
+    takeResponses()
+    {
+        return std::exchange(responses_, {});
+    }
 
     /** Everything written to fd 1. */
     const std::string &stdoutText() const { return stdout_; }

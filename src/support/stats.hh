@@ -25,6 +25,7 @@
 #define SHIFT_SUPPORT_STATS_HH
 
 #include <array>
+#include <bitset>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -90,6 +91,137 @@ class Histogram
     uint64_t max_ = 0;
 };
 
+/**
+ * The counter, gauge and histogram names fixed at compile time: the
+ * families of docs/OBSERVABILITY.md §2 that are not keyed by a
+ * function, pc or tier. A StatSet keeps these in index-addressed slots,
+ * so filling and merging them touches no string; names known only at
+ * run time (`fastpath.deopts.<fn>@<pc>`, `engine.hotpc.*`, `prof.*`)
+ * live in its maps. Adding a fixed name means an enumerator here, its
+ * spelling in stats.cc's table, and a line in that schema.
+ */
+namespace stat
+{
+
+/**
+ * Spellings of the components the per-cell engine counters and the
+ * deopt-cause counters are built from. provenanceName(),
+ * origClassName() and obs::deoptCauseName() return these.
+ */
+inline constexpr std::array<const char *, 8> kProvenanceNames{
+    "original", "natgen", "tagaddr", "tagmem",
+    "tagreg",   "relax",  "check",   "baseline"};
+inline constexpr std::array<const char *, 4> kOrigClassNames{
+    "none", "load", "store", "compare"};
+inline constexpr std::array<const char *, 6> kDeoptCauseNames{
+    "chk.addr-nat", "chk.summary",  "st.addr-nat",
+    "st.summary",   "st.src-taint", "clr.reg-nat"};
+
+inline constexpr unsigned kProvenances = kProvenanceNames.size();
+inline constexpr unsigned kClasses = kOrigClassNames.size();
+inline constexpr unsigned kDeoptCauses = kDeoptCauseNames.size();
+
+/** Fixed counter slots, in declaration (not name) order. */
+enum Counter : uint16_t
+{
+    EngineCyclesTotal,
+    EngineCyclesCpu,
+    EngineCyclesOs,
+    EngineInstrsTotal,
+    EngineMemLoads,
+    EngineMemStores,
+    EngineCyclesLoadUseStall,
+    EngineCacheHits,
+    EngineCacheMisses,
+    EngineDispatches,
+    /// engine.cycles.<prov>, then engine.instrs.<prov>
+    EngineCyclesByProv,
+    EngineInstrsByProv = EngineCyclesByProv + kProvenances,
+    /// engine.cycles.<prov>.<class>, then engine.instrs.<prov>.<class>,
+    /// each at statIndex(prov, class)
+    EngineCyclesByCell = EngineInstrsByProv + kProvenances,
+    EngineInstrsByCell = EngineCyclesByCell + kProvenances * kClasses,
+    FastpathEntered = EngineInstrsByCell + kProvenances * kClasses,
+    FastpathDeopts,
+    FastpathColdBails,
+    /// fastpath.deoptcause.<cause>
+    FastpathDeoptCause,
+    JitCompiled = FastpathDeoptCause + kDeoptCauses,
+    JitEntered,
+    JitDeopts,
+    JitBailouts,
+    JitCodeBytes,
+    JitEvictions,
+    JitLinkedBuiltinReturns,
+    ObsEvents,
+    ObsDropped,
+    DiftEvents,
+    DiftFences,
+    DiftMaterializedWords,
+    DiftViolations,
+    FleetJobs,
+    FleetRequests,
+    FleetDetections,
+    kCounters
+};
+
+/** Fixed gauge slots. */
+enum Gauge : uint16_t
+{
+    FleetWorkers,
+    ObsBuffers,
+    kGauges
+};
+
+/** Fixed histogram slots. */
+enum Hist : uint16_t
+{
+    FleetLatencyCycles,
+    FleetForkMicros,
+    FleetCowPages,
+    JitCompileNanos,
+    JitSealNanos,
+    kHists
+};
+
+constexpr Counter
+engineCycles(unsigned prov)
+{
+    return static_cast<Counter>(EngineCyclesByProv + prov);
+}
+
+constexpr Counter
+engineInstrs(unsigned prov)
+{
+    return static_cast<Counter>(EngineInstrsByProv + prov);
+}
+
+/** engine.cycles.<prov>.<class> for cell `cell` = statIndex(prov, class). */
+constexpr Counter
+engineCyclesIn(unsigned cell)
+{
+    return static_cast<Counter>(EngineCyclesByCell + cell);
+}
+
+constexpr Counter
+engineInstrsIn(unsigned cell)
+{
+    return static_cast<Counter>(EngineInstrsByCell + cell);
+}
+
+constexpr Counter
+fastpathDeoptCause(unsigned cause)
+{
+    return static_cast<Counter>(FastpathDeoptCause + cause);
+}
+
+/** The name of a fixed slot. */
+const std::string &name(Counter id);
+const std::string &name(Gauge id);
+const std::string &name(Hist id);
+
+} // namespace stat
+
 /** A bag of named 64-bit counters, gauges, and histograms. */
 class StatSet
 {
@@ -97,11 +229,27 @@ class StatSet
     /** Add delta to the named counter (created at zero on first use). */
     void add(const std::string &name, uint64_t delta = 1);
 
+    /** add() on a fixed slot: no name, no allocation. */
+    void
+    add(stat::Counter id, uint64_t delta = 1)
+    {
+        counters_.fixed[id] += delta;
+        counters_.present[id] = true;
+    }
+
     /** Read a counter; absent counters read as zero. */
     uint64_t get(const std::string &name) const;
+    uint64_t get(stat::Counter id) const { return counters_.fixed[id]; }
 
     /** Set a point-in-time gauge. */
     void setGauge(const std::string &name, uint64_t value);
+
+    void
+    setGauge(stat::Gauge id, uint64_t value)
+    {
+        gauges_.fixed[id] = value;
+        gauges_.present[id] = true;
+    }
 
     /** Read a gauge; absent gauges read as zero. */
     uint64_t gauge(const std::string &name) const;
@@ -109,6 +257,13 @@ class StatSet
     /** Record a sample into the named histogram. */
     void record(const std::string &name, uint64_t value,
                 uint64_t weight = 1);
+
+    void
+    record(stat::Hist id, uint64_t value, uint64_t weight = 1)
+    {
+        histograms_.fixed[id].record(value, weight);
+        histograms_.present[id] = true;
+    }
 
     /** The named histogram, or nullptr when nothing was recorded. */
     const Histogram *histogram(const std::string &name) const;
@@ -146,7 +301,8 @@ class StatSet
 
     /**
      * Merge another set into this one: counters sum, gauges keep the
-     * max, histograms merge bucket-wise.
+     * max, histograms merge bucket-wise. Fixed slots merge element by
+     * element.
      */
     void merge(const StatSet &other);
 
@@ -157,10 +313,32 @@ class StatSet
      */
     void mergeHistogram(const std::string &name, const Histogram &hist);
 
+    void
+    mergeHistogram(stat::Hist id, const Histogram &hist)
+    {
+        if (!hist.count())
+            return;
+        histograms_.fixed[id].merge(hist);
+        histograms_.present[id] = true;
+    }
+
   private:
-    std::map<std::string, uint64_t> counters_;
-    std::map<std::string, uint64_t> gauges_;
-    std::map<std::string, Histogram> histograms_;
+    /**
+     * One shape's entries: fixed names in slots (a presence bit keeps
+     * an entry added with 0), run-time names in a sorted map that never
+     * holds a fixed name.
+     */
+    template <typename V, size_t N>
+    struct Family
+    {
+        std::array<V, N> fixed{};
+        std::bitset<N> present;
+        std::map<std::string, V, std::less<>> named;
+    };
+
+    Family<uint64_t, stat::kCounters> counters_;
+    Family<uint64_t, stat::kGauges> gauges_;
+    Family<Histogram, stat::kHists> histograms_;
 };
 
 /**
@@ -192,6 +370,13 @@ class ConcurrentStatSet
     {
         std::lock_guard<std::mutex> lock(mutex_);
         stats_.setGauge(name, value);
+    }
+
+    void
+    setGauge(stat::Gauge id, uint64_t value)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        stats_.setGauge(id, value);
     }
 
     void

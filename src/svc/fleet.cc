@@ -65,7 +65,7 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
             obs::note(obs::Ev::JobRunEnd, 0, -1, 0, jobId,
                       jr.result.cycles);
 
-            jr.responses = clone->os().responses();
+            jr.responses = clone->os().takeResponses();
             jr.cowPages = clone->machine().memory().cowCopies();
 
             if (options_.reference) {
@@ -83,16 +83,15 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
             // so one merge carries them into the aggregate (and any
             // live exporter target) together with the engine counters.
             size_t nReq = std::max<size_t>(jr.responses.size(), 1);
-            jr.result.stats.record("fleet.latency.cycles",
-                                   jr.result.cycles / nReq, nReq);
-            jr.result.stats.record(
-                "fleet.fork.micros",
-                static_cast<uint64_t>(jr.forkSeconds * 1e6));
-            jr.result.stats.record("fleet.cow.pages", jr.cowPages);
-            jr.result.stats.add("fleet.jobs");
-            jr.result.stats.add("fleet.requests", jr.responses.size());
-            jr.result.stats.add("fleet.detections",
-                                jr.result.alerts.size());
+            StatSet &st = jr.result.stats;
+            st.record(stat::FleetLatencyCycles, jr.result.cycles / nReq,
+                      nReq);
+            st.record(stat::FleetForkMicros,
+                      static_cast<uint64_t>(jr.forkSeconds * 1e6));
+            st.record(stat::FleetCowPages, jr.cowPages);
+            st.add(stat::FleetJobs);
+            st.add(stat::FleetRequests, jr.responses.size());
+            st.add(stat::FleetDetections, jr.result.alerts.size());
 
             aggregate.merge(jr.result.stats);
             if (options_.live)
@@ -106,9 +105,9 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
     // A worker beyond the job count would only wait for the queue to
     // close.
     size_t workers = std::min<size_t>(options_.workers, jobs.size());
-    aggregate.setGauge("fleet.workers", workers);
+    aggregate.setGauge(stat::FleetWorkers, workers);
     if (options_.live)
-        options_.live->setGauge("fleet.workers", workers);
+        options_.live->setGauge(stat::FleetWorkers, workers);
 
     auto serveStart = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
@@ -126,10 +125,10 @@ Fleet::serve(const std::vector<FleetJob> &jobs)
     report.hostSeconds = secondsSince(serveStart);
     report.stats = aggregate.snapshot();
     report.optStats = tmpl_->optStats();
-    report.fastBlocksEntered = report.stats.get("fastpath.entered");
-    report.fastDeopts = report.stats.get("fastpath.deopts");
-    report.jitBlocksEntered = report.stats.get("jit.entered");
-    report.jitDeopts = report.stats.get("jit.deopts");
+    report.fastBlocksEntered = report.stats.get(stat::FastpathEntered);
+    report.fastDeopts = report.stats.get(stat::FastpathDeopts);
+    report.jitBlocksEntered = report.stats.get(stat::JitEntered);
+    report.jitDeopts = report.stats.get(stat::JitDeopts);
 
     std::sort(results.begin(), results.end(),
               [](const FleetJobResult &a, const FleetJobResult &b) {

@@ -111,6 +111,9 @@ TEST(Os, SocketsDeliverRequestsAndCollectResponses)
     ASSERT_EQ(session.os().responses().size(), 2u);
     EXPECT_EQ(session.os().responses()[0], "echo:one");
     EXPECT_EQ(session.os().responses()[1], "echo:two");
+    std::vector<std::string> taken = session.os().takeResponses();
+    EXPECT_EQ(taken, (std::vector<std::string>{"echo:one", "echo:two"}));
+    EXPECT_TRUE(session.os().responses().empty());
 }
 
 TEST(Os, StdoutCapture)

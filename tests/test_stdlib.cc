@@ -23,6 +23,7 @@
 #include "lang/compiler.hh"
 #include "perfbench_programs.hh"
 #include "runtime/minic_stdlib.hh"
+#include "runtime/session_template.hh"
 #include "session_helpers.hh"
 #include "support/logging.hh"
 #include "workloads/attacks.hh"
@@ -149,10 +150,10 @@ TEST(StdlibFirstUse, ConcurrentSessionsAgree)
 void
 expectSameProgram(const Program &got, const Program &want)
 {
-    ASSERT_EQ(got.functions.size(), want.functions.size());
-    for (size_t f = 0; f < want.functions.size(); ++f) {
-        const Function &g = got.functions[f];
-        const Function &w = want.functions[f];
+    ASSERT_EQ(got.functionCount(), want.functionCount());
+    for (size_t f = 0; f < want.functionCount(); ++f) {
+        const Function &g = got.function(f);
+        const Function &w = want.function(f);
         ASSERT_EQ(g.name, w.name) << "function #" << f;
         EXPECT_EQ(g.nextLabel, w.nextLabel) << w.name;
         ASSERT_EQ(g.code.size(), w.code.size()) << w.name;
@@ -262,6 +263,41 @@ TEST(StdlibLink, TwoModuleSession)
     expectSameProgram(session.program(),
                       minic::compileProgram(concatenated));
     EXPECT_EQ(session.run().exitCode, 10);
+}
+
+// A Session's Program holds libc by pointer from its trackedStdlib()
+// entry: every program of a configuration links the same functions,
+// which are the ones the shared decode describes, and owns only its
+// own. Global indices still put libc first.
+TEST(StdlibLink, ProgramsShareTheEntrysFunctions)
+{
+    SessionOptions options = testutil::shiftOptions();
+    options.optimize.enable = true;
+    Session a(kLibcUser, options);
+    Session b("int main() { return (int)strlen(\"ab\"); }\n", options);
+    SessionTemplate tmpl("int main() { return 5; }\n", options);
+    const Program &pa = a.program();
+    ASSERT_NE(pa.linked, nullptr);
+    EXPECT_EQ(pa.linked, b.program().linked);
+    EXPECT_EQ(pa.linked, tmpl.program().linked);
+    EXPECT_EQ(pa.linkedCount(), prebuiltStdlib().functions.size());
+    ASSERT_EQ(b.program().functions.size(), 1u);
+    EXPECT_EQ(b.program().function(pa.linkedCount()).name, "main");
+    EXPECT_EQ(*b.program().findFunction("main"),
+              static_cast<int>(pa.linkedCount()));
+
+    const DecodedProgram &decoded = *a.machine().decoded();
+    ASSERT_NE(decoded.linked, nullptr);
+    for (size_t f = 0; f < pa.functionCount(); ++f)
+        EXPECT_EQ(decoded.functions[f].src, &pa.function(f)) << f;
+
+    uint64_t whole = 0;
+    for (size_t f = 0; f < pa.functionCount(); ++f)
+        whole += Program::staticInstrCount(pa.function(f));
+    EXPECT_EQ(pa.staticInstrCount(), whole);
+    EXPECT_EQ(a.run().exitCode, 72);
+    EXPECT_EQ(b.run().exitCode, 2);
+    EXPECT_EQ(tmpl.instantiate()->run().exitCode, 5);
 }
 
 TEST(StdlibLink, RedefiningLibcIsAnError)
@@ -620,6 +656,7 @@ TEST(StdlibMemo, PerfbenchProgramsShareOneEntryPerRung)
                                 testutil::Rung::Untracked}) {
         SCOPED_TRACE(static_cast<int>(rung));
         std::set<const DecodedProgram *> rungUnits;
+        std::set<const std::vector<Function> *> programUnits;
         for (const testutil::PerfbenchProgram &p : programs) {
             Session session(p.source, testutil::perfbenchRung(p.base, rung));
             const DecodedProgram &decoded = *session.machine().decoded();
@@ -629,8 +666,19 @@ TEST(StdlibMemo, PerfbenchProgramsShareOneEntryPerRung)
                 ASSERT_EQ(decoded.functions[f].code.data(),
                           decoded.linked->functions[f].code.data())
                     << p.name << " copies libc function #" << f;
+            // The Program links the entry's functions too: the decode
+            // describes them, and the program owns only its own.
+            const Program &program = session.program();
+            ASSERT_EQ(program.linkedCount(), decoded.linked->functions.size())
+                << p.name;
+            for (size_t f = 0; f < program.linkedCount(); ++f)
+                ASSERT_EQ(decoded.linked->functions[f].src,
+                          &program.function(f))
+                    << p.name << " copies libc function #" << f;
+            programUnits.insert(program.linked.get());
         }
         EXPECT_EQ(rungUnits.size(), 1u);
+        EXPECT_EQ(programUnits.size(), 1u);
         units.insert(rungUnits.begin(), rungUnits.end());
         EXPECT_EQ(trackedStdlibEntries(), ++entries);
         EXPECT_EQ(units.size(), entries);

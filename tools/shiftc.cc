@@ -254,7 +254,9 @@ main(int argc, char **argv)
         Session session(readHostFile(sourcePath), options);
 
         if (disasm) {
-            for (const Function &fn : session.program().functions) {
+            const Program &program = session.program();
+            for (size_t f = 0; f < program.functionCount(); ++f) {
+                const Function &fn = program.function(f);
                 std::printf("%s:\n%s\n", fn.name.c_str(),
                             disassemble(fn.code).c_str());
             }
@@ -273,7 +275,7 @@ main(int argc, char **argv)
                     if (traced++ >= traceLimit)
                         return;
                     const Function &fn =
-                        m.program().functions[m.currentFunction()];
+                        m.program().function(m.currentFunction());
                     // Mark instructions whose sources carry NaT.
                     bool nat = false;
                     forEachUse(instr, [&](uint16_t r) {
