@@ -1,12 +1,14 @@
-# paper_figures ctest: the binary must exit 0 (no faulting run, bad
-# httpd response, optimizer verdict change, missed attack or false
-# positive) and print exactly bench/paper_figures.golden. On a mismatch
-# it names the first differing line and leaves the output at ACTUAL.
+# paper_figures ctest: the binary, run with ARGS (empty, or --jit for
+# the paper_figures_jit leg), must exit 0 (no faulting run, bad httpd
+# response, optimizer verdict change, missed attack or false positive)
+# and print exactly bench/paper_figures.golden. On a mismatch it names
+# the first differing line and leaves the output at ACTUAL.
 # A deliberate change regenerates the golden:
 #   build/bench/paper_figures > bench/paper_figures.golden
 cmake_minimum_required(VERSION 3.16)
 
-execute_process(COMMAND ${BIN} OUTPUT_FILE ${ACTUAL} ERROR_VARIABLE err
+execute_process(COMMAND ${BIN} ${ARGS} OUTPUT_FILE ${ACTUAL}
+                ERROR_VARIABLE err
                 RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "paper_figures exited with ${rc}:\n${err}")

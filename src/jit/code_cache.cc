@@ -193,6 +193,7 @@ CodeCache::publishFunctionLocked(
     liveBytes_ += f->size;
     credit->blocks += f->blocks;
     credit->codeBytes += f->size;
+    credit->helperSites += f->helperSites;
     fns_[size_t(func)].store(f, std::memory_order_release);
     return f;
 }

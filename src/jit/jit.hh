@@ -16,12 +16,14 @@
  *  - Plain ALU/compare/branch micro-ops and the FusedTagAddr fold are
  *    emitted inline, with cycle/instruction charges constant-folded
  *    and coalesced per straight-line run.
- *  - The hot memory forms (plain loads/stores, spill/fill), the
- *    FusedChkByte/FusedClearNat macro-ops, the Fp* summary probes and
- *    the unat/branch-register moves get inline fast paths that probe
- *    Memory's translation cache and the taint summary's way cache
- *    directly through JitCtx, with the op's charges folded into a
- *    small non-faulting "retire" leaf call. Any miss condition — and
+ *  - The hot memory forms (plain loads/stores, spill/fill, one-byte
+ *    bitmap loads), the FusedChkByte/FusedClearNat macro-ops, the Fp*
+ *    summary probes and the unat/branch-register moves get inline
+ *    fast paths that probe Memory's translation cache and the taint
+ *    summary's way cache directly through JitCtx, with the op's
+ *    charges folded into a small non-faulting "retire" leaf call; for
+ *    loads and stores that leaf is a shared stub that runs the L1
+ *    model's hit path in host code. Any miss condition — and
  *    every op without an inline body — calls a hand-written C++
  *    helper (src/jit/runtime.cc) that replays the interpreter's exact
  *    architectural semantics: register writes, charges, stalls, cache
@@ -128,11 +130,22 @@ struct JitCtx
     uint64_t *unat = nullptr;
 
     /**
-     * The tag region's dedicated translation-cache entry
-     * (Memory::jitTagTlb): the inline FusedChk bodies read the taint
-     * bitmap through it.
+     * The tag region's dedicated translation-cache entries
+     * (Memory::jitTagTlb): the inline FusedChkByte bodies and bitmap
+     * loads read the taint bitmap through them.
      */
     const void *tagTlb = nullptr;
+
+    /**
+     * The data-cache model's state (Cache::jitState()): the retire
+     * stubs run the model's hit path against it and fall back to the
+     * C++ retire leaves only on a miss.
+     */
+    void *dcache = nullptr;
+
+    /** Machine::loadCount_ and storeCount_, bumped by the stubs' hits. */
+    uint64_t *loads = nullptr;
+    uint64_t *stores = nullptr;
 };
 
 static_assert(offsetof(JitCtx, cyFlat) == 8 &&
@@ -153,7 +166,10 @@ static_assert(offsetof(JitCtx, cyFlat) == 8 &&
                   offsetof(JitCtx, fpEnters) == 128 &&
                   offsetof(JitCtx, fpEntered) == 136 &&
                   offsetof(JitCtx, unat) == 144 &&
-                  offsetof(JitCtx, tagTlb) == 152,
+                  offsetof(JitCtx, tagTlb) == 152 &&
+                  offsetof(JitCtx, dcache) == 160 &&
+                  offsetof(JitCtx, loads) == 168 &&
+                  offsetof(JitCtx, stores) == 176,
               "JitCtx layout is baked into emitted code");
 
 /**
@@ -198,6 +214,8 @@ struct CompiledFunction
     std::vector<int32_t> slowEntry;
     std::vector<int32_t> fastEntry;
     uint32_t blocks = 0;
+    /** Micro-ops lowered to a bare helper call (jit.helperSites). */
+    uint32_t helperSites = 0;
 
     ~CompiledFunction();
     CompiledFunction() = default;
@@ -340,6 +358,7 @@ class CodeCache
         uint64_t blocks = 0;    ///< superblocks newly compiled
         uint64_t codeBytes = 0; ///< executable bytes newly published
         uint64_t evictions = 0; ///< flush-when-full events taken
+        uint64_t helperSites = 0; ///< bare helper calls newly compiled
         /**
          * Host nanoseconds THIS call spent compiling+sealing on the
          * caller's thread. The profiler carves this span out of the

@@ -53,7 +53,9 @@ struct JitOps
     static uint64_t st(JitCtx *c, const DecodedInstr *dp, uint64_t pcw);
     // Retire leaves for the inline fast paths: load/store counters,
     // the data-cache model and the op's charges (nothing that can
-    // fault). SysV: rdi=ctx, rsi=addr, rdx=statIdx.
+    // fault). SysV: rdi=ctx, rsi=addr, rdx=statIdx. Compiled loads
+    // and stores reach ldRetire/stRetire only through their retire
+    // stubs' miss path (compiler.cc), which replays the whole access.
     static void ldRetire(JitCtx *c, uint64_t addr, uint64_t statIdx);
     static void stRetire(JitCtx *c, uint64_t addr, uint64_t statIdx);
     /** FusedClearNat's retire: its spill-store + reload charges. */

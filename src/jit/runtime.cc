@@ -228,10 +228,12 @@ JitOps::st(JitCtx *c, const DecodedInstr *dp, uint64_t pcw)
  * Retire halves of the compiler's inline Ld/St fast paths. The
  * emitted code has already translated the address, proven the access
  * non-faulting (no NaT operands, cache-hit page, in-page, writable
- * for stores, not the tag region) and moved the data; what remains is
- * exactly the interpreter's post-access bookkeeping: the load/store
- * counter, the data-cache model (which mutates LRU state and must be
- * consulted once per committed access) and the op's charges.
+ * for stores) and moved the data; what remains is exactly the
+ * interpreter's post-access bookkeeping: the load/store counter, the
+ * data-cache model (which mutates LRU state and must be consulted
+ * once per committed access) and the op's charges. The retire stubs
+ * (compiler.cc) do all of that themselves on an L1 hit and jump here
+ * on a miss, having changed nothing.
  */
 void
 JitOps::ldRetire(JitCtx *c, uint64_t addr, uint64_t statIdx)
@@ -874,9 +876,7 @@ JitOps::transfer(JitCtx *c, int func, uint64_t pc, bool fast)
     if (!en) {
         jit::CodeCache::Credit credit;
         en = m.jitActive_->entryAt(func, fast, pc, &credit);
-        m.jitCompiled_ += credit.blocks;
-        m.jitCodeBytes_ += credit.codeBytes;
-        m.jitEvictions_ += credit.evictions;
+        m.addJitCredit(credit);
     }
     if (en)
         return reinterpret_cast<uint64_t>(en.code);

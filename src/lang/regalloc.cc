@@ -159,9 +159,16 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
                                     static_cast<uint64_t>(slot));
     };
 
-    // Rewrite instructions: map assigned vregs, expand spilled ones.
+    // Rewrite instructions into `out`: map assigned vregs, expand
+    // spilled ones, and build the prologue ahead of the body and the
+    // epilogue just before the final br.ret as the rewrite goes.
+    SHIFT_ASSERT(!needFrame || (!fn.code.empty() &&
+                                fn.code.back().op == Opcode::BrRet),
+                 "function must end in br.ret");
+    // A frame adds 4 instructions plus 2 per saved register at each end.
     std::vector<Instr> out;
-    out.reserve(fn.code.size() + 16);
+    size_t saves = static_cast<size_t>(std::popcount(usedRegs));
+    out.reserve(fn.code.size() + 16 + (needFrame ? 8 + 4 * saves : 0));
 
     auto mapped = [&](int vreg) -> const Interval & {
         return ivals[static_cast<size_t>(vreg - kFirstVreg)];
@@ -190,6 +197,59 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
         out.push_back(store);
     };
 
+    if (needFrame) {
+        // Prologue.
+        out.push_back(makeAluImm(Opcode::Add, reg::sp, reg::sp,
+                                 -static_cast<int64_t>(frameSize)));
+        Instr get;
+        get.op = Opcode::MovFromUnat;
+        get.r1 = kScratchA;
+        out.push_back(get);
+        out.push_back(makeAluImm(Opcode::Add, kScratchB, reg::sp,
+                                 static_cast<int64_t>(unatSlot)));
+        // Spill form: compiler-internal traffic that instrumentation
+        // passes recognize and skip (the saved UNAT is never tainted).
+        Instr save = makeSt(kScratchB, kScratchA, 8);
+        save.spill = true;
+        out.push_back(save);
+        int i = 0;
+        forEachUsedReg([&](int r) {
+            out.push_back(makeAluImm(
+                Opcode::Add, kScratchB, reg::sp,
+                static_cast<int64_t>(saveBase) + 8 * i));
+            Instr saveReg = makeSt(kScratchB, r, 8);
+            saveReg.spill = true;
+            out.push_back(saveReg);
+            ++i;
+        });
+    }
+
+    // Epilogue: rebuild state just before the final br.ret.
+    auto emitEpilogue = [&] {
+        int i = 0;
+        forEachUsedReg([&](int r) {
+            out.push_back(makeAluImm(
+                Opcode::Add, kScratchB, reg::sp,
+                static_cast<int64_t>(saveBase) + 8 * i));
+            Instr load = makeLd(r, kScratchB, 8);
+            load.fill = true;
+            out.push_back(load);
+            ++i;
+        });
+        out.push_back(makeAluImm(Opcode::Add, kScratchB, reg::sp,
+                                 static_cast<int64_t>(unatSlot)));
+        Instr restore = makeLd(kScratchA, kScratchB, 8);
+        restore.fill = true;
+        out.push_back(restore);
+        Instr set;
+        set.op = Opcode::MovToUnat;
+        set.r2 = kScratchA;
+        out.push_back(set);
+        out.push_back(makeAluImm(Opcode::Add, reg::sp, reg::sp,
+                                 static_cast<int64_t>(frameSize)));
+    };
+
+    const Instr *last = fn.code.empty() ? nullptr : &fn.code.back();
     for (Instr &instr : fn.code) {
         if (instr.op == Opcode::Label) {
             out.push_back(instr);
@@ -227,78 +287,13 @@ allocateRegisters(Function &fn, const FuncGenInfo &info)
             }
         }
 
+        if (&instr == last && needFrame)
+            emitEpilogue();
         out.push_back(rewritten);
         if (defSlot >= 0)
             emitSpill(kScratchA, defSlot, rewritten.qp, rewritten.prov);
     }
     fn.code = std::move(out);
-
-    if (!needFrame)
-        return stats;
-
-    // Prologue.
-    std::vector<Instr> prologue;
-    prologue.push_back(makeAluImm(Opcode::Add, reg::sp, reg::sp,
-                                  -static_cast<int64_t>(frameSize)));
-    {
-        Instr get;
-        get.op = Opcode::MovFromUnat;
-        get.r1 = kScratchA;
-        prologue.push_back(get);
-        prologue.push_back(makeAluImm(Opcode::Add, kScratchB, reg::sp,
-                                      static_cast<int64_t>(unatSlot)));
-        // Spill form: compiler-internal traffic that instrumentation
-        // passes recognize and skip (the saved UNAT is never tainted).
-        Instr save = makeSt(kScratchB, kScratchA, 8);
-        save.spill = true;
-        prologue.push_back(save);
-    }
-    {
-        int i = 0;
-        forEachUsedReg([&](int r) {
-            prologue.push_back(makeAluImm(
-                Opcode::Add, kScratchB, reg::sp,
-                static_cast<int64_t>(saveBase) + 8 * i));
-            Instr save = makeSt(kScratchB, r, 8);
-            save.spill = true;
-            prologue.push_back(save);
-            ++i;
-        });
-    }
-    fn.code.insert(fn.code.begin(), prologue.begin(), prologue.end());
-
-    // Epilogue: rebuild state just before the final br.ret.
-    SHIFT_ASSERT(!fn.code.empty() &&
-                     fn.code.back().op == Opcode::BrRet,
-                 "function must end in br.ret");
-    std::vector<Instr> epilogue;
-    {
-        int i = 0;
-        forEachUsedReg([&](int r) {
-            epilogue.push_back(makeAluImm(
-                Opcode::Add, kScratchB, reg::sp,
-                static_cast<int64_t>(saveBase) + 8 * i));
-            Instr load = makeLd(r, kScratchB, 8);
-            load.fill = true;
-            epilogue.push_back(load);
-            ++i;
-        });
-    }
-    {
-        epilogue.push_back(makeAluImm(Opcode::Add, kScratchB, reg::sp,
-                                      static_cast<int64_t>(unatSlot)));
-        Instr restore = makeLd(kScratchA, kScratchB, 8);
-        restore.fill = true;
-        epilogue.push_back(restore);
-        Instr set;
-        set.op = Opcode::MovToUnat;
-        set.r2 = kScratchA;
-        epilogue.push_back(set);
-    }
-    epilogue.push_back(makeAluImm(Opcode::Add, reg::sp, reg::sp,
-                                  static_cast<int64_t>(frameSize)));
-    fn.code.insert(fn.code.end() - 1, epilogue.begin(), epilogue.end());
-
     return stats;
 }
 

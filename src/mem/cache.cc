@@ -1,52 +1,29 @@
 #include "cache.hh"
 
-#include "support/bitops.hh"
-#include "support/logging.hh"
-
 namespace shift
 {
-
-Cache::Cache(const Params &params) : params_(params)
-{
-    SHIFT_ASSERT(isPowerOf2(params_.lineBytes));
-    SHIFT_ASSERT(params_.assoc > 0);
-    lineShift_ = 0;
-    while ((1U << lineShift_) < params_.lineBytes)
-        ++lineShift_;
-    uint64_t numLines = params_.sizeBytes / params_.lineBytes;
-    SHIFT_ASSERT(numLines % params_.assoc == 0);
-    numSets_ = static_cast<unsigned>(numLines / params_.assoc);
-    SHIFT_ASSERT(isPowerOf2(numSets_));
-    lines_.resize(numLines);
-}
 
 void
 Cache::fill(Line *ways, uint64_t tag)
 {
+    // Invalid ways carry stamp 0 and valid ones the tick of their last
+    // access (at least 1, since every access bumps the tick first), so
+    // the first way with the smallest stamp is the first invalid way
+    // when there is one and the least recently used way otherwise.
     Line *victim = &ways[0];
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        Line &line = ways[w];
-        if (!line.valid) {
-            victim = &line;
-            break;
-        }
-        if (line.lru < victim->lru)
-            victim = &line;
+    for (unsigned w = 1; w < kWays; ++w) {
+        if (ways[w].stamp < victim->stamp)
+            victim = &ways[w];
     }
-    victim->valid = true;
     victim->tag = tag;
-    victim->lru = tick_;
-    ++misses_;
+    victim->stamp = s_->tick;
+    ++s_->misses;
 }
 
 void
 Cache::reset()
 {
-    for (Line &line : lines_)
-        line = Line{};
-    tick_ = 0;
-    hits_ = 0;
-    misses_ = 0;
+    *s_ = State{};
 }
 
 } // namespace shift

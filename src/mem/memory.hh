@@ -327,11 +327,11 @@ class Memory
     /**
      * The tag region's dedicated translation-cache entries (same
      * layout as jitTlb() entries, indexed by key like tlbSlot), for
-     * the JIT's inline FusedChk fast paths: their taint-bitmap reads
-     * are the one tag-space access pattern hot enough to warrant
-     * bypassing the helpers. Data-side inline paths still exclude
-     * region 0 — stores there must mark the taint summary, which
-     * stays the helpers' job.
+     * the JIT's inline taint-bitmap reads (FusedChkByte and one-byte
+     * bitmap loads), the tag-space access pattern hot enough to
+     * warrant bypassing the helpers. Data-side inline paths still
+     * exclude region 0, and bitmap stores keep their helper: stores
+     * there must mark the taint summary.
      */
     const void *jitTagTlb() const { return tagTlb_.data(); }
 

@@ -1081,9 +1081,7 @@ Machine::jitLookup(uint64_t steps, bool inFast, uint64_t pc)
     jit::CodeCache::Credit credit;
     jit::CodeCache::Entry en =
         jitActive_->entryAt(curFunc_, inFast, pc, &credit);
-    jitCompiled_ += credit.blocks;
-    jitCodeBytes_ += credit.codeBytes;
-    jitEvictions_ += credit.evictions;
+    addJitCredit(credit);
     // entryAt timed any compile it ran on this thread; carve that span
     // out of the interpreter tier. A profiler is attached only to the
     // observed loop.
@@ -2820,6 +2818,9 @@ Machine::run(uint64_t maxSteps)
         jitCtx_.fpEnters = fpEnters_.data();
         jitCtx_.unat = &unat_;
         jitCtx_.tagTlb = mem_.jitTagTlb();
+        jitCtx_.dcache = dcache_.jitState();
+        jitCtx_.loads = &loadCount_;
+        jitCtx_.stores = &storeCount_;
         jitActive_ = jitCache_.get();
     }
 
@@ -2936,6 +2937,7 @@ Machine::run(uint64_t maxSteps)
         st.add(stat::JitCodeBytes, jitCodeBytes_);
         st.add(stat::JitEvictions, jitEvictions_);
         st.add(stat::JitLinkedBuiltinReturns, jitLinkedBuiltins_);
+        st.add(stat::JitHelperSites, jitHelperSites_);
     }
     if (!hotPc_.empty()) {
         // Per-PC hot spots: top-K flat-table entries, keyed

@@ -165,6 +165,7 @@ counterNames()
         n[stat::JitCodeBytes] = "jit.codeBytes";
         n[stat::JitEvictions] = "jit.evictions";
         n[stat::JitLinkedBuiltinReturns] = "jit.linkedBuiltinReturns";
+        n[stat::JitHelperSites] = "jit.helperSites";
         n[stat::ObsEvents] = "obs.events";
         n[stat::ObsDropped] = "obs.dropped";
         n[stat::DiftEvents] = "dift.events";

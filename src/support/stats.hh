@@ -153,6 +153,7 @@ enum Counter : uint16_t
     JitCodeBytes,
     JitEvictions,
     JitLinkedBuiltinReturns,
+    JitHelperSites,
     ObsEvents,
     ObsDropped,
     DiftEvents,

@@ -580,6 +580,7 @@ TEST(JitPromotion, FlushWhenFullRestartsWork)
 struct JitCounts
 {
     uint64_t compiled = 0, entered = 0, bailouts = 0, deopts = 0;
+    uint64_t helperSites = 0;
 
     void
     add(const StatSet &stats)
@@ -588,6 +589,7 @@ struct JitCounts
         entered += stats.get("jit.entered");
         bailouts += stats.get("jit.bailouts");
         deopts += stats.get("jit.deopts");
+        helperSites += stats.get("jit.helperSites");
     }
 };
 
@@ -597,13 +599,22 @@ constexpr uint64_t kAttacksFull = 60;
 constexpr uint64_t kSpecFull = 1718;
 static_assert(kAttacksUntracked > 0 && kAttacksFull > 0,
               "perfbench checks that both attack JIT rungs compile");
-/** Σ jit.entered, jit.bailouts and jit.deopts per group at `full`. */
-constexpr JitCounts kAttacksFullRuns{
-    .compiled = kAttacksFull, .entered = 5, .bailouts = 5, .deopts = 0};
+/**
+ * Σ jit.entered, jit.bailouts and jit.deopts per group at `full`, and
+ * Σ jit.helperSites: the micro-ops compiled to a bare helper call. A
+ * lowering change that sends bitmap loads back to JitOps::ld raises
+ * both helper-site figures.
+ */
+constexpr JitCounts kAttacksFullRuns{.compiled = kAttacksFull,
+                                     .entered = 5,
+                                     .bailouts = 5,
+                                     .deopts = 0,
+                                     .helperSites = 0};
 constexpr JitCounts kSpecFullRuns{.compiled = kSpecFull,
                                   .entered = 5'595,
                                   .bailouts = 5'587,
-                                  .deopts = 46'297};
+                                  .deopts = 46'297,
+                                  .helperSites = 93};
 
 /**
  * The 16 attack programs at `untracked` and `full` and the 8 SPEC
@@ -645,6 +656,7 @@ TEST(JitPromotionCounts, PerfbenchProgramsCompileExactly)
         EXPECT_EQ(got.entered, want.entered) << "jit.entered";
         EXPECT_EQ(got.bailouts, want.bailouts) << "jit.bailouts";
         EXPECT_EQ(got.deopts, want.deopts) << "jit.deopts";
+        EXPECT_EQ(got.helperSites, want.helperSites) << "jit.helperSites";
     }
 }
 

@@ -2,8 +2,9 @@
  * @file
  * JIT tier differential suite: SPEC kernels (byte and word
  * granularity, with and without the taint-clean fast tier underneath),
- * the httpd workload, and all attack scenarios, each run jit-off vs
- * jit-on. Verdicts, taint bitmaps, memory hashes and every counter
+ * the httpd workload, all attack scenarios, and the 25 perfbench
+ * programs at perfbench's `full` rung (optimizer on), each run jit-off
+ * vs jit-on. Verdicts, taint bitmaps, memory hashes and every counter
  * must be identical (jit_test_util.hh's exact-equality harness).
  *
  * The unit tests for the tier's machinery (deopt protocol, code-cache
@@ -15,6 +16,7 @@
 #include <string>
 
 #include "jit_test_util.hh"
+#include "perfbench_programs.hh"
 #include "session_helpers.hh"
 #include "workloads/attacks.hh"
 #include "workloads/httpd.hh"
@@ -94,6 +96,49 @@ TEST_P(JitDiffSpecTest, AllKernelsIdentical)
             EXPECT_TRUE(off.result.exited) << what;
             expectIdentical(off, on, what);
             EXPECT_GT(on.jitEntered, 0u) << what;
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Differential: the perfbench programs at `full` (optimizer, ISA
+// extensions, fast path and JIT) against `fast`, the same program with
+// the JIT off. The cases above leave the optimizer off; here compiled
+// code also runs its narrowed bitmap checks and updates, which reach
+// the JIT as unfused one-byte bitmap loads.
+// ---------------------------------------------------------------------
+
+class JitDiffFullRungTest : public ::testing::TestWithParam<uint32_t>
+{
+};
+
+INSTANTIATE_TEST_SUITE_P(Thresholds, JitDiffFullRungTest,
+                         ::testing::Values(kEager, 32u),
+                         [](const auto &info) {
+                             return "threshold" +
+                                    std::to_string(info.param);
+                         });
+
+TEST_P(JitDiffFullRungTest, PerfbenchProgramsIdentical)
+{
+    SKIP_WITHOUT_JIT();
+    using testutil::Rung;
+    for (const testutil::PerfbenchProgram &p :
+         testutil::perfbenchPrograms()) {
+        DiffRun runs[2];
+        for (Rung rung : {Rung::Fast, Rung::Full}) {
+            SessionOptions options = testutil::perfbenchRung(p.base, rung);
+            options.jitThreshold = GetParam();
+            Session session(p.source, options);
+            p.provision(session);
+            DiffRun &run = runs[rung == Rung::Full];
+            run = captureRun(session);
+            EXPECT_EQ(testutil::verdictProblem(p, rung, run.result), "")
+                << p.name;
+        }
+        expectIdentical(runs[0], runs[1], p.name);
+        if (GetParam() == kEager) {
+            EXPECT_GT(runs[1].jitEntered, 0u) << p.name;
         }
     }
 }

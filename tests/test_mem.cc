@@ -7,7 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <list>
 #include <random>
+#include <vector>
 
 #include "mem/address_space.hh"
 #include "mem/cache.hh"
@@ -413,17 +417,72 @@ TEST(Cache, HitAfterMiss)
 
 TEST(Cache, LruEviction)
 {
-    Cache::Params params;
-    params.sizeBytes = 4 * 64; // 4 lines
-    params.assoc = 4;          // fully associative, one set
-    params.lineBytes = 64;
-    Cache cache(params);
+    // Lines 4 KiB apart share a set (64 sets of 64-byte lines), so
+    // five of them overflow its four ways.
+    constexpr uint64_t kSetStride = Cache::kSets << Cache::kLineShift;
+    static_assert(kSetStride == 4096);
+    Cache cache;
     for (uint64_t i = 0; i < 4; ++i)
-        cache.access(i * 64);
-    EXPECT_TRUE(cache.access(0));      // refresh line 0
-    EXPECT_FALSE(cache.access(4 * 64)); // evicts LRU = line 1
-    EXPECT_TRUE(cache.access(0));       // line 0 survived
-    EXPECT_FALSE(cache.access(1 * 64)); // line 1 was evicted
+        cache.access(i * kSetStride);
+    EXPECT_TRUE(cache.access(0));               // refresh line 0
+    EXPECT_FALSE(cache.access(4 * kSetStride)); // evicts LRU = line 1
+    EXPECT_TRUE(cache.access(0));               // line 0 survived
+    EXPECT_FALSE(cache.access(1 * kSetStride)); // line 1 was evicted
+}
+
+/**
+ * The model against a plain one: a most-recently-used-first list per
+ * set, capped at the associativity. Every verdict of a seeded random
+ * address stream, and the final hit and miss counts, must agree, over
+ * footprints that fit one set's conflicts, the cache, and four times
+ * the cache.
+ */
+TEST(Cache, MatchesPerSetLruListModel)
+{
+    struct Footprint
+    {
+        const char *name;
+        std::function<uint64_t(std::mt19937_64 &)> address;
+    };
+    constexpr uint64_t kSetStride = Cache::kSets << Cache::kLineShift;
+    static_assert(Cache::kSizeBytes == 16 << 10);
+    const Footprint footprints[] = {
+        {"one set: 7 lines 4 KiB apart",
+         [&](std::mt19937_64 &rng) {
+             return (rng() % 7) * kSetStride + rng() % 64;
+         }},
+        {"16 KiB",
+         [](std::mt19937_64 &rng) { return rng() % Cache::kSizeBytes; }},
+        {"64 KiB",
+         [](std::mt19937_64 &rng) {
+             return rng() % (4 * Cache::kSizeBytes);
+         }},
+    };
+    for (const Footprint &f : footprints) {
+        SCOPED_TRACE(f.name);
+        std::mt19937_64 rng(20081);
+        Cache cache;
+        std::vector<std::list<uint64_t>> sets(Cache::kSets);
+        uint64_t hits = 0, misses = 0;
+        for (int i = 0; i < 200000; ++i) {
+            uint64_t line = f.address(rng) >> Cache::kLineShift;
+            std::list<uint64_t> &set = sets[line % Cache::kSets];
+            auto it = std::find(set.begin(), set.end(), line);
+            bool hit = it != set.end();
+            if (hit)
+                set.erase(it);
+            else if (set.size() == Cache::kWays)
+                set.pop_back();
+            set.push_front(line);
+            (hit ? hits : misses) += 1;
+            ASSERT_EQ(cache.access(line << Cache::kLineShift), hit)
+                << "access " << i << " to line " << line;
+        }
+        EXPECT_EQ(cache.hits(), hits);
+        EXPECT_EQ(cache.misses(), misses);
+        EXPECT_GT(hits, 0u);
+        EXPECT_GT(misses, 0u);
+    }
 }
 
 TEST(Cache, ResetClearsEverything)
