@@ -73,10 +73,7 @@ runMonolith(const HttpdFleetConfig &config,
     row.workers = 1;
     double start = now();
     for (const svc::FleetJob &job : jobs) {
-        SessionOptions options = httpdSessionOptions(
-            config.mode, config.granularity, config.features,
-            config.engine);
-        Session session(kHttpdSource, options);
+        Session session(kHttpdSource, config.options);
         provisionHttpdOs(session.os(), config.fileSize);
         for (const std::string &request : job.requests)
             session.os().queueConnection(request);

@@ -249,11 +249,12 @@ AttackRun
 attack(const AttackScenario &scenario, bool exploit, Granularity g,
        bool optimize)
 {
-    OptimizerOptions opt;
-    opt.enable = optimize;
-    AttackRun run = runAttackScenario(scenario, exploit, g,
-                                      ExecEngine::Predecoded, opt, false,
-                                      {}, jitCells, kJitThreshold);
+    SessionOptions options;
+    options.policy.granularity = g;
+    options.optimize.enable = optimize;
+    options.jit = jitCells;
+    options.jitThreshold = kJitThreshold;
+    AttackRun run = runAttackScenario(scenario, exploit, std::move(options));
     jitEntered.attacks += run.result.stats.get(stat::JitEntered);
     std::string what = scenario.name + (exploit ? " exploit " : " benign ") +
                        granName(g) + (optimize ? "+opt" : "");
@@ -308,11 +309,11 @@ HttpdRun
 serve(TrackingMode mode, Granularity g, uint64_t kb)
 {
     HttpdConfig config;
-    config.mode = mode;
-    config.granularity = g;
+    config.options = httpdSessionOptions(mode, g);
+    config.options.jit = jitCells;
+    config.options.jitThreshold = kJitThreshold;
     config.fileSize = kb * 1024;
     config.requests = 25;
-    config.jit = jitCells;
     HttpdRun run = runHttpd(config);
     jitEntered.httpd += run.result.stats.get(stat::JitEntered);
     std::string what = "httpd " + std::to_string(kb) + "KB " +

@@ -30,11 +30,11 @@ replayPolicy(const char *label, const PolicyConfig &policy)
     const AttackScenario &scenario = attackScenario("phpmyfaq");
     AttackScenario variant = scenario;
     variant.policy = policy;
+    SessionOptions options;
+    options.policy.granularity = policy.granularity;
 
-    AttackRun exploit =
-        runAttackScenario(variant, true, policy.granularity);
-    AttackRun benign =
-        runAttackScenario(variant, false, policy.granularity);
+    AttackRun exploit = runAttackScenario(variant, true, options);
+    AttackRun benign = runAttackScenario(variant, false, options);
 
     const char *verdict;
     if (!exploit.result.alerts.empty())

@@ -91,13 +91,12 @@ main()
 
     // Overhead on a clean serving run (figure 6 conditions).
     HttpdConfig base;
-    base.mode = TrackingMode::None;
     base.fileSize = 16 * 1024;
     base.requests = 20;
     HttpdRun baseRun = runHttpd(base);
     HttpdConfig tracked = base;
-    tracked.mode = TrackingMode::Shift;
-    tracked.granularity = Granularity::Word;
+    tracked.options =
+        httpdSessionOptions(TrackingMode::Shift, Granularity::Word);
     HttpdRun trackedRun = runHttpd(tracked);
     std::printf("\ntracking overhead at 16KB responses: %.2f%% "
                 "(paper: ~1%% for servers)\n",

@@ -176,18 +176,65 @@ buildProgram(const std::vector<std::string> &sources,
 }
 
 void
-wireRuntime(Machine &machine, Os &os, TaintMap *taint,
-            PolicyEngine *policy, TrackingMode mode, RuntimeContext &ctx)
+wireMachine(Machine &machine, const SessionOptions &options, Os &os,
+            int bufferId, MachineWiring &wiring)
 {
-    bool tracking = taint != nullptr && policy != nullptr;
+    if (options.async.enabled) {
+        // One tier per machine: each clone's shadow is private, and the
+        // clones' dift.* stats merge in the fleet report.
+        wiring.asyncTier = std::make_unique<dift::AsyncTaintTier>(
+            machine.memory(), options.policy.granularity);
+        machine.setAsyncTier(wiring.asyncTier.get());
+    }
+    machine.setFastPathEnabled(options.fastPath);
+    // A clone's snapshot already carries the template's shared code
+    // cache when the JIT is on; this validates and adopts it (and is
+    // the off switch when it is not).
+    machine.setJitEnabled(options.jit, options.jitThreshold,
+                          options.jitCacheBytes);
+    if (options.profile) {
+        // A private table per machine: run() folds it into the run's
+        // stats, so a fleet report's prof.* rows are the ordinary
+        // associative StatSet merge across clones.
+        wiring.profiler = std::make_unique<obs::Profiler>();
+        machine.setProfiler(wiring.profiler.get());
+    }
+    if (obs::Recorder *rec = obs::Recorder::active()) {
+        const Program &program = machine.program();
+        std::vector<std::string> names;
+        names.reserve(program.functionCount());
+        for (size_t f = 0; f < program.functionCount(); ++f)
+            names.push_back(program.function(f).name);
+        rec->setFunctionNames(std::move(names));
+        machine.setObserver(rec->acquireBuffer(bufferId));
+    }
 
+    wiring.policy = std::make_unique<PolicyEngine>(options.policy);
+    TaintMap *taint = nullptr;
+    PolicyEngine *policy = nullptr;
+    if (options.mode != TrackingMode::None) {
+        wiring.taint = std::make_unique<TaintMap>(
+            machine.memory(), options.policy.granularity);
+        if (dift::AsyncTaintTier *tier = wiring.asyncTier.get()) {
+            // Host-side taint writes (input hooks, wrap functions)
+            // must reach the tier's shadow too.
+            wiring.taint->setMirror([tier](uint64_t tagAddr,
+                                           unsigned bitIdx, bool value) {
+                tier->mirrorTagWrite(tagAddr, bitIdx, value);
+            });
+        }
+        taint = wiring.taint.get();
+        policy = wiring.policy.get();
+    }
+
+    RuntimeContext &ctx = wiring.runtime;
     ctx.os = &os;
     ctx.taint = taint;
     ctx.policy = policy;
     registerRuntimeBuiltins(machine, ctx);
 
     // Taint sources: OS input lands tainted per [sources].
-    if (tracking) {
+    if (taint) {
         os.setInputHook([taint, policy](Machine &m, uint64_t addr,
                                         uint64_t len,
                                         const std::string &channel) {
@@ -208,7 +255,7 @@ wireRuntime(Machine &machine, Os &os, TaintMap *taint,
 
     // Security monitor: NaT-consumption faults become L1-L3 alerts
     // (SHIFT mode; the software baseline traps through syscall 99).
-    if (mode == TrackingMode::Shift && policy) {
+    if (options.mode == TrackingMode::Shift) {
         machine.setNatFaultHandler(
             [policy](Machine &, const Fault &fault) {
                 return policy->natFaultAlert(fault);
@@ -260,51 +307,13 @@ Session::build(const std::vector<std::string> &sources)
     program_ = detail::buildProgram(sources, options_, instrStats_,
                                     speculateStats_, optStats_, decodedLibc);
 
-    // Machine + runtime wiring.
     {
         obs::ScopedPhase span(obs::Phase::Decode);
         machine_ = std::make_unique<Machine>(program_, options_.features,
                                              options_.engine,
                                              std::move(decodedLibc));
     }
-    if (options_.async.enabled) {
-        asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), options_.policy.granularity);
-        machine_->setAsyncTier(asyncTier_.get());
-    }
-    machine_->setFastPathEnabled(options_.fastPath);
-    machine_->setJitEnabled(options_.jit, options_.jitThreshold,
-                            options_.jitCacheBytes);
-    if (options_.profile) {
-        profiler_ = std::make_unique<obs::Profiler>();
-        machine_->setProfiler(profiler_.get());
-    }
-    if (obs::Recorder *rec = obs::Recorder::active()) {
-        std::vector<std::string> names;
-        names.reserve(program_.functionCount());
-        for (size_t f = 0; f < program_.functionCount(); ++f)
-            names.push_back(program_.function(f).name);
-        rec->setFunctionNames(std::move(names));
-        machine_->setObserver(rec->acquireBuffer(-1));
-    }
-    policy_ = std::make_unique<PolicyEngine>(options_.policy);
-    bool tracking = options_.mode != TrackingMode::None;
-    if (tracking) {
-        taint_ = std::make_unique<TaintMap>(machine_->memory(),
-                                            options_.policy.granularity);
-        if (asyncTier_) {
-            // Host-side taint writes (input hooks, wrap functions)
-            // must reach the tier's shadow too.
-            taint_->setMirror([tier = asyncTier_.get()](
-                                  uint64_t tagAddr, unsigned bitIdx,
-                                  bool value) {
-                tier->mirrorTagWrite(tagAddr, bitIdx, value);
-            });
-        }
-    }
-    detail::wireRuntime(*machine_, os_, tracking ? taint_.get() : nullptr,
-                        tracking ? policy_.get() : nullptr, options_.mode,
-                        runtimeCtx_);
+    detail::wireMachine(*machine_, options_, os_, -1, wiring_);
 }
 
 RunResult

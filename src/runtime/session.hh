@@ -152,14 +152,30 @@ Program buildProgram(const std::vector<std::string> &sources,
                      std::shared_ptr<const DecodedProgram> &decodedLibc);
 
 /**
- * Per-machine runtime wiring: built-ins, taint-source input hook,
- * NaT-fault security monitor and syscall handler. `taint` and
- * `policy` are null when tracking is off; all referenced objects must
- * outlive the machine.
+ * What a machine's options attach to it: the profiler, the async tier,
+ * the policy engine, the taint map (null when tracking is off) and the
+ * context the built-ins close over. Session and SessionClone each own
+ * one, filled by wireMachine().
  */
-void wireRuntime(Machine &machine, Os &os, TaintMap *taint,
-                 PolicyEngine *policy, TrackingMode mode,
-                 RuntimeContext &ctx);
+struct MachineWiring
+{
+    std::unique_ptr<obs::Profiler> profiler;
+    std::unique_ptr<dift::AsyncTaintTier> asyncTier;
+    std::unique_ptr<TaintMap> taint;
+    std::unique_ptr<PolicyEngine> policy;
+    RuntimeContext runtime;
+};
+
+/**
+ * Apply `options` to a new machine, the same way for a Session and for
+ * every SessionClone: the async tier, the fast path, the JIT, the
+ * profiler and the flight recorder (buffer `bufferId`), then the policy
+ * engine, the taint map and the runtime wiring (built-ins, taint-source
+ * input hook, NaT-fault security monitor and syscall handler). `os` and
+ * `wiring` must outlive the machine.
+ */
+void wireMachine(Machine &machine, const SessionOptions &options, Os &os,
+                 int bufferId, MachineWiring &wiring);
 
 } // namespace detail
 
@@ -188,8 +204,8 @@ class Session
 
     Machine &machine() { return *machine_; }
     Os &os() { return os_; }
-    TaintMap &taint() { return *taint_; }
-    PolicyEngine &policy() { return *policy_; }
+    TaintMap &taint() { return *wiring_.taint; }
+    PolicyEngine &policy() { return *wiring_.policy; }
     const Program &program() const { return program_; }
     const InstrumentStats &instrStats() const { return instrStats_; }
     const minic::SpeculateStats &speculateStats() const
@@ -200,7 +216,7 @@ class Session
     const SessionOptions &options() const { return options_; }
 
     /** Async tier, or null when options.async.enabled is false. */
-    dift::AsyncTaintTier *asyncTier() { return asyncTier_.get(); }
+    dift::AsyncTaintTier *asyncTier() { return wiring_.asyncTier.get(); }
 
   private:
     void build(const std::vector<std::string> &sources);
@@ -212,11 +228,7 @@ class Session
     OptStats optStats_;
     Os os_;
     std::unique_ptr<Machine> machine_;
-    std::unique_ptr<obs::Profiler> profiler_;
-    std::unique_ptr<dift::AsyncTaintTier> asyncTier_;
-    std::unique_ptr<TaintMap> taint_;
-    std::unique_ptr<PolicyEngine> policy_;
-    RuntimeContext runtimeCtx_;
+    detail::MachineWiring wiring_;
     bool ran_ = false;
 };
 

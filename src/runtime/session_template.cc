@@ -80,50 +80,7 @@ SessionClone::SessionClone(const SessionTemplate &tmpl, int cloneId)
     machine_ = std::make_unique<Machine>(tmpl.program_, *tmpl.snapshot_,
                                          tmpl.options_.features,
                                          tmpl.options_.engine);
-    if (tmpl.options_.async.enabled) {
-        // One tier per clone: each clone's shadow is private, and the
-        // clones' dift.* stats merge in the fleet report.
-        asyncTier_ = std::make_unique<dift::AsyncTaintTier>(
-            machine_->memory(), tmpl.options_.policy.granularity);
-        machine_->setAsyncTier(asyncTier_.get());
-    }
-    machine_->setFastPathEnabled(tmpl.options_.fastPath);
-    // The snapshot already carries the template's shared code cache
-    // when the JIT is on; this validates/adopts it (and is the off
-    // switch when it is not).
-    machine_->setJitEnabled(tmpl.options_.jit, tmpl.options_.jitThreshold,
-                            tmpl.options_.jitCacheBytes);
-    if (tmpl.options_.profile) {
-        // Private table per clone: run() folds it into the clone's
-        // RunResult stats, so the fleet report's prof.* rows are the
-        // ordinary associative StatSet merge across clones.
-        profiler_ = std::make_unique<obs::Profiler>();
-        machine_->setProfiler(profiler_.get());
-    }
-    if (obs::Recorder *rec = obs::Recorder::active()) {
-        std::vector<std::string> names;
-        names.reserve(tmpl.program_.functionCount());
-        for (size_t f = 0; f < tmpl.program_.functionCount(); ++f)
-            names.push_back(tmpl.program_.function(f).name);
-        rec->setFunctionNames(std::move(names));
-        machine_->setObserver(rec->acquireBuffer(cloneId));
-    }
-    policy_ = std::make_unique<PolicyEngine>(tmpl.options_.policy);
-    bool tracking = tmpl.options_.mode != TrackingMode::None;
-    if (tracking) {
-        taint_ = std::make_unique<TaintMap>(
-            machine_->memory(), tmpl.options_.policy.granularity);
-        if (asyncTier_) {
-            taint_->setMirror([tier = asyncTier_.get()](
-                                  uint64_t tagAddr, unsigned bitIdx,
-                                  bool value) {
-                tier->mirrorTagWrite(tagAddr, bitIdx, value);
-            });
-        }
-    }
-    detail::wireRuntime(*machine_, os_, tracking ? taint_.get() : nullptr,
-                        tracking ? policy_.get() : nullptr,
-                        tmpl.options_.mode, runtimeCtx_);
+    detail::wireMachine(*machine_, tmpl.options_, os_, cloneId, wiring_);
 }
 
 RunResult

@@ -66,7 +66,7 @@ class SessionClone
     int cloneId() const { return cloneId_; }
     Machine &machine() { return *machine_; }
     Os &os() { return os_; }
-    PolicyEngine &policy() { return *policy_; }
+    PolicyEngine &policy() { return *wiring_.policy; }
 
   private:
     friend class SessionTemplate;
@@ -76,15 +76,7 @@ class SessionClone
     int cloneId_;
     Os os_;
     std::unique_ptr<Machine> machine_;
-    /** Per-clone attribution table (null unless options.profile);
-     * folds into the clone's RunResult stats, so fleet aggregation is
-     * the ordinary associative StatSet merge. */
-    std::unique_ptr<obs::Profiler> profiler_;
-    /** Per-clone async taint tier (null unless options.async). */
-    std::unique_ptr<dift::AsyncTaintTier> asyncTier_;
-    std::unique_ptr<TaintMap> taint_;
-    std::unique_ptr<PolicyEngine> policy_;
-    RuntimeContext runtimeCtx_;
+    detail::MachineWiring wiring_;
     bool ran_ = false;
 };
 

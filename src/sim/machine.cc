@@ -328,14 +328,20 @@ Machine::setJitEnabled(bool enabled, uint32_t threshold,
     // before anything runs. run() re-validates the environment (the
     // fast-path switch or the async tier may change in between) and
     // replaces a stale cache then.
+    syncJitCache();
+}
+
+void
+Machine::syncJitCache()
+{
     jit::CompileEnv env{features_.natSetClear, features_.natAwareCompare,
                         fastEnabled_, asyncTier_ != nullptr};
     if (!jitCache_ || jitCache_->program() != decoded_.get() ||
         !(jitCache_->env() == env) ||
-        (threshold != 0 && jitCache_->threshold() != threshold) ||
-        (cacheBytes != 0 && jitCache_->maxBytes() != cacheBytes))
-        jitCache_ = std::make_shared<jit::CodeCache>(decoded_, env,
-                                                     threshold, cacheBytes);
+        (jitThreshold_ != 0 && jitCache_->threshold() != jitThreshold_) ||
+        (jitCacheBytes_ != 0 && jitCache_->maxBytes() != jitCacheBytes_))
+        jitCache_ = std::make_shared<jit::CodeCache>(
+            decoded_, env, jitThreshold_, jitCacheBytes_);
 }
 
 void
@@ -2799,13 +2805,7 @@ Machine::run(uint64_t maxSteps)
     jitActive_ = nullptr;
     if (jitEnabled_ && engine_ == ExecEngine::Predecoded && decoded_ &&
         !trace_ && !obs_ && jit::available()) {
-        jit::CompileEnv env{features_.natSetClear,
-                            features_.natAwareCompare, fastEnabled_,
-                            asyncTier_ != nullptr};
-        if (!jitCache_ || jitCache_->program() != decoded_.get() ||
-            !(jitCache_->env() == env))
-            jitCache_ = std::make_shared<jit::CodeCache>(
-                decoded_, env, jitThreshold_, jitCacheBytes_);
+        syncJitCache();
         jitCtx_.m = this;
         jitCtx_.cyFlat = &cyclesBy_[0][0];
         jitCtx_.inFlat = &instrsBy_[0][0];

@@ -428,6 +428,10 @@ class Machine
     void resolveLabels();
     void reset();
 
+    /** Replace a JIT cache built for another decode, compile
+     * environment, threshold or budget (0 accepts the cache's own). */
+    void syncJitCache();
+
     /** Execute one instruction; updates pc/cycles; may set stop state. */
     void stepLegacy();
 

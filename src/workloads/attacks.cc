@@ -560,24 +560,14 @@ attackScenarios()
 
 AttackRun
 runAttackScenario(const AttackScenario &scenario, bool exploit,
-                  Granularity granularity, ExecEngine engine,
-                  OptimizerOptions optimize, bool fastPath,
-                  dift::AsyncTaintOptions async, bool jit,
-                  uint32_t jitThreshold)
+                  SessionOptions options)
 {
-    SessionOptions options;
-    options.mode = TrackingMode::Shift;
+    Granularity granularity = options.policy.granularity;
     options.policy = scenario.policy;
     options.policy.granularity = granularity;
-    options.engine = engine;
     options.instr.relaxLoadFunctions = scenario.relaxLoadFunctions;
-    options.optimize = optimize;
-    options.fastPath = fastPath;
-    options.async = async;
-    options.jit = jit;
-    options.jitThreshold = jitThreshold;
 
-    Session session(scenario.source, options);
+    Session session(scenario.source, std::move(options));
     if (exploit)
         scenario.setupExploit(session);
     else

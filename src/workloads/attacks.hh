@@ -52,23 +52,14 @@ struct AttackRun
 };
 
 /**
- * Run a scenario under SHIFT at the given granularity. With
- * `exploit` false this is the false-positive check. `optimize`
- * applies the post-instrumentation optimizer, `fastPath` the
- * taint-clean fast tier and `jit` the host-code tier (detection must
- * be unchanged under all three; the differential suites lean on
- * this). `jitThreshold` is SessionOptions::jitThreshold: a function
- * compiles once its interpreted work reaches (jitThreshold - 1) x its
- * size; 0 = default.
+ * Run a scenario under `options`, with the scenario's policy (at
+ * options.policy.granularity) and relax rules. With `exploit` false
+ * this is the false-positive check. Detection must not depend on the
+ * engine tiers `options` switches on; the differential suites lean on
+ * this.
  */
 AttackRun runAttackScenario(const AttackScenario &scenario, bool exploit,
-                            Granularity granularity,
-                            ExecEngine engine = ExecEngine::Predecoded,
-                            OptimizerOptions optimize = {},
-                            bool fastPath = false,
-                            dift::AsyncTaintOptions async = {},
-                            bool jit = false,
-                            uint32_t jitThreshold = 0);
+                            SessionOptions options);
 
 /** All eight scenarios, in the paper's table order. */
 const std::vector<AttackScenario> &attackScenarios();

@@ -168,19 +168,33 @@ provisionHttpdOs(Os &os, uint64_t fileSize)
     os.addFile("/etc/shadow", "root:secret");
 }
 
+namespace
+{
+
+/** Whether each of the first `count` responses carries the file. */
+bool
+servedFile(const std::vector<std::string> &responses, size_t count,
+           const std::string &body)
+{
+    if (responses.size() < count)
+        return false;
+    for (size_t i = 0; i < count; ++i) {
+        const std::string &resp = responses[i];
+        if (resp.find("200 OK") == std::string::npos ||
+            resp.size() <= body.size() ||
+            resp.compare(resp.size() - body.size(), body.size(), body))
+            return false;
+    }
+    return true;
+}
+
+} // namespace
+
 HttpdRun
 runHttpd(const HttpdConfig &config)
 {
-    SessionOptions options = httpdSessionOptions(
-        config.mode, config.granularity, CpuFeatures{}, config.engine);
-    if (config.jit) {
-        options.jit = true;
-        options.jitThreshold = 1;
-    }
-    Session session(kHttpdSource, options);
+    Session session(kHttpdSource, config.options);
     provisionHttpdOs(session.os(), config.fileSize);
-    std::string body = httpdFileBody(config.fileSize);
-
     for (int i = 0; i < config.requests; ++i)
         session.os().queueConnection(kHttpdRequest);
 
@@ -191,30 +205,19 @@ runHttpd(const HttpdConfig &config)
     run.latencyCycles = static_cast<double>(run.totalCycles) /
                         static_cast<double>(config.requests);
     run.throughput = 1e9 / run.latencyCycles;
-
-    // Validate the payload made it through intact.
-    run.responsesOk =
-        run.result.exited &&
-        session.os().responses().size() ==
-            static_cast<size_t>(config.requests);
-    if (run.responsesOk) {
-        const std::string &first = session.os().responses().front();
-        run.responsesOk = first.find("200 OK") != std::string::npos &&
-                          first.size() > body.size() &&
-                          first.substr(first.size() - body.size()) ==
-                              body;
-    }
+    auto requests = static_cast<size_t>(config.requests);
+    run.responsesOk = run.result.exited &&
+                      run.requestsServed == requests &&
+                      servedFile(session.os().responses(), requests,
+                                 httpdFileBody(config.fileSize));
     return run;
 }
 
 std::unique_ptr<SessionTemplate>
 makeHttpdTemplate(const HttpdFleetConfig &config)
 {
-    SessionOptions options = httpdSessionOptions(
-        config.mode, config.granularity, config.features, config.engine);
-    options.profile = config.profile;
     auto tmpl = std::make_unique<SessionTemplate>(
-        std::string(kHttpdSource), std::move(options));
+        std::string(kHttpdSource), config.options);
     provisionHttpdOs(tmpl->os(), config.fileSize);
     return tmpl;
 }
@@ -255,26 +258,12 @@ runHttpdFleet(const HttpdFleetConfig &config)
     run.responsesOk = true;
     for (const svc::FleetJobResult &jr : run.report.jobResults) {
         bool attackJob = jr.id >= config.jobs - config.attackJobs;
-        if (!attackJob && !jr.result.ok()) {
+        if ((!attackJob && !jr.result.ok()) ||
+            !servedFile(jr.responses,
+                        static_cast<size_t>(config.requestsPerJob), body)) {
             run.responsesOk = false;
             break;
         }
-        size_t expect = static_cast<size_t>(config.requestsPerJob);
-        if (jr.responses.size() < expect) {
-            run.responsesOk = false;
-            break;
-        }
-        for (size_t i = 0; i < expect; ++i) {
-            const std::string &resp = jr.responses[i];
-            if (resp.find("200 OK") == std::string::npos ||
-                resp.size() <= body.size() ||
-                resp.substr(resp.size() - body.size()) != body) {
-                run.responsesOk = false;
-                break;
-            }
-        }
-        if (!run.responsesOk)
-            break;
     }
     return run;
 }

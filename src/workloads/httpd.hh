@@ -26,19 +26,6 @@
 namespace shift::workloads
 {
 
-/** Configuration of one server measurement. */
-struct HttpdConfig
-{
-    TrackingMode mode = TrackingMode::None;
-    Granularity granularity = Granularity::Byte;
-    ExecEngine engine = ExecEngine::Predecoded;
-    uint64_t fileSize = 4 * 1024;  ///< served file size in bytes
-    int requests = 50;             ///< number of requests to serve
-    /** SessionOptions::jit at threshold 1: each function compiles at
-     *  its first lookup. */
-    bool jit = false;
-};
-
 /** Measured result. */
 struct HttpdRun
 {
@@ -62,7 +49,17 @@ extern const char *const kHttpdAttackRequest;
 /** Session options for the httpd workload (tracking + server policy). */
 SessionOptions httpdSessionOptions(TrackingMode mode,
                                    Granularity granularity,
-                                   CpuFeatures features, ExecEngine engine);
+                                   CpuFeatures features = {},
+                                   ExecEngine engine = ExecEngine::Predecoded);
+
+/** Configuration of one server measurement. */
+struct HttpdConfig
+{
+    SessionOptions options =
+        httpdSessionOptions(TrackingMode::None, Granularity::Byte);
+    uint64_t fileSize = 4 * 1024;  ///< served file size in bytes
+    int requests = 50;             ///< number of requests to serve
+};
 
 /** Deterministic content of the served /www/data.bin file. */
 std::string httpdFileBody(uint64_t fileSize);
@@ -82,11 +79,8 @@ HttpdRun runHttpd(const HttpdConfig &config);
 /** Configuration of one fleet measurement. */
 struct HttpdFleetConfig
 {
-    TrackingMode mode = TrackingMode::Shift;
-    Granularity granularity = Granularity::Byte;
-    CpuFeatures features;
-    ExecEngine engine = ExecEngine::Predecoded;
-    bool profile = false;          ///< per-clone tier-attribution tables
+    SessionOptions options =
+        httpdSessionOptions(TrackingMode::Shift, Granularity::Byte);
     uint64_t fileSize = 4 * 1024;
     int jobs = 8;            ///< clones forked (one per job)
     int requestsPerJob = 4;  ///< connections each clone serves

@@ -972,18 +972,12 @@ specKernel(const std::string &shortName)
 }
 
 SpecRun
-runSpecKernel(const SpecKernel &kernel, const SpecRunConfig &config)
+runSpecKernel(const SpecKernel &kernel, SessionOptions options)
 {
-    SessionOptions options;
-    options.mode = config.mode;
-    options.policy.granularity = config.granularity;
-    options.policy.taintFile = config.taintInput;
-    options.features = config.features;
-    options.engine = config.engine;
     options.instr.relaxLoadFunctions = kernel.relaxLoadFunctions;
     options.instr.relaxStoreFunctions = kernel.relaxStoreFunctions;
 
-    Session session(kernel.source, options);
+    Session session(kernel.source, std::move(options));
     session.os().addFile("input.dat",
                          kernel.makeInput(kernel.defaultScale));
 

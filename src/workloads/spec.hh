@@ -48,16 +48,6 @@ const std::vector<SpecKernel> &specKernels();
 /** Find a kernel by short name; fatal when absent. */
 const SpecKernel &specKernel(const std::string &shortName);
 
-/** Configuration of one measured run. */
-struct SpecRunConfig
-{
-    TrackingMode mode = TrackingMode::None;
-    Granularity granularity = Granularity::Byte;
-    bool taintInput = true;   ///< unsafe (tainted) vs safe input
-    CpuFeatures features;     ///< architectural enhancements
-    ExecEngine engine = ExecEngine::Predecoded;
-};
-
 /** Outcome of one run. */
 struct SpecRun
 {
@@ -65,9 +55,12 @@ struct SpecRun
     InstrumentStats instrStats;
 };
 
-/** Compile, (maybe) instrument, run one kernel. */
-SpecRun runSpecKernel(const SpecKernel &kernel,
-                      const SpecRunConfig &config);
+/**
+ * Compile, track per `options` and run one kernel on its default-scale
+ * input (policy.taintFile says whether that input is tainted); the
+ * kernel's relax rules replace options.instr's.
+ */
+SpecRun runSpecKernel(const SpecKernel &kernel, SessionOptions options);
 
 } // namespace shift::workloads
 

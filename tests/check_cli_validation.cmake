@@ -172,6 +172,34 @@ string(REGEX MATCH "latency p50/p99: [0-9 /]+" word_last "${word_last}")
 expect_same_output("shiftd --granularity before/after --policy"
     "${word_first}" "${word_last}")
 
+# --- shiftd: the built-in httpd keeps every parsed option -------------
+set(one_job --jobs 1 --requests 1 --workers 1)
+run_output(async_json ${SHIFTD} ${one_job} --async-taint --json)
+if(NOT async_json MATCHES "\"dift.events\": [1-9]")
+    message(SEND_ERROR "shiftd --async-taint: no dift.events in\n${async_json}")
+    math(EXPR failures "${failures}+1")
+endif()
+expect_exit(102 ${SHIFTD} ${one_job} --max-steps 1000)
+run_output(plain_run ${SHIFTD} ${one_job})
+run_output(enhanced_run ${SHIFTD} ${one_job} --enhanced)
+if(NOT plain_run MATCHES "latency p50/p99: 228952 /" OR
+   NOT enhanced_run MATCHES "latency p50/p99: 225898 /")
+    message(SEND_ERROR "shiftd --enhanced: expected p50 228952 -> 225898\n"
+        "plain:\n${plain_run}\nenhanced:\n${enhanced_run}")
+    math(EXPR failures "${failures}+1")
+endif()
+
+# --- the flags both tools share: one parser, one set of messages ------
+foreach(bin ${SHIFTC} ${SHIFTD})
+    expect_usage_error("unknown mode" ${bin} --mode banana)
+    expect_usage_error("unknown granularity" ${bin} --granularity nibble)
+    expect_usage_error("expected KEY=VALUE" ${bin} --filetext novalue)
+    expect_usage_error("missing value after --policy" ${bin} --policy)
+    expect_usage_error("cannot read" ${bin} --file x=/nonexistent/f)
+    expect_usage_error("cannot open config file"
+        ${bin} --policy /nonexistent/p.ini)
+endforeach()
+
 # --- shiftc -----------------------------------------------------------
 expect_usage_error("max-steps must be positive"
     ${SHIFTC} --max-steps -5 prog.mc)

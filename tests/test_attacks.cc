@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "session_helpers.hh"
 #include "workloads/attacks.hh"
 
 namespace shift
@@ -57,8 +58,8 @@ TEST_P(AttackTest, ExploitDetected)
 {
     const AttackScenario &scenario =
         workloads::attackScenario(GetParam().name);
-    AttackRun run =
-        runAttackScenario(scenario, true, GetParam().granularity);
+    AttackRun run = runAttackScenario(
+        scenario, true, testutil::shiftOptions(GetParam().granularity));
     EXPECT_TRUE(run.detected)
         << "expected " << scenario.expectedPolicy << "; exited="
         << run.result.exited << " code=" << run.result.exitCode
@@ -74,8 +75,8 @@ TEST_P(AttackTest, BenignRunsClean)
 {
     const AttackScenario &scenario =
         workloads::attackScenario(GetParam().name);
-    AttackRun run =
-        runAttackScenario(scenario, false, GetParam().granularity);
+    AttackRun run = runAttackScenario(
+        scenario, false, testutil::shiftOptions(GetParam().granularity));
     EXPECT_FALSE(run.falsePositive)
         << "fault=" << faultKindName(run.result.fault.kind) << " ("
         << run.result.fault.detail << ") alerts="

@@ -147,8 +147,7 @@ TEST(AsyncDiffHttpd, ResponsesAndBitmapIdentical)
     DiffRun runs[2];
     for (int async = 0; async < 2; ++async) {
         SessionOptions options = httpdSessionOptions(
-            TrackingMode::Shift, Granularity::Byte, {},
-            ExecEngine::Predecoded);
+            TrackingMode::Shift, Granularity::Byte);
         options.async.enabled = async != 0;
         Session session(kHttpdSource, options);
         provisionHttpdOs(session.os(), 512);
@@ -178,16 +177,16 @@ INSTANTIATE_TEST_SUITE_P(Granularities, AsyncDiffAttackTest,
 
 TEST_P(AsyncDiffAttackTest, AllScenariosSameVerdicts)
 {
-    const Granularity granularity = GetParam();
-    dift::AsyncTaintOptions async;
-    async.enabled = true;
+    SessionOptions sync;
+    sync.policy.granularity = GetParam();
+    SessionOptions async = sync;
+    async.async.enabled = true;
     int detected = 0;
     for (const auto &scenario : attackScenarios()) {
-        workloads::AttackRun exploitSync = runAttackScenario(
-            scenario, true, granularity);
-        workloads::AttackRun exploitAsync = runAttackScenario(
-            scenario, true, granularity, ExecEngine::Predecoded, {},
-            false, async);
+        workloads::AttackRun exploitSync =
+            runAttackScenario(scenario, true, sync);
+        workloads::AttackRun exploitAsync =
+            runAttackScenario(scenario, true, async);
         EXPECT_TRUE(exploitSync.detected) << scenario.name;
         EXPECT_TRUE(exploitAsync.detected)
             << scenario.name << ": async tier lost a detection"
@@ -213,11 +212,10 @@ TEST_P(AsyncDiffAttackTest, AllScenariosSameVerdicts)
                 << scenario.name;
         }
 
-        workloads::AttackRun benignSync = runAttackScenario(
-            scenario, false, granularity);
-        workloads::AttackRun benignAsync = runAttackScenario(
-            scenario, false, granularity, ExecEngine::Predecoded, {},
-            false, async);
+        workloads::AttackRun benignSync =
+            runAttackScenario(scenario, false, sync);
+        workloads::AttackRun benignAsync =
+            runAttackScenario(scenario, false, async);
         EXPECT_FALSE(benignSync.falsePositive) << scenario.name;
         EXPECT_FALSE(benignAsync.falsePositive)
             << scenario.name << ": async tier false positive"

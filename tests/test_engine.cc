@@ -36,7 +36,6 @@ using workloads::runAttackScenario;
 using workloads::runHttpd;
 using workloads::runSpecKernel;
 using workloads::specKernels;
-using workloads::SpecRunConfig;
 
 /** Field-by-field RunResult comparison (cycles, alerts, pcs, stats). */
 void
@@ -70,12 +69,10 @@ TEST(EngineEquivalence, FullAttackSuite)
 {
     for (const auto &scenario : attackScenarios()) {
         for (bool exploit : {false, true}) {
-            AttackRun legacy = runAttackScenario(
-                scenario, exploit, Granularity::Byte,
-                ExecEngine::Legacy);
-            AttackRun pre = runAttackScenario(
-                scenario, exploit, Granularity::Byte,
-                ExecEngine::Predecoded);
+            SessionOptions options;
+            options.engine = ExecEngine::Legacy;
+            AttackRun legacy = runAttackScenario(scenario, exploit, options);
+            AttackRun pre = runAttackScenario(scenario, exploit, {});
             std::string what = scenario.name +
                                (exploit ? "/exploit" : "/benign");
             expectSameResult(legacy.result, pre.result, what);
@@ -88,41 +85,36 @@ TEST(EngineEquivalence, FullAttackSuite)
 TEST(EngineEquivalence, SpecKernelsShiftByteUnsafe)
 {
     for (const auto &kernel : specKernels()) {
-        SpecRunConfig config;
-        config.mode = TrackingMode::Shift;
-        config.granularity = Granularity::Byte;
-        config.taintInput = true;
-
-        config.engine = ExecEngine::Legacy;
-        auto legacy = runSpecKernel(kernel, config);
-        config.engine = ExecEngine::Predecoded;
-        auto pre = runSpecKernel(kernel, config);
+        SessionOptions options;
+        options.engine = ExecEngine::Legacy;
+        auto legacy = runSpecKernel(kernel, options);
+        auto pre = runSpecKernel(kernel, {});
         expectSameResult(legacy.result, pre.result, kernel.name);
     }
 }
 
 TEST(EngineEquivalence, SpecKernelUninstrumented)
 {
-    SpecRunConfig config;
-    config.mode = TrackingMode::None;
+    SessionOptions options;
+    options.mode = TrackingMode::None;
 
-    config.engine = ExecEngine::Legacy;
-    auto legacy = runSpecKernel(specKernels().front(), config);
-    config.engine = ExecEngine::Predecoded;
-    auto pre = runSpecKernel(specKernels().front(), config);
+    options.engine = ExecEngine::Legacy;
+    auto legacy = runSpecKernel(specKernels().front(), options);
+    options.engine = ExecEngine::Predecoded;
+    auto pre = runSpecKernel(specKernels().front(), options);
     expectSameResult(legacy.result, pre.result, "spec/none");
 }
 
 TEST(EngineEquivalence, Httpd)
 {
     HttpdConfig config;
-    config.mode = TrackingMode::Shift;
+    config.options.mode = TrackingMode::Shift;
     config.fileSize = 512;
     config.requests = 5;
 
-    config.engine = ExecEngine::Legacy;
+    config.options.engine = ExecEngine::Legacy;
     auto legacy = runHttpd(config);
-    config.engine = ExecEngine::Predecoded;
+    config.options.engine = ExecEngine::Predecoded;
     auto pre = runHttpd(config);
     expectSameResult(legacy.result, pre.result, "httpd");
     EXPECT_EQ(legacy.requestsServed, pre.requestsServed);

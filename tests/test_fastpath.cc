@@ -322,8 +322,7 @@ TEST(FastDiffHttpd, ResponsesAndMemoryIdentical)
     uint64_t entered = 0;
     for (bool fastPath : {false, true}) {
         SessionOptions options = httpdSessionOptions(
-            TrackingMode::Shift, Granularity::Byte, {},
-            ExecEngine::Predecoded);
+            TrackingMode::Shift, Granularity::Byte);
         options.fastPath = fastPath;
         Session session(kHttpdSource, options);
         provisionHttpdOs(session.os(), 512);
@@ -349,13 +348,13 @@ INSTANTIATE_TEST_SUITE_P(Granularities, FastDiffAttackTest,
 
 TEST_P(FastDiffAttackTest, AllScenariosSameVerdicts)
 {
+    SessionOptions off;
+    off.policy.granularity = GetParam();
+    SessionOptions on = off;
+    on.fastPath = true;
     for (const auto &scenario : attackScenarios()) {
-        AttackRun exploitOff = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded, {},
-            false);
-        AttackRun exploitOn = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded, {},
-            true);
+        AttackRun exploitOff = runAttackScenario(scenario, true, off);
+        AttackRun exploitOn = runAttackScenario(scenario, true, on);
         EXPECT_TRUE(exploitOff.detected) << scenario.name;
         EXPECT_TRUE(exploitOn.detected)
             << scenario.name << ": fast path lost a detection";
@@ -364,12 +363,8 @@ TEST_P(FastDiffAttackTest, AllScenariosSameVerdicts)
                   scenario.expectedPolicy)
             << scenario.name;
 
-        AttackRun benignOff = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded, {},
-            false);
-        AttackRun benignOn = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded, {},
-            true);
+        AttackRun benignOff = runAttackScenario(scenario, false, off);
+        AttackRun benignOn = runAttackScenario(scenario, false, on);
         EXPECT_FALSE(benignOff.falsePositive) << scenario.name;
         EXPECT_FALSE(benignOn.falsePositive)
             << scenario.name << ": fast path introduced a false positive";
@@ -390,8 +385,7 @@ std::unique_ptr<SessionTemplate>
 makeFastTemplate()
 {
     SessionOptions options = httpdSessionOptions(
-        TrackingMode::Shift, Granularity::Byte, {},
-        ExecEngine::Predecoded);
+        TrackingMode::Shift, Granularity::Byte);
     options.fastPath = true;
     auto tmpl = std::make_unique<SessionTemplate>(
         std::string(kHttpdSource), std::move(options));

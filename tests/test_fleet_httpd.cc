@@ -31,9 +31,7 @@ struct SequentialResult
 SequentialResult
 runSequential(const HttpdFleetConfig &config, const svc::FleetJob &job)
 {
-    SessionOptions options = workloads::httpdSessionOptions(
-        config.mode, config.granularity, config.features, config.engine);
-    Session session(workloads::kHttpdSource, options);
+    Session session(workloads::kHttpdSource, config.options);
     workloads::provisionHttpdOs(session.os(), config.fileSize);
     for (const std::string &request : job.requests)
         session.os().queueConnection(request);

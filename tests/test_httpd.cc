@@ -21,7 +21,6 @@ using workloads::runHttpd;
 TEST(Httpd, ServesFilesCorrectly)
 {
     HttpdConfig config;
-    config.mode = TrackingMode::None;
     config.fileSize = 4096;
     config.requests = 5;
     HttpdRun run = runHttpd(config);
@@ -36,8 +35,8 @@ TEST(Httpd, ShiftTrackingPreservesResponses)
 {
     for (Granularity g : {Granularity::Byte, Granularity::Word}) {
         HttpdConfig config;
-        config.mode = TrackingMode::Shift;
-        config.granularity = g;
+        config.options =
+            workloads::httpdSessionOptions(TrackingMode::Shift, g);
         config.fileSize = 4096;
         config.requests = 5;
         HttpdRun run = runHttpd(config);
@@ -58,15 +57,13 @@ TEST(Httpd, OverheadIsSmallAndShrinksWithFileSize)
 {
     auto overheadAt = [](uint64_t size) {
         HttpdConfig base;
-        base.mode = TrackingMode::None;
         base.fileSize = size;
         base.requests = 12;
         HttpdRun baseRun = runHttpd(base);
         EXPECT_TRUE(baseRun.responsesOk);
 
         HttpdConfig tracked = base;
-        tracked.mode = TrackingMode::Shift;
-        tracked.granularity = Granularity::Byte;
+        tracked.options.mode = TrackingMode::Shift;
         HttpdRun trackedRun = runHttpd(tracked);
         EXPECT_TRUE(trackedRun.responsesOk);
 

@@ -370,8 +370,10 @@ TEST(JitCache, EvictionUnderATinyBudgetStaysCorrect)
 TEST(JitCounters, RepeatExactlyAcrossRuns)
 {
     SKIP_WITHOUT_JIT();
-    OptimizerOptions optimize;
-    optimize.enable = true;
+    SessionOptions options;
+    options.optimize.enable = true;
+    options.fastPath = true;
+    options.jit = true;
     const char *const counters[] = {"jit.compiled", "jit.entered",
                                     "jit.deopts", "jit.bailouts"};
     uint64_t compiled = 0;
@@ -379,10 +381,7 @@ TEST(JitCounters, RepeatExactlyAcrossRuns)
         for (bool exploit : {false, true}) {
             StatSet runs[2];
             for (StatSet &stats : runs)
-                stats = runAttackScenario(scenario, exploit,
-                                          Granularity::Byte,
-                                          ExecEngine::Predecoded,
-                                          optimize, true, {}, true, 0)
+                stats = runAttackScenario(scenario, exploit, options)
                             .result.stats;
             std::string what =
                 scenario.name + (exploit ? "/exploit" : "/benign");
@@ -704,8 +703,7 @@ TEST(JitFleet, TemplateSharesCompiledCodeAcrossClones)
 {
     SKIP_WITHOUT_JIT();
     SessionOptions options = httpdSessionOptions(
-        TrackingMode::Shift, Granularity::Byte, {},
-        ExecEngine::Predecoded);
+        TrackingMode::Shift, Granularity::Byte);
     options.fastPath = true;
     options.jit = true;
     options.jitThreshold = kEager;
@@ -749,8 +747,7 @@ TEST(JitFleet, ConcurrentInstallAndEvictionRaces)
 {
     SKIP_WITHOUT_JIT();
     SessionOptions options = httpdSessionOptions(
-        TrackingMode::Shift, Granularity::Byte, {},
-        ExecEngine::Predecoded);
+        TrackingMode::Shift, Granularity::Byte);
     options.fastPath = true;
     options.jit = true;
     options.jitThreshold = kEager;

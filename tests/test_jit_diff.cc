@@ -149,8 +149,7 @@ TEST(JitDiffHttpdTest, ResponsesAndMemoryIdentical)
     DiffRun runs[2];
     for (bool jitOn : {false, true}) {
         SessionOptions options = httpdSessionOptions(
-            TrackingMode::Shift, Granularity::Byte, {},
-            ExecEngine::Predecoded);
+            TrackingMode::Shift, Granularity::Byte);
         options.fastPath = true;
         options.jit = jitOn;
         options.jitThreshold = kEager;
@@ -208,15 +207,14 @@ TEST_P(JitAsyncDiffSpecTest, AllKernelsIdentical)
 TEST(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
 {
     SKIP_WITHOUT_JIT();
-    dift::AsyncTaintOptions async;
-    async.enabled = true;
+    SessionOptions off;
+    off.async.enabled = true;
+    SessionOptions on = off;
+    on.jit = true;
+    on.jitThreshold = kEager;
     for (const auto &scenario : attackScenarios()) {
-        AttackRun exploitOff = runAttackScenario(
-            scenario, true, Granularity::Byte, ExecEngine::Predecoded,
-            {}, false, async);
-        AttackRun exploitOn = runAttackScenario(
-            scenario, true, Granularity::Byte, ExecEngine::Predecoded,
-            {}, false, async, true, kEager);
+        AttackRun exploitOff = runAttackScenario(scenario, true, off);
+        AttackRun exploitOn = runAttackScenario(scenario, true, on);
         EXPECT_TRUE(exploitOff.detected) << scenario.name;
         EXPECT_TRUE(exploitOn.detected)
             << scenario.name << ": the JIT lost an async detection";
@@ -230,12 +228,8 @@ TEST(JitAsyncDiffAttackTest, AllScenariosSameVerdicts)
         EXPECT_EQ(exploitOff.result.cycles, exploitOn.result.cycles)
             << scenario.name;
 
-        AttackRun benignOff = runAttackScenario(
-            scenario, false, Granularity::Byte, ExecEngine::Predecoded,
-            {}, false, async);
-        AttackRun benignOn = runAttackScenario(
-            scenario, false, Granularity::Byte, ExecEngine::Predecoded,
-            {}, false, async, true, kEager);
+        AttackRun benignOff = runAttackScenario(scenario, false, off);
+        AttackRun benignOn = runAttackScenario(scenario, false, on);
         EXPECT_FALSE(benignOff.falsePositive) << scenario.name;
         EXPECT_FALSE(benignOn.falsePositive)
             << scenario.name
@@ -259,13 +253,15 @@ INSTANTIATE_TEST_SUITE_P(Granularities, JitDiffAttackTest,
 TEST_P(JitDiffAttackTest, AllScenariosSameVerdicts)
 {
     SKIP_WITHOUT_JIT();
+    SessionOptions off;
+    off.policy.granularity = GetParam();
+    off.fastPath = true;
+    SessionOptions on = off;
+    on.jit = true;
+    on.jitThreshold = kEager;
     for (const auto &scenario : attackScenarios()) {
-        AttackRun exploitOff = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded, {},
-            true);
-        AttackRun exploitOn = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded, {},
-            true, {}, true, kEager);
+        AttackRun exploitOff = runAttackScenario(scenario, true, off);
+        AttackRun exploitOn = runAttackScenario(scenario, true, on);
         EXPECT_TRUE(exploitOff.detected) << scenario.name;
         EXPECT_TRUE(exploitOn.detected)
             << scenario.name << ": the JIT lost a detection";
@@ -279,12 +275,8 @@ TEST_P(JitDiffAttackTest, AllScenariosSameVerdicts)
         EXPECT_EQ(exploitOff.result.cycles, exploitOn.result.cycles)
             << scenario.name;
 
-        AttackRun benignOff = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded, {},
-            true);
-        AttackRun benignOn = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded, {},
-            true, {}, true, kEager);
+        AttackRun benignOff = runAttackScenario(scenario, false, off);
+        AttackRun benignOn = runAttackScenario(scenario, false, on);
         EXPECT_FALSE(benignOff.falsePositive) << scenario.name;
         EXPECT_FALSE(benignOn.falsePositive)
             << scenario.name << ": the JIT introduced a false positive";

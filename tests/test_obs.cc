@@ -572,8 +572,8 @@ TEST(Provenance, EveryAttackKillCarriesAChain)
          workloads::attackScenarios()) {
         SCOPED_TRACE(scenario.name);
         ScopedRecorder recorder;
-        workloads::AttackRun run = workloads::runAttackScenario(
-            scenario, /*exploit=*/true, Granularity::Byte);
+        workloads::AttackRun run =
+            workloads::runAttackScenario(scenario, /*exploit=*/true, {});
         ASSERT_TRUE(run.detected) << scenario.expectedPolicy;
         ASSERT_FALSE(run.result.provenance.empty());
         // The chain ends at the failing check: a policy kill whose pc
@@ -927,7 +927,7 @@ TEST(Profiler, FleetCloneTablesMergeIntoReport)
     config.jobs = 4;
     config.requestsPerJob = 2;
     config.workers = 2;
-    config.profile = true;
+    config.options.profile = true;
     workloads::HttpdFleetRun fleet = workloads::runHttpdFleet(config);
     ASSERT_TRUE(fleet.report.allOk);
 

@@ -207,8 +207,7 @@ TEST(OptDiffHttpd, ResponsesAndMemoryIdentical)
     DiffRun runs[2];
     for (bool enable : {false, true}) {
         SessionOptions options = httpdSessionOptions(
-            TrackingMode::Shift, Granularity::Byte, {},
-            ExecEngine::Predecoded);
+            TrackingMode::Shift, Granularity::Byte);
         if (enable)
             options.optimize = optOn();
         Session session(kHttpdSource, options);
@@ -239,11 +238,13 @@ INSTANTIATE_TEST_SUITE_P(Granularities, OptDiffAttackTest,
 
 TEST_P(OptDiffAttackTest, AllScenariosSameVerdicts)
 {
+    SessionOptions off;
+    off.policy.granularity = GetParam();
+    SessionOptions on = off;
+    on.optimize = optOn();
     for (const auto &scenario : attackScenarios()) {
-        AttackRun exploitOff = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded);
-        AttackRun exploitOn = runAttackScenario(
-            scenario, true, GetParam(), ExecEngine::Predecoded, optOn());
+        AttackRun exploitOff = runAttackScenario(scenario, true, off);
+        AttackRun exploitOn = runAttackScenario(scenario, true, on);
         EXPECT_TRUE(exploitOff.detected) << scenario.name;
         EXPECT_TRUE(exploitOn.detected) << scenario.name;
         ASSERT_FALSE(exploitOn.result.alerts.empty()) << scenario.name;
@@ -251,10 +252,8 @@ TEST_P(OptDiffAttackTest, AllScenariosSameVerdicts)
                   scenario.expectedPolicy)
             << scenario.name;
 
-        AttackRun benignOff = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded);
-        AttackRun benignOn = runAttackScenario(
-            scenario, false, GetParam(), ExecEngine::Predecoded, optOn());
+        AttackRun benignOff = runAttackScenario(scenario, false, off);
+        AttackRun benignOn = runAttackScenario(scenario, false, on);
         EXPECT_FALSE(benignOff.falsePositive) << scenario.name;
         EXPECT_FALSE(benignOn.falsePositive) << scenario.name;
         EXPECT_EQ(benignOff.result.exitCode, benignOn.result.exitCode)
@@ -275,8 +274,7 @@ TEST(OptFleet, TemplateGetsOptimizedProgramAndReportsSavings)
 {
     auto makeTemplate = [](bool enable) {
         SessionOptions options = httpdSessionOptions(
-            TrackingMode::Shift, Granularity::Byte, {},
-            ExecEngine::Predecoded);
+            TrackingMode::Shift, Granularity::Byte);
         if (enable)
             options.optimize = optOn();
         auto tmpl = std::make_unique<SessionTemplate>(

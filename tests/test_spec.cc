@@ -19,7 +19,6 @@ namespace
 using workloads::SpecKernel;
 using workloads::specKernels;
 using workloads::SpecRun;
-using workloads::SpecRunConfig;
 using workloads::runSpecKernel;
 
 class SpecKernelTest
@@ -65,7 +64,7 @@ TEST_P(SpecKernelTest, AllConfigurationsAgree)
 {
     const SpecKernel &kernel = *GetParam();
 
-    SpecRunConfig original;
+    SessionOptions original;
     original.mode = TrackingMode::None;
     SpecRun base = runSpecKernel(kernel, original);
     expectClean(base, kernel.name + "/original");
@@ -73,33 +72,31 @@ TEST_P(SpecKernelTest, AllConfigurationsAgree)
     struct Variant
     {
         const char *name;
-        SpecRunConfig config;
+        SessionOptions options;
     };
     std::vector<Variant> variants;
     for (Granularity g : {Granularity::Byte, Granularity::Word}) {
         for (bool unsafe : {true, false}) {
-            SpecRunConfig config;
-            config.mode = TrackingMode::Shift;
-            config.granularity = g;
-            config.taintInput = unsafe;
-            variants.push_back({"shift", config});
+            SessionOptions options;
+            options.policy.granularity = g;
+            options.policy.taintFile = unsafe;
+            variants.push_back({"shift", options});
         }
     }
     {
-        SpecRunConfig config;
-        config.mode = TrackingMode::Shift;
-        config.features.natSetClear = true;
-        config.features.natAwareCompare = true;
-        variants.push_back({"shift-enhanced", config});
+        SessionOptions options;
+        options.features.natSetClear = true;
+        options.features.natAwareCompare = true;
+        variants.push_back({"shift-enhanced", options});
     }
     {
-        SpecRunConfig config;
-        config.mode = TrackingMode::SoftwareDift;
-        variants.push_back({"baseline", config});
+        SessionOptions options;
+        options.mode = TrackingMode::SoftwareDift;
+        variants.push_back({"baseline", options});
     }
 
     for (const Variant &variant : variants) {
-        SpecRun run = runSpecKernel(kernel, variant.config);
+        SpecRun run = runSpecKernel(kernel, variant.options);
         expectClean(run, kernel.name + "/" + variant.name);
         EXPECT_EQ(run.result.exitCode, base.result.exitCode)
             << kernel.name << "/" << variant.name;
@@ -112,10 +109,7 @@ TEST_P(SpecKernelTest, AllConfigurationsAgree)
 TEST_P(SpecKernelTest, InstrumentationExpandsCode)
 {
     const SpecKernel &kernel = *GetParam();
-    SpecRunConfig config;
-    config.mode = TrackingMode::Shift;
-    config.granularity = Granularity::Byte;
-    SpecRun run = runSpecKernel(kernel, config);
+    SpecRun run = runSpecKernel(kernel, {});
     EXPECT_GT(run.instrStats.newSize, run.instrStats.originalSize);
     EXPECT_GT(run.instrStats.loads, 0u);
     EXPECT_GT(run.instrStats.stores, 0u);
@@ -132,10 +126,8 @@ TEST(SpecSuite, RunsAreDeterministic)
     // EXPERIMENTS.md promises bit-identical reruns: inputs come from
     // fixed seeds and the simulator has no hidden entropy.
     const workloads::SpecKernel &kernel = workloads::specKernel("mcf");
-    SpecRunConfig config;
-    config.mode = TrackingMode::Shift;
-    SpecRun a = runSpecKernel(kernel, config);
-    SpecRun b = runSpecKernel(kernel, config);
+    SpecRun a = runSpecKernel(kernel, {});
+    SpecRun b = runSpecKernel(kernel, {});
     EXPECT_EQ(a.result.cycles, b.result.cycles);
     EXPECT_EQ(a.result.instructions, b.result.instructions);
     EXPECT_EQ(a.result.exitCode, b.result.exitCode);
@@ -147,9 +139,7 @@ TEST(SpecSuite, ProvenanceCyclesSumToCpuCycles)
     // per-provenance buckets have to add up to the CPU total.
     const workloads::SpecKernel &kernel =
         workloads::specKernel("parser");
-    SpecRunConfig config;
-    config.mode = TrackingMode::Shift;
-    SpecRun run = runSpecKernel(kernel, config);
+    SpecRun run = runSpecKernel(kernel, {});
     const StatSet &st = run.result.stats;
     uint64_t sum = 0;
     for (const char *prov : {"original", "natgen", "tagaddr", "tagmem",

@@ -244,8 +244,7 @@ TEST(Fleet, StartsNoMoreWorkersThanJobs)
 {
     SessionTemplate tmpl(workloads::kHttpdSource,
                          workloads::httpdSessionOptions(
-                             TrackingMode::Shift, Granularity::Byte, {},
-                             ExecEngine::Predecoded));
+                             TrackingMode::Shift, Granularity::Byte));
     workloads::provisionHttpdOs(tmpl.os(), 512);
     std::vector<svc::FleetJob> jobs = {
         {0, {workloads::kHttpdRequest}},

@@ -18,17 +18,13 @@
  */
 
 #include <cstdio>
-#include <fstream>
 #include <limits>
-#include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cli.hh"
 #include "obs/exporter.hh"
-#include "obs/perfmap.hh"
-#include "obs/profiler.hh"
 #include "obs/trace.hh"
 #include "runtime/session_template.hh"
 #include "support/logging.hh"
@@ -47,92 +43,32 @@ constexpr long long kMaxWorkers = 256;
 void
 usage()
 {
-    std::fprintf(stderr,
-        "usage: shiftd [options] [program.mc]\n"
-        "  --policy FILE            policy configuration (INI); "
-        "replaces the built-in httpd's policy too\n"
-        "  --mode none|shift|software   tracking mode (default shift)\n"
-        "  --granularity byte|word  bitmap granularity (overrides "
-        "the policy file's)\n"
-        "  --enhanced               setnat/clrnat + cmp.nat hardware\n"
-        "  --file SIM=HOST          provision a simulated file from a "
-        "host file\n"
-        "  --filetext SIM=TEXT      provision a simulated file inline\n"
+    std::fprintf(stderr, "usage: shiftd [options] [program.mc]\n%s%s",
+        cli::kSharedUsage,
         "  --conn TEXT              the request each connection carries\n"
         "  --jobs N                 clones to fork (default 8)\n"
         "  --requests N             connections per clone (default 4)\n"
         "  --workers N              worker threads (default 4, at "
         "most 256)\n"
-        "  --max-steps N            execution budget per clone\n"
-        "  --async-taint            decoupled taint tier: run the "
-        "uninstrumented program and replay taint beside it\n"
-        "  --jit[=THRESHOLD]        compile a whole function to host "
-        "code once the interpreter has run (THRESHOLD-1) x its "
-        "micro-op count in it, summed over all clones, which share "
-        "one code cache (default 32; 1 compiles at first use; no-op "
-        "on non-x86-64 hosts)\n"
-        "  --profile[=PATH]         tier-attribution profiler: each "
-        "clone carries its own table, the report merges them; prints "
-        "a per-tier summary, with PATH also writes the full report "
-        "(collapsed stacks when PATH ends in .collapsed or .folded, "
-        "JSON otherwise)\n"
-        "  --jitdump[=PATH]         publish JIT symbols for host "
-        "`perf`: /tmp/perf-<pid>.map by default, binary jitdump when "
-        "PATH ends in .dump\n"
         "  --json                   print the report as JSON "
         "(includes the stats schema)\n"
-        "  --trace FILE             record a flight-recorder trace "
-        "(Chrome JSON, Perfetto-loadable)\n"
         "  --metrics-interval N     export live metrics every N "
         "seconds while serving\n"
         "  --metrics-out PATH       metrics sink: a file rewritten "
         "each tick, or '-' for stderr (default)\n"
-        "With no program, serves the built-in httpd workload.\n");
+        "--max-steps budgets each clone. Clones share one JIT code "
+        "cache, whose promotion work sums over all of them, and each "
+        "carries its own profile table; the report merges them.\n"
+        "With no program, serves the built-in httpd workload; --policy "
+        "replaces its policy too.\n");
 }
 
-std::string
-readHostFile(const std::string &path)
-{
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
-        SHIFT_FATAL("cannot read '%s'", path.c_str());
-    std::ostringstream ss;
-    ss << in.rdbuf();
-    return ss.str();
-}
-
-std::pair<std::string, std::string>
-splitKeyValue(const std::string &arg)
-{
-    size_t eq = arg.find('=');
-    if (eq == std::string::npos)
-        SHIFT_FATAL("expected KEY=VALUE, got '%s'", arg.c_str());
-    return {arg.substr(0, eq), arg.substr(eq + 1)};
-}
-
-/** Whole-string integer parse; a clear one-line error beats an
- * uncaught std::invalid_argument from a bare std::stoi. */
-long long
-parseInteger(const std::string &flag, const std::string &text)
-{
-    try {
-        size_t pos = 0;
-        long long v = std::stoll(text, &pos);
-        if (pos != text.size())
-            throw std::invalid_argument(text);
-        return v;
-    } catch (const std::exception &) {
-        SHIFT_FATAL("%s: expected an integer, got '%s'", flag.c_str(),
-                    text.c_str());
-    }
-}
-
-/** parseInteger for a flag held in an int: a value the int cannot
+/** cli::parseInteger for a flag held in an int: a value the int cannot
  * hold is an error, not a wrapped count. */
 int
 parseInt(const std::string &flag, const std::string &text)
 {
-    long long v = parseInteger(flag, text);
+    long long v = cli::parseInteger(flag, text);
     if (v < std::numeric_limits<int>::min() ||
         v > std::numeric_limits<int>::max())
         SHIFT_FATAL("%s: %lld is out of range", flag.c_str(), v);
@@ -161,64 +97,25 @@ main(int argc, char **argv)
 {
     setVerbose(false);
 
-    SessionOptions options;
-    bool policyGiven = false;
+    cli::SharedFlags flags;
     std::string sourcePath;
-    std::vector<std::pair<std::string, std::string>> files;
     std::string request;
     int jobs = 8;
     int requestsPerJob = 4;
     unsigned workers = 4;
     bool json = false;
-    std::string tracePath;
-    std::string profilePath;
-    bool jitdump = false;
-    std::string jitdumpPath;
-    std::optional<Granularity> granularity;
     double metricsInterval = 0;
     std::string metricsOut = "-";
 
     try {
         for (int i = 1; i < argc; ++i) {
+            if (flags.parse(argc, argv, i))
+                continue;
             std::string arg = argv[i];
-            auto next = [&]() -> std::string {
-                if (++i >= argc)
-                    SHIFT_FATAL("missing value after %s", arg.c_str());
-                return argv[i];
-            };
+            auto next = [&] { return cli::nextValue(argc, argv, i); };
             if (arg == "--help" || arg == "-h") {
                 usage();
                 return 0;
-            } else if (arg == "--policy") {
-                options.policy =
-                    PolicyConfig::fromConfig(Config::parseFile(next()));
-                policyGiven = true;
-            } else if (arg == "--mode") {
-                std::string mode = next();
-                if (mode == "none")
-                    options.mode = TrackingMode::None;
-                else if (mode == "shift")
-                    options.mode = TrackingMode::Shift;
-                else if (mode == "software")
-                    options.mode = TrackingMode::SoftwareDift;
-                else
-                    SHIFT_FATAL("unknown mode '%s'", mode.c_str());
-            } else if (arg == "--granularity") {
-                std::string g = next();
-                if (g == "byte")
-                    granularity = Granularity::Byte;
-                else if (g == "word")
-                    granularity = Granularity::Word;
-                else
-                    SHIFT_FATAL("unknown granularity '%s'", g.c_str());
-            } else if (arg == "--enhanced") {
-                options.features.natSetClear = true;
-                options.features.natAwareCompare = true;
-            } else if (arg == "--file") {
-                auto [sim, host] = splitKeyValue(next());
-                files.emplace_back(sim, readHostFile(host));
-            } else if (arg == "--filetext") {
-                files.push_back(splitKeyValue(next()));
             } else if (arg == "--conn") {
                 request = next();
             } else if (arg == "--jobs") {
@@ -226,51 +123,15 @@ main(int argc, char **argv)
             } else if (arg == "--requests") {
                 requestsPerJob = parseInt(arg, next());
             } else if (arg == "--workers") {
-                long long n = parseInteger(arg, next());
+                long long n = cli::parseInteger(arg, next());
                 if (n <= 0)
                     SHIFT_FATAL("--workers must be positive");
                 if (n > kMaxWorkers)
                     SHIFT_FATAL("--workers: at most %lld, got %lld",
                                 kMaxWorkers, n);
                 workers = static_cast<unsigned>(n);
-            } else if (arg == "--max-steps") {
-                long long n = parseInteger(arg, next());
-                if (n <= 0)
-                    SHIFT_FATAL("--max-steps must be positive");
-                options.maxSteps = static_cast<uint64_t>(n);
-            } else if (arg == "--async-taint") {
-                options.async.enabled = true;
-            } else if (arg == "--jit" || arg.rfind("--jit=", 0) == 0) {
-                options.jit = true;
-                if (arg.size() > 5) {
-                    long long threshold =
-                        parseInteger("--jit", arg.substr(6));
-                    if (threshold <= 0 || threshold > (1 << 30))
-                        SHIFT_FATAL("--jit: promotion threshold %lld "
-                                    "out of range", threshold);
-                    options.jitThreshold =
-                        static_cast<uint32_t>(threshold);
-                }
-            } else if (arg == "--profile" ||
-                       arg.rfind("--profile=", 0) == 0) {
-                options.profile = true;
-                if (arg.size() > 9) {
-                    profilePath = arg.substr(10);
-                    if (profilePath.empty())
-                        SHIFT_FATAL("--profile=: expected a file path");
-                }
-            } else if (arg == "--jitdump" ||
-                       arg.rfind("--jitdump=", 0) == 0) {
-                jitdump = true;
-                if (arg.size() > 9) {
-                    jitdumpPath = arg.substr(10);
-                    if (jitdumpPath.empty())
-                        SHIFT_FATAL("--jitdump=: expected a file path");
-                }
             } else if (arg == "--json") {
                 json = true;
-            } else if (arg == "--trace") {
-                tracePath = next();
             } else if (arg == "--metrics-interval") {
                 metricsInterval = parseSeconds(arg, next());
                 if (metricsInterval < 0)
@@ -288,46 +149,30 @@ main(int argc, char **argv)
         }
         if (jobs <= 0 || requestsPerJob <= 0)
             SHIFT_FATAL("--jobs and --requests must be positive");
-        // --granularity beats the policy file's, whichever came first.
-        if (granularity)
-            options.policy.granularity = *granularity;
-
-        // Enable the flight recorder before the template build so the
-        // compile/instrument/freeze phases land in the trace too.
-        if (!tracePath.empty())
-            obs::Recorder::enable();
-        // The symbol sink likewise precedes the template: the shared
-        // code cache seals as clones heat up, on any worker thread.
-        if (jitdump)
-            obs::PerfJitSink::enable(jitdumpPath);
+        flags.begin();
 
         // Build the template: a user program, or the built-in httpd
-        // workload (its policy/request defaults, the policy unless
-        // --policy names one) when none is given.
+        // workload when none is given. The httpd runs the parsed
+        // options, under its own server policy unless --policy names
+        // one, and serves its own request unless --conn names one.
         std::unique_ptr<SessionTemplate> tmpl;
         if (sourcePath.empty()) {
             workloads::HttpdFleetConfig defaults;
-            SessionOptions httpdOptions = workloads::httpdSessionOptions(
-                options.mode, options.policy.granularity,
-                options.features, options.engine);
-            if (policyGiven)
-                httpdOptions.policy = options.policy;
-            httpdOptions.maxSteps = options.maxSteps;
-            httpdOptions.async = options.async;
-            httpdOptions.jit = options.jit;
-            httpdOptions.jitThreshold = options.jitThreshold;
-            httpdOptions.profile = options.profile;
+            SessionOptions options = flags.options;
+            if (!flags.policyGiven) {
+                options.policy = workloads::httpdSessionOptions(
+                    options.mode, options.policy.granularity).policy;
+            }
             tmpl = std::make_unique<SessionTemplate>(
-                std::string(workloads::kHttpdSource),
-                std::move(httpdOptions));
+                std::string(workloads::kHttpdSource), std::move(options));
             workloads::provisionHttpdOs(tmpl->os(), defaults.fileSize);
             if (request.empty())
                 request = workloads::kHttpdRequest;
         } else {
             tmpl = std::make_unique<SessionTemplate>(
-                readHostFile(sourcePath), std::move(options));
+                cli::readHostFile(sourcePath), flags.options);
         }
-        for (auto &[sim, contents] : files)
+        for (auto &[sim, contents] : flags.files)
             tmpl->os().addFile(sim, contents);
 
         std::vector<svc::FleetJob> jobList;
@@ -403,17 +248,7 @@ main(int argc, char **argv)
         // The fleet report's stats are the StatSet merge of every
         // clone's run, so the profile renders from the same schema a
         // single-run shiftc profile does — just summed across clones.
-        if (tmpl->options().profile) {
-            std::fprintf(stderr, "%s",
-                         obs::renderProfileSummary(report.stats).c_str());
-            if (!profilePath.empty())
-                obs::writeProfileFile(report.stats, profilePath);
-        }
-        if (jitdump) {
-            std::fprintf(stderr, "jit symbols: %s\n",
-                         obs::PerfJitSink::path().c_str());
-            obs::PerfJitSink::disable();
-        }
+        flags.reportProfile(report.stats);
 
         bool killed = false;
         bool faulted = false;
@@ -431,10 +266,7 @@ main(int argc, char **argv)
                     rec->renderChain(jr.result.provenance).c_str());
             }
         }
-        if (rec) {
-            rec->writeChromeJsonFile(tracePath);
-            obs::Recorder::disable();
-        }
+        flags.writeTrace();
         if (killed)
             return 101;
         if (faulted)
