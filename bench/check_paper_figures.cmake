@@ -1,7 +1,9 @@
-# paper_figures ctest: the binary, run with ARGS (empty, or --jit for
-# the paper_figures_jit leg), must exit 0 (no faulting run, bad httpd
-# response, optimizer verdict change, missed attack or false positive)
-# and print exactly bench/paper_figures.golden. On a mismatch it names
+# paper_figures ctest: the binary, run with ARGS (empty, --jit for the
+# paper_figures_jit leg or --reference for paper_figures_ref), must
+# exit 0 (no faulting run, bad httpd response, optimizer verdict
+# change, missed attack or false positive, failed paper claim, or a
+# cell off its leg's engine) and print exactly
+# bench/paper_figures.golden. On a mismatch it names
 # the first differing line and leaves the output at ACTUAL.
 # A deliberate change regenerates the golden:
 #   build/bench/paper_figures > bench/paper_figures.golden

@@ -11,11 +11,20 @@
  * raised.
  *
  * `paper_figures --jit` runs every simulation with the JIT at threshold
- * 1 (every function compiles at its first lookup). The JIT promises
+ * 1 (every function compiles at its first lookup), and `paper_figures
+ * --reference` runs every one on the legacy stepper, the reference
+ * the two tiers' shared op bodies are checked against. Both promise
  * the interpreter's simulated cycles, instructions, taint and
  * verdicts, so the output must be the same golden (the
- * `paper_figures_jit` ctest). Where the JIT is available it also fails
- * when the SPEC, httpd or attack cells never entered compiled code.
+ * `paper_figures_jit` and `paper_figures_ref` ctests). A leg fails when
+ * a kind of cell (SPEC, httpd, attack) did not run on its engine:
+ * under --jit (where the JIT is available) one that never entered
+ * compiled code, under --reference one that made a predecoded
+ * dispatch.
+ *
+ * The paper's conclusions are checks too (checkClaims): the binary
+ * exits non-zero when the cells stop supporting one, so a golden
+ * regenerated on purpose cannot silently lose a claim.
  */
 
 #include <cmath>
@@ -45,16 +54,37 @@ int status = 0;
 /** --jit: every Session compiles each function at its first lookup. */
 bool jitCells = false;
 constexpr uint32_t kJitThreshold = 1;
+/** --reference: every Session runs on the legacy stepper. */
+bool referenceCells = false;
+
+/** Put a cell's Session on the leg's engine. */
+void
+onLeg(SessionOptions &options)
+{
+    options.jit = jitCells;
+    options.jitThreshold = kJitThreshold;
+    if (referenceCells)
+        options.engine = ExecEngine::Legacy;
+}
 
 /**
- * Σ jit.entered per kind of cell. The JIT is a silent no-op where a
- * Session cannot use it, so under --jit a kind that never entered
- * compiled code would match the golden without testing the JIT.
+ * Σ per kind of cell of the counter that shows the leg's engine ran
+ * it: jit.entered under --jit, engine.dispatches (which only the
+ * predecoded engines make) under --reference. Neither option fails
+ * where it cannot apply, so a kind that silently ran elsewhere would
+ * match the golden without testing its engine.
  */
 struct
 {
     uint64_t spec = 0, httpd = 0, attacks = 0;
-} jitEntered;
+} legRuns;
+
+uint64_t
+legCount(const RunResult &r)
+{
+    return r.stats.get(referenceCells ? stat::EngineDispatches
+                                      : stat::JitEntered);
+}
 
 void
 fail(const char *fmt, ...)
@@ -176,8 +206,7 @@ run(const SpecKernel &kernel, const Config &c)
     options.instr.instrumentStores = !c.noStores;
     options.instr.instrumentCompares = !c.noCmps;
     options.instr.reuseTagAddr = !c.noReuse;
-    options.jit = jitCells;
-    options.jitThreshold = kJitThreshold;
+    onLeg(options);
     Session session(kernel.source, options);
     // The optimizer only deletes, so one that deleted nothing left the
     // program of the run without it (at word granularity with the ISA
@@ -189,7 +218,7 @@ run(const SpecKernel &kernel, const Config &c)
     }
     session.os().addFile("input.dat", kernel.makeInput(kernel.defaultScale));
     it->second = session.run();
-    jitEntered.spec += it->second.stats.get(stat::JitEntered);
+    legRuns.spec += legCount(it->second);
     if (!it->second.ok())
         fail("%s %s: run failed (%s: %s)", kernel.shortName.c_str(),
              label(c).c_str(), faultKindName(it->second.fault.kind),
@@ -252,10 +281,9 @@ attack(const AttackScenario &scenario, bool exploit, Granularity g,
     SessionOptions options;
     options.policy.granularity = g;
     options.optimize.enable = optimize;
-    options.jit = jitCells;
-    options.jitThreshold = kJitThreshold;
+    onLeg(options);
     AttackRun run = runAttackScenario(scenario, exploit, std::move(options));
-    jitEntered.attacks += run.result.stats.get(stat::JitEntered);
+    legRuns.attacks += legCount(run.result);
     std::string what = scenario.name + (exploit ? " exploit " : " benign ") +
                        granName(g) + (optimize ? "+opt" : "");
     if (exploit && !run.detected)
@@ -310,12 +338,11 @@ serve(TrackingMode mode, Granularity g, uint64_t kb)
 {
     HttpdConfig config;
     config.options = httpdSessionOptions(mode, g);
-    config.options.jit = jitCells;
-    config.options.jitThreshold = kJitThreshold;
+    onLeg(config.options);
     config.fileSize = kb * 1024;
     config.requests = 25;
     HttpdRun run = runHttpd(config);
-    jitEntered.httpd += run.result.stats.get(stat::JitEntered);
+    legRuns.httpd += legCount(run.result);
     std::string what = "httpd " + std::to_string(kb) + "KB " +
                        (mode == TrackingMode::None ? "none/" : "shift/") +
                        granName(g);
@@ -325,6 +352,10 @@ serve(TrackingMode mode, Granularity g, uint64_t kb)
     return run;
 }
 
+/** Figure 6's latency ratios per file size, byte and word. */
+constexpr uint64_t kFig6Sizes[] = {4, 8, 16, 512};
+std::vector<double> latB, latW;
+
 void
 printFigure6()
 {
@@ -332,8 +363,7 @@ printFigure6()
           "uninstrumented",
           "filesize   latency(byte)  latency(word)  throughput(byte)  "
           "throughput(word)", 76);
-    std::vector<double> latB, latW;
-    for (uint64_t kb : {4, 8, 16, 512}) {
+    for (uint64_t kb : kFig6Sizes) {
         HttpdRun base = serve(TrackingMode::None, Granularity::Byte, kb);
         HttpdRun byteRun = serve(TrackingMode::Shift, Granularity::Byte, kb);
         HttpdRun wordRun = serve(TrackingMode::Shift, Granularity::Word, kb);
@@ -600,17 +630,126 @@ printRawCounts()
                 cells.size(), httpdRuns.size(), attackRuns.size());
 }
 
+/**
+ * The paper's conclusions, computed from the cells printed above (no
+ * new simulation): a failed one makes the run exit non-zero.
+ */
+void
+checkClaims()
+{
+    auto claim = [](bool holds, const std::string &what) {
+        if (!holds)
+            fail("claim failed: %s", what.c_str());
+    };
+    const std::vector<SpecKernel> &kernels = specKernels();
+    auto cycles = [](const SpecKernel &k, const Config &c) {
+        return run(k, c).cycles;
+    };
+    // Figure 6: overhead is largest for the smallest file, byte costs
+    // more than word at every size, and under 1% at 512 KB.
+    for (size_t i = 0; i < latB.size(); ++i) {
+        std::string kb = std::to_string(kFig6Sizes[i]) + " KB";
+        claim(latB[i] <= latB[0] && latW[i] <= latW[0],
+              "Fig. 6 overhead at " + kb + " above 4 KB's");
+        claim(latB[i] > latW[i],
+              "Fig. 6 byte latency not above word at " + kb);
+    }
+    claim(latB.back() < 1.01 && latW.back() < 1.01,
+          "Fig. 6 overhead not under 1% at 512 KB");
+    // Figure 7: byte >= word and unsafe >= safe per kernel, strictly on
+    // the geomeans; the unsafe factors lie in the paper's ranges.
+    const Config byteSafe{.taint = false};
+    const Config wordSafe{.gran = Granularity::Word, .taint = false};
+    std::vector<double> f7[4];
+    for (const SpecKernel &k : kernels) {
+        const uint64_t bu = cycles(k, {}), bs = cycles(k, byteSafe);
+        const uint64_t wu = cycles(k, kWord), ws = cycles(k, wordSafe);
+        claim(bu >= wu && bs >= ws,
+              "Fig. 7 " + k.shortName + " word above byte");
+        claim(bu >= bs && wu >= ws,
+              "Fig. 7 " + k.shortName + " safe above unsafe");
+        const double none = double(cycles(k, kNone));
+        f7[0].push_back(bu / none);
+        f7[1].push_back(bs / none);
+        f7[2].push_back(wu / none);
+        f7[3].push_back(ws / none);
+        claim(f7[0].back() >= 1.32 && f7[0].back() <= 4.73,
+              "Fig. 7 " + k.shortName + " byte-unsafe outside 1.32-4.73X");
+        claim(f7[2].back() >= 1.34 && f7[2].back() <= 3.80,
+              "Fig. 7 " + k.shortName + " word-unsafe outside 1.34-3.80X");
+    }
+    claim(geomean(f7[0]) > geomean(f7[2]) && geomean(f7[1]) > geomean(f7[3]),
+          "Fig. 7 geomean: byte not above word");
+    claim(geomean(f7[0]) > geomean(f7[1]) && geomean(f7[2]) > geomean(f7[3]),
+          "Fig. 7 geomean: unsafe not above safe");
+    // Figure 8: none > set/clear > both, per kernel and granularity.
+    for (const SpecKernel &k : kernels)
+        for (Granularity g : {Granularity::Byte, Granularity::Word})
+            claim(cycles(k, with({}, g)) >
+                          cycles(k, with({.setClr = true}, g)) &&
+                      cycles(k, with({.setClr = true}, g)) >
+                          cycles(k, with(kIsa, g)),
+                  "Fig. 8 " + k.shortName + " " + granName(g) +
+                      ": not none > set/clr > both");
+    // Figure 9, on the sums over kernels: computation above memory
+    // access, for loads and for stores, and loads above stores.
+    for (Granularity g : {Granularity::Byte, Granularity::Word}) {
+        double compLd = 0, memLd = 0, compSt = 0, memSt = 0;
+        for (const SpecKernel &k : kernels) {
+            const StatSet &st = run(k, with({}, g)).stats;
+            const double pct = 100.0 / double(cycles(k, kNone));
+            compLd += double(st.get("engine.cycles.tagaddr.load") +
+                             st.get("engine.cycles.tagreg.load")) * pct;
+            memLd += double(st.get("engine.cycles.tagmem.load")) * pct;
+            compSt += double(st.get("engine.cycles.tagaddr.store") +
+                             st.get("engine.cycles.tagreg.store")) * pct;
+            memSt += double(st.get("engine.cycles.tagmem.store")) * pct;
+        }
+        std::string at = std::string(" (") + granName(g) + ")";
+        claim(compLd > memLd && compSt > memSt,
+              "Fig. 9 memory access above computation" + at);
+        claim(compLd + memLd > compSt + memSt,
+              "Fig. 9 stores above loads" + at);
+    }
+    // Section 6.2: software-only DIFT costs more than SHIFT.
+    std::vector<double> soft;
+    for (const SpecKernel &k : kernels)
+        soft.push_back(double(cycles(k, {TrackingMode::SoftwareDift})) /
+                       double(cycles(k, kNone)));
+    claim(geomean(soft) > geomean(f7[0]) && geomean(soft) > geomean(f7[2]),
+          "Sec. 6.2 software DIFT geomean not above SHIFT's");
+    // Section 3.3.4: speculation pays on clean input, costs on tainted.
+    const Config clean{.gran = Granularity::Word, .taint = false};
+    Config cleanSpec = clean, taintSpec = kWord;
+    cleanSpec.spec = taintSpec.spec = true;
+    std::vector<double> cleanR, taintR;
+    for (const SpecKernel &k : kernels) {
+        cleanR.push_back(double(cycles(k, cleanSpec)) / cycles(k, clean));
+        taintR.push_back(double(cycles(k, taintSpec)) / cycles(k, kWord));
+    }
+    claim(geomean(cleanR) < 1.0,
+          "Sec. 3.3.4 speculation does not pay on clean input");
+    claim(geomean(taintR) > 1.0,
+          "Sec. 3.3.4 speculation does not cost on tainted input");
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     for (int i = 1; i < argc; ++i) {
-        if (std::string(argv[i]) != "--jit") {
-            std::fprintf(stderr, "usage: %s [--jit]\n", argv[0]);
+        std::string arg = argv[i];
+        if (arg == "--jit")
+            jitCells = true;
+        else if (arg == "--reference")
+            referenceCells = true;
+        if ((arg != "--jit" && arg != "--reference") ||
+            (jitCells && referenceCells)) {
+            std::fprintf(stderr, "usage: %s [--jit | --reference]\n",
+                         argv[0]);
             return 2;
         }
-        jitCells = true;
     }
     printTables1And2();
     printFigure6();
@@ -619,14 +758,22 @@ main(int argc, char **argv)
     printBeyondTheFigures();
     printOverhead();
     printRawCounts();
-    if (jitCells && Machine::jitAvailable()) {
-        const std::pair<const char *, uint64_t> kinds[] = {
-            {"SPEC", jitEntered.spec},
-            {"httpd", jitEntered.httpd},
-            {"attack", jitEntered.attacks}};
-        for (const auto &[kind, entered] : kinds)
-            if (entered == 0)
-                fail("--jit: no %s cell entered compiled code", kind);
+    const size_t cellCount = cells.size();
+    checkClaims();
+    if (cells.size() != cellCount)
+        fail("checkClaims simulated %zu cell(s) no figure printed",
+             cells.size() - cellCount);
+    const std::pair<const char *, uint64_t> kinds[] = {
+        {"SPEC", legRuns.spec},
+        {"httpd", legRuns.httpd},
+        {"attack", legRuns.attacks}};
+    for (const auto &[kind, count] : kinds) {
+        if (jitCells && Machine::jitAvailable() && count == 0)
+            fail("--jit: no %s cell entered compiled code", kind);
+        if (referenceCells && count != 0)
+            fail("--reference: the %s cells made %llu predecoded "
+                 "dispatches", kind,
+                 static_cast<unsigned long long>(count));
     }
     return status;
 }

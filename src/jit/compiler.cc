@@ -261,17 +261,6 @@ asyncGuardRegs(const DecodedInstr &dp, unsigned regs[3])
     return n;
 }
 
-/** Superblock entry heads reject cold blocks (see coldHead). */
-bool
-isEntryHead(const DecodedInstr &head)
-{
-    return head.op == Opcode::FpEnter ||
-           ((head.op == Opcode::FpChkProbe ||
-             head.op == Opcode::FpStProbe ||
-             head.op == Opcode::FpClrProbe) &&
-            (head.p2 & 4));
-}
-
 Cond
 condFor(CmpRel rel)
 {
@@ -1392,7 +1381,7 @@ class FunctionCompiler
             return;
         }
         const DecodedInstr &head = df_.fast[size_t(fe)];
-        if (!isEntryHead(head)) {
+        if (!isSuperblockEntry(head)) {
             e_.jmp(blockLabel(true, size_t(fe)));
             return;
         }

@@ -24,10 +24,10 @@
  *    charges folded into a small non-faulting "retire" leaf call; for
  *    loads and stores that leaf is a shared stub that runs the L1
  *    model's hit path in host code. Any miss condition — and
- *    every op without an inline body — calls a hand-written C++
- *    helper (src/jit/runtime.cc) that replays the interpreter's exact
- *    architectural semantics: register writes, charges, stalls, cache
- *    accesses, fault points.
+ *    every op without an inline body — calls a C++ helper
+ *    (src/jit/runtime.cc) that runs the interpreter's own op body
+ *    (sim/op_bodies.hh): the same register writes, charges, stalls,
+ *    cache accesses and fault points, from one definition.
  *  - Calls and returns link across compiled bodies: the transfer
  *    helper resolves the landing point to a compiled block entry and
  *    the call site jumps there directly, so call-heavy code stays

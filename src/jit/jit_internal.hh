@@ -25,17 +25,18 @@
  * how compiled code crosses function boundaries without bailing to
  * the interpreter.
  *
- * JitOps is a friend of Machine: the helpers transliterate the
- * interpreter handlers in machine.cc line for line (same register
- * writes, charges, stalls, cache accesses and fault points), which is
- * what the differential bit-identity suite in tests/test_jit.cc pins.
+ * JitOps is a friend of Machine: each helper runs the interpreter's
+ * own op body (sim/op_bodies.hh) on the Machine's state and keeps only
+ * the JIT's way of moving control and raising a fault, so compiled and
+ * interpreted code share one definition of every micro-op; the
+ * differential suites in tests/test_jit*.cc pin the whole tier.
  */
 
 #ifndef SHIFT_JIT_JIT_INTERNAL_HH
 #define SHIFT_JIT_JIT_INTERNAL_HH
 
 #include "jit/jit.hh"
-#include "obs/trace.hh"
+#include "sim/machine.hh"
 
 namespace shift::jit
 {
@@ -95,10 +96,10 @@ struct JitOps
                           uint64_t pcw);
     static uint64_t ret(JitCtx *c, const DecodedInstr *dp, uint64_t pcw);
     // Linked policy-boundary exits: run the built-in / system-call
-    // handler against a fully spilled machine (exactly the
-    // interpreter's sequence, async fence included), then return 0 to
-    // continue natively at the post-call pc, 1 on fault/stop, or a
-    // host address when the handler moved control somewhere compiled.
+    // body against a fully spilled machine (async fence included),
+    // then return 0 to continue natively at the post-call pc, 1 on
+    // fault/stop, or a host address when the handler moved control
+    // somewhere compiled.
     static uint64_t builtin(JitCtx *c, const DecodedInstr *dp,
                             uint64_t pcw);
     static uint64_t syscall(JitCtx *c, const DecodedInstr *dp,
@@ -107,17 +108,18 @@ struct JitOps
     // Shared pieces (members so they see Machine's privates).
     /** The JIT's sync(): fold ctx deltas into the Machine pre-fault. */
     static void spill(JitCtx *c, uint64_t pcw);
-    /** Merged-entry bookkeeping; true = superblock is cold, bail. */
-    static bool coldBail(JitCtx *c, const DecodedInstr *dp);
-    /** Transliterated probeDeopt: count, maybe demote, count ours. */
-    static void deopt(JitCtx *c, const DecodedInstr *dp,
-                      obs::DeoptCause cause);
+    /** A body's outcome as 0/1/2; raises a fault the helper way. */
+    static uint64_t finish(JitCtx *c, const DecodedInstr *dp,
+                           uint64_t pcw, const Machine::OpOutcome &r);
     /** Land at (func, pc, fast): compiled entry address, or spill+1. */
     static uint64_t transfer(JitCtx *c, int func, uint64_t pc,
                              bool fast);
-    /** enterFunction transliterated: push a frame, enter `callee`. */
-    static uint64_t enter(JitCtx *c, const DecodedInstr *dp,
-                          uint64_t pcw, int callee);
+    /** A call or return body's landing, through transfer(). */
+    static uint64_t land(JitCtx *c, const DecodedInstr *dp, uint64_t pcw,
+                         const Machine::OpOutcome &r);
+    /** Where a handler body left control: 0 = linked past the call. */
+    static uint64_t resume(JitCtx *c, uint64_t pcw, int funcBefore,
+                           const Machine::OpOutcome &r);
 };
 
 } // namespace shift::jit

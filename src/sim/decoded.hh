@@ -231,6 +231,22 @@ bool decodeFunctions(const Program &program,
 /** True when any function's stream contains a fused macro micro-op. */
 bool hasFusedOps(const DecodedProgram &program);
 
+/**
+ * A fast-tier superblock's entry micro-op: a standalone FpEnter, or a
+ * block-leading probe carrying the merged entry flag (p2 bit 2, see
+ * buildFastStream). Every promotion into a fast superblock tests its
+ * head here, so a cold (demoted) block is rejected where it is entered.
+ */
+inline bool
+isSuperblockEntry(const DecodedInstr &head)
+{
+    return head.op == Opcode::FpEnter ||
+           ((head.op == Opcode::FpChkProbe ||
+             head.op == Opcode::FpStProbe ||
+             head.op == Opcode::FpClrProbe) &&
+            (head.p2 & 4));
+}
+
 } // namespace shift
 
 #endif // SHIFT_SIM_DECODED_HH

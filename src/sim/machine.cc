@@ -5,6 +5,7 @@
 
 #include "dift/annotate.hh"
 #include "dift/tier.hh"
+#include "sim/op_bodies.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -18,8 +19,8 @@ namespace
 constexpr uint64_t kHeapGap = 1ULL << 20;
 constexpr uint64_t kHeapMax = 1ULL << 32;
 // Cold-block demotion (kFpColdDeopts) and the call-depth limit
-// (kMaxCallDepth) live in machine.hh now: the JIT runtime helpers
-// replicate the same policies and must agree.
+// (kMaxCallDepth) live in machine.hh: the legacy stepper and the op
+// bodies (sim/op_bodies.hh) both apply them.
 
 } // namespace
 
@@ -439,6 +440,23 @@ void
 Machine::natConsumptionFault(FaultContext ctx, const std::string &detail)
 {
     setFault(FaultKind::NatConsumption, ctx, 0, detail);
+}
+
+bool
+Machine::fenceAsync(const DecodedInstr *dp)
+{
+    // Policy fence: materialize the shadow bitmap into memory so
+    // TaintMap readers (H1-H5 checks inside builtins and syscalls)
+    // see what the synchronous engine's bitmap would hold.
+    uint64_t t0 = prof_ ? obs::Profiler::nowNanos() : 0;
+    const dift::Violation *v = asyncTier_->fence();
+    if (prof_)
+        prof_->carveSince(obs::Tier::AsyncPublish, curFunc_,
+                          static_cast<uint32_t>(dp->origIndex), t0);
+    if (!v)
+        return false;
+    applyAsyncViolation(*v);
+    return true;
 }
 
 void
@@ -1157,10 +1175,12 @@ Machine::runDecoded(uint64_t maxSteps)
     // anything that can observe machine state (faults, alerts,
     // built-ins, system calls, trace hooks, compiled code), and
     // resync() re-reads control state after a callback that may have
-    // moved it. The legacy engine's per-opcode helpers (execAlu and
-    // friends) remain the reference semantics and every handler below
-    // must match them bit for bit — the test_engine equivalence suite
-    // enforces this.
+    // moved it. The handlers of the micro-ops the JIT's runtime
+    // helpers also run call the same op bodies (sim/op_bodies.hh) and
+    // keep only the moving of control. The legacy engine's per-opcode
+    // helpers (execAlu and friends) remain the reference semantics and
+    // every handler below must match them bit for bit — the
+    // test_engine equivalence suite enforces this.
     //
     // Those locals stay in host registers only while no local has its
     // address taken, and a closure the compiler leaves out of line
@@ -1311,21 +1331,6 @@ Machine::runDecoded(uint64_t maxSteps)
     [[maybe_unused]] auto asyncStop = [&]() SHIFT_INLINE {
         applyAsyncViolation(*asyncTier_->pendingViolation());
     };
-    // Policy fence: materialize the shadow bitmap into memory so
-    // TaintMap readers (H1-H5 checks inside builtins and syscalls)
-    // see what the synchronous engine's bitmap would hold. True when
-    // a violation is pending — the engine must stop. Call after
-    // sync().
-    [[maybe_unused]] auto asyncFence = [&]() SHIFT_INLINE -> bool {
-        [[maybe_unused]] uint64_t pt0 = profT0();
-        const dift::Violation *v = asyncTier_->fence();
-        profCarve(obs::Tier::AsyncPublish, pt0);
-        if (v) {
-            applyAsyncViolation(*v);
-            return true;
-        }
-        return false;
-    };
     // Common ALU tail: write the destination, charge, advance. Under
     // the async tier the otherwise-dormant NaT bit is repurposed as a
     // "maybe tainted" summary of the tier's register taint (taint(r)
@@ -1357,58 +1362,13 @@ Machine::runDecoded(uint64_t maxSteps)
     auto shiftAmount = [](uint64_t v) SHIFT_INLINE {
         return v > 63 ? 64U : static_cast<unsigned>(v);
     };
-    // A superblock entry instruction is either a standalone FpEnter or
-    // a block-leading probe carrying the merged entry flag (p2 bit 2,
-    // see buildFastStream); cold (demoted) blocks are rejected at
-    // every promotion site.
-    auto coldHead = [&](const DecodedInstr &head) SHIFT_INLINE {
-        bool entry = head.op == Opcode::FpEnter ||
-                     ((head.op == Opcode::FpChkProbe ||
-                       head.op == Opcode::FpStProbe ||
-                       head.op == Opcode::FpClrProbe) &&
-                      (head.p2 & 4));
-        return entry && fpCold_[static_cast<uint32_t>(head.callee)];
-    };
-    // Charge a call and enter the callee. False at the depth limit:
-    // the call is charged, nothing is pushed, and the caller raises
-    // the overflow fault.
-    auto enterFunction = [&](int funcIndex) SHIFT_INLINE {
-        charge(kCycleModel.call);
-        if (callStack_.size() >= kMaxCallDepth) [[unlikely]]
-            return false;
-        callStack_.push_back(Frame{curFunc_, pc + 1, inFast});
-        curFunc_ = funcIndex;
-        pc = 0;
+    // Land where a call or return body put control (curFunc_ is
+    // already the landing function).
+    auto land = [&](const OpOutcome &r) SHIFT_INLINE {
+        pc = r.pc;
         df = &decoded_->functions[curFunc_];
-        // Function entry is superblock 0's leader; enter the callee's
-        // fast twin directly when it has one (fastEntry[0] == 0),
-        // unless the entry superblock has been demoted.
-        inFast = fastEnabled_ && !df->fast.empty() &&
-                 !coldHead(df->fast[0]);
+        inFast = r.fast;
         code = inFast ? df->fast.data() : df->code.data();
-        return true;
-    };
-    // A failed Fp* probe: count the deopt (and its cause) against the
-    // probe's superblock, demote the block to cold once deopts
-    // dominate its entries, and resume the instrumented stream at the
-    // elided group's own index (probes precede their group's side
-    // effects, so re-execution replays nothing).
-    auto probeDeopt = [&](obs::DeoptCause cause) SHIFT_INLINE {
-        uint32_t b = static_cast<uint32_t>(dp->callee);
-        ++fpDeoptTotal_;
-        ++fpDeoptCause_[static_cast<size_t>(cause)];
-        uint32_t d = ++fpDeopts_[b];
-        if (d >= kFpColdDeopts && d * 2 >= fpEnters_[b])
-            fpCold_[b] = 1;
-        inFast = false;
-        pc = static_cast<uint64_t>(dp->target);
-        code = df->code.data();
-        if constexpr (kObserved) {
-            if (rec) [[unlikely]]
-                rec->emitCold(obs::Ev::FastDeopt,
-                              static_cast<uint16_t>(cause), curFunc_,
-                              code[pc].origIndex);
-        }
     };
     // Flight-recorder instants for the fast tier's other transitions;
     // compiled out of the production loop entirely.
@@ -1447,6 +1407,33 @@ Machine::runDecoded(uint64_t maxSteps)
             }
         }
         return target;
+    };
+    // Move control per a fast-tier probe body's outcome. A cold bail
+    // or a failed probe resumes the instrumented stream at the elided
+    // group's own index (probes precede their group's side effects, so
+    // re-execution replays nothing); a clean probe steps on. `entry`:
+    // the probe leads its superblock, so it counted an entry unless it
+    // bailed.
+    auto probeNext = [&](const OpOutcome &r, bool entry) SHIFT_INLINE {
+        if (r.kind == OpOutcome::ColdBail) {
+            obsColdBail(static_cast<uint64_t>(dp->target));
+        } else {
+            if (entry)
+                obsFastEnter();
+            if (r.kind == OpOutcome::Done) {
+                ++pc;
+                return;
+            }
+        }
+        inFast = false;
+        pc = static_cast<uint64_t>(dp->target);
+        code = df->code.data();
+        if constexpr (kObserved) {
+            if (r.kind == OpOutcome::Deopt && rec) [[unlikely]]
+                rec->emitCold(obs::Ev::FastDeopt,
+                              static_cast<uint16_t>(r.cause), curFunc_,
+                              code[pc].origIndex);
+        }
     };
     // JIT tier (docs/JIT.md): at every control-transfer landing point
     // (all of which are superblock leaders in compiled code), credit
@@ -1560,6 +1547,21 @@ Machine::runDecoded(uint64_t maxSteps)
         faultDetail = (detail);                                         \
         goto raiseFault;                                                \
     } while (0)
+// An op body's fault (sim/op_bodies.hh), raised through the same tail
+// at the faulting constituent of a fused op. SHIFT_BODY runs a body
+// that either retires or faults.
+#define SHIFT_BODY_FAULT(r)                                             \
+    do {                                                                \
+        if ((r).constituent >= 0)                                       \
+            archPcOverride_ = dp->origIndex + (r).constituent;          \
+        SHIFT_FAULT((r).faultKind, (r).faultCtx, (r).addr, (r).detail); \
+    } while (0)
+#define SHIFT_BODY(call)                                                \
+    do {                                                                \
+        const OpOutcome r_ = (call);                                    \
+        if (r_.kind != OpOutcome::Done)                                 \
+            SHIFT_BODY_FAULT(r_);                                       \
+    } while (0)
 
     SHIFT_NEXT();
 
@@ -1656,53 +1658,39 @@ nullified:
     SHIFT_OP(Div)
     SHIFT_OP(Mod)
     SHIFT_OP(DivU)
-    SHIFT_OP(ModU) {
-        uint64_t a = gpr_[dp->r2].val;
-        uint64_t b = src2v();
-        bool nat = gpr_[dp->r2].nat || src2n();
-        uint64_t result = 0;
-        if (b == 0) {
-            bool taintedDivisor = nat;
-            if constexpr (kAsync) {
-                // The maybe bit prunes the fence: a clean maybe means
-                // the tier's taint is certainly clean too, so the
-                // fault fires without fencing. Otherwise ask the
-                // tier's shadow whether an operand is really
-                // tainted — the sync engine's NaT divisor suppresses
-                // the fault (result 0, taint propagates via aluDone).
-                if (nat) {
+    SHIFT_OP(ModU)
+        if constexpr (kAsync) {
+            // In front of the body. The maybe bit prunes the fence: a
+            // zero divisor with a clean maybe faults without fencing.
+            // Otherwise ask the tier's shadow whether an operand is
+            // really tainted (the sync engine's NaT divisor suppresses
+            // the fault, which the body then does on the maybe bit).
+            // Then aluDone's RegWrite replay (no div is a zero idiom).
+            bool maybe = gpr_[dp->r2].nat || src2n();
+            if (src2v() == 0) {
+                bool tainted = maybe;
+                if (maybe) {
                     sync();
-                    if (asyncFence())
+                    if (fenceAsync(dp))
                         SHIFT_STOPPED();
-                    taintedDivisor =
+                    tainted =
                         asyncTier_->regTaint(dp->r2) ||
                         (!dp->useImm && asyncTier_->regTaint(dp->r3));
                 }
+                if (!tainted)
+                    SHIFT_FAULT(FaultKind::DivByZero, FaultContext::None,
+                                0, "division by zero");
             }
-            if (!taintedDivisor)
-                SHIFT_FAULT(FaultKind::DivByZero, FaultContext::None, 0,
-                            "division by zero");
-            result = 0;
-        } else if (dp->op == Opcode::DivU) {
-            result = a / b;
-        } else if (dp->op == Opcode::ModU) {
-            result = a % b;
-        } else {
-            int64_t sa = static_cast<int64_t>(a);
-            int64_t sb = static_cast<int64_t>(b);
-            if (sa == INT64_MIN && sb == -1) {
-                result = dp->op == Opcode::Div
-                             ? static_cast<uint64_t>(INT64_MIN)
-                             : 0;
-            } else if (dp->op == Opcode::Div) {
-                result = static_cast<uint64_t>(sa / sb);
-            } else {
-                result = static_cast<uint64_t>(sa % sb);
-            }
+            if (maybe || gpr_[dp->r1].nat)
+                replayRegWrite(static_cast<uint8_t>(dp->r1),
+                               static_cast<uint8_t>(dp->r2),
+                               dp->useImm ? uint8_t{0}
+                                          : static_cast<uint8_t>(dp->r3),
+                               false);
         }
-        aluDone(result, nat, kCycleModel.div);
+        SHIFT_BODY(opDivMod(dp));
+        ++pc;
         SHIFT_NEXT_FAST();
-    }
 
     SHIFT_OP(Shl) {
         unsigned sh = shiftAmount(src2v());
@@ -1821,8 +1809,6 @@ nullified:
     }
 
     SHIFT_OP(Ld) {
-        const Gpr &addrReg = gpr_[dp->r2];
-        uint64_t addr = addrReg.val;
         if constexpr (kAsync) {
             // Replayed before the access: a violation (tainted
             // pointer) stops the engine exactly where the sync
@@ -1831,6 +1817,8 @@ nullified:
             // address and a clean-maybe destination is provably a
             // replay no-op (no taint to clear, no L1 possible) and is
             // filtered out.
+            const Gpr &addrReg = gpr_[dp->r2];
+            uint64_t addr = addrReg.val;
             uint8_t fl = 0;
             if (dp->p1 & dift::kAnnChecked)
                 fl |= dift::kEvChecked;
@@ -1852,52 +1840,7 @@ nullified:
                 }
             }
         }
-        if (dp->spec) {
-            // Speculative load: failures defer into the NaT bit.
-            if (addrReg.nat ||
-                mem_.probe(addr, dp->size) != MemFault::None) {
-                setGpr(dp->r1, 0, true);
-                charge(kCycleModel.loadBase);
-                ++pc;
-                SHIFT_NEXT_FAST();
-            }
-        } else if (!kAsync && addrReg.nat) {
-            // Maybe bits never fault: under the async tier the
-            // replay above made this check.
-            // statIdx % kNumOrigClass is the OrigClass (the flat
-            // index is prov * kNumOrigClass + cls).
-            FaultContext ctx =
-                dp->statIdx % kNumOrigClass ==
-                        static_cast<int>(OrigClass::ForStore)
-                    ? FaultContext::StoreAddress
-                    : FaultContext::LoadAddress;
-            SHIFT_FAULT(FaultKind::NatConsumption, ctx, addr,
-                        "load through a NaT (tainted) address");
-        }
-        uint64_t value = 0;
-        bool nat = false;
-        MemFault mf = dp->fill ? mem_.readFill(addr, value, nat)
-                               : mem_.read(addr, dp->size, value);
-        if (mf != MemFault::None)
-            SHIFT_FAULT(FaultKind::IllegalAddress,
-                        FaultContext::LoadAddress, addr,
-                        "load from illegal address");
-        if constexpr (kAsync) {
-            // Maybe-out for the destination: the replay already ran,
-            // so the exact taint is one shadow read away. Keeping the
-            // maybe bits equal to the tier's taint lets the filters
-            // drop every clean downstream RegWrite. A fill keeps the
-            // spill-time maybe bit readFill recovered from the NaT
-            // sidecar.
-            if (!dp->fill)
-                nat = asyncTier_->regTaint(dp->r1);
-        }
-        setGpr(dp->r1, value, nat);
-        ++loadCount_;
-        charge(kCycleModel.loadBase);
-        uint64_t extra = dcache_.access(addr) ? kCycleModel.loadHit
-                                              : kCycleModel.loadMiss;
-        cyFlat[statIdx] += extra;
+        SHIFT_BODY(opLd(dp, kAsync));
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -1935,29 +1878,7 @@ nullified:
                 }
             }
         }
-        if (!kAsync && addrReg.nat)
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        FaultContext::StoreAddress, addr,
-                        "store through a NaT (tainted) address");
-        if (!kAsync && srcReg.nat && !dp->spill)
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        FaultContext::StoreValue, addr,
-                        "plain store of a NaT source register");
-        MemFault mf;
-        if (dp->spill) {
-            mf = mem_.writeSpill(addr, srcReg.val, srcReg.nat);
-            if (mf == MemFault::None) {
-                unsigned bitIdx =
-                    static_cast<unsigned>((addr >> 3) & 63);
-                unat_ = insertBit(unat_, bitIdx, srcReg.nat);
-            }
-        } else {
-            mf = mem_.write(addr, dp->size, srcReg.val);
-        }
-        if (mf != MemFault::None)
-            SHIFT_FAULT(FaultKind::IllegalAddress,
-                        FaultContext::StoreAddress, addr,
-                        "store to illegal address");
+        SHIFT_BODY(opSt(dp, kAsync));
         if constexpr (kObserved) {
             // A nonzero write into the tag region spreads taint: the
             // provenance chain wants it.
@@ -1966,10 +1887,6 @@ nullified:
                 rec->emitCold(obs::Ev::TaintStore, 0, curFunc_,
                               dp->origIndex, addr);
         }
-        ++storeCount_;
-        charge(kCycleModel.storeBase);
-        uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
-        cyFlat[statIdx] += extra;
         ++pc;
         SHIFT_NEXT_FAST();
     }
@@ -2000,81 +1917,37 @@ nullified:
 
     SHIFT_OP(BrCall)
         if (dp->callee >= 0) {
-            if (!enterFunction(dp->callee))
-                SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::None,
-                            0, "call stack overflow");
+            const OpOutcome r = opCall(dp, dp->callee, pc, inFast);
+            if (r.kind != OpOutcome::Done)
+                SHIFT_BODY_FAULT(r);
+            land(r);
             SHIFT_JIT_CHECK();
         } else {
-            int slot = -1 - dp->callee;
-            const BuiltinFn *fn = builtinSlotFns_[slot];
-            if (!fn) {
-                sync();
-                setFault(FaultKind::UnknownFunction, FaultContext::None,
-                         0,
-                         "no function or built-in named '" +
-                             decoded_->builtinNames[slot] + "'");
-                SHIFT_STOPPED();
-            }
-            charge(kCycleModel.call);
+            // The built-in runs against the synced machine and may
+            // stop it or move control; resume wherever it left it.
             sync();
-            if constexpr (kAsync) {
-                // Built-ins are policy-check points (H1-H5, taint
-                // sources, alert syscalls): fence so their TaintMap
-                // reads see the materialized bitmap.
-                if (asyncFence())
-                    SHIFT_STOPPED();
-            }
-            // See runBuiltin: advance past the call site only when the
-            // built-in neither stopped the machine nor moved control
-            // (pc, function and stack depth all unchanged).
-            uint64_t pcBefore = pc_;
-            int funcBefore = curFunc_;
-            size_t depthBefore = callStack_.size();
-            [[maybe_unused]] uint64_t bt0 = profT0();
-            (*fn)(*this);
-            if constexpr (kObserved) {
-                if (prof)
-                    prof->carveSince(obs::Tier::Builtin, funcBefore,
-                                     static_cast<uint32_t>(dp->origIndex),
-                                     bt0);
-            }
-            if (!stopped_ && pc_ == pcBefore && curFunc_ == funcBefore &&
-                callStack_.size() == depthBefore)
-                ++pc_;
+            (void)opBuiltin(dp);
             resync();
         }
         SHIFT_NEXT();
 
     SHIFT_OP(BrCalli) {
-        uint64_t target = br_[dp->br];
-        auto callee = funcIndexForDesc(target, program_->functionCount());
-        if (!callee)
-            SHIFT_FAULT(FaultKind::BadIndirect, FaultContext::ControlFlow,
-                        target, "indirect call to a non-function address");
-        if (!enterFunction(*callee))
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::None, 0,
-                        "call stack overflow");
+        const OpOutcome r = opCalli(dp, pc, inFast);
+        if (r.kind != OpOutcome::Done)
+            SHIFT_BODY_FAULT(r);
+        land(r);
         SHIFT_JIT_CHECK();
         SHIFT_NEXT();
     }
 
-    SHIFT_OP(BrRet)
-        charge(kCycleModel.call);
-        if (callStack_.empty()) {
-            exited_ = true;
-            exitCode_ = static_cast<int64_t>(gpr_[reg::rv].val);
-            stopped_ = true;
-        } else {
-            Frame frame = callStack_.back();
-            callStack_.pop_back();
-            curFunc_ = frame.function;
-            pc = frame.returnPc;
-            df = &decoded_->functions[curFunc_];
-            inFast = frame.fast;
-            code = inFast ? df->fast.data() : df->code.data();
+    SHIFT_OP(BrRet) {
+        const OpOutcome r = opRet(dp);
+        if (r.kind == OpOutcome::Done) {
+            land(r);
             SHIFT_JIT_CHECK();
         }
         SHIFT_NEXT();
+    }
 
     SHIFT_OP(MovToBr)
         if constexpr (kAsync) {
@@ -2097,12 +1970,7 @@ nullified:
                 }
             }
         }
-        if (!kAsync && gpr_[dp->r2].nat)
-            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::ControlFlow,
-                        gpr_[dp->r2].val,
-                        "NaT (tainted) value moved into a branch register");
-        br_[dp->br] = gpr_[dp->r2].val;
-        charge(kCycleModel.alu);
+        SHIFT_BODY(opMovToBr(dp, kAsync));
         ++pc;
         SHIFT_NEXT_FAST();
 
@@ -2121,11 +1989,7 @@ nullified:
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(MovToUnat)
-        if (!kAsync && gpr_[dp->r2].nat)
-            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::AppRegister,
-                        0, "NaT value moved into ar.unat");
-        unat_ = gpr_[dp->r2].val;
-        charge(kCycleModel.alu);
+        SHIFT_BODY(opMovToUnat(dp, kAsync));
         ++pc;
         SHIFT_NEXT_FAST();
 
@@ -2134,8 +1998,7 @@ nullified:
             if (gpr_[dp->r1].nat)
                 replayRegWrite(static_cast<uint8_t>(dp->r1), 0, 0, false);
         }
-        setGpr(dp->r1, unat_, false);
-        charge(kCycleModel.alu);
+        SHIFT_BODY(opMovFromUnat(dp));
         ++pc;
         SHIFT_NEXT_FAST();
 
@@ -2166,25 +2029,13 @@ nullified:
         SHIFT_NEXT_FAST();
 
     SHIFT_OP(Syscall)
-        charge(kCycleModel.syscallBase);
+        // The handler runs against the synced machine; a live run
+        // resumes at pc_ + 1, wherever the handler left pc_.
         sync();
-        if constexpr (kAsync) {
-            if (asyncFence())
-                SHIFT_STOPPED();
-        }
-        if (!syscall_)
-            SHIFT_FAULT(FaultKind::UnknownFunction, FaultContext::None, 0,
-                        "no system-call handler installed");
-        {
-            [[maybe_unused]] uint64_t st0 = profT0();
-            syscall_(*this, dp->imm);
-            profCarve(obs::Tier::Host, st0);
-        }
-        if (!stopped_) {
-            resync();
-            ++pc;
-            SHIFT_JIT_CHECK();
-        }
+        if (opSyscall(dp).kind == OpOutcome::Stopped)
+            SHIFT_STOPPED();
+        resync();
+        SHIFT_JIT_CHECK();
         SHIFT_NEXT();
 
     SHIFT_OP(Halt)
@@ -2203,16 +2054,11 @@ nullified:
         SHIFT_STOPPED();
 
     // ----- fused taint micro-ops (see decodeProgram) -------------------
-    // Each handler replays its constituents' architectural semantics
-    // back to back — the same register writes, cycle and stat charges,
-    // load-use stalls, cache accesses and fault points as the unfused
-    // stream — while paying the fetch/dispatch front end once, so every
-    // simulated number stays bit-identical to the legacy stepper and
-    // only host time drops. Constituents are contiguous in the original
-    // stream (a fusion precondition), so a fault at constituent k
-    // reports origIndex + k through archPcOverride_. The entry stall
-    // uses the first constituent's use mask (stamped by the front end);
-    // interior stalls are charged where the unfused stream stalls.
+    // Each replays its constituents' architectural semantics back to
+    // back (the bodies in sim/op_bodies.hh carry the story) while
+    // paying the fetch/dispatch front end once, so every simulated
+    // number stays bit-identical to the legacy stepper and only host
+    // time drops.
 
     SHIFT_OP(FusedTagAddr) {
         // extr t0=R,61,3; shl t0,t0,rs; extr t1=R,ds,36-ds; or t0,t0,t1
@@ -2231,519 +2077,60 @@ nullified:
         SHIFT_NEXT_FAST();
     }
 
-    SHIFT_OP(FusedChkByte) {
-        // ld1 t1,[t0]; add t2=t0,1; ld1 t2,[t2]; shl t2,t2,8;
-        // or t1,t1,t2; and t2=R,7; shr t1,t1,t2; and t1,t1,mask;
-        // cmp.ne pT,p0 = t1,0
-        const unsigned cls = statIdx % kNumOrigClass;
-        const unsigned idxMem = statIdx; // entry = first tag load
-        const unsigned idxAddr =
-            statIndex(Provenance::TagAddr, static_cast<OrigClass>(cls));
-        const unsigned idxReg =
-            statIndex(Provenance::TagReg, static_cast<OrigClass>(cls));
-        const Gpr a = gpr_[dp->br]; // t0: tag byte address
-        if (a.nat) {
-            archPcOverride_ = dp->origIndex;
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        cls == static_cast<unsigned>(OrigClass::ForStore)
-                            ? FaultContext::StoreAddress
-                            : FaultContext::LoadAddress,
-                        a.val, "load through a NaT (tainted) address");
-        }
-        uint64_t lo = 0;
-        MemFault mf = mem_.read(a.val, 1, lo);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex;
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                        a.val, "load from illegal address");
-        }
-        setGpr(dp->r1, lo, false);
-        ++loadCount_;
-        charge(kCycleModel.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
-                                               : kCycleModel.loadMiss;
-        cyFlat[idxMem] += extra;
-        // add t2 = t0 + 1
-        statIdx = idxAddr;
-        uint64_t hiAddr = a.val + 1;
-        setGpr(dp->r3, hiAddr, false);
-        charge(kCycleModel.alu);
-        // ld1 t2, [t2] (address just computed, known clean)
-        uint64_t hi = 0;
-        mf = mem_.read(hiAddr, 1, hi);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex + 2;
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                        hiAddr, "load from illegal address");
-        }
-        setGpr(dp->r3, hi, false);
-        ++loadCount_;
-        statIdx = idxMem;
-        charge(kCycleModel.loadBase);
-        extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
-                                       : kCycleModel.loadMiss;
-        cyFlat[idxMem] += extra;
-        // shl t2, t2, 8 — consumes the just-loaded t2: load-use stall
-        statIdx = idxAddr;
-        stallCycles_ += kCycleModel.loadUseStall;
-        cyFlat[idxAddr] += kCycleModel.loadUseStall;
-        hi <<= 8;
-        setGpr(dp->r3, hi, false);
-        charge(kCycleModel.alu);
-        // or t1, t1, t2
-        lo |= hi;
-        setGpr(dp->r1, lo, false);
-        charge(kCycleModel.alu);
-        // and t2 = R, 7 — R's NaT starts propagating here
-        const Gpr r = gpr_[dp->r2];
-        uint64_t bitIdx = r.val & 7;
-        setGpr(dp->r3, bitIdx, r.nat);
-        charge(kCycleModel.alu);
-        // shr t1, t1, t2 (shift < 8)
-        lo >>= bitIdx;
-        setGpr(dp->r1, lo, r.nat);
-        charge(kCycleModel.alu);
-        // and t1, t1, mask
-        lo &= static_cast<uint64_t>(dp->imm);
-        setGpr(dp->r1, lo, r.nat);
-        charge(kCycleModel.alu);
-        // cmp.ne pT, p0 = t1, 0 — a NaT operand clears both predicates
-        // (p0 writes are hardwired no-ops)
-        statIdx = idxReg;
-        setPred(dp->p1, r.nat ? false : lo != 0);
-        charge(kCycleModel.alu);
+    SHIFT_OP(FusedChkByte)
+        SHIFT_BODY(opChkByte(dp));
         ++pc;
         SHIFT_NEXT_FAST();
-    }
 
-    SHIFT_OP(FusedChkWord) {
-        // ld1 t1,[t0]; extr t2=R,3,3; shr t1,t1,t2; tbit pT,p0 = t1,0
-        const unsigned cls = statIdx % kNumOrigClass;
-        const unsigned idxMem = statIdx;
-        const unsigned idxAddr =
-            statIndex(Provenance::TagAddr, static_cast<OrigClass>(cls));
-        const unsigned idxReg =
-            statIndex(Provenance::TagReg, static_cast<OrigClass>(cls));
-        const Gpr a = gpr_[dp->br]; // t0
-        if (a.nat) {
-            archPcOverride_ = dp->origIndex;
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        cls == static_cast<unsigned>(OrigClass::ForStore)
-                            ? FaultContext::StoreAddress
-                            : FaultContext::LoadAddress,
-                        a.val, "load through a NaT (tainted) address");
-        }
-        uint64_t lo = 0;
-        MemFault mf = mem_.read(a.val, 1, lo);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex;
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                        a.val, "load from illegal address");
-        }
-        setGpr(dp->r1, lo, false);
-        ++loadCount_;
-        charge(kCycleModel.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
-                                               : kCycleModel.loadMiss;
-        cyFlat[idxMem] += extra;
-        // extr t2 = R, 3, 3
-        statIdx = idxAddr;
-        const Gpr r = gpr_[dp->r2];
-        uint64_t bitIdx = (r.val >> 3) & 7;
-        setGpr(dp->r3, bitIdx, r.nat);
-        charge(kCycleModel.alu);
-        // shr t1, t1, t2 (shift < 8)
-        lo >>= bitIdx;
-        setGpr(dp->r1, lo, r.nat);
-        charge(kCycleModel.alu);
-        // tbit pT, p0 = t1, 0 — NaT clears both predicates
-        statIdx = idxReg;
-        setPred(dp->p1, r.nat ? false : bit(lo, 0));
-        charge(kCycleModel.alu);
+    SHIFT_OP(FusedChkWord)
+        SHIFT_BODY(opChkWord(dp));
         ++pc;
         SHIFT_NEXT_FAST();
-    }
 
-    SHIFT_OP(FusedClearNat) {
-        // add t3=sp,disp; st8.spill [t3]=r; ld8 r,[t3]
-        // One shared (prov, cls) stat index across all three.
-        const Gpr bs = gpr_[dp->r2];
-        uint64_t addr = bs.val + static_cast<uint64_t>(dp->imm);
-        setGpr(dp->r3, addr, bs.nat);
-        charge(kCycleModel.alu);
-        // st8.spill [t3] = r
-        if (bs.nat) {
-            archPcOverride_ = dp->origIndex + 1;
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        FaultContext::StoreAddress, addr,
-                        "store through a NaT (tainted) address");
-        }
-        const Gpr src = gpr_[dp->r1];
-        MemFault mf = mem_.writeSpill(addr, src.val, src.nat);
-        if (mf == MemFault::None) {
-            unsigned spillBit = static_cast<unsigned>((addr >> 3) & 63);
-            unat_ = insertBit(unat_, spillBit, src.nat);
-        } else {
-            archPcOverride_ = dp->origIndex + 1;
-            SHIFT_FAULT(FaultKind::IllegalAddress,
-                        FaultContext::StoreAddress, addr,
-                        "store to illegal address");
-        }
-        ++storeCount_;
-        charge(kCycleModel.storeBase);
-        uint64_t extra = dcache_.access(addr) ? 0 : kCycleModel.storeMiss;
-        cyFlat[statIdx] += extra;
-        // ld8 r = [t3] — the plain reload leaves the value, drops NaT
-        uint64_t v = 0;
-        mf = mem_.read(addr, 8, v);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex + 2;
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                        addr, "load from illegal address");
-        }
-        setGpr(dp->r1, v, false);
-        ++loadCount_;
-        charge(kCycleModel.loadBase);
-        extra = dcache_.access(addr) ? kCycleModel.loadHit
-                                     : kCycleModel.loadMiss;
-        cyFlat[statIdx] += extra;
+    SHIFT_OP(FusedClearNat)
+        SHIFT_BODY(opClearNat(dp));
         loadMask = 1ULL << (dp->r1 & 63); // last constituent is a load
         ++pc;
         SHIFT_NEXT_FAST();
-    }
 
     SHIFT_OP(FusedStUpdByte)
     SHIFT_OP(FusedStUpdWord) {
-        // and t2=R,7 / extr t2=R,3,3; movi t3,m; shl t3,t3,t2;
-        // ld1 t1,[t0]; (pSet) or t1,t1,t3; (pClr) andcm t1,t1,t3;
-        // st1 [t0]=t1 — byte granularity repeats the RMW at t0+1 for
-        // the straddling high half of the mask.
-        const bool byteGran = dp->op == Opcode::FusedStUpdByte;
-        const unsigned cls = statIdx % kNumOrigClass;
-        const unsigned idxAddr = statIdx; // entry = mask ALU (TagAddr)
-        const unsigned idxMem =
-            statIndex(Provenance::TagMem, static_cast<OrigClass>(cls));
-        const unsigned idxReg =
-            statIndex(Provenance::TagReg, static_cast<OrigClass>(cls));
-        const Gpr r = gpr_[dp->r2];
-        // t2 = bit index within the tag byte (R's NaT propagates)
-        uint64_t t2v = byteGran ? (r.val & 7) : ((r.val >> 3) & 7);
-        setGpr(dp->br, t2v, r.nat);
-        charge(kCycleModel.alu);
-        // t3 = mask immediate
-        uint64_t t3v = static_cast<uint64_t>(dp->imm);
-        setGpr(dp->r3, t3v, false);
-        charge(kCycleModel.alu);
-        // t3 <<= t2 (shift < 8)
-        t3v <<= t2v;
-        bool t3n = r.nat;
-        setGpr(dp->r3, t3v, t3n);
-        charge(kCycleModel.alu);
-        // ld1 t1, [t0]
-        const Gpr a = gpr_[static_cast<size_t>(dp->target)];
-        if (a.nat) {
-            archPcOverride_ = dp->origIndex + 3;
-            SHIFT_FAULT(FaultKind::NatConsumption,
-                        cls == static_cast<unsigned>(OrigClass::ForStore)
-                            ? FaultContext::StoreAddress
-                            : FaultContext::LoadAddress,
-                        a.val, "load through a NaT (tainted) address");
-        }
-        uint64_t t1v = 0;
-        MemFault mf = mem_.read(a.val, 1, t1v);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex + 3;
-            SHIFT_FAULT(FaultKind::IllegalAddress, FaultContext::LoadAddress,
-                        a.val, "load from illegal address");
-        }
-        bool t1n = false;
-        setGpr(dp->r1, t1v, t1n);
-        ++loadCount_;
-        statIdx = idxMem;
-        charge(kCycleModel.loadBase);
-        uint64_t extra = dcache_.access(a.val) ? kCycleModel.loadHit
-                                               : kCycleModel.loadMiss;
-        cyFlat[idxMem] += extra;
-        // (pSet) or t1,t1,t3 — stalls on the just-loaded t1 when it
-        // executes; occupies a nullified slot otherwise (which also
-        // clears the stall window for the andcm, as in the unfused
-        // stream).
-        statIdx = idxReg;
-        if (pred_[dp->p1]) {
-            stallCycles_ += kCycleModel.loadUseStall;
-            cyFlat[idxReg] += kCycleModel.loadUseStall;
-            t1v |= t3v;
-            t1n = t1n || t3n;
-            setGpr(dp->r1, t1v, t1n);
-            charge(kCycleModel.alu);
-        } else {
-            charge(kCycleModel.nullified);
-        }
-        // (pClr) andcm t1,t1,t3
-        if (pred_[dp->p2]) {
-            t1v &= ~t3v;
-            t1n = t1n || t3n;
-            setGpr(dp->r1, t1v, t1n);
-            charge(kCycleModel.alu);
-        } else {
-            charge(kCycleModel.nullified);
-        }
-        // st1 [t0] = t1 (t0 known clean — the ld above would have
-        // faulted; a NaT source is the unfused stream's plain-store
-        // policy fault)
-        if (t1n) {
-            archPcOverride_ = dp->origIndex + 6;
-            SHIFT_FAULT(FaultKind::NatConsumption, FaultContext::StoreValue,
-                        a.val, "plain store of a NaT source register");
-        }
-        mf = mem_.write(a.val, 1, t1v);
-        if (mf != MemFault::None) {
-            archPcOverride_ = dp->origIndex + 6;
-            SHIFT_FAULT(FaultKind::IllegalAddress,
-                        FaultContext::StoreAddress, a.val,
-                        "store to illegal address");
-        }
+        [[maybe_unused]] const uint64_t t0 =
+            gpr_[static_cast<size_t>(dp->target)].val;
+        const OpOutcome r = opStUpd(dp);
+        if (r.kind != OpOutcome::Done)
+            SHIFT_BODY_FAULT(r);
         if constexpr (kObserved) {
-            if (rec && t1v != 0) [[unlikely]]
+            // Its first bitmap store spread taint: the provenance
+            // chain wants it.
+            if (rec && r.spread) [[unlikely]]
                 rec->emitCold(obs::Ev::TaintStore, 0, curFunc_,
-                              dp->origIndex + 6, a.val);
-        }
-        ++storeCount_;
-        statIdx = idxMem;
-        charge(kCycleModel.storeBase);
-        extra = dcache_.access(a.val) ? 0 : kCycleModel.storeMiss;
-        cyFlat[idxMem] += extra;
-        if (byteGran) {
-            // shr t3, t3, 8
-            statIdx = idxAddr;
-            t3v >>= 8;
-            setGpr(dp->r3, t3v, t3n);
-            charge(kCycleModel.alu);
-            // add t2 = t0 + 1
-            uint64_t hiAddr = a.val + 1;
-            setGpr(dp->br, hiAddr, false);
-            charge(kCycleModel.alu);
-            // ld1 t1, [t2]
-            mf = mem_.read(hiAddr, 1, t1v);
-            if (mf != MemFault::None) {
-                archPcOverride_ = dp->origIndex + 9;
-                SHIFT_FAULT(FaultKind::IllegalAddress,
-                            FaultContext::LoadAddress, hiAddr,
-                            "load from illegal address");
-            }
-            t1n = false;
-            setGpr(dp->r1, t1v, t1n);
-            ++loadCount_;
-            statIdx = idxMem;
-            charge(kCycleModel.loadBase);
-            extra = dcache_.access(hiAddr) ? kCycleModel.loadHit
-                                           : kCycleModel.loadMiss;
-            cyFlat[idxMem] += extra;
-            // (pSet) or / (pClr) andcm on the high half
-            statIdx = idxReg;
-            if (pred_[dp->p1]) {
-                stallCycles_ += kCycleModel.loadUseStall;
-                cyFlat[idxReg] += kCycleModel.loadUseStall;
-                t1v |= t3v;
-                t1n = t1n || t3n;
-                setGpr(dp->r1, t1v, t1n);
-                charge(kCycleModel.alu);
-            } else {
-                charge(kCycleModel.nullified);
-            }
-            if (pred_[dp->p2]) {
-                t1v &= ~t3v;
-                t1n = t1n || t3n;
-                setGpr(dp->r1, t1v, t1n);
-                charge(kCycleModel.alu);
-            } else {
-                charge(kCycleModel.nullified);
-            }
-            // st1 [t2] = t1
-            if (t1n) {
-                archPcOverride_ = dp->origIndex + 12;
-                SHIFT_FAULT(FaultKind::NatConsumption,
-                            FaultContext::StoreValue, hiAddr,
-                            "plain store of a NaT source register");
-            }
-            mf = mem_.write(hiAddr, 1, t1v);
-            if (mf != MemFault::None) {
-                archPcOverride_ = dp->origIndex + 12;
-                SHIFT_FAULT(FaultKind::IllegalAddress,
-                            FaultContext::StoreAddress, hiAddr,
-                            "store to illegal address");
-            }
-            ++storeCount_;
-            statIdx = idxMem;
-            charge(kCycleModel.storeBase);
-            extra = dcache_.access(hiAddr) ? 0 : kCycleModel.storeMiss;
-            cyFlat[idxMem] += extra;
+                              dp->origIndex + 6, t0);
         }
         ++pc;
         SHIFT_NEXT_FAST();
     }
 
-    // ----- taint-clean fast-tier micro-ops (see docs/FAST-PATH.md) ----
-    // Probes are free in the simulated cost model: they model the
-    // paper's speculative hardware, which resolves a clean check off
-    // the critical path, so a guarded superblock charges exactly its
-    // surviving (non-taint) instructions. All four ops exist only in
-    // fast streams and never fault; a failed guard deopts to the
-    // instrumented twin, which replays the full architectural
-    // semantics from the elided group's own pc.
+    // ----- taint-clean fast-tier probes (see docs/FAST-PATH.md) -------
+    // Free in the simulated cost model and never faulting; a cold
+    // superblock bails and a failed guard deopts to the instrumented
+    // twin (probeNext).
 
-    SHIFT_OP(FpEnter) {
-        uint32_t b = static_cast<uint32_t>(dp->callee);
-        if (fpCold_[b]) {
-            ++fpColdBails_;
-            obsColdBail(static_cast<uint64_t>(dp->target));
-            inFast = false;
-            pc = static_cast<uint64_t>(dp->target);
-            code = df->code.data();
-            SHIFT_NEXT_FAST();
-        }
-        ++fpEnters_[b];
-        ++fpEnteredTotal_;
-        obsFastEnter();
-        ++pc;
+    SHIFT_OP(FpEnter)
+        probeNext(opFpEnter(dp), true);
         SHIFT_NEXT_FAST();
-    }
 
-    SHIFT_OP(FpChkProbe) {
-        // Guards an elided bitmap check (FusedChkByte/Word or a
-        // narrowed remnant). Clean means the probed summary line(s)
-        // are clean and neither the tag address nor the checked
-        // register is NaT — then the check's only architectural
-        // effect is pT := false. p2 bit 0 marks a fold-elided probe:
-        // the FusedTagAddr went with the group, so the figure-4 fold
-        // is recomputed host-side from the data address in r2
-        // (size 1 = word fold + line, 2 = byte fold + pair,
-        // 3 = byte fold + line for narrowed one-byte windows).
-        // p2 bit 2: this probe leads its superblock and carries the
-        // merged FpEnter — entry counting and the cold-bail check ride
-        // here instead of costing a separate dispatch.
-        if (dp->p2 & 4) {
-            uint32_t b = static_cast<uint32_t>(dp->callee);
-            if (fpCold_[b]) {
-                ++fpColdBails_;
-                obsColdBail(static_cast<uint64_t>(dp->target));
-                inFast = false;
-                pc = static_cast<uint64_t>(dp->target);
-                code = df->code.data();
-                SHIFT_NEXT_FAST();
-            }
-            ++fpEnters_[b];
-            ++fpEnteredTotal_;
-            obsFastEnter();
-        }
-        const Gpr &a = gpr_[(dp->p2 & 1) ? dp->r2 : dp->br];
-        uint64_t t0v = a.val;
-        if (dp->p2 & 1) {
-            const unsigned ds = dp->size == 1 ? 6 : 3;
-            t0v = (((a.val >> kRegionShift) & 7)
-                   << (kImplementedBits - ds)) |
-                  ((a.val >> ds) & lowMask(kImplementedBits - ds));
-        } else if (gpr_[dp->r2].nat) {
-            probeDeopt(obs::DeoptCause::ChkAddrNat);
-            SHIFT_NEXT_FAST();
-        }
-        if (a.nat ||
-            (dp->size == 2 ? mem_.taintSummary().pairDirty(t0v)
-                           : mem_.taintSummary().lineDirty(t0v))) {
-            probeDeopt(a.nat ? obs::DeoptCause::ChkAddrNat
-                             : obs::DeoptCause::ChkSummary);
-            SHIFT_NEXT_FAST();
-        }
-        setPred(dp->p1, false);
-        ++pc;
+    SHIFT_OP(FpChkProbe)
+        probeNext(opFpChk(dp), dp->p2 & 4);
         SHIFT_NEXT_FAST();
-    }
 
-    SHIFT_OP(FpStProbe) {
-        // Guards an elided bitmap RMW update. Elidable only when the
-        // store's source is clean (the update would clear
-        // already-zero bits) and the window is summary-clean. p2 bit
-        // 0 as in FpChkProbe: the tag-address fold rides in the
-        // probe. p2 bit 1: the source-NaT test (Tnat) rides in the
-        // probe too — it reads the source's NaT from r3 and performs
-        // the Tnat's own predicate writes up front, so the deopt
-        // target (which sits after the Tnat) replays into correct
-        // predicate state.
-        bool srcTaint;
-        if (dp->p2 & 2) {
-            srcTaint = gpr_[dp->r3].nat;
-            setPred(dp->p1, srcTaint);
-            setPred(dp->pos, !srcTaint);
-        } else {
-            srcTaint = pred_[dp->p1];
-        }
-        // Merged block entry (p2 bit 2), after the Tnat's predicate
-        // writes: a cold bail lands on the deopt pc, which sits after
-        // the elided Tnat, so the predicates must already be correct.
-        if (dp->p2 & 4) {
-            uint32_t b = static_cast<uint32_t>(dp->callee);
-            if (fpCold_[b]) {
-                ++fpColdBails_;
-                obsColdBail(static_cast<uint64_t>(dp->target));
-                inFast = false;
-                pc = static_cast<uint64_t>(dp->target);
-                code = df->code.data();
-                SHIFT_NEXT_FAST();
-            }
-            ++fpEnters_[b];
-            ++fpEnteredTotal_;
-            obsFastEnter();
-        }
-        const Gpr &a = gpr_[(dp->p2 & 1) ? dp->r2 : dp->br];
-        uint64_t t0v = a.val;
-        if (dp->p2 & 1) {
-            const unsigned ds = dp->size == 1 ? 6 : 3;
-            t0v = (((a.val >> kRegionShift) & 7)
-                   << (kImplementedBits - ds)) |
-                  ((a.val >> ds) & lowMask(kImplementedBits - ds));
-        } else if (gpr_[dp->r2].nat) {
-            probeDeopt(obs::DeoptCause::StAddrNat);
-            SHIFT_NEXT_FAST();
-        }
-        if (a.nat || srcTaint ||
-            (dp->size == 2 ? mem_.taintSummary().pairDirty(t0v)
-                           : mem_.taintSummary().lineDirty(t0v))) {
-            probeDeopt(a.nat ? obs::DeoptCause::StAddrNat
-                       : srcTaint ? obs::DeoptCause::StSrcTaint
-                                  : obs::DeoptCause::StSummary);
-            SHIFT_NEXT_FAST();
-        }
-        ++pc;
+    SHIFT_OP(FpStProbe)
+        probeNext(opFpSt(dp), dp->p2 & 4);
         SHIFT_NEXT_FAST();
-    }
 
-    SHIFT_OP(FpClrProbe) {
-        // Guards an elided spill/reload NaT purge: a clean register
-        // needs no purge (see docs/FAST-PATH.md for the accepted
-        // stack-scribble divergence). A NaT spill base faults on the
-        // instrumented stream, so it deopts here. p2 bit 2 as in
-        // FpChkProbe: the merged block entry rides on the probe.
-        if (dp->p2 & 4) {
-            uint32_t b = static_cast<uint32_t>(dp->callee);
-            if (fpCold_[b]) {
-                ++fpColdBails_;
-                obsColdBail(static_cast<uint64_t>(dp->target));
-                inFast = false;
-                pc = static_cast<uint64_t>(dp->target);
-                code = df->code.data();
-                SHIFT_NEXT_FAST();
-            }
-            ++fpEnters_[b];
-            ++fpEnteredTotal_;
-            obsFastEnter();
-        }
-        if (gpr_[dp->r1].nat || gpr_[dp->r2].nat) {
-            probeDeopt(obs::DeoptCause::ClrRegNat);
-            SHIFT_NEXT_FAST();
-        }
-        ++pc;
+    SHIFT_OP(FpClrProbe)
+        probeNext(opFpClr(dp), dp->p2 & 4);
         SHIFT_NEXT_FAST();
-    }
 
 stepLimitHit:
     // A plain `if`: production folds it away, and `observe:` stays
@@ -2770,6 +2157,8 @@ doneRun:
 #undef SHIFT_NEXT_FAST
 #undef SHIFT_STOPPED
 #undef SHIFT_FAULT
+#undef SHIFT_BODY_FAULT
+#undef SHIFT_BODY
 #undef SHIFT_INLINE
 }
 

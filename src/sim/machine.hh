@@ -63,14 +63,14 @@ struct JitOps;
 /**
  * Fast-tier cold demotion: a superblock whose deopt count reaches this
  * AND is at least half its enter count is marked cold and bails to the
- * instrumented stream at entry. Shared by the interpreter and the JIT
- * runtime helpers so both tiers demote identically.
+ * instrumented stream at entry (Machine::probeDeopt, which the
+ * interpreter and the JIT runtime helpers both run).
  */
 constexpr uint32_t kFpColdDeopts = 8;
 
 /**
- * Call-stack depth limit, shared by the interpreter's enterFunction
- * and the JIT call helpers (both fault identically at the crossing).
+ * Call-stack depth limit, applied by the legacy stepper's doCall and
+ * by the call body both other tiers run (Machine::opCall).
  */
 constexpr size_t kMaxCallDepth = 1 << 16;
 
@@ -515,6 +515,48 @@ class Machine
     /** Source-2 value for reg-or-imm operands. */
     uint64_t src2Val(const Instr &instr) const;
     bool src2Nat(const Instr &instr) const;
+
+    // ----- op bodies (sim/op_bodies.hh) ---------------------------------
+    // Each micro-op's synchronous semantics, written once and run by
+    // both the interpreter's handlers and the JIT runtime helpers.
+    // `maybeNat`: the NaT bits are the async tier's maybe-taint
+    // summaries (docs/ASYNC-TAINT.md), which never fault.
+
+    struct OpOutcome;
+    template <int N> struct Acc;
+
+    OpOutcome opLd(const DecodedInstr *dp, bool maybeNat);
+    OpOutcome opSt(const DecodedInstr *dp, bool maybeNat);
+    OpOutcome opDivMod(const DecodedInstr *dp);
+    OpOutcome opChkByte(const DecodedInstr *dp);
+    OpOutcome opChkWord(const DecodedInstr *dp);
+    OpOutcome opClearNat(const DecodedInstr *dp);
+    OpOutcome opStUpd(const DecodedInstr *dp);
+    bool coldHead(const DecodedInstr &head) const;
+    bool bailCold(const DecodedInstr *dp);
+    OpOutcome probeDeopt(const DecodedInstr *dp, obs::DeoptCause cause);
+    bool probeClean(const DecodedInstr *dp, bool srcTaint,
+                    obs::DeoptCause &cause);
+    OpOutcome opFpEnter(const DecodedInstr *dp);
+    OpOutcome opFpChk(const DecodedInstr *dp);
+    OpOutcome opFpSt(const DecodedInstr *dp);
+    OpOutcome opFpClr(const DecodedInstr *dp);
+    OpOutcome opMovToBr(const DecodedInstr *dp, bool maybeNat);
+    OpOutcome opMovToUnat(const DecodedInstr *dp, bool maybeNat);
+    OpOutcome opMovFromUnat(const DecodedInstr *dp);
+    OpOutcome opCall(const DecodedInstr *dp, int callee, uint64_t pc,
+                     bool inFast);
+    OpOutcome opCalli(const DecodedInstr *dp, uint64_t pc, bool inFast);
+    OpOutcome opRet(const DecodedInstr *dp);
+    OpOutcome opBuiltin(const DecodedInstr *dp);
+    OpOutcome opSyscall(const DecodedInstr *dp);
+
+    /**
+     * Fence the async tier at a policy boundary (call on a synced
+     * machine), carving the time into the async-publish tier; true
+     * when it raised a pending violation, which stops the machine.
+     */
+    bool fenceAsync(const DecodedInstr *dp);
 
     void setFault(FaultKind kind, FaultContext ctx, uint64_t addr,
                   const std::string &detail);

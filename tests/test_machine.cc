@@ -5,10 +5,15 @@
  * spill/fill, the UNAT register, calls and accounting.
  *
  * Programs are hand-assembled instruction sequences so every
- * architectural rule is tested in isolation from the compiler.
+ * architectural rule is tested in isolation from the compiler. The
+ * fault, call and NaT programs run on every exact tier (the legacy
+ * stepper, the fused interpreter and the JIT at threshold 1), which
+ * must agree on the whole RunResult.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "isa/program.hh"
 #include "sim/machine.hh"
@@ -34,6 +39,26 @@ makeProgram(std::vector<Instr> code, int numLabels = 8)
     return program;
 }
 
+/** The exact tiers: they promise the same simulated results. */
+enum class Tier
+{
+    Legacy, ///< the reference stepper (ExecEngine::Legacy)
+    Interp, ///< the fused predecoded interpreter
+    Jit,    ///< the interpreter plus the JIT at threshold 1
+};
+
+/** A machine for `program` on `tier`. */
+std::unique_ptr<Machine>
+makeMachine(const Program &program, Tier tier, CpuFeatures features = {})
+{
+    auto machine = std::make_unique<Machine>(
+        program, features,
+        tier == Tier::Legacy ? ExecEngine::Legacy : ExecEngine::Predecoded);
+    if (tier == Tier::Jit)
+        machine->setJitEnabled(true, 1);
+    return machine;
+}
+
 /** Run and return the machine for state inspection. */
 struct RunHarness
 {
@@ -42,14 +67,59 @@ struct RunHarness
     RunResult result;
 
     explicit RunHarness(std::vector<Instr> code,
-                        CpuFeatures features = {})
+                        CpuFeatures features = {},
+                        Tier tier = Tier::Interp)
         : program(makeProgram(std::move(code)))
     {
-        machine = std::make_unique<Machine>(program, features);
+        machine = makeMachine(program, tier, features);
     }
 
     void run() { result = machine->run(100000); }
 };
+
+/**
+ * Run `program` on every exact tier and require the same RunResult:
+ * exit, fault kind/context/function/pc/address/detail, cycles,
+ * instructions and alerts. Where the JIT exists its run must have
+ * entered compiled code. `legacy` false leaves the stepper out: it
+ * spends a step on each Label, so a run that hits the step limit
+ * stops elsewhere there (docs/EXECUTION-ENGINE.md). Returns the
+ * interpreter's result.
+ */
+RunResult
+runEveryTier(const Program &program, uint64_t maxSteps = 100000,
+             bool legacy = true)
+{
+    RunResult interp = makeMachine(program, Tier::Interp)->run(maxSteps);
+    for (Tier tier : {Tier::Legacy, Tier::Jit}) {
+        if (tier == Tier::Legacy && !legacy)
+            continue;
+        const char *name = tier == Tier::Legacy ? "legacy" : "jit";
+        RunResult r = makeMachine(program, tier)->run(maxSteps);
+        EXPECT_EQ(r.exited, interp.exited) << name;
+        EXPECT_EQ(r.exitCode, interp.exitCode) << name;
+        EXPECT_EQ(r.fault.kind, interp.fault.kind) << name;
+        EXPECT_EQ(r.fault.context, interp.fault.context) << name;
+        EXPECT_EQ(r.fault.function, interp.fault.function) << name;
+        EXPECT_EQ(r.fault.pc, interp.fault.pc) << name;
+        EXPECT_EQ(r.fault.addr, interp.fault.addr) << name;
+        EXPECT_EQ(r.fault.detail, interp.fault.detail) << name;
+        EXPECT_EQ(r.cycles, interp.cycles) << name;
+        EXPECT_EQ(r.instructions, interp.instructions) << name;
+        EXPECT_EQ(r.killedByPolicy, interp.killedByPolicy) << name;
+        EXPECT_EQ(r.alerts.size(), interp.alerts.size()) << name;
+        for (size_t i = 0;
+             i < std::min(r.alerts.size(), interp.alerts.size()); ++i) {
+            EXPECT_EQ(r.alerts[i].policy, interp.alerts[i].policy);
+            EXPECT_EQ(r.alerts[i].function, interp.alerts[i].function);
+            EXPECT_EQ(r.alerts[i].pc, interp.alerts[i].pc);
+        }
+        if (tier == Tier::Jit && Machine::jitAvailable()) {
+            EXPECT_GT(r.stats.get(stat::JitEntered), 0u);
+        }
+    }
+    return interp;
+}
 
 /** A data address in the mapped globals area. */
 Program
@@ -230,10 +300,9 @@ TEST(MachineFaults, PlainLoadThroughNatFaults)
 {
     auto code = natInR4();
     code.push_back(makeLd(5, 4, 8));
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::NatConsumption);
-    EXPECT_EQ(h.result.fault.context, FaultContext::LoadAddress);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::NatConsumption);
+    EXPECT_EQ(r.fault.context, FaultContext::LoadAddress);
 }
 
 TEST(MachineFaults, StoreThroughNatAddressFaults)
@@ -241,10 +310,9 @@ TEST(MachineFaults, StoreThroughNatAddressFaults)
     auto code = natInR4();
     code.push_back(makeMovi(5, 1));
     code.push_back(makeSt(4, 5, 8));
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::NatConsumption);
-    EXPECT_EQ(h.result.fault.context, FaultContext::StoreAddress);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::NatConsumption);
+    EXPECT_EQ(r.fault.context, FaultContext::StoreAddress);
 }
 
 TEST(MachineFaults, PlainStoreOfNatSourceFaults)
@@ -253,8 +321,7 @@ TEST(MachineFaults, PlainStoreOfNatSourceFaults)
     code.push_back(makeMovi(5, int64_t(kGlobalBase)));
     code.push_back(makeSt(5, 4, 8));
     Program program = withGlobal(code);
-    Machine machine(program);
-    RunResult r = machine.run(1000);
+    RunResult r = runEveryTier(program, 1000);
     EXPECT_EQ(r.fault.kind, FaultKind::NatConsumption);
     EXPECT_EQ(r.fault.context, FaultContext::StoreValue);
 }
@@ -267,10 +334,21 @@ TEST(MachineFaults, MovToBranchRegisterWithNatFaults)
     mov.br = 6;
     mov.r2 = 4;
     code.push_back(mov);
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::NatConsumption);
-    EXPECT_EQ(h.result.fault.context, FaultContext::ControlFlow);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::NatConsumption);
+    EXPECT_EQ(r.fault.context, FaultContext::ControlFlow);
+}
+
+TEST(MachineFaults, MovToUnatWithNatFaults)
+{
+    auto code = natInR4();
+    Instr mov;
+    mov.op = Opcode::MovToUnat;
+    mov.r2 = 4;
+    code.push_back(mov);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::NatConsumption);
+    EXPECT_EQ(r.fault.context, FaultContext::AppRegister);
 }
 
 TEST(MachineFaults, NatFaultHandlerConvertsToAlert)
@@ -299,9 +377,8 @@ TEST(MachineFaults, DivisionByZeroFaults)
     code.push_back(makeMovi(4, 10));
     code.push_back(makeMovi(5, 0));
     code.push_back(makeAlu(Opcode::Div, 6, 4, 5));
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::DivByZero);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::DivByZero);
 }
 
 TEST(MachineFaults, DivisionByNatZeroDefersInsteadOfFaulting)
@@ -321,18 +398,16 @@ TEST(MachineFaults, StepLimit)
     std::vector<Instr> code;
     code.push_back(makeLabel(0));
     code.push_back(makeBr(0));
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::StepLimit);
+    RunResult r = runEveryTier(makeProgram(code), 100000, false);
+    EXPECT_EQ(r.fault.kind, FaultKind::StepLimit);
 }
 
 TEST(MachineFaults, UnknownCalleeFaults)
 {
     std::vector<Instr> code;
     code.push_back(makeCall("no_such_function"));
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::UnknownFunction);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::UnknownFunction);
 }
 
 // ---------------------------------------------------------------------
@@ -567,8 +642,7 @@ TEST(MachineCalls, IndirectCallThroughDescriptor)
     program.addFunction(std::move(fn));
     program.entry = "main";
 
-    Machine machine(program);
-    RunResult r = machine.run(1000);
+    RunResult r = runEveryTier(program, 1000);
     ASSERT_TRUE(r.exited);
     EXPECT_EQ(r.exitCode, 55);
 }
@@ -594,7 +668,7 @@ TEST(MachineCalls, RecursionOffTheStackFaultsJustBelowStackBase)
     uint64_t expected = sp;
     while (expected >= kStackBase)
         expected -= kFrame;
-    RunResult r = machine.run(1000000);
+    RunResult r = runEveryTier(program, 1000000);
     ASSERT_FALSE(r.exited);
     EXPECT_EQ(r.fault.kind, FaultKind::IllegalAddress);
     EXPECT_EQ(r.fault.context, FaultContext::StoreAddress);
@@ -616,9 +690,8 @@ TEST(MachineCalls, IndirectCallToGarbageFaults)
     call.op = Opcode::BrCalli;
     call.br = 6;
     code.push_back(call);
-    RunHarness h(code);
-    h.run();
-    EXPECT_EQ(h.result.fault.kind, FaultKind::BadIndirect);
+    RunResult r = runEveryTier(makeProgram(code));
+    EXPECT_EQ(r.fault.kind, FaultKind::BadIndirect);
 }
 
 // ---------------------------------------------------------------------
